@@ -44,9 +44,14 @@ timings (offer / dispatch / absorb / answer-check) on the wide-fanout
 workload, with the distillation-vs-fast_fail wall ratio asserted within
 budget at identical answers and access counts.
 
+The ``plan_reuse`` section times ``Engine.plan`` on a keyed template mix,
+cold (every shape planned for the first time) against warm (every shape
+already in the engine's plan cache), and gates warm at least 5x faster.
+
 ``--perf-smoke`` is the CI performance gate: just the wall-ratio
-assertion (relaxed to 3x for noisy shared runners) plus one scale smoke
-workload — seconds, not minutes, suitable for running under ``timeout``.
+assertion (relaxed to 3x for noisy shared runners), the ``plan_reuse``
+gate and one scale smoke workload — seconds, not minutes, suitable for
+running under ``timeout``.
 
 Usage::
 
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -76,6 +82,7 @@ from repro.examples import (  # noqa: E402
     deep_cycle_example,
     diamond_example,
     mixed_workload,
+    running_example,
     skewed_fanout_example,
     star_example,
     ucq_fanout_workload,
@@ -805,6 +812,79 @@ def bench_kernel_profile(ratio_budget: float = WALL_RATIO_BUDGET) -> Dict[str, o
     return entry
 
 
+#: Keyed query templates over the running example: 2, 3 and 5 atoms (the
+#: last loses three to minimization), one constant each.
+PLAN_REUSE_TEMPLATES = (
+    "q(N) <- r1(A, N, Y1), r2('{k}', Y2, A)",
+    "q(N, A2) <- r2('{k}', Y, A), r1(A, N, Y1), r3(N, A2)",
+    "q(N) <- r1(A, N, Y1), r2('{k}', Y2, A), r2('{k}', Y3, A2), "
+    "r1(A2, N2, Y4), r1(A2, N3, Y5)",
+)
+
+#: Keys per template in the warm pass, and timed repeats (median reported).
+PLAN_REUSE_KEYS = 100
+PLAN_REUSE_REPEATS = 5
+
+#: Warm ``Engine.plan`` must be at least this many times faster than cold.
+PLAN_REUSE_SPEEDUP_FLOOR = 5.0
+
+
+def _spread_us(seconds: List[float]) -> Dict[str, float]:
+    return {
+        "median": round(statistics.median(seconds) * 1e6, 1),
+        "min": round(min(seconds) * 1e6, 1),
+        "max": round(max(seconds) * 1e6, 1),
+    }
+
+
+def bench_plan_reuse() -> Dict[str, object]:
+    """``Engine.plan`` per query, first-seen shapes against cached ones.
+
+    Each repeat takes a fresh engine: planning the templates once is the
+    cold pass (every call a miss), planning them again under other keys is
+    the warm pass (every call a hit).  Planning never reads the data, so
+    the keys need not exist.
+    """
+    example = running_example()
+    keyed = [
+        template.format(k=f"song {index}")
+        for index in range(PLAN_REUSE_KEYS)
+        for template in PLAN_REUSE_TEMPLATES
+    ]
+    cold: List[float] = []
+    warm: List[float] = []
+    for _ in range(PLAN_REUSE_REPEATS):
+        with Engine(example.schema, example.instance) as engine:
+            started = time.perf_counter()
+            for template in PLAN_REUSE_TEMPLATES:
+                engine.plan(template.format(k="first"))
+            cold.append((time.perf_counter() - started) / len(PLAN_REUSE_TEMPLATES))
+            started = time.perf_counter()
+            for text in keyed:
+                engine.plan(text)
+            warm.append((time.perf_counter() - started) / len(keyed))
+            stats = engine.session_stats()["plan_cache"]
+        assert (stats["misses"], stats["hits"]) == (len(PLAN_REUSE_TEMPLATES), len(keyed)), (
+            f"plan cache did not serve the keyed mix: {stats}"
+        )
+    speedup = statistics.median(cold) / statistics.median(warm)
+    assert speedup >= PLAN_REUSE_SPEEDUP_FLOOR, (
+        f"warm Engine.plan is only {speedup:.1f}x faster than cold "
+        f"(floor {PLAN_REUSE_SPEEDUP_FLOOR}x): {_spread_us(warm)} vs {_spread_us(cold)} us"
+    )
+    return {
+        "workload": example.name,
+        "templates": len(PLAN_REUSE_TEMPLATES),
+        "keys_per_template": PLAN_REUSE_KEYS,
+        "repeats": PLAN_REUSE_REPEATS,
+        "cold_plan_us": _spread_us(cold),
+        "warm_plan_us": _spread_us(warm),
+        "speedup": round(speedup, 1),
+        "speedup_floor": PLAN_REUSE_SPEEDUP_FLOOR,
+        "hit_rate": round(stats["hit_rate"], 4),
+    }
+
+
 def _scale_examples(smoke: bool) -> List[Example]:
     """The scale tier: >= 10^4 tuples full, a few thousand in smoke."""
     if smoke:
@@ -965,6 +1045,15 @@ def workloads(smoke: bool) -> List[Example]:
     return examples
 
 
+def _print_plan_reuse(entry: Dict[str, object]) -> None:
+    print(
+        f"plan reuse on {entry['workload']}: Engine.plan cold "
+        f"{entry['cold_plan_us']['median']} us, warm {entry['warm_plan_us']['median']} us "  # type: ignore[index]
+        f"per query ({entry['speedup']}x, floor {entry['speedup_floor']}x; "
+        f"hit rate {entry['hit_rate']})"
+    )
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -991,8 +1080,8 @@ def main(argv: List[str] | None = None) -> int:
         action="store_true",
         help=(
             "CI performance gate only: assert the distillation/fast_fail "
-            "wall ratio <= 3x on wide-fanout plus one scale smoke workload; "
-            "writes no report"
+            "wall ratio <= 3x on wide-fanout and warm Engine.plan >= 5x cold, "
+            "plus one scale smoke workload; writes no report"
         ),
     )
     args = parser.parse_args(argv)
@@ -1004,6 +1093,7 @@ def main(argv: List[str] | None = None) -> int:
             f"{profile_entry['wall_ratio_distillation_vs_fast_fail']}x fast_fail "
             f"(budget {PERF_SMOKE_RATIO_BUDGET}x)"
         )
+        _print_plan_reuse(bench_plan_reuse())
         scale_entry = bench_scale(smoke=True)
         for name, record in scale_entry["workloads"].items():  # type: ignore[union-attr]
             fast = record["strategies"]["fast_fail"]
@@ -1093,6 +1183,9 @@ def main(argv: List[str] | None = None) -> int:
         f"absorb {timings['absorb']}s, answer-check {timings['answer_check']}s"
     )
 
+    plan_reuse_entry = bench_plan_reuse()
+    _print_plan_reuse(plan_reuse_entry)
+
     scale_entry = None
     if args.scale:
         scale_entry = bench_scale(args.smoke)
@@ -1157,6 +1250,7 @@ def main(argv: List[str] | None = None) -> int:
         "cache_tier": cache_entry,
         "serving": serving_entry,
         "kernel_profile": profile_entry,
+        "plan_reuse": plan_reuse_entry,
     }
     if scale_entry is not None:
         report["scale"] = scale_entry

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import AsyncIterator, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.explain import Explanation
+from repro.engine.plan_cache import PlanCache
 from repro.engine.prepared import PreparedPlan
 from repro.engine.result import Result
 from repro.engine.strategy import ExecuteOptions, StrategyLike
@@ -282,8 +283,12 @@ class Engine:
         if self.schema != self.registry.schema:
             raise EngineError("the engine's schema differs from the source registry's schema")
         self.default_options = options if options is not None else ExecuteOptions()
-        self._generator = MinimalPlanGenerator(
-            self.schema, minimize=minimize, join_first_heuristic=join_first_heuristic
+        # Plans depend on the schema and the generator's flags only, so the
+        # cache belongs to the engine, not to the session.
+        self._plans = PlanCache(
+            MinimalPlanGenerator(
+                self.schema, minimize=minimize, join_first_heuristic=join_first_heuristic
+            )
         )
         self.cache_config, store = CacheConfig.coerce(cache)
         if store is None:
@@ -318,6 +323,17 @@ class Engine:
     def plan(self, query: Union[str, ConjunctiveQuery]) -> PreparedPlan:
         """Parse (if needed), validate and plan a query.
 
+        Planning is done once per query *shape* — the query with its
+        constants abstracted to numbered parameters, see
+        :mod:`repro.engine.plan_cache` — and the shape's plan is bound to
+        this query's constants.  The cache is per engine, bounded (LRU),
+        safe under concurrent calls and survives :meth:`reset_session`;
+        failed plans are never cached.  It is invisible in the result:
+        ``explain()``, ``to_datalog()``, answers and accesses are the same
+        whether the shape had been planned before or not, which is why
+        artificial relations are named after parameters (``c__1_Title``),
+        not values.
+
         Raises:
             ParseError: the text could not be parsed.
             QueryError: the query is inconsistent with the schema.
@@ -327,7 +343,7 @@ class Engine:
         """
         parsed = self._coerce(query)
         try:
-            plan = self._generator.generate(parsed)
+            plan = self._plans.plan(parsed)
         except ReproError as error:
             raise error.with_context(query=parsed)
         return PreparedPlan(engine=self, query=parsed, plan=plan)
@@ -593,12 +609,19 @@ class Engine:
 
     # -- session management --------------------------------------------------
     def reset_session(self) -> None:
-        """Forget all shared meta-caches and the cumulative access log."""
+        """Forget all shared meta-caches and the cumulative access log.
+
+        Planned shapes stay: they hold no data, only the schema's structure.
+        """
         self.session.reset()
 
     def session_stats(self) -> Dict[str, object]:
-        """Counters of the current session (executions, accesses, meta hits)."""
-        return self.session.stats()
+        """Counters of the current session (executions, accesses, meta hits).
+
+        ``plan_cache`` reports the engine's plan reuse next to the session's
+        access reuse; its counters run for the engine's lifetime.
+        """
+        return {**self.session.stats(), "plan_cache": self._plans.stats()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

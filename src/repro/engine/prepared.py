@@ -37,6 +37,11 @@ class PreparedPlan:
     registered strategy; repeated executions within one engine session share
     the session's meta-caches, so a prepared plan re-executed with a
     plan-based strategy costs no further source accesses.
+
+    Every :meth:`Engine.plan` call returns a handle of its own — it carries
+    the ``last_*`` state of its executions — while the immutable ``plan``
+    may share its structure with every other query of the same shape (see
+    :mod:`repro.engine.plan_cache`).
     """
 
     engine: "Engine"

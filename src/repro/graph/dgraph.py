@@ -286,7 +286,8 @@ def build_dependency_graph(preprocessed: PreprocessedQuery) -> DependencyGraph:
     """
     query = preprocessed.query
     schema = preprocessed.schema
-    if not query.is_constant_free():
+    # Head constants are copied into every answer and play no role here.
+    if query.body_constants():
         raise QueryError("d-graphs are built from constant-free queries; run preprocessing first")
 
     sources: List[Source] = []

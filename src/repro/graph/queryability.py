@@ -47,14 +47,18 @@ def obtainable_domains(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[Abs
     return frozenset(available)
 
 
-def queryable_relations(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[str]:
-    """Names of the relations of ``schema`` that are queryable w.r.t. ``query``."""
-    available = obtainable_domains(query, schema)
+def _queryable_given(available: FrozenSet[AbstractDomain], schema: Schema) -> FrozenSet[str]:
+    """Relations whose every input domain is among the obtainable ones."""
     return frozenset(
         relation.name
         for relation in schema
         if all(domain_ in available for domain_ in relation.input_domains)
     )
+
+
+def queryable_relations(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[str]:
+    """Names of the relations of ``schema`` that are queryable w.r.t. ``query``."""
+    return _queryable_given(obtainable_domains(query, schema), schema)
 
 
 def non_queryable_relations(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[str]:
@@ -89,10 +93,15 @@ class QueryabilityReport:
 
 
 def analyze_queryability(query: ConjunctiveQuery, schema: Schema) -> QueryabilityReport:
-    """Run the full queryability analysis and package the outcome."""
+    """Run the full queryability analysis and package the outcome.
+
+    The schema fixpoint is computed once; both relation sets derive from it.
+    """
     domains = obtainable_domains(query, schema)
-    queryable = queryable_relations(query, schema)
-    non_queryable = non_queryable_relations(query, schema)
+    queryable = _queryable_given(domains, schema)
+    non_queryable = frozenset(
+        relation.name for relation in schema if relation.name not in queryable
+    )
     offending = tuple(
         str(atom) for atom in query.body if atom.predicate in non_queryable
     )

@@ -9,7 +9,7 @@ the access.  A relation whose pattern contains no ``i`` is *free*.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Tuple, Union
 
 from repro.exceptions import SchemaError
@@ -56,6 +56,10 @@ class AccessPattern:
     """
 
     modes: Tuple[AccessMode, ...]
+    #: Zero-based positions of the input arguments, in order.
+    input_positions: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: Zero-based positions of the output arguments, in order.
+    output_positions: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.modes, tuple):
@@ -63,6 +67,13 @@ class AccessPattern:
         for mode in self.modes:
             if not isinstance(mode, AccessMode):
                 raise SchemaError(f"access pattern contains a non-mode element: {mode!r}")
+        # Derived once: planner and kernel read these on every source they touch.
+        object.__setattr__(
+            self, "input_positions", tuple(i for i, m in enumerate(self.modes) if m.is_input)
+        )
+        object.__setattr__(
+            self, "output_positions", tuple(i for i, m in enumerate(self.modes) if m.is_output)
+        )
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -98,16 +109,6 @@ class AccessPattern:
     def is_free(self) -> bool:
         """True when the pattern has no input argument."""
         return not self.input_positions
-
-    @property
-    def input_positions(self) -> Tuple[int, ...]:
-        """Zero-based positions of the input arguments, in order."""
-        return tuple(i for i, mode in enumerate(self.modes) if mode.is_input)
-
-    @property
-    def output_positions(self) -> Tuple[int, ...]:
-        """Zero-based positions of the output arguments, in order."""
-        return tuple(i for i, mode in enumerate(self.modes) if mode.is_output)
 
     def mode_at(self, position: int) -> AccessMode:
         """Mode of the argument at the given zero-based position."""

@@ -8,7 +8,7 @@ a set of relation schemata with pairwise distinct names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import SchemaError
@@ -29,6 +29,10 @@ class RelationSchema:
     name: str
     pattern: AccessPattern
     domains: Tuple[AbstractDomain, ...]
+    #: Domains of the input arguments, positionally ordered.
+    input_domains: Tuple[AbstractDomain, ...] = field(init=False, repr=False, compare=False)
+    #: Domains of the output arguments, positionally ordered.
+    output_domains: Tuple[AbstractDomain, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -47,6 +51,12 @@ class RelationSchema:
                 raise SchemaError(
                     f"relation {self.name!r}: argument {position} is not an AbstractDomain"
                 )
+        object.__setattr__(
+            self, "input_domains", tuple(self.domains[i] for i in self.input_positions)
+        )
+        object.__setattr__(
+            self, "output_domains", tuple(self.domains[i] for i in self.output_positions)
+        )
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -84,16 +94,6 @@ class RelationSchema:
     @property
     def output_positions(self) -> Tuple[int, ...]:
         return self.pattern.output_positions
-
-    @property
-    def input_domains(self) -> Tuple[AbstractDomain, ...]:
-        """Domains of the input arguments, positionally ordered."""
-        return tuple(self.domains[i] for i in self.input_positions)
-
-    @property
-    def output_domains(self) -> Tuple[AbstractDomain, ...]:
-        """Domains of the output arguments, positionally ordered."""
-        return tuple(self.domains[i] for i in self.output_positions)
 
     def domain_at(self, position: int) -> AbstractDomain:
         return self.domains[position]

@@ -124,6 +124,13 @@ class QueryPlan:
             its cache predicate.
         answerable: False when the query mentions a non-queryable relation;
             such plans are degenerate and always produce the empty answer.
+
+    A plan obtained through :meth:`repro.engine.Engine.plan` was generated
+    for the query's *shape*: ``preprocessed`` and ``analysis`` (and the
+    artificial relation names throughout) mention parameters ``$1, $2, …``
+    where the query has constants; the constants themselves are in
+    ``original_query``, ``minimized_query``, ``constant_facts`` and
+    ``rewritten_query``.
     """
 
     original_query: ConjunctiveQuery

@@ -286,6 +286,10 @@ def test_metrics_after_known_workload() -> None:
     assert metrics["session"]["total_accesses"] == 2  # repeats hit the meta-cache
     assert metrics["session"]["meta_hits"] > 0
     assert "kernel" in metrics["session"] and "cache_store" in metrics["session"]
+    # One shape, planned once and reused by the three repeats.
+    assert metrics["session"]["plan_cache"] == {
+        "hits": 3, "misses": 1, "hit_rate": 0.75, "entries": 1, "evictions": 0
+    }  # fmt: skip
     # Healthy sources report closed serve-level breaker state.
     assert metrics["sources"]["r1"]["state"] == "closed"
 
