@@ -35,9 +35,10 @@ from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.optimizer.stats import StatisticsCollector
 from repro.plan.minimal import MinimalPlanGenerator
-from repro.plan.parallel import StreamedAnswer
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.parser import parse_query
+from repro.runtime.dispatch import private_event_loop
+from repro.runtime.kernel import StreamedAnswer
 from repro.runtime.profile import KernelProfile
 from repro.sources.backend import BackendLike
 from repro.sources.cache import CacheDatabase, MetaCache
@@ -447,15 +448,16 @@ class Engine:
             # The whole workload on one private event loop: queries overlap
             # as coroutines instead of threads (await arun_workload() to
             # run it on an existing loop).
-            return asyncio.run(
-                self.arun_workload(
-                    queries,
-                    strategy=strategy,
-                    max_parallel=max_parallel,
-                    options=options,
-                    **overrides,
+            with private_event_loop() as loop:
+                return loop.run_until_complete(
+                    self.arun_workload(
+                        queries,
+                        strategy=strategy,
+                        max_parallel=max_parallel,
+                        options=options,
+                        **overrides,
+                    )
                 )
-            )
         prepared = [self.plan(query) for query in queries]
         gauge_lock = threading.Lock()
         in_flight = 0

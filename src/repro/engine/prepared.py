@@ -2,28 +2,28 @@
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AsyncIterator, Iterator, Optional
+from typing import TYPE_CHECKING, AsyncIterator, Iterator, Optional, Tuple
 
 from repro.datalog.program import DatalogProgram
 from repro.engine.explain import Explanation, build_explanation
-from repro.engine.result import Result
+from repro.engine.result import Result, Termination
 from repro.engine.strategy import (
+    CONCURRENCY_MODES,
     ExecuteOptions,
+    ExecutionStrategy,
     StrategyLike,
     async_unsupported,
-    real_concurrency_unsupported,
     resolve_strategy,
     streaming_unsupported,
+    unknown_concurrency,
 )
-from repro.engine.result import Termination
 from repro.exceptions import ReproError
-from repro.plan.parallel import StreamedAnswer
 from repro.plan.plan import QueryPlan
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.minimize import canonical_form
+from repro.runtime.kernel import StreamedAnswer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import Engine
@@ -56,7 +56,7 @@ class PreparedPlan:
     #: The normalized :class:`~repro.engine.result.Result` of the most recent
     #: *streaming* execution, shaped after the stream is exhausted (None
     #: before any stream, and when the consumer abandoned the stream before
-    #: the executor produced an outcome).  Servers streaming answers over a
+    #: the kernel produced an outcome).  Servers streaming answers over a
     #: wire read it to append an honest completeness trailer.
     last_stream_result: Optional[Result] = None
     #: Lazily computed canonical key for the query-result cache tier.
@@ -98,6 +98,53 @@ class PreparedPlan:
             result_cache_hit=True,
         )
 
+    def _resolve(
+        self,
+        strategy: StrategyLike,
+        options: Optional[ExecuteOptions],
+        overrides: dict,
+        *,
+        streaming: bool = False,
+        awaited: bool = False,
+    ) -> Tuple[ExecutionStrategy, ExecuteOptions]:
+        """Resolve one call's strategy and options — the single door every
+        entry point enters by, so a bad strategy, option or concurrency
+        mode raises the same error (with query/plan context) at the call
+        site of ``execute``, ``aexecute``, ``stream`` and ``astream`` alike.
+        """
+        try:
+            resolved = resolve_strategy(strategy)
+            opts = self._options(options, overrides)
+            if opts.concurrency not in CONCURRENCY_MODES:
+                raise unknown_concurrency(opts.concurrency)
+            if streaming and not resolved.supports_streaming:
+                raise streaming_unsupported(resolved.name)
+            if (awaited or opts.concurrency == "async") and not resolved.supports_async:
+                raise async_unsupported(resolved.name)
+        except ReproError as error:
+            raise error.with_context(query=self.query, plan=self.plan)
+        return resolved, opts
+
+    def _lookup_result(self, strategy_name: str) -> Optional[Result]:
+        """A result-tier hit for this query, shaped as a result (else None)."""
+        store = self.engine.session.store
+        if not (store.result_cache and self.plan.answerable):
+            return None
+        started = time.perf_counter()
+        cached = store.lookup_result(self.result_key())
+        if cached is None:
+            return None
+        return self._cached_result(strategy_name, cached, time.perf_counter() - started)
+
+    def _record_result(self, result: Result) -> Result:
+        """Feed the result tier.  Only complete answers are cacheable: a
+        budget-cut or failure-degraded lower bound must never be served as
+        the answer to a later, healthy run."""
+        store = self.engine.session.store
+        if store.result_cache and self.plan.answerable and result.complete:
+            store.record_result(self.result_key(), result.answers)
+        return result
+
     def execute(
         self,
         strategy: StrategyLike = "fast_fail",
@@ -114,32 +161,16 @@ class PreparedPlan:
                 defaults to the engine's options.
             **overrides: individual option fields to override, e.g.
                 ``max_accesses=100``.
+
+        With ``concurrency="async"`` the execution runs on a private event
+        loop (await :meth:`aexecute` from async code instead).
         """
-        resolved = resolve_strategy(strategy)
-        opts = self._options(options, overrides)
-        if opts.concurrency == "async":
-            # Sync entry over the async runtime: run the whole execution on
-            # one private event loop (await aexecute() from async code).
-            return asyncio.run(self.aexecute(strategy=resolved, options=opts))
-        store = self.engine.session.store
-        use_result_cache = store.result_cache and self.plan.answerable
+        resolved, opts = self._resolve(strategy, options, overrides)
         try:
-            if opts.concurrency == "real" and not resolved.supports_real_concurrency:
-                raise real_concurrency_unsupported(resolved.name)
-            if use_result_cache:
-                started = time.perf_counter()
-                cached = store.lookup_result(self.result_key())
-                if cached is not None:
-                    return self._cached_result(
-                        resolved.name, cached, time.perf_counter() - started
-                    )
-            result = resolved.run(self, opts)
-            if use_result_cache and result.complete:
-                # Only complete answers are cacheable: a budget-cut or
-                # failure-degraded lower bound must never be served as the
-                # answer to a later, healthy run.
-                store.record_result(self.result_key(), result.answers)
-            return result
+            cached = self._lookup_result(resolved.name)
+            if cached is not None:
+                return cached
+            return self._record_result(resolved.run(self, opts))
         except ReproError as error:
             raise error.with_context(query=self.query, plan=self.plan)
 
@@ -152,30 +183,16 @@ class PreparedPlan:
         """:meth:`execute` on the caller's event loop.
 
         With ``concurrency="async"`` the strategy's accesses run as asyncio
-        tasks; any other concurrency mode is stepped inline by the kernel's
-        async driver, so every strategy/mode combination is awaitable.
-        Shares the result-cache tier with the sync path.
+        tasks; the simulated mode is stepped inline by the kernel's async
+        driver, so every strategy/mode combination is awaitable.  Shares
+        the result-cache tier with the sync path.
         """
-        resolved = resolve_strategy(strategy)
-        opts = self._options(options, overrides)
-        store = self.engine.session.store
-        use_result_cache = store.result_cache and self.plan.answerable
+        resolved, opts = self._resolve(strategy, options, overrides, awaited=True)
         try:
-            if not resolved.supports_async:
-                raise async_unsupported(resolved.name)
-            if opts.concurrency == "real" and not resolved.supports_real_concurrency:
-                raise real_concurrency_unsupported(resolved.name)
-            if use_result_cache:
-                started = time.perf_counter()
-                cached = store.lookup_result(self.result_key())
-                if cached is not None:
-                    return self._cached_result(
-                        resolved.name, cached, time.perf_counter() - started
-                    )
-            result = await resolved.arun(self, opts)
-            if use_result_cache and result.complete:
-                store.record_result(self.result_key(), result.answers)
-            return result
+            cached = self._lookup_result(resolved.name)
+            if cached is not None:
+                return cached
+            return self._record_result(await resolved.arun(self, opts))
         except ReproError as error:
             raise error.with_context(query=self.query, plan=self.plan)
 
@@ -189,19 +206,11 @@ class PreparedPlan:
 
         Defaults to the distillation scheduler, whose simulated parallel
         wrappers produce answers as soon as they are derivable (Section V).
-        Strategy-resolution errors (unknown name, strategy without streaming
-        support) are raised here, at the call site, not at first iteration.
+        Resolution errors (unknown name or concurrency mode, strategy
+        without streaming support) are raised here, at the call site, not
+        at first iteration.
         """
-        try:
-            resolved = resolve_strategy(strategy)
-            if not resolved.supports_streaming:
-                raise streaming_unsupported(resolved.name)
-            opts = self._options(options, overrides)
-            if opts.concurrency == "real" and not resolved.supports_real_concurrency:
-                raise real_concurrency_unsupported(resolved.name)
-        except ReproError as error:
-            raise error.with_context(query=self.query, plan=self.plan)
-        return self._stream(resolved, opts)
+        return self._stream(*self._resolve(strategy, options, overrides, streaming=True))
 
     def _stream(self, resolved, opts: ExecuteOptions) -> Iterator[StreamedAnswer]:
         try:
@@ -220,18 +229,9 @@ class PreparedPlan:
         Resolution errors are raised here, at the call site, not at first
         ``anext``.
         """
-        try:
-            resolved = resolve_strategy(strategy)
-            if not resolved.supports_streaming:
-                raise streaming_unsupported(resolved.name)
-            if not resolved.supports_async:
-                raise async_unsupported(resolved.name)
-            opts = self._options(options, overrides)
-            if opts.concurrency == "real" and not resolved.supports_real_concurrency:
-                raise real_concurrency_unsupported(resolved.name)
-        except ReproError as error:
-            raise error.with_context(query=self.query, plan=self.plan)
-        return self._astream(resolved, opts)
+        return self._astream(
+            *self._resolve(strategy, options, overrides, streaming=True, awaited=True)
+        )
 
     async def _astream(
         self, resolved, opts: ExecuteOptions

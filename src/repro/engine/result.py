@@ -1,12 +1,14 @@
 """The shared result type returned by every execution strategy.
 
-The three strategies of the seed each had their own result class with
-different fields (:class:`~repro.plan.naive.NaiveEvaluationResult`,
-:class:`~repro.plan.execution.ExecutionResult`,
-:class:`~repro.plan.parallel.DistillationResult`).  The engine normalizes
-them into one :class:`Result` so that callers — and the cross-strategy
-equivalence tests — can compare executions without caring which backend
-produced them.  The strategy-specific result stays available as ``raw``.
+One :class:`Result` for every strategy, so that callers — and the
+cross-strategy equivalence tests — can compare executions without caring
+which one produced them.  The execution driver
+(:mod:`repro.engine.strategies`) builds it straight from the run's
+:class:`~repro.runtime.kernel.KernelOutcome`, which stays available as
+``raw``; a strategy adds at most a few fields of its own
+(``failed_at_position`` and the ``FAST_FAILED`` termination for
+``fast_fail``, ``time_to_first_answer`` and the parallel makespan as
+``simulated_latency`` for ``distillation``).
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ class Result:
         total_accesses: number of accesses made against the sources (reads
             served by the session meta-cache are free and not counted).
         per_source: per-relation breakdown ``(accesses, rows, latency)``.
-        elapsed_seconds: wall-clock duration of the execution.
+        elapsed_seconds: wall-clock duration of the execution — the same
+            span for every strategy: set-up, kernel run and session absorb.
         simulated_latency: simulated time charged for the accesses.  For the
             distillation strategy this is the parallel makespan; for the
             sequential strategies it is the back-to-back sum.
@@ -74,8 +77,10 @@ class Result:
         retry_stats: resilience accounting of the execution (attempts,
             retries, failures, breaker trips, refunds, backoff).
         access_log: the ordered record of this execution's accesses.
-        raw: the strategy-specific result object, for callers that need the
-            full detail (e.g. the naive value pool or the answer times).
+        raw: the run's :class:`~repro.runtime.kernel.KernelOutcome`, for
+            callers that need the full detail (answer times, sequential
+            time and ``parallel_speedup``, peak in-flight accesses); None
+            for result-cache hits.
         optimizer_report: the cost-based optimizer's account of the run
             (chosen order, estimated vs. actual cardinalities, re-planning
             events); None when the structural order was used.

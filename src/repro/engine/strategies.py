@@ -1,43 +1,67 @@
-"""Built-in execution strategies: naive, fast-failing, distillation.
+"""The execution driver and the three built-in strategies.
 
-These adapters wrap the three executors of the seed behind the single
-:class:`~repro.engine.strategy.ExecutionStrategy` protocol, normalizing
-their heterogeneous result objects into the shared
-:class:`~repro.engine.result.Result`.  All three feed the engine session's
-access log; the plan-based strategies additionally share the session's
-meta-caches, so a session never repeats an access across queries.
+The paper's evaluation methods — naive extraction (Figure 1), fast-failing
+execution (Section IV), distillation (Section V) — are one fixpoint loop
+(:class:`~repro.runtime.kernel.FixpointKernel`) that differs only in *what*
+is offered (a :class:`~repro.runtime.policy.SchedulingPolicy`) and *when* it
+is dispatched (a :class:`~repro.runtime.dispatch.Dispatcher`).  A built-in
+strategy is therefore a declaration — which policy, which simulated clock,
+whether it streams, whether it consults the session caches, which few
+:class:`~repro.engine.result.Result` fields it adds — over the one driver
+written here, :class:`KernelStrategy`.
+
+The driver builds log, optimizer, cache database, policy, dispatcher and
+kernel, pumps the kernel, and — whatever way the pump ends — folds what
+really hit the sources into the engine session and builds the result
+straight from the :class:`~repro.runtime.kernel.KernelOutcome`.  It pairs
+the policy with its dispatcher: the strategy's simulated clock under
+``concurrency="simulated"``, the :class:`~repro.runtime.dispatch.
+AsyncDispatcher` for every strategy under ``concurrency="async"``.
 """
 
 from __future__ import annotations
 
+import abc
+import contextlib
 import time
-from typing import TYPE_CHECKING, AsyncIterator, Iterator, List, Tuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, AsyncIterator, ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.result import Result, SourceBreakdown, Termination
 from repro.engine.strategy import ExecuteOptions, ExecutionStrategy, register_strategy
 from repro.exceptions import StrategyError
 from repro.optimizer import AccessOptimizer
-from repro.plan.execution import ExecutionOptions, FastFailingExecutor
-from repro.plan.naive import NaiveEvaluator
-from repro.plan.parallel import DistillationExecutor, StreamedAnswer
+from repro.runtime.dispatch import (
+    AsyncDispatcher,
+    Dispatcher,
+    SequentialDispatcher,
+    SimulatedParallelDispatcher,
+    private_event_loop,
+)
+from repro.runtime.kernel import AccessBudget, FixpointKernel, KernelOutcome, StreamedAnswer
+from repro.runtime.policy import (
+    EagerAllRelations,
+    EagerPlan,
+    OrderedFastFail,
+    PlanPolicy,
+    SchedulingPolicy,
+)
 from repro.sources.cache import CacheDatabase
 from repro.sources.log import AccessLog
 from repro.sources.wrapper import SourceRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Optional
-
     from repro.engine.prepared import PreparedPlan
 
 
 def _breakdown(
-    log: AccessLog, registry: SourceRegistry, default_latency: float = 0.0
+    log: AccessLog, registry: SourceRegistry, default_latency: float
 ) -> Tuple[Tuple[SourceBreakdown, ...], float]:
     """Per-relation breakdown of a log, plus the sequential simulated latency.
 
     ``default_latency`` is charged for wrappers that declare none — the same
-    substitution the distillation executor applies, so the per-source numbers
-    stay consistent with its makespan.
+    substitution the run's dispatcher applied, so the per-source numbers
+    stay consistent with its clock.
     """
     entries: List[SourceBreakdown] = []
     total_latency = 0.0
@@ -59,18 +83,12 @@ def _breakdown(
     return tuple(entries), total_latency
 
 
-def _session_cache_db(prepared: "PreparedPlan", options: ExecuteOptions) -> CacheDatabase:
-    if options.share_session_cache:
-        return prepared.engine.session.new_cache_db()
-    return CacheDatabase()
-
-
 def _optimizer_for(
     prepared: "PreparedPlan", options: ExecuteOptions
-) -> "Optional[AccessOptimizer]":
+) -> Optional[AccessOptimizer]:
     """Build the cost-based optimizer selected by ``options.optimizer``.
 
-    ``"structural"`` returns None — the strategies then follow the paper's
+    ``"structural"`` returns None — the policies then follow the paper's
     d-graph order exactly, byte-identical to the pre-optimizer engine.
     """
     if options.optimizer == "structural":
@@ -89,32 +107,196 @@ def _optimizer_for(
     )
 
 
-def _sequential_mode(options: ExecuteOptions) -> str:
-    """Concurrency mode for the one-at-a-time strategies.
+class KernelStrategy(ExecutionStrategy):
+    """A built-in strategy: a *(policy, dispatcher)* declaration.
 
-    Their executors know ``"sequential"`` and ``"async"`` —
-    ``"simulated"``/``"real"`` are distillation clock choices and map to
-    the plain sequential dispatcher here.
+    Subclasses declare; they implement none of ``run``/``arun``/``stream``/
+    ``astream``.  Those are thin pumps over the one driver,
+    :meth:`_execution` — the sync pair over the kernel's sync driver, the
+    async pair over its async driver — the shape the kernel itself has.
     """
-    return "async" if options.concurrency == "async" else "sequential"
 
+    supports_async = True
+    #: Consult and feed the session's shared meta-caches (subject to
+    #: ``ExecuteOptions.share_session_cache``).
+    consults_session_caches: ClassVar[bool] = True
+    #: Price wrappers that declare no latency at
+    #: ``ExecuteOptions.default_latency`` (on the simulated clock, in the
+    #: per-source breakdown and in the session statistics) instead of zero.
+    charges_default_latency: ClassVar[bool] = False
 
-def _termination(raw: object, default: Termination) -> Termination:
-    """Shape a raw result's failure flags into the shared termination.
+    # -- the declaration -------------------------------------------------------
+    @abc.abstractmethod
+    def policy(
+        self,
+        prepared: "PreparedPlan",
+        options: ExecuteOptions,
+        cache_db: Optional[CacheDatabase],
+        optimizer: Optional[AccessOptimizer],
+    ) -> SchedulingPolicy:
+        """*What* is offered: the scheduling policy of one run."""
 
-    A source failure outranks everything: whatever else the run concluded
-    (fast-fail, budget, completion), a permanently failed access means the
-    answers may be a lower bound and the result must say so.
-    """
-    if getattr(raw, "failed_relations", ()):
-        return Termination.SOURCE_FAILURE
-    if getattr(raw, "budget_exhausted", False):
-        return Termination.BUDGET_EXHAUSTED
-    return default
+    def simulated_dispatcher(
+        self, policy: SchedulingPolicy, default_latency: float, *wiring: object
+    ) -> Dispatcher:
+        """*When* it runs under ``concurrency="simulated"``: one access at a
+        time, back to back, unless the strategy declares otherwise.
+        ``wiring`` is the ``(registry, log, budget)`` every dispatcher takes."""
+        return SequentialDispatcher(*wiring, default_latency)
+
+    def result_fields(
+        self, policy: SchedulingPolicy, outcome: KernelOutcome
+    ) -> Dict[str, object]:
+        """The :class:`Result` fields this strategy adds to the common ones."""
+        return {}
+
+    # -- the driver ------------------------------------------------------------
+    @contextlib.contextmanager
+    def _execution(
+        self, prepared: "PreparedPlan", options: ExecuteOptions
+    ) -> Iterator[SimpleNamespace]:
+        """One execution, written once: set up, hand the ``kernel`` to a
+        pump, and — however the pump ends — absorb and shape the ``result``
+        (left None when the kernel produced no outcome: it raised, or the
+        consumer stopped early).
+
+        The ``finally`` keeps the session log consistent with whatever
+        really hit the sources, even when the run aborts (access budget
+        exceeded) or a streaming consumer stops early.
+        """
+        started = time.perf_counter()
+        engine = prepared.engine
+        registry = engine.registry
+        default_latency = options.default_latency if self.charges_default_latency else 0.0
+        log = AccessLog()
+        optimizer = _optimizer_for(prepared, options)
+        cache_db = None
+        if self.consults_session_caches:
+            cache_db = (
+                engine.session.new_cache_db()
+                if options.share_session_cache
+                else CacheDatabase()
+            )
+        policy = self.policy(prepared, options, cache_db, optimizer)
+        budget = AccessBudget(options.max_accesses)
+        if options.concurrency == "async":
+            dispatcher: Dispatcher = AsyncDispatcher(
+                registry, log, budget, max_in_flight=options.max_in_flight
+            )
+        else:
+            dispatcher = self.simulated_dispatcher(policy, default_latency, registry, log, budget)
+        kernel = FixpointKernel(
+            policy,
+            dispatcher,
+            answer_check_interval=(
+                max(1, options.answer_check_interval) if self.supports_streaming else None
+            ),
+            resilience=options.resilience(),
+        )
+        run = SimpleNamespace(kernel=kernel, result=None)
+        try:
+            yield run
+        finally:
+            outcome = kernel.last_outcome
+            engine.session.absorb(
+                log,
+                registry=registry,
+                retry_stats=outcome.retry_stats if outcome is not None else None,
+                default_latency=default_latency,
+                kernel_profile=outcome.profile if outcome is not None else None,
+            )
+            report = optimizer.report(log) if optimizer is not None else None
+            prepared.last_optimizer_report = report
+            if outcome is not None:
+                prepared.last_kernel_profile = outcome.profile
+                elapsed = time.perf_counter() - started
+                per_source, sequential = _breakdown(log, registry, default_latency)
+                fields: Dict[str, object] = {
+                    "simulated_latency": sequential,
+                    **self.result_fields(policy, outcome),
+                }
+                # A source failure outranks everything: whatever else the
+                # run concluded (fast-fail, budget, completion), a
+                # permanently failed access means the answers may be a
+                # lower bound and the result must say so.
+                if outcome.failed_relations:
+                    termination = Termination.SOURCE_FAILURE
+                elif outcome.budget_exhausted:
+                    termination = Termination.BUDGET_EXHAUSTED
+                elif fields.get("failed_at_position") is not None:
+                    termination = Termination.FAST_FAILED
+                else:
+                    termination = Termination.COMPLETED
+                run.result = Result(
+                    strategy=self.name,
+                    answers=outcome.answers,
+                    termination=termination,
+                    total_accesses=log.total_accesses,
+                    per_source=per_source,
+                    elapsed_seconds=elapsed,
+                    failed_relations=outcome.failed_relations,
+                    retry_stats=outcome.retry_stats,
+                    access_log=log,
+                    raw=outcome,
+                    optimizer_report=report,
+                    kernel_profile=outcome.profile,
+                    **fields,
+                )
+
+    # -- the pumps: sync over kernel.stream(), async over kernel.astream() --------
+    # ``concurrency="async"`` called from sync code is the one case that
+    # crosses the sync-over-async bridge: the async pump, on a private loop.
+    def run(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
+        if options.concurrency == "async":
+            with private_event_loop() as loop:
+                return loop.run_until_complete(self.arun(prepared, options))
+        with self._execution(prepared, options) as run:
+            run.kernel.run()
+        return run.result
+
+    async def arun(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
+        with self._execution(prepared, options) as run:
+            await run.kernel.arun()
+        return run.result
+
+    def stream(
+        self, prepared: "PreparedPlan", options: ExecuteOptions
+    ) -> Iterator[StreamedAnswer]:
+        if options.concurrency == "async":
+            with private_event_loop() as loop:
+                answers = self.astream(prepared, options)
+                try:
+                    while True:
+                        try:
+                            answer = loop.run_until_complete(answers.__anext__())
+                        except StopAsyncIteration:
+                            return
+                        yield answer
+                finally:
+                    # A consumer that stops early must not strand the
+                    # in-flight access tasks on a closed loop.
+                    loop.run_until_complete(answers.aclose())
+        # The stream's outcome, shaped as a Result once the stream is
+        # exhausted, lets wire protocols report completeness after the
+        # last answer.
+        prepared.last_stream_result = None
+        with self._execution(prepared, options) as run:
+            yield from run.kernel.stream()
+        prepared.last_stream_result = run.result
+
+    async def astream(
+        self, prepared: "PreparedPlan", options: ExecuteOptions
+    ) -> AsyncIterator[StreamedAnswer]:
+        prepared.last_stream_result = None
+        with self._execution(prepared, options) as run:
+            async with contextlib.aclosing(run.kernel.astream()) as answers:
+                async for answer in answers:
+                    yield answer
+        prepared.last_stream_result = run.result
 
 
 @register_strategy
-class NaiveStrategy(ExecutionStrategy):
+class NaiveStrategy(KernelStrategy):
     """The all-relations extraction baseline of Figure 1.
 
     Deliberately does not consult the session meta-caches: it reproduces the
@@ -122,325 +304,57 @@ class NaiveStrategy(ExecutionStrategy):
     """
 
     name = "naive"
-    supports_async = True
+    consults_session_caches = False
 
-    def _evaluator(self, prepared, options, optimizer) -> NaiveEvaluator:
-        engine = prepared.engine
-        return NaiveEvaluator(
-            engine.schema,
-            engine.registry,
-            max_accesses=options.max_accesses,
-            resilience=options.resilience(),
-            optimizer=optimizer,
-            concurrency=_sequential_mode(options),
-            max_in_flight=options.max_in_flight,
-        )
-
-    def run(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
-        engine = prepared.engine
-        log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
-        evaluator = self._evaluator(prepared, options, optimizer)
-        started = time.perf_counter()
-        raw = None
-        try:
-            raw = evaluator.evaluate(prepared.query, log=log)
-        finally:
-            # Keep the session log consistent with whatever really hit the
-            # sources, even when the run aborts (e.g. access budget exceeded).
-            engine.session.absorb(
-                log,
-                registry=engine.registry,
-                retry_stats=raw.retry_stats if raw is not None else None,
-                kernel_profile=raw.kernel_profile if raw is not None else None,
-            )
-        elapsed = time.perf_counter() - started
-        return self._shape(prepared, raw, log, elapsed, optimizer)
-
-    async def arun(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
-        engine = prepared.engine
-        log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
-        evaluator = self._evaluator(prepared, options, optimizer)
-        started = time.perf_counter()
-        raw = None
-        try:
-            raw = await evaluator.aevaluate(prepared.query, log=log)
-        finally:
-            engine.session.absorb(
-                log,
-                registry=engine.registry,
-                retry_stats=raw.retry_stats if raw is not None else None,
-                kernel_profile=raw.kernel_profile if raw is not None else None,
-            )
-        elapsed = time.perf_counter() - started
-        return self._shape(prepared, raw, log, elapsed, optimizer)
-
-    def _shape(self, prepared, raw, log, elapsed, optimizer) -> Result:
-        engine = prepared.engine
-        per_source, simulated = _breakdown(log, engine.registry)
-        report = optimizer.report(log) if optimizer is not None else None
-        prepared.last_optimizer_report = report
-        profile = raw.kernel_profile
-        prepared.last_kernel_profile = profile
-        return Result(
-            strategy=self.name,
-            answers=raw.answers,
-            termination=_termination(raw, Termination.COMPLETED),
-            total_accesses=raw.total_accesses,
-            per_source=per_source,
-            elapsed_seconds=elapsed,
-            simulated_latency=simulated,
-            failed_relations=raw.failed_relations,
-            retry_stats=raw.retry_stats,
-            access_log=log,
-            raw=raw,
-            optimizer_report=report,
-            kernel_profile=profile,
-        )
+    def policy(self, prepared, options, cache_db, optimizer) -> EagerAllRelations:
+        return EagerAllRelations(prepared.engine.schema, prepared.query, optimizer=optimizer)
 
 
 @register_strategy
-class FastFailStrategy(ExecutionStrategy):
+class FastFailStrategy(KernelStrategy):
     """The fast-failing, ⊂-minimal execution of Section IV."""
 
     name = "fast_fail"
-    supports_async = True
 
-    def _executor(self, prepared, options, optimizer) -> FastFailingExecutor:
-        return FastFailingExecutor(
-            prepared.plan,
-            prepared.engine.registry,
-            ExecutionOptions(
-                fast_fail=options.fast_fail,
-                use_meta_cache=options.use_meta_cache,
-                max_accesses=options.max_accesses,
-                resilience=options.resilience(),
-                optimizer=optimizer,
-                concurrency=_sequential_mode(options),
-                max_in_flight=options.max_in_flight,
-            ),
+    def policy(self, prepared, options, cache_db, optimizer) -> OrderedFastFail:
+        return OrderedFastFail(
+            prepared.plan, cache_db, fast_fail=options.fast_fail, optimizer=optimizer
         )
 
-    def run(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
-        engine = prepared.engine
-        log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
-        executor = self._executor(prepared, options, optimizer)
-        raw = None
-        try:
-            raw = executor.execute(cache_db=_session_cache_db(prepared, options), log=log)
-        finally:
-            engine.session.absorb(
-                log,
-                registry=engine.registry,
-                retry_stats=raw.retry_stats if raw is not None else None,
-                kernel_profile=raw.kernel_profile if raw is not None else None,
-            )
-        return self._shape(prepared, raw, log, optimizer)
-
-    async def arun(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
-        engine = prepared.engine
-        log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
-        executor = self._executor(prepared, options, optimizer)
-        raw = None
-        try:
-            raw = await executor.aexecute(
-                cache_db=_session_cache_db(prepared, options), log=log
-            )
-        finally:
-            engine.session.absorb(
-                log,
-                registry=engine.registry,
-                retry_stats=raw.retry_stats if raw is not None else None,
-                kernel_profile=raw.kernel_profile if raw is not None else None,
-            )
-        return self._shape(prepared, raw, log, optimizer)
-
-    def _shape(self, prepared, raw, log, optimizer) -> Result:
-        engine = prepared.engine
-        per_source, simulated = _breakdown(log, engine.registry)
-        report = optimizer.report(log) if optimizer is not None else None
-        prepared.last_optimizer_report = report
-        profile = raw.kernel_profile
-        prepared.last_kernel_profile = profile
-        return Result(
-            strategy=self.name,
-            answers=raw.answers,
-            termination=_termination(
-                raw,
-                Termination.FAST_FAILED if raw.failed_fast else Termination.COMPLETED,
-            ),
-            total_accesses=raw.total_accesses,
-            per_source=per_source,
-            elapsed_seconds=raw.elapsed_seconds,
-            simulated_latency=simulated,
-            failed_at_position=raw.failed_at_position,
-            failed_relations=raw.failed_relations,
-            retry_stats=raw.retry_stats,
-            access_log=log,
-            raw=raw,
-            optimizer_report=report,
-            kernel_profile=profile,
-        )
+    def result_fields(self, policy: OrderedFastFail, outcome) -> Dict[str, object]:
+        return {"failed_at_position": policy.failed_at}
 
 
 @register_strategy
-class DistillationStrategy(ExecutionStrategy):
-    """The parallel, incremental-answer scheduler of Section V."""
+class DistillationStrategy(KernelStrategy):
+    """The parallel, incremental-answer scheduler of Section V.
+
+    Simulated, it runs on the deterministic discrete-event model of
+    parallel wrappers; its clock is the parallel makespan, and the time of
+    the first answer is part of the result.
+    """
 
     name = "distillation"
     supports_streaming = True
-    supports_real_concurrency = True
-    supports_async = True
+    charges_default_latency = True
 
-    def _executor(
-        self,
-        prepared: "PreparedPlan",
-        options: ExecuteOptions,
-        optimizer: "Optional[AccessOptimizer]" = None,
-    ) -> DistillationExecutor:
-        return DistillationExecutor(
+    def policy(self, prepared, options, cache_db, optimizer) -> EagerPlan:
+        return EagerPlan(
             prepared.plan,
-            prepared.engine.registry,
-            default_latency=options.default_latency,
-            queue_capacity=options.queue_capacity,
-            answer_check_interval=options.answer_check_interval,
+            cache_db,
             respect_ordering=options.respect_ordering,
-            max_accesses=options.max_accesses,
-            concurrency=options.concurrency,
-            max_workers=options.max_workers,
-            max_in_flight=options.max_in_flight,
-            resilience=options.resilience(),
             optimizer=optimizer,
         )
 
-    def run(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
-        engine = prepared.engine
-        log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
-        executor = self._executor(prepared, options, optimizer)
-        started = time.perf_counter()
-        raw = None
-        try:
-            raw = executor.execute(cache_db=_session_cache_db(prepared, options), log=log)
-        finally:
-            engine.session.absorb(
-                log,
-                registry=engine.registry,
-                retry_stats=raw.retry_stats if raw is not None else None,
-                default_latency=options.default_latency,
-                kernel_profile=raw.kernel_profile if raw is not None else None,
-            )
-        elapsed = time.perf_counter() - started
-        return self._shape(prepared, options, raw, log, elapsed, optimizer)
-
-    async def arun(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
-        engine = prepared.engine
-        log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
-        executor = self._executor(prepared, options, optimizer)
-        started = time.perf_counter()
-        raw = None
-        try:
-            raw = await executor.aexecute(
-                cache_db=_session_cache_db(prepared, options), log=log
-            )
-        finally:
-            engine.session.absorb(
-                log,
-                registry=engine.registry,
-                retry_stats=raw.retry_stats if raw is not None else None,
-                default_latency=options.default_latency,
-                kernel_profile=raw.kernel_profile if raw is not None else None,
-            )
-        elapsed = time.perf_counter() - started
-        return self._shape(prepared, options, raw, log, elapsed, optimizer)
-
-    def _shape(self, prepared, options, raw, log, elapsed, optimizer) -> Result:
-        engine = prepared.engine
-        per_source, _ = _breakdown(log, engine.registry, options.default_latency)
-        report = optimizer.report(log) if optimizer is not None else None
-        prepared.last_optimizer_report = report
-        profile = raw.kernel_profile
-        prepared.last_kernel_profile = profile
-        return Result(
-            strategy=self.name,
-            answers=raw.answers,
-            termination=_termination(raw, Termination.COMPLETED),
-            total_accesses=raw.total_accesses,
-            per_source=per_source,
-            elapsed_seconds=elapsed,
-            simulated_latency=raw.total_time,
-            time_to_first_answer=raw.time_to_first_answer,
-            failed_relations=raw.failed_relations,
-            retry_stats=raw.retry_stats,
-            access_log=log,
-            raw=raw,
-            optimizer_report=report,
-            kernel_profile=profile,
+    def simulated_dispatcher(
+        self, policy: PlanPolicy, default_latency, *wiring
+    ) -> SimulatedParallelDispatcher:
+        return SimulatedParallelDispatcher(
+            *wiring, policy.plan_relations(), default_latency=default_latency
         )
 
-    def stream(
-        self, prepared: "PreparedPlan", options: ExecuteOptions
-    ) -> Iterator[StreamedAnswer]:
-        engine = prepared.engine
-        log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
-        executor = self._executor(prepared, options, optimizer)
-        started = time.perf_counter()
-        prepared.last_stream_result = None
-        try:
-            yield from executor.stream(
-                cache_db=_session_cache_db(prepared, options), log=log
-            )
-        finally:
-            # Absorb whatever was accessed, even if the consumer stops early.
-            last = executor.last_result
-            engine.session.absorb(
-                log,
-                registry=engine.registry,
-                retry_stats=last.retry_stats if last is not None else None,
-                default_latency=options.default_latency,
-                kernel_profile=last.kernel_profile if last is not None else None,
-            )
-            if last is not None:
-                # Shape the stream's outcome as a normalized Result so wire
-                # protocols can report completeness after the last answer
-                # (this also refreshes last_optimizer_report/_kernel_profile).
-                prepared.last_stream_result = self._shape(
-                    prepared, options, last, log, time.perf_counter() - started, optimizer
-                )
-            elif optimizer is not None:
-                prepared.last_optimizer_report = optimizer.report(log)
-
-    async def astream(
-        self, prepared: "PreparedPlan", options: ExecuteOptions
-    ) -> AsyncIterator[StreamedAnswer]:
-        engine = prepared.engine
-        log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
-        executor = self._executor(prepared, options, optimizer)
-        started = time.perf_counter()
-        prepared.last_stream_result = None
-        try:
-            async for answer in executor.astream(
-                cache_db=_session_cache_db(prepared, options), log=log
-            ):
-                yield answer
-        finally:
-            last = executor.last_result
-            engine.session.absorb(
-                log,
-                registry=engine.registry,
-                retry_stats=last.retry_stats if last is not None else None,
-                default_latency=options.default_latency,
-                kernel_profile=last.kernel_profile if last is not None else None,
-            )
-            if last is not None:
-                prepared.last_stream_result = self._shape(
-                    prepared, options, last, log, time.perf_counter() - started, optimizer
-                )
-            elif optimizer is not None:
-                prepared.last_optimizer_report = optimizer.report(log)
+    def result_fields(self, policy, outcome: KernelOutcome) -> Dict[str, object]:
+        return {
+            "simulated_latency": outcome.total_time,
+            "time_to_first_answer": outcome.first_answer_time,
+        }

@@ -32,8 +32,8 @@ from typing import (
     Union,
 )
 
-from repro.exceptions import StrategyError
-from repro.plan.parallel import StreamedAnswer
+from repro.exceptions import ExecutionError, StrategyError
+from repro.runtime.kernel import StreamedAnswer
 from repro.sources.resilience import BreakerConfig, ResilienceConfig, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,34 +45,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ExecuteOptions:
     """Tuning knobs shared by all execution strategies.
 
-    Strategy adapters read the subset that applies to them and ignore the
-    rest, so one options object can be reused across strategies.
+    Strategies read the subset that applies to them and ignore the rest, so
+    one options object can be reused across strategies.
 
     Attributes:
         fast_fail: perform the early non-emptiness test (fast-failing
             strategy only).
-        use_meta_cache: never repeat an access within one execution.
         share_session_cache: consult and feed the engine session's shared
             meta-caches, so accesses are never repeated *across* the queries
             of a session either.
         max_accesses: optional safety bound on the number of accesses.
         default_latency: simulated per-access latency for wrappers that do
             not declare one (distillation strategy).
-        queue_capacity: per-wrapper queue bound (distillation strategy).
         answer_check_interval: how many completed accesses between
             incremental answer checks (distillation strategy); 1 gives the
             finest streaming granularity.
         respect_ordering: dispatch accesses position by position instead of
             eagerly (distillation strategy).
-        concurrency: ``"simulated"`` runs the distillation strategy as the
-            deterministic discrete-event simulation; ``"real"`` dispatches
-            accesses to the source backends over an actual thread pool
-            (distillation only); ``"async"`` dispatches them as asyncio
-            tasks on one event loop — every strategy supports it, and the
+        concurrency: ``"simulated"`` (default) prices accesses on a
+            deterministic simulated clock — back to back for ``naive`` and
+            ``fast_fail``, the discrete-event simulation of parallel
+            wrappers for ``distillation``; ``"async"`` really dispatches
+            them, as asyncio tasks on one event loop (sync backends run on
+            an executor's threads) — every strategy supports it, and the
             engine's ``aexecute``/``aexecute_many`` entry points use it to
-            overlap whole queries.  Answers are identical between the
-            modes; only the clocks differ.
-        max_workers: thread-pool size for ``concurrency="real"``.
+            overlap whole queries.  Answers and accesses are identical
+            between the two modes; only the clocks differ.  Any other
+            value is an error.
         max_in_flight: bound on simultaneously in-flight source accesses
             for ``concurrency="async"``.
         retry: retry accesses that fail transiently, with exponential
@@ -93,15 +92,12 @@ class ExecuteOptions:
     """
 
     fast_fail: bool = True
-    use_meta_cache: bool = True
     share_session_cache: bool = True
     max_accesses: Optional[int] = None
     default_latency: float = 0.01
-    queue_capacity: int = 64
     answer_check_interval: int = 1
     respect_ordering: bool = False
     concurrency: str = "simulated"
-    max_workers: int = 8
     max_in_flight: int = 64
     retry: Optional[RetryPolicy] = None
     timeout: Optional[float] = None
@@ -132,14 +128,13 @@ def streaming_unsupported(name: str, *, plan: object = None) -> StrategyError:
     )
 
 
-def real_concurrency_unsupported(name: str, *, plan: object = None) -> StrategyError:
-    """The error raised when a sequential strategy is asked for real concurrency."""
-    return StrategyError(
-        f"strategy {name!r} runs its accesses sequentially and ignores "
-        "concurrency='real'; use strategy='distillation' (or any strategy with "
-        "supports_real_concurrency=True)",
-        plan=plan,
-    )
+#: The values of :attr:`ExecuteOptions.concurrency`.
+CONCURRENCY_MODES: Tuple[str, ...] = ("simulated", "async")
+
+
+def unknown_concurrency(mode: object) -> ExecutionError:
+    """The error raised for a ``concurrency`` that is not one of the two modes."""
+    return ExecutionError(f"unknown concurrency mode {mode!r}; use 'simulated' or 'async'")
 
 
 def async_unsupported(name: str, *, plan: object = None) -> StrategyError:
@@ -156,16 +151,13 @@ class ExecutionStrategy(abc.ABC):
 
     Subclasses set ``name`` (the registry key) and implement :meth:`run`;
     strategies that can produce answers incrementally also set
-    ``supports_streaming`` and implement :meth:`stream`; strategies that
-    honor ``ExecuteOptions.concurrency="real"`` (dispatching accesses over
-    an actual thread pool) set ``supports_real_concurrency`` — asking any
-    other strategy for real concurrency is an error, not a silent
-    sequential run.
+    ``supports_streaming`` and implement :meth:`stream`.  The built-in
+    strategies implement none of the four methods themselves — see
+    :class:`repro.engine.strategies.KernelStrategy`.
     """
 
     name: ClassVar[str] = ""
     supports_streaming: ClassVar[bool] = False
-    supports_real_concurrency: ClassVar[bool] = False
     #: True when the strategy implements :meth:`arun` (and honors
     #: ``ExecuteOptions.concurrency="async"``).
     supports_async: ClassVar[bool] = False

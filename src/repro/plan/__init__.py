@@ -1,39 +1,24 @@
-"""Query plans: generation and execution.
+"""Query plans: data structures and generation.
 
 * :mod:`~repro.plan.plan` — the plan data structures (cache predicates,
   provider specifications, the rewritten query and the Datalog rendering);
 * :mod:`~repro.plan.minimal` — generation of a ⊂-minimal plan from the
   optimized d-graph (Section IV);
 * :mod:`~repro.plan.bindings` — delta-driven binding generation over the
-  cache tables' value logs;
-* :mod:`~repro.plan.naive` — the naive evaluation baseline of Figure 1;
-* :mod:`~repro.plan.execution` — the fast-failing execution strategy;
-* :mod:`~repro.plan.parallel` — the distillation (parallel, incremental
-  answers) scheduler of Section V.
+  cache tables' value logs.
 
-The three execution modules are thin adapters over the shared fixpoint
-runtime (:mod:`repro.runtime`): each picks a scheduling policy and a
-dispatcher and shapes the kernel's outcome into its historical result
-type.
+Executing a plan is not this package's business: the fixpoint loop, the
+scheduling policies of the paper's three evaluation methods and the
+dispatchers live in :mod:`repro.runtime`, and the engine's execution
+driver (:mod:`repro.engine.strategies`) pairs them.
 """
 
-from repro.plan.execution import ExecutionOptions, ExecutionResult, FastFailingExecutor
 from repro.plan.minimal import MinimalPlanGenerator, generate_minimal_plan
-from repro.plan.naive import NaiveEvaluationResult, NaiveEvaluator
-from repro.plan.parallel import DistillationExecutor, DistillationResult, StreamedAnswer
 from repro.plan.plan import CachePredicate, ProviderSpec, QueryPlan
 
 __all__ = [
     "CachePredicate",
-    "DistillationExecutor",
-    "DistillationResult",
-    "StreamedAnswer",
-    "ExecutionOptions",
-    "ExecutionResult",
-    "FastFailingExecutor",
     "MinimalPlanGenerator",
-    "NaiveEvaluationResult",
-    "NaiveEvaluator",
     "ProviderSpec",
     "QueryPlan",
     "generate_minimal_plan",

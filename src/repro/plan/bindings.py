@@ -1,6 +1,6 @@
-"""Delta-driven binding generation shared by the plan executors.
+"""Delta-driven binding generation shared by the plan-driven policies.
 
-Both executors enumerate *bindings* for the input arguments of a cache
+Both policies (:mod:`repro.runtime.policy`) enumerate *bindings* for the input arguments of a cache
 predicate: tuples drawn from the cross product of the value sets supplied by
 the cache's domain providers.  The seed re-enumerated the full product on
 every fixpoint pass and relied on a ``tried``/``offered`` set to skip the
@@ -194,7 +194,7 @@ def initialize_plan_caches(
 ) -> Dict[str, CacheBindingGenerator]:
     """Create a plan's cache tables and binding generators in one step.
 
-    Every executor starts the same way: one cache table per cache predicate,
+    Every plan-driven policy starts the same way: one cache table per cache predicate,
     artificial (constant) caches seeded from the plan's facts at no access
     cost, and one delta-driven binding generator per non-artificial cache.
     Returns the generators keyed by cache name.

@@ -14,7 +14,7 @@ predicates:
 
 The rewritten query evaluates the original body over the caches.  The
 structures below also record, for every cache, its ordering position and its
-provider specifications, which is all the fast-failing executor needs.
+provider specifications, which is all the fast-failing policy needs.
 """
 
 from __future__ import annotations

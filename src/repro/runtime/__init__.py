@@ -12,27 +12,27 @@ This package is that one algorithm, factored once:
 * :class:`~repro.runtime.policy.SchedulingPolicy` — what to dispatch:
   :class:`~repro.runtime.policy.EagerAllRelations` (naive),
   :class:`~repro.runtime.policy.OrderedFastFail` (fast-failing),
-  :class:`~repro.runtime.policy.SimulatedParallel` /
-  :class:`~repro.runtime.policy.RealThreadPool` (distillation).
+  :class:`~repro.runtime.policy.EagerPlan` (distillation).
 * :class:`~repro.runtime.dispatch.Dispatcher` — when/how accesses run:
   :class:`~repro.runtime.dispatch.SequentialDispatcher` (one at a time on a
   cumulative simulated clock),
   :class:`~repro.runtime.dispatch.SimulatedParallelDispatcher` (the
   deterministic discrete-event simulation on a completion-event heap) and
-  :class:`~repro.runtime.dispatch.ThreadPoolDispatcher` (real concurrent
-  accesses against the backends).
+  :class:`~repro.runtime.dispatch.AsyncDispatcher` (real concurrent
+  accesses against the backends, as asyncio tasks).
 
-The modules under :mod:`repro.plan` (``naive``, ``execution``,
-``parallel``) are thin adapters: they pick a policy, run the kernel, and
-shape its outcome into their historical result types.
+A strategy is a *(policy, dispatcher)* pair over the kernel; the pairing,
+the one place a kernel is constructed and the shaping of its
+:class:`~repro.runtime.kernel.KernelOutcome` into the engine's ``Result``
+all live in :mod:`repro.engine.strategies`.
 """
 
 from repro.runtime.dispatch import (
     AccessOutcome,
+    AsyncDispatcher,
     Dispatcher,
     SequentialDispatcher,
     SimulatedParallelDispatcher,
-    ThreadPoolDispatcher,
 )
 from repro.runtime.kernel import (
     AccessBudget,
@@ -45,10 +45,9 @@ from repro.runtime.kernel import (
 )
 from repro.runtime.policy import (
     EagerAllRelations,
+    EagerPlan,
     OrderedFastFail,
-    RealThreadPool,
     SchedulingPolicy,
-    SimulatedParallel,
 )
 
 __all__ = [
@@ -56,17 +55,16 @@ __all__ = [
     "AccessOutcome",
     "AccessRequest",
     "AnswerTracker",
+    "AsyncDispatcher",
     "Completion",
     "Dispatcher",
     "EagerAllRelations",
+    "EagerPlan",
     "FixpointKernel",
     "KernelOutcome",
     "OrderedFastFail",
-    "RealThreadPool",
     "SchedulingPolicy",
     "SequentialDispatcher",
-    "SimulatedParallel",
     "SimulatedParallelDispatcher",
     "StreamedAnswer",
-    "ThreadPoolDispatcher",
 ]

@@ -12,22 +12,24 @@ is authoritative for:
   a deterministic discrete-event simulation: every wrapper processes its
   FIFO queue sequentially, wrappers run concurrently, and the clock is a
   heap of ``(finish_time, relation)`` completion events;
-* :class:`ThreadPoolDispatcher` — the production counterpart: accesses
-  really run, batched per source on a thread pool, stamped with the wall
-  clock relative to the start of the run;
-* :class:`AsyncDispatcher` — the asyncio-native counterpart: every access
-  is an awaited task on one event loop (bounded by ``max_in_flight``),
-  also on the wall clock; HTTP sources are awaited natively, sync
-  backends are adapted onto an executor.
+* :class:`AsyncDispatcher` — the production counterpart
+  (``concurrency="async"``, every strategy): accesses really run, each an
+  awaited task on one event loop (bounded by ``max_in_flight``), stamped
+  with the wall clock relative to the start of the run; HTTP sources are
+  awaited natively, sync backends are adapted onto an executor's threads.
+
+The first two are the ``concurrency="simulated"`` clocks; which one a
+strategy runs on is part of its declaration
+(:mod:`repro.engine.strategies`).
 
 Before touching a source, every dispatcher offers the access to the
 policy's *gate* — the per-relation session meta-cache.  A recorded binding
 is served locally (``Completion.counted=False``); an unrecorded one is
 *claimed*, so that two concurrent executions sharing a session never
-perform the same access twice: the second claimant blocks until the first
+perform the same access twice: the second claimant waits until the first
 fulfils the claim and then reads the rows for free.  All cache mutation
-stays on the kernel's thread — worker threads only claim, read backends,
-and fulfil.
+stays with the kernel — access tasks only claim, read backends, and
+fulfil.
 
 Every backend read runs through the kernel's
 :class:`~repro.sources.resilience.ResilienceContext`, which owns retries,
@@ -37,17 +39,18 @@ of deadlocking on a dead claimant), refunds its budget grant, and resolves
 to a ``failed`` completion instead of raising — the run finishes with a
 failure-flagged partial result.  Retry backoff is priced through each
 dispatcher's authoritative clock: the simulated dispatchers charge
-``attempts × latency + backoff``, the thread-pool dispatcher really slept.
+``attempts × latency + backoff``, the async dispatcher really slept.
 """
 
 from __future__ import annotations
 
 import abc
 import asyncio
+import contextlib
 import heapq
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -56,6 +59,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Optional,
     Set,
@@ -74,6 +78,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Row = Tuple[object, ...]
 
+#: Access tuples that may wait at one simulated wrapper (Section V: a tuple
+#: is delivered to its wrapper "provided its queue is not full"); further
+#: tuples stay in the dispatcher's backlog until a slot frees up.
+WRAPPER_QUEUE_CAPACITY = 64
+
 
 @dataclass(frozen=True, slots=True)
 class AccessOutcome:
@@ -85,7 +94,7 @@ class AccessOutcome:
     ``counted=False, failed=True`` with empty rows.  ``attempts`` is how
     many source reads were made (0 when a breaker short-circuited the
     request) and ``backoff`` the retry delay a simulated dispatcher must
-    charge to its clock (the thread-pool dispatcher already slept it).
+    charge to its clock (the async dispatcher already slept it).
     """
 
     rows: FrozenSet[Row]
@@ -153,16 +162,13 @@ class Dispatcher(abc.ABC):
         return False
 
     def close(self) -> None:
-        """Release execution resources (thread pools); idempotent."""
+        """Release execution resources (executor threads); idempotent."""
 
     # -- shared access path ----------------------------------------------------
     def _acquire_rows(
-        self,
-        request: AccessRequest,
-        wrapper: "SourceWrapper",
-        charge_budget: bool = True,
+        self, request: AccessRequest, wrapper: "SourceWrapper"
     ) -> Optional[AccessOutcome]:
-        """The claim protocol, implemented once for every dispatcher.
+        """The claim protocol of the blocking (simulated-clock) dispatchers.
 
         Claim the binding on the session gate (a recorded or concurrently
         in-flight access is served locally), charge the budget, read the
@@ -175,16 +181,14 @@ class Dispatcher(abc.ABC):
         The meta-cache resolves the claim against the session's pluggable
         cache store (:mod:`repro.sources.store`): with a persistent store
         the "recorded" check spans prior processes (warm start) and the
-        claim gate spans concurrent ones, so all three dispatchers honour
+        claim gate spans concurrent ones, so every dispatcher honours
         one shared "never repeat an access" domain without knowing which
         store backs it.  A bounded store may have *evicted* a binding, in
         which case the claim is simply owned again and the access re-runs —
         see :class:`~repro.runtime.kernel.AccessBudget` for the accounting.
 
         Returns the :class:`AccessOutcome`, or ``None`` when the budget
-        denied the access.  A failed outcome's grant is refunded here when
-        this call charged the budget (batch dispatch refunds at the
-        coordinator instead).
+        denied the access.  A failed outcome's grant is refunded here.
         """
         assert self.gate is not None, "dispatcher used before bind_dispatcher"
         meta = self.gate.meta_for(request.relation)
@@ -194,7 +198,7 @@ class Dispatcher(abc.ABC):
             if served is not None:
                 return AccessOutcome(served, counted=False, read_seconds=0.0)
             owns_claim = True
-        if charge_budget and self.budget.grant(1) < 1:
+        if self.budget.grant(1) < 1:
             if owns_claim:
                 meta.abandon(request.binding)
             return None
@@ -213,9 +217,8 @@ class Dispatcher(abc.ABC):
         if performed.failed:
             if owns_claim:
                 meta.abandon(request.binding)
-            if charge_budget:
-                self.budget.refund(1)
-                self.resilience.note_refund()
+            self.budget.refund(1)
+            self.resilience.note_refund()
             return AccessOutcome(
                 frozenset(),
                 counted=False,
@@ -363,10 +366,8 @@ class SimulatedParallelDispatcher(Dispatcher):
         budget: AccessBudget,
         relations: Iterable[str],
         default_latency: float = 0.01,
-        queue_capacity: int = 64,
     ) -> None:
         super().__init__(registry, log, budget)
-        self.queue_capacity = max(1, queue_capacity)
         self._wrappers: Dict[str, _WrapperState] = {}
         for name in relations:
             if name in self._wrappers:
@@ -423,7 +424,7 @@ class SimulatedParallelDispatcher(Dispatcher):
             backlog = self._pending[name]
             queue = state.queue
             while True:
-                while backlog and len(queue) < self.queue_capacity:
+                while backlog and len(queue) < WRAPPER_QUEUE_CAPACITY:
                     queue.append(backlog.popleft())
                 if not queue or state.scheduled:
                     break
@@ -574,158 +575,23 @@ class SimulatedParallelDispatcher(Dispatcher):
         )
 
 
-class ThreadPoolDispatcher(Dispatcher):
-    """Real parallel accesses against the source backends.
-
-    Division of labour: **worker threads** only claim bindings on the
-    session gate and perform pure backend reads
-    (:meth:`~repro.sources.wrapper.SourceWrapper.lookup`) — each binding is
-    claimed, read and fulfilled individually, so a claim is never held
-    while waiting on another (no deadlock between concurrent sessions).
-    The **coordinator** (the kernel's thread) counts and logs the performed
-    accesses, stamping records with the wall clock relative to the start of
-    the run — the authoritative clock of a real execution — and absorbs the
-    rows into the caches.  One batch per source is in flight at a time,
-    mirroring the paper's sequential-per-wrapper model while sources
-    overlap freely with each other.
-    """
-
-    def __init__(
-        self,
-        registry: "SourceRegistry",
-        log: "AccessLog",
-        budget: AccessBudget,
-        relations: Iterable[str],
-        max_workers: int = 8,
-        batch_size: int = 64,
-    ) -> None:
-        super().__init__(registry, log, budget)
-        self.max_workers = max(1, max_workers)
-        self.batch_size = max(1, batch_size)
-        self._backlog: Dict[str, Deque[AccessRequest]] = {}
-        for name in relations:
-            self._backlog.setdefault(name, deque())
-        #: Relations with a batch currently in flight (at most one each).
-        self._busy: Set[str] = set()
-        self._inflight: Dict[Future, str] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._started = time.perf_counter()
-
-    wall_clock: ClassVar[bool] = True
-
-    # ------------------------------------------------------------------------------
-    def submit(self, request: AccessRequest) -> None:
-        self._backlog[request.relation].append(request)
-
-    def now(self) -> float:
-        return time.perf_counter() - self._started
-
-    def refill(self, now: float) -> None:
-        """Ship one backlog batch per idle source, within the budget."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            self._started = time.perf_counter()
-        for name, items in self._backlog.items():
-            if not items or name in self._busy:
-                continue
-            allowance = self.budget.grant(min(self.batch_size, len(items)))
-            if allowance <= 0:
-                continue
-            batch = [items.popleft() for _ in range(allowance)]
-            wrapper = self.registry.wrapper(name)
-            future = self._pool.submit(self._perform_batch, wrapper, batch)
-            self._inflight[future] = name
-            self._busy.add(name)
-
-    def has_work(self) -> bool:
-        return bool(self._inflight) or any(self._backlog.values())
-
-    def relation_active(self, relation: str) -> bool:
-        return bool(self._backlog.get(relation)) or relation in self._busy
-
-    def step(self) -> Optional[List[Completion]]:
-        if not self._inflight:
-            # Work remains but nothing is in flight: only an exhausted
-            # budget can leave the backlog stranded after a refill.
-            return None if any(self._backlog.values()) else []
-        done, _ = wait(set(self._inflight), return_when=FIRST_COMPLETED)
-        now = time.perf_counter() - self._started
-        completions: List[Completion] = []
-        for future in done:
-            name = self._inflight.pop(future)
-            self._busy.discard(name)
-            outcomes, duration = future.result()
-            self.sequential_time += duration
-            wrapper = self.registry.wrapper(name)
-            for request, outcome in outcomes:
-                if outcome.counted:
-                    wrapper.record_access(
-                        request.binding, outcome.rows, self.log, simulated_time=now
-                    )
-                else:
-                    # Served by the gate — or permanently failed — without
-                    # a recorded access: give the budget reservation back.
-                    self.budget.refund(1)
-                    if outcome.failed:
-                        self.resilience.note_refund()
-                completions.append(
-                    Completion(
-                        request, outcome.rows, now, counted=outcome.counted, failed=outcome.failed
-                    )
-                )
-        return completions
-
-    def total_time(self) -> float:
-        return time.perf_counter() - self._started
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    # ------------------------------------------------------------------------------
-    def _perform_batch(
-        self, wrapper: "SourceWrapper", batch: List[AccessRequest]
-    ) -> Tuple[List[Tuple[AccessRequest, AccessOutcome]], float]:
-        """Worker-thread body: claim, read and fulfil each binding in turn.
-
-        Bindings are handled one at a time (not via ``lookup_many``) so the
-        session gate can dedup each against concurrent executions; a claim
-        is fulfilled immediately after its read — or abandoned on failure —
-        never held across another claim.  Only the backend reads are timed:
-        time spent waiting out another execution's in-flight claim, and
-        retry backoff really slept here, is not sequential work and must
-        not inflate ``sequential_time`` (nor the reported speedup).
-        """
-        outcomes: List[Tuple[AccessRequest, AccessOutcome]] = []
-        read_seconds = 0.0
-        for request in batch:
-            # The budget was charged for the whole batch at submit time.
-            outcome = self._acquire_rows(request, wrapper, charge_budget=False)
-            assert outcome is not None  # charge_budget=False never denies
-            read_seconds += outcome.read_seconds
-            outcomes.append((request, outcome))
-        return outcomes, read_seconds
-
-
 class AsyncDispatcher(Dispatcher):
     """Event-loop dispatch: every access is an awaited task on one loop.
 
-    The asyncio-native counterpart of :class:`ThreadPoolDispatcher`, for
-    sources reached over real I/O (the HTTP backend awaits its socket
-    natively; sync backends are adapted onto an executor).  Where the
-    thread pool keeps one *batch per relation* in flight, the event loop
-    keeps up to ``max_in_flight`` individual accesses in flight across all
-    relations — thousands of concurrent remote lookups cost coroutines,
-    not threads.
+    The dispatcher of real concurrency, for sources reached over real I/O
+    (the HTTP backend awaits its socket natively; sync backends are
+    adapted onto an executor's threads, so a slow callable or SQLite
+    source overlaps too).  The event loop keeps up to ``max_in_flight``
+    individual accesses in flight across all relations — thousands of
+    concurrent remote lookups cost coroutines, not threads.
 
-    The division of labour mirrors the thread pool exactly: **tasks** only
-    claim bindings on the session gate (non-blockingly — a coroutine must
-    never block the loop its fulfiller runs on) and perform pure backend
-    reads through :meth:`~repro.sources.resilience.ResilienceContext.
-    aperform`; the **coordinator** (the kernel's async driver) counts and
-    logs performed accesses on the wall clock and refunds the budget for
-    gate-served or failed ones.  The budget is charged one grant per task
+    Division of labour: **tasks** only claim bindings on the session gate
+    (non-blockingly — a coroutine must never block the loop its fulfiller
+    runs on) and perform pure backend reads through
+    :meth:`~repro.sources.resilience.ResilienceContext.aperform`; the
+    **coordinator** (the kernel's async driver) counts and logs performed
+    accesses on the wall clock, absorbs the rows into the caches, and
+    refunds the budget for gate-served or failed ones.  The budget is charged one grant per task
     at launch, so ``total_granted - refunded`` equals recorded accesses,
     same as every other dispatcher.
 
@@ -813,9 +679,9 @@ class AsyncDispatcher(Dispatcher):
     async def astep(self) -> Optional[List[Completion]]:
         """Await at least one task; count, log and refund at the coordinator.
 
-        Mirrors :meth:`ThreadPoolDispatcher.step`: called right after a
-        refill, an empty task set with a non-empty backlog can only mean
-        the budget refused to fund the remaining work.
+        Called right after a refill, an empty task set with a non-empty
+        backlog can only mean the budget refused to fund the remaining
+        work.
         """
         if not self._tasks:
             return None if self._backlog else []
@@ -930,3 +796,32 @@ class AsyncDispatcher(Dispatcher):
             attempts=performed.attempts,
             backoff=performed.backoff,
         )
+
+
+@contextlib.contextmanager
+def private_event_loop() -> Iterator[asyncio.AbstractEventLoop]:
+    """The one sync-over-async bridge: a private loop for a sync caller.
+
+    Only ``concurrency="async"`` reached through a sync entry point
+    (``execute``/``stream``/``run_workload``) comes here; the default sync
+    path never touches an event loop.  The caller steps the loop itself
+    (``run_until_complete``), which is what lets a sync ``stream()`` hand
+    out answers one at a time.  Refused inside a running loop — before any
+    coroutine exists, so nothing is left un-awaited.
+    """
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        pass
+    else:
+        raise ExecutionError(
+            "execute()/stream()/run_workload() cannot run inside a running "
+            "event loop with concurrency='async'; await aexecute()/astream()/"
+            "arun_workload() instead"
+        )
+    loop = asyncio.new_event_loop()
+    try:
+        yield loop
+        loop.run_until_complete(loop.shutdown_asyncgens())
+    finally:
+        loop.close()

@@ -12,7 +12,11 @@ written once.  Two collaborators parameterize it:
   are absorbed;
 * a :class:`~repro.runtime.dispatch.Dispatcher` decides *when* accesses run
   and on which clock (back-to-back simulated, discrete-event simulated
-  parallel, or a real thread pool).
+  parallel, or asyncio tasks on the wall clock).
+
+Which dispatcher a policy runs on is the caller's choice, not the
+policy's: the engine's execution driver (:mod:`repro.engine.strategies`)
+pairs them and is the one place a kernel is constructed.
 
 The kernel itself owns the pieces every mode shares: the offer-pass
 fixpoint iteration, access-budget accounting (:class:`AccessBudget`), the
@@ -45,9 +49,8 @@ from repro.runtime.profile import KernelProfile
 from repro.sources.resilience import ResilienceConfig, ResilienceContext, RetryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.dispatch import Dispatcher
     from repro.runtime.policy import SchedulingPolicy
-    from repro.sources.log import AccessLog
-    from repro.sources.wrapper import SourceRegistry
 
 Row = Tuple[object, ...]
 
@@ -109,8 +112,8 @@ class AnswerTracker:
     Evaluates the policy's query on demand, remembers every answer's first
     derivation time, and reports which rows are new — the rows to stream.
     ``now`` is whatever clock the run's dispatcher is authoritative for
-    (the event-heap clock in simulation, the wall clock in real-concurrency
-    mode, the cumulative latency sum in sequential runs).
+    (the event-heap clock in simulation, the wall clock under async
+    dispatch, the cumulative latency sum in sequential runs).
 
     Intermediate checks use the policy's *incremental* evaluator when it
     offers one (:meth:`~repro.runtime.policy.PlanPolicy.evaluate_delta`):
@@ -161,13 +164,12 @@ class AnswerTracker:
 class AccessBudget:
     """Kernel-owned accounting of the ``max_accesses`` bound.
 
-    Every source access must be granted before it runs (sequential and
-    simulated dispatchers ask for one access at a time; the thread-pool
-    dispatcher reserves whole batches at submit time).  The budget flags
-    ``denied`` only when a request could not be granted *at all* — a
-    partially filled batch is not a denial until the remainder is asked for
-    again — which is exactly when an execution has work left it may not
-    perform.
+    Every source access must be granted before it runs (the sequential and
+    simulated dispatchers ask right before the read, the async dispatcher
+    when it launches the access's task).  The budget flags ``denied`` only
+    when a request could not be granted *at all* — a partially filled
+    request is not a denial until the remainder is asked for again — which
+    is exactly when an execution has work left it may not perform.
 
     The monotone counters ``total_granted`` and ``refunded`` support the
     refund invariant the resilience layer is audited against: every grant
@@ -217,7 +219,7 @@ class AccessBudget:
 
 @dataclass
 class KernelOutcome:
-    """Aggregate outcome of one kernel run, shaped by the strategy adapters.
+    """Aggregate outcome of one kernel run (``Result.raw`` of the engine).
 
     Attributes:
         answers: the answers derived (all of them, or the ones derived so
@@ -225,7 +227,7 @@ class KernelOutcome:
         answer_times: clock time at which each answer first derived.
         first_answer_time: clock time of the first answer (None when empty).
         total_time: the dispatcher's clock when the run finished (simulated
-            makespan, or wall-clock duration in real mode).
+            makespan, or wall-clock duration under async dispatch).
         sequential_time: what the run would have cost with every access
             back to back (sum of per-access latencies / batch durations).
         budget_exhausted: True when ``max_accesses`` stopped the dispatch
@@ -265,6 +267,18 @@ class KernelOutcome:
         """True when any access permanently failed during the run."""
         return bool(self.failed_relations)
 
+    @property
+    def parallel_speedup(self) -> float:
+        """Ratio between sequential and parallel execution times.
+
+        With degenerate zero-latency sources the makespan can be zero even
+        though sequential work was done: the true ratio is then infinite,
+        not ``1.0``.  Only a run with no work at all reports ``1.0``.
+        """
+        if self.total_time <= 0:
+            return float("inf") if self.sequential_time > 0 else 1.0
+        return self.sequential_time / self.total_time
+
 
 class FixpointKernel:
     """The one event-driven fixpoint loop behind all execution strategies.
@@ -282,9 +296,7 @@ class FixpointKernel:
     def __init__(
         self,
         policy: "SchedulingPolicy",
-        registry: "SourceRegistry",
-        log: "AccessLog",
-        max_accesses: Optional[int] = None,
+        dispatcher: "Dispatcher",
         answer_check_interval: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
     ) -> None:
@@ -292,9 +304,10 @@ class FixpointKernel:
 
         Args:
             policy: the scheduling policy (owns the run's cache state).
-            registry: the source wrappers accesses are dispatched to.
-            log: the access log counted accesses are recorded in.
-            max_accesses: optional bound on the number of source accesses.
+            dispatcher: the dispatcher the policy's offers run on; it
+                carries the source registry, the access log counted
+                accesses are recorded in, and the run's
+                :class:`AccessBudget` (the ``max_accesses`` bound).
             answer_check_interval: completed accesses between incremental
                 answer checks; ``None`` disables intermediate checks (the
                 query is still evaluated once at the end), which is what
@@ -305,12 +318,10 @@ class FixpointKernel:
                 killing the run.
         """
         self.policy = policy
-        self.registry = registry
-        self.log = log
-        self.budget = AccessBudget(max_accesses)
+        self.dispatcher = dispatcher
+        self.budget = dispatcher.budget
         self.answer_check_interval = answer_check_interval
-        self.dispatcher = policy.make_dispatcher(registry, log, self.budget)
-        policy.bind_dispatcher(self.dispatcher)
+        policy.bind_dispatcher(dispatcher)
         self.resilience = ResilienceContext(resilience)
         self.resilience.bind_clock(self.dispatcher.now, real_sleep=self.dispatcher.wall_clock)
         self.dispatcher.resilience = self.resilience

@@ -11,10 +11,12 @@ policies over the same kernel:
 * :class:`OrderedFastFail` — Section IV: one phase per ordering position
   of the ⊂-minimal plan, with the early non-emptiness test between phases
   and meta-cache dedup of repeated accesses;
-* :class:`SimulatedParallel` / :class:`RealThreadPool` /
-  :class:`AsyncParallel` — Section V: every cache of the plan is offered
-  eagerly, and the policy picks the discrete-event simulation, the real
-  thread pool, or the asyncio event loop as its dispatcher.
+* :class:`EagerPlan` — Section V (distillation): every cache of the plan
+  is offered as soon as its providers supply a binding.
+
+A policy never picks its dispatcher: the same offers run on a simulated
+clock or as asyncio tasks, and the engine's execution driver
+(:mod:`repro.engine.strategies`) decides which.
 
 The plan-driven policies share the delta-driven binding generators of
 :mod:`repro.plan.bindings`: each offer pass enumerates only the bindings
@@ -29,14 +31,8 @@ import abc
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.plan.bindings import CacheBindingGenerator, DeltaProduct, initialize_plan_caches
-from repro.runtime.dispatch import (
-    AsyncDispatcher,
-    Dispatcher,
-    SequentialDispatcher,
-    SimulatedParallelDispatcher,
-    ThreadPoolDispatcher,
-)
-from repro.runtime.kernel import AccessBudget, AccessRequest, Completion
+from repro.runtime.dispatch import Dispatcher
+from repro.runtime.kernel import AccessRequest, Completion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.domains import AbstractDomain
@@ -45,8 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.plan import CachePredicate, QueryPlan
     from repro.query.conjunctive import ConjunctiveQuery
     from repro.sources.cache import CacheDatabase, MetaCache
-    from repro.sources.log import AccessLog
-    from repro.sources.wrapper import SourceRegistry
 
 Row = Tuple[object, ...]
 
@@ -72,12 +66,6 @@ class SchedulingPolicy(abc.ABC):
         """Called by the kernel once the dispatcher exists (for gating)."""
         self.dispatcher = dispatcher
         dispatcher.gate = self
-
-    @abc.abstractmethod
-    def make_dispatcher(
-        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
-    ) -> Dispatcher:
-        """Build the dispatcher this policy runs on."""
 
     def begin(self) -> bool:
         """Enter the first phase; False aborts before any work."""
@@ -138,12 +126,28 @@ class _ValuePool:
 class EagerAllRelations(SchedulingPolicy):
     """The naive all-relations extraction of Figure 1.
 
-    Offers every relation of the schema every binding drawn from the value
-    pool ``B`` (per abstract domain), pours every retrieved value back into
-    the pool, and finally evaluates the query over the per-relation cache.
-    Deliberately ignores relevance and the session meta-caches: it
-    reproduces the paper's baseline, which is what the benchmarks compare
-    against.
+    The algorithm of [3], reproduced in Figure 1, extracts *all* obtainable
+    tuples from *all* relations of the schema, regardless of their
+    relevance for the query:
+
+    1. initialize a pool ``B`` of values with the constants of the query;
+    2. while new accesses can be made, access every relation with every
+       combination of values of ``B`` that matches the abstract domains of
+       its input arguments, cache the retrieved tuples and pour the
+       retrieved values back into ``B``;
+    3. finally evaluate the query over the cache.
+
+    This is the baseline the optimized plans are compared against in the
+    experimental evaluation: it makes many unnecessary accesses (to
+    relations irrelevant for the query, and to relevant relations with
+    useless bindings).  It deliberately ignores the session meta-caches
+    too, so the baseline is reproduced exactly.  When the access budget
+    runs dry the run raises — the Cartesian products can grow quickly in
+    randomized experiments.
+
+    An ``optimizer``'s per-relation cost ranking orders the extraction
+    sweeps (cheap/high-yield relations first); the access *set* is
+    unchanged — the fixpoint enumerates every pool combination either way.
     """
 
     budget_action = "raise"
@@ -153,21 +157,14 @@ class EagerAllRelations(SchedulingPolicy):
         self,
         schema: "Schema",
         query: "ConjunctiveQuery",
-        default_latency: float = 0.0,
         optimizer: Optional["AccessOptimizer"] = None,
-        concurrency: str = "sequential",
-        max_in_flight: int = 64,
     ) -> None:
         self.schema = schema
         self.query = query
-        self.default_latency = default_latency
         self.optimizer = optimizer
-        self.concurrency = concurrency
-        self.max_in_flight = max_in_flight
         # An unordered policy cannot reorder phases, but it can dispatch
         # cheap, productive sources first: a fixed cost-ranked relation
-        # iteration order.  The access *set* is order-independent (the
-        # naive fixpoint enumerates every pool combination either way).
+        # iteration order.
         self._relation_rank: Dict[str, object] = (
             optimizer.relation_priority() if optimizer is not None else {}
         )
@@ -192,15 +189,6 @@ class EagerAllRelations(SchedulingPolicy):
         for constant, domains in query.constant_domains(schema).items():
             for domain_ in domains:
                 self.pool.add(domain_, constant.value)
-
-    def make_dispatcher(
-        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
-    ) -> Dispatcher:
-        if self.concurrency == "async":
-            return AsyncDispatcher(
-                registry, log, budget, max_in_flight=self.max_in_flight
-            )
-        return SequentialDispatcher(registry, log, budget, self.default_latency)
 
     def offer(self, emit: Emit) -> bool:
         emitted = False
@@ -301,12 +289,7 @@ class PlanPolicy(SchedulingPolicy):
             ]
         return [self.plan.caches_at(position) for position in self.plan.positions()]
 
-    def _offer_caches(
-        self,
-        caches: List["CachePredicate"],
-        emit: Emit,
-        serve_from_meta: bool = True,
-    ) -> bool:
+    def _offer_caches(self, caches: List["CachePredicate"], emit: Emit) -> bool:
         """Offer the fresh bindings of the given caches; True when a
         meta-cache hit changed some cache's contents.
 
@@ -328,15 +311,14 @@ class PlanPolicy(SchedulingPolicy):
             # The generator yields each binding of this cache exactly once
             # over the whole run, so no dedup set is needed here.
             for binding in fresh:
-                if serve_from_meta:
-                    if meta is None:
-                        meta = self.cache_db.meta_cache(cache.relation)
-                        table = self.cache_db.cache(cache.name)
-                    rows = meta.lookup(binding)
-                    if rows is not None:
-                        if table.add_all(rows):
-                            changed = True
-                        continue
+                if meta is None:
+                    meta = self.cache_db.meta_cache(cache.relation)
+                    table = self.cache_db.cache(cache.name)
+                rows = meta.lookup(binding)
+                if rows is not None:
+                    if table.add_all(rows):
+                        changed = True
+                    continue
                 emit(AccessRequest(cache.name, relation_name, binding))
         return changed
 
@@ -368,7 +350,7 @@ class PlanPolicy(SchedulingPolicy):
     def meta_for(self, relation: str) -> Optional["MetaCache"]:
         return self.cache_db.meta_cache(self.plan.schema[relation])
 
-    def _plan_relations(self) -> List[str]:
+    def plan_relations(self) -> List[str]:
         """Accessed relations of the plan, in cache declaration order."""
         names: List[str] = []
         for cache in self.plan.caches.values():
@@ -381,11 +363,34 @@ class PlanPolicy(SchedulingPolicy):
 class OrderedFastFail(PlanPolicy):
     """Section IV: populate positions in order, failing fast in between.
 
-    One kernel phase per ordering position.  Before each phase the
-    sub-query over the already-populated caches is checked for
-    satisfiability; if it fails, the answer is certainly empty and the run
-    stops without further accesses (``failed_at`` records the position).
-    Within a phase, only the caches of the current position are offered.
+    The caches of the plan are populated position by position, following
+    the ordering of the sources of the optimized d-graph — one kernel phase
+    per position:
+
+    * before populating the caches of position ``i``, the sub-query made
+      of the atoms whose caches are already fully populated (positions
+      ``< i``) is checked for satisfiability; if it fails, the answer is
+      certainly empty and the execution stops without making any further
+      access (``failed_at`` records the position; ``fast_fail=False``
+      skips the test);
+    * within a position, the cache rules are iterated to a fixpoint: an
+      access is made only when all the domain providers of the cache
+      supply a value for every input argument, and only if the same access
+      (relation + binding) was not made before — possibly on behalf of a
+      different occurrence of the same relation — which is checked against
+      the per-relation meta-cache;
+    * finally the rewritten query is evaluated over the caches.
+
+    This computes the same answers as the least-fixpoint semantics of the
+    plan's Datalog program, never repeats an access, and stops as soon as
+    the answer is known to be empty; this is what makes the plan
+    ⊂-minimal.  Under async dispatch the accesses *within* a phase
+    overlap; the phase order — and the tests between phases — are
+    unchanged, so the access set is identical.  When the access budget
+    runs dry the run raises.
+
+    An ``optimizer``'s cost-based access order replaces the plan's
+    structural positions (None: structural order).
     """
 
     budget_action = "raise"
@@ -395,17 +400,10 @@ class OrderedFastFail(PlanPolicy):
         plan: "QueryPlan",
         cache_db: "CacheDatabase",
         fast_fail: bool = True,
-        use_meta_cache: bool = True,
         optimizer: Optional["AccessOptimizer"] = None,
-        concurrency: str = "sequential",
-        max_in_flight: int = 64,
     ) -> None:
         super().__init__(plan, cache_db, optimizer=optimizer)
         self.fast_fail = fast_fail
-        self.use_meta_cache = use_meta_cache
-        self.concurrency = concurrency
-        self.max_in_flight = max_in_flight
-        self.dedup_accesses = use_meta_cache
         self._groups = self._order_groups()
         # Reported positions: the plan's structural position values by
         # default (back-compat for ``failed_at``), 1..k along a cost order.
@@ -424,15 +422,6 @@ class OrderedFastFail(PlanPolicy):
             for rank, group in enumerate(self._groups)
             for cache in group
         }
-
-    def make_dispatcher(
-        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
-    ) -> Dispatcher:
-        if self.concurrency == "async":
-            return AsyncDispatcher(
-                registry, log, budget, max_in_flight=self.max_in_flight
-            )
-        return SequentialDispatcher(registry, log, budget)
 
     def begin(self) -> bool:
         return self.advance()
@@ -467,7 +456,7 @@ class OrderedFastFail(PlanPolicy):
             for cache in self._groups[self._index]
             if not cache.is_artificial
         ]
-        return self._offer_caches(caches, emit, serve_from_meta=self.use_meta_cache)
+        return self._offer_caches(caches, emit)
 
     def evaluate(self) -> FrozenSet[Row]:
         if self.failed_at is not None:
@@ -500,9 +489,32 @@ class OrderedFastFail(PlanPolicy):
         return conjunction_is_satisfiable(prefix_atoms, self.cache_db.contents())
 
 
-class SimulatedParallel(PlanPolicy):
-    """Section V: offer every cache eagerly, dispatch on the event-heap
-    simulation of parallel wrappers."""
+class EagerPlan(PlanPolicy):
+    """Section V (distillation): offer every cache of the plan eagerly.
+
+    Section V describes how Toorjah executes a plan in practice: as soon
+    as an access tuple can be generated from the cache database, it is
+    delivered to the wrapper of the corresponding source (provided its
+    queue is not full), so that as many sources as possible are accessed
+    in parallel and answers are produced as early as possible, to be
+    streamed to the user incrementally.  Run on the event-heap simulation
+    the offers meet one FIFO queue per wrapper; run on the event loop they
+    become concurrent tasks.  Either way the run reports its total time
+    and the time at which the first answer became available — the quantity
+    the paper highlights when arguing that result pagination makes the
+    system practical.
+
+    Access minimality is the job of :class:`OrderedFastFail`; this policy
+    deliberately trades a few extra accesses for latency, exactly like the
+    prototype described in the paper.  When the access budget runs dry,
+    dispatching stops and the answers already derived are kept.
+
+    With ``respect_ordering``, accesses for a cache are only offered once
+    every cache of a strictly smaller ordering position has drained; the
+    default offers as eagerly as possible, like the prototype.  An
+    ``optimizer``'s cost-based order ranks the offer sequence (and, with
+    ``respect_ordering``, the phases).
+    """
 
     budget_action = "stop"
 
@@ -510,14 +522,10 @@ class SimulatedParallel(PlanPolicy):
         self,
         plan: "QueryPlan",
         cache_db: "CacheDatabase",
-        default_latency: float = 0.01,
-        queue_capacity: int = 64,
         respect_ordering: bool = False,
         optimizer: Optional["AccessOptimizer"] = None,
     ) -> None:
         super().__init__(plan, cache_db, optimizer=optimizer)
-        self.default_latency = default_latency
-        self.queue_capacity = queue_capacity
         self.respect_ordering = respect_ordering
         self._refresh_order()
 
@@ -537,18 +545,6 @@ class SimulatedParallel(PlanPolicy):
             self._cache_rank = {
                 name: rank for rank, group in enumerate(groups, start=1) for name in group
             }
-
-    def make_dispatcher(
-        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
-    ) -> Dispatcher:
-        return SimulatedParallelDispatcher(
-            registry,
-            log,
-            budget,
-            self._plan_relations(),
-            default_latency=self.default_latency,
-            queue_capacity=self.queue_capacity,
-        )
 
     def offer(self, emit: Emit) -> bool:
         if self.optimizer is not None and self.optimizer.maybe_replan(()):
@@ -576,73 +572,3 @@ class SimulatedParallel(PlanPolicy):
             if self.dispatcher.relation_active(other.relation.name):
                 return True
         return False
-
-
-class RealThreadPool(SimulatedParallel):
-    """Section V over a real thread pool: the same eager offers, but the
-    accesses genuinely overlap against the backends."""
-
-    def __init__(
-        self,
-        plan: "QueryPlan",
-        cache_db: "CacheDatabase",
-        queue_capacity: int = 64,
-        respect_ordering: bool = False,
-        max_workers: int = 8,
-        optimizer: Optional["AccessOptimizer"] = None,
-    ) -> None:
-        super().__init__(
-            plan,
-            cache_db,
-            queue_capacity=queue_capacity,
-            respect_ordering=respect_ordering,
-            optimizer=optimizer,
-        )
-        self.max_workers = max_workers
-
-    def make_dispatcher(
-        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
-    ) -> Dispatcher:
-        return ThreadPoolDispatcher(
-            registry,
-            log,
-            budget,
-            self._plan_relations(),
-            max_workers=self.max_workers,
-            batch_size=self.queue_capacity,
-        )
-
-
-class AsyncParallel(SimulatedParallel):
-    """Section V on the event loop: the same eager offers, dispatched as
-    asyncio tasks with a bounded in-flight window.
-
-    The access *set* is the plan's least fixpoint either way; what changes
-    is wall clock — thousands of slow lookups overlap on one loop instead
-    of queueing behind a thread pool.  Must be driven through the kernel's
-    async entry points (``astream``/``arun``)."""
-
-    def __init__(
-        self,
-        plan: "QueryPlan",
-        cache_db: "CacheDatabase",
-        queue_capacity: int = 64,
-        respect_ordering: bool = False,
-        max_in_flight: int = 64,
-        optimizer: Optional["AccessOptimizer"] = None,
-    ) -> None:
-        super().__init__(
-            plan,
-            cache_db,
-            queue_capacity=queue_capacity,
-            respect_ordering=respect_ordering,
-            optimizer=optimizer,
-        )
-        self.max_in_flight = max_in_flight
-
-    def make_dispatcher(
-        self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget
-    ) -> Dispatcher:
-        return AsyncDispatcher(
-            registry, log, budget, max_in_flight=self.max_in_flight
-        )

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.engine import Engine
+from repro.engine.strategy import CONCURRENCY_MODES as _CONCURRENCY_MODES
 from repro.exceptions import ReproError
 from repro.serve.admission import AdmissionController, Rejection
 from repro.serve.metrics import ServerMetrics
@@ -46,8 +47,6 @@ from repro.serve.protocol import (
     response,
     stream_head,
 )
-
-_CONCURRENCY_MODES = ("async", "simulated")
 
 
 @dataclass

@@ -15,16 +15,17 @@ relation's wrapper.  Three backends ship with the library:
   paper's prototype issues against remote sources.
 * :class:`CallableBackend` — delegates to an arbitrary function
   ``binding -> rows`` and can inject real (wall-clock) latency per lookup.
-  This is the hook for future HTTP/RPC sources and the workload used to
-  exercise the real-concurrency dispatcher.
+  This is the hook for custom HTTP/RPC sources and the slow source used to
+  exercise genuinely overlapping accesses (``concurrency="async"``).
 
 Backends are *pure readers*: they do no counting, no logging and no latency
 simulation — that bookkeeping stays in :class:`~repro.sources.wrapper.
 SourceWrapper`.  They must be safe to call from multiple threads, because
-the real-concurrency dispatcher
-(:class:`~repro.runtime.dispatch.ThreadPoolDispatcher`) issues lookups
-from a thread pool and :meth:`~repro.engine.engine.Engine.execute_many`
-runs whole queries concurrently; :class:`SQLiteBackend` serializes on an
+the async dispatcher (:class:`~repro.runtime.dispatch.AsyncDispatcher`)
+runs a sync backend's lookups on an executor's threads (through
+:class:`~repro.sources.async_backend.AsyncBackendAdapter`) and
+:meth:`~repro.engine.engine.Engine.execute_many` runs whole queries
+concurrently; :class:`SQLiteBackend` serializes on an
 internal lock, the other two are read-only over immutable state.
 """
 
@@ -105,8 +106,8 @@ class SQLiteBackend(SourceBackend):
     break.
 
     One connection is shared across threads (``check_same_thread=False``)
-    and every statement runs under a lock, which is all the real-concurrency
-    dispatcher needs: the point of that workload is parallelism *across*
+    and every statement runs under a lock, which is all concurrent
+    dispatch needs: the point of that workload is parallelism *across*
     sources, not within one.
     """
 
@@ -224,8 +225,7 @@ class CallableBackend(SourceBackend):
     compute rows on the fly — as long as it is thread-safe and returns the
     same rows for the same binding within a run.  ``latency`` injects a real
     ``time.sleep`` per lookup, which is how the tests and benchmarks make a
-    "slow remote source" for the real-concurrency dispatcher to parallelize
-    over.
+    "slow remote source" for the async dispatcher to overlap.
     """
 
     kind = "callable"

@@ -395,7 +395,7 @@ class AccessTable:
 
     The paper's Figure 5 structure: access tuples generated from the cache
     database wait here before being shipped to the relation's wrapper.  The
-    built-in :class:`~repro.plan.parallel.DistillationExecutor` keeps its
+    built-in dispatchers (:mod:`repro.runtime.dispatch`) keep their
     backlogs per *cache occurrence* rather than per relation (two caches
     over one relation may legitimately dispatch the same binding), so this
     per-relation table is the dedup-by-relation variant offered to external

@@ -11,7 +11,7 @@ access-limited interface — speaking a deliberately tiny protocol:
 * ``GET /health`` answers ``{"status": "ok"}``.
 
 :class:`HTTPBackend` implements both faces of the source layer: the sync
-:meth:`lookup` (thread-pooled dispatch) over per-thread keep-alive
+:meth:`lookup` (simulated dispatch) over per-thread keep-alive
 ``http.client`` connections, and the native async :meth:`alookup` (event-
 loop dispatch) over a pool of ``asyncio`` stream connections, so hundreds
 of requests can be in flight on one loop.  Values are restricted to what
@@ -134,7 +134,7 @@ class HTTPBackend(SourceBackend):
             rows.append(tuple(row))
         return frozenset(rows)
 
-    # -- sync path (thread-pool and sequential dispatch) -----------------------
+    # -- sync path (simulated dispatch; one connection per calling thread) -----
     def _sync_connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:

@@ -14,7 +14,7 @@ down mid-execution:
   to the undecorated backend.
 * :class:`RetryPolicy` — bounded attempts with exponential backoff.  The
   backoff is *priced through the run's authoritative clock*: simulated
-  dispatchers charge it to the simulated clock, the real thread-pool
+  dispatchers charge it to the simulated clock, the async (wall-clock)
   dispatcher actually sleeps.
 * :class:`CircuitBreaker` — the classic closed → open → half-open machine,
   one per relation.  After ``failure_threshold`` consecutive failures the
@@ -327,7 +327,7 @@ class CircuitBreaker:
 
     The clock is whatever the run's dispatcher is authoritative for — the
     simulated clock of the sequential/discrete-event dispatchers, the wall
-    clock of the thread-pool dispatcher — so cool-downs are priced in the
+    clock of the async dispatcher — so cool-downs are priced in the
     same units as everything else in the run.
     """
 
@@ -493,7 +493,7 @@ class ResilienceContext:
 
     ``clock`` is bound by the kernel to the dispatcher's authoritative
     clock; ``real_sleep`` tells :meth:`perform` whether to actually sleep
-    retry backoffs (thread-pool dispatch) or merely report them for the
+    retry backoffs (wall-clock dispatch) or merely report them for the
     caller to charge to a simulated clock.
     """
 
@@ -558,7 +558,7 @@ class ResilienceContext:
         GIL makes them safe; a stale read is the standard benign breaker
         race), stats are flushed under one lock acquisition per access,
         and reads are only timed when someone consumes the timing (a
-        configured timeout, or the thread-pool dispatcher's sequential
+        configured timeout, or a wall-clock dispatcher's sequential
         accounting).
         """
         breaker: Optional[CircuitBreaker] = None

@@ -83,9 +83,8 @@ class SourceWrapper:
     def lookup(self, binding: Binding) -> FrozenSet[Row]:
         """Answer one binding from the backend without counting an access.
 
-        Thread-safe (delegates straight to the backend); the real-concurrency
-        dispatcher calls this from worker threads and does the counting in
-        the coordinator via :meth:`record_access`.
+        Thread-safe (delegates straight to the backend); the dispatchers do
+        the counting themselves via :meth:`record_access`.
         """
         binding = tuple(binding)
         validate_binding(self.schema, binding)
@@ -107,7 +106,7 @@ class SourceWrapper:
         loop; a sync one is adapted onto ``executor`` (or the loop's
         default pool) so it never blocks the loop.  Same validation, same
         rows, no counting — the async dispatcher's coordinator counts via
-        :meth:`record_access`, exactly like the thread-pool dispatcher.
+        :meth:`record_access`.
         """
         from repro.sources.async_backend import as_async_backend
 

@@ -112,18 +112,30 @@ def test_run_real_concurrency_distillation(capsys) -> None:
             "callable",
             "--strategy",
             "distillation",
+            "--backend-latency",
+            "0.002",
             "--concurrency",
-            "real",
+            "async",
             "--json",
         ]
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["answers"]) == 4
+    assert payload["complete"] is True
 
 
-def test_real_concurrency_rejected_for_sequential_strategies(capsys) -> None:
-    assert main(["run", "--example", "--concurrency", "real"]) == 2
-    assert "distillation" in capsys.readouterr().err
+def test_removed_thread_pool_mode_is_rejected_by_argparse(capsys) -> None:
+    # Two modes remain; ``real`` (and ``--max-workers``) went with the
+    # thread-pool dispatcher, so argparse refuses them like any bad choice.
+    for argv in (
+        ["run", "--example", "--concurrency", "real"],
+        ["run", "--example", "--max-workers", "4"],
+        ["workload", "--mix", "star", "--concurrency", "real"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    assert "invalid choice: 'real'" in capsys.readouterr().err
 
 
 def test_unknown_scenario_is_a_clean_error(capsys) -> None:

@@ -14,8 +14,9 @@ import pytest
 
 from repro import Engine
 from repro.examples import chaos_example, star_example
-from repro.runtime.kernel import FixpointKernel
-from repro.runtime.policy import OrderedFastFail
+from repro.runtime.dispatch import SequentialDispatcher, SimulatedParallelDispatcher
+from repro.runtime.kernel import AccessBudget, FixpointKernel
+from repro.runtime.policy import EagerPlan, OrderedFastFail
 from repro.sources.backend import SQLiteBackend
 from repro.sources.cache import CacheDatabase
 from repro.sources.log import AccessLog
@@ -218,8 +219,7 @@ def _run_kernel_with_faults(schedule: FaultSchedule, retry: RetryPolicy | None):
     log = AccessLog()
     kernel = FixpointKernel(
         policy,
-        registry,
-        log,
+        SequentialDispatcher(registry, log, AccessBudget(None)),
         resilience=ResilienceConfig(retry=retry),
     )
     kernel.run()
@@ -254,15 +254,13 @@ def test_budget_denial_delivers_parked_retry_completions() -> None:
         )
         with Engine(example.schema, registry) as engine:
             plan = engine.plan(example.query_text).plan
-        from repro.runtime.policy import SimulatedParallel
-
-        policy = SimulatedParallel(plan, CacheDatabase())
+        policy = EagerPlan(plan, CacheDatabase())
         log = AccessLog()
         kernel = FixpointKernel(
             policy,
-            registry,
-            log,
-            max_accesses=budget_limit,
+            SimulatedParallelDispatcher(
+                registry, log, AccessBudget(budget_limit), policy.plan_relations()
+            ),
             resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=2, base_delay=0.02)),
         )
         outcome = kernel.run()

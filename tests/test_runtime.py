@@ -12,23 +12,16 @@ import pytest
 from repro import Engine
 from repro.examples import chain_example
 from repro.model.schema import RelationSchema
-from repro.plan.parallel import DistillationResult
-from repro.runtime import AccessBudget
+from repro.runtime import AccessBudget, KernelOutcome
 from repro.sources.cache import MetaCache
-from repro.sources.log import AccessLog
 
 
-# -- DistillationResult.parallel_speedup ---------------------------------------
+# -- KernelOutcome.parallel_speedup ---------------------------------------------
 
 
-def _result(total_time: float, sequential_time: float) -> DistillationResult:
-    return DistillationResult(
-        answers=frozenset(),
-        access_log=AccessLog(),
-        total_time=total_time,
-        time_to_first_answer=None,
-        answer_times={},
-        sequential_time=sequential_time,
+def _result(total_time: float, sequential_time: float) -> KernelOutcome:
+    return KernelOutcome(
+        answers=frozenset(), total_time=total_time, sequential_time=sequential_time
     )
 
 
@@ -130,21 +123,30 @@ def test_abandoned_claim_hands_ownership_to_a_waiter() -> None:
 
 
 def test_all_strategies_share_one_kernel() -> None:
-    # The three executor modules are adapters: none of them carries a
-    # fixpoint or dispatch loop of its own anymore.
+    # Every strategy is a (policy, dispatcher) declaration over one
+    # execution driver: the kernel is constructed at exactly one place in
+    # the package, and nothing under repro.plan executes anything.
     import inspect
+    from pathlib import Path
 
-    from repro.plan import execution, naive, parallel
+    import repro
+    import repro.plan
     from repro.runtime import kernel
 
-    for module in (naive, execution, parallel):
-        source = inspect.getsource(module)
-        # No event heap, no thread pool, no binding enumeration: the
-        # adapters only configure the kernel and shape its outcome.
-        assert "heapq" not in source, module.__name__
-        assert "ThreadPoolExecutor" not in source, module.__name__
-        assert "fresh_bindings" not in source, module.__name__
-        assert "FixpointKernel" in source, module.__name__
+    sites = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "FixpointKernel(" in line
+    ]
+    assert len(sites) == 1 and sites[0].startswith("strategies.py:"), sites
+    assert sorted(repro.plan.__all__) == [
+        "CachePredicate",
+        "MinimalPlanGenerator",
+        "ProviderSpec",
+        "QueryPlan",
+        "generate_minimal_plan",
+    ]
     assert "_offer_fixpoint" in inspect.getsource(kernel)
 
 
