@@ -75,12 +75,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import Engine  # noqa: E402
 from repro.examples import (  # noqa: E402
     Example,
-    adaptive_example,
     chain_example,
     chaos_example,
     cyclic_example,
     deep_cycle_example,
     diamond_example,
+    empty_branch_example,
     mixed_workload,
     running_example,
     skewed_fanout_example,
@@ -546,102 +546,85 @@ def _optimizer_topologies() -> List[Example]:
     ]
 
 
-def bench_optimizer() -> Dict[str, object]:
-    """Cost-based optimizer vs the structural order: never worse, same answers.
+def _order_pair(example: Example, strategy: str = "fast_fail"):
+    """Cold structural and cold ``optimizer="cost"`` runs, in fresh engines."""
+    runs = []
+    for optimizer in ("structural", "cost"):
+        with Engine(example.schema, example.instance) as engine:
+            runs.append(
+                engine.execute(
+                    example.query_text,
+                    strategy=strategy,
+                    share_session_cache=False,
+                    optimizer=optimizer,
+                )
+            )
+    structural, cost = runs
+    assert cost.answers == structural.answers == example.expected_answers, (
+        f"optimizer='cost' changed the answers on {example.name}"
+    )
+    return structural, cost
 
-    For each of the six topologies, a cold structural run and a cold
-    cost-based run execute in fresh engines (no shared session cache); the
-    cost order must return identical answers with *no more* source
-    accesses.  A warm second cost run in the same engine session then
-    re-plans from the statistics the cold run collected.  The adaptive
-    scenario asserts the mid-run re-planning hook fires (its hot branch
-    contradicts the cold fanout default beyond the divergence threshold),
-    and a distillation cross-check asserts the optimizer holds outside the
-    fast-failing strategy too.
+
+def bench_optimizer() -> Dict[str, object]:
+    """``optimizer="cost"`` vs the structural order: equal, except where it wins.
+
+    On the six topologies (and a distillation cross-check) the answers are
+    not empty, so every admissible order makes the same accesses: the two
+    counts must be *equal*.  The gate a no-op cannot pass is ``empty_branch``:
+    an empty cheap branch next to an expensive one, where the pending-count
+    rule must read strictly fewer accesses than the static order when the
+    empty relation's name sorts last (``zempty``: 17 < 145), no more when it
+    sorts first (``aempty``: 17 = 17), and keep the saving on a warm
+    session (three runs: ``[17, 0, 0]``).
     """
-    entry: Dict[str, object] = {"topologies": {}}
+    entry: Dict[str, object] = {"topologies": {}, "empty_branch": {}}
     for example in _optimizer_topologies():
-        with Engine(example.schema, example.instance) as engine:
-            structural = engine.execute(
-                example.query_text, strategy="fast_fail", share_session_cache=False
-            )
-        with Engine(example.schema, example.instance) as engine:
-            cold = engine.execute(
-                example.query_text,
-                strategy="fast_fail",
-                share_session_cache=False,
-                optimizer="cost",
-            )
-            # Session statistics are warm now: the second plan is priced
-            # with observed fanouts instead of the cold defaults.
-            warm = engine.execute(
-                example.query_text, strategy="fast_fail", optimizer="cost"
-            )
-        assert cold.answers == structural.answers == example.expected_answers, (
-            f"optimizer='cost' changed the answers on {example.name}"
+        structural, cost = _order_pair(example)
+        assert cost.total_accesses == structural.total_accesses, (
+            f"optimizer='cost' changed the access count on {example.name}: "
+            f"{cost.total_accesses} != {structural.total_accesses}"
         )
-        assert cold.total_accesses <= structural.total_accesses, (
-            f"optimizer='cost' performed more accesses than structural on "
-            f"{example.name}: {cold.total_accesses} > {structural.total_accesses}"
-        )
-        assert warm.answers == example.expected_answers
-        report = cold.optimizer_report
         entry["topologies"][example.name] = {  # type: ignore[index]
             "structural_accesses": structural.total_accesses,
-            "cost_accesses": cold.total_accesses,
-            "warm_accesses": warm.total_accesses,
-            "warm_meta_hits": int(engine.session_stats()["meta_hits"]),
-            "method": report.method,
-            "estimated_cost": round(report.estimated_cost, 3),
-            "replans": report.replans,
+            "cost_accesses": cost.total_accesses,
         }
 
-    # -- adaptive re-planning ------------------------------------------------
-    adaptive = adaptive_example()
-    with Engine(adaptive.schema, adaptive.instance) as engine:
-        structural = engine.execute(
-            adaptive.query_text, strategy="fast_fail", share_session_cache=False
+    # -- the strict gate -------------------------------------------------------
+    for empty_name in ("zempty", "aempty"):
+        example = empty_branch_example(empty_name=empty_name)
+        structural, cost = _order_pair(example)
+        with Engine(example.schema, example.instance) as engine:
+            rerun = [
+                engine.execute(example.query_text, optimizer="cost").total_accesses
+                for _ in range(3)
+            ]
+        if empty_name == "zempty":
+            assert cost.total_accesses < structural.total_accesses, (
+                f"optimizer='cost' did not beat the structural order on {example.name}: "
+                f"{cost.total_accesses} vs {structural.total_accesses}"
+            )
+        assert cost.total_accesses <= structural.total_accesses
+        assert cost.failed_at_position is not None
+        assert rerun == [cost.total_accesses, 0, 0], (
+            f"optimizer='cost' gave its saving back on a warm session: {rerun}"
         )
-    with Engine(adaptive.schema, adaptive.instance) as engine:
-        cost = engine.execute(
-            adaptive.query_text,
-            strategy="fast_fail",
-            share_session_cache=False,
-            optimizer="cost",
-        )
-    assert cost.answers == structural.answers == adaptive.expected_answers
-    assert cost.total_accesses <= structural.total_accesses
-    assert cost.optimizer_report.replans >= 1, (
-        "the adaptive scenario's misleading cold fanouts did not trigger a re-plan"
-    )
-    entry["adaptive"] = {
-        "workload": adaptive.name,
-        "structural_accesses": structural.total_accesses,
-        "cost_accesses": cost.total_accesses,
-        "replans": cost.optimizer_report.replans,
-    }
+        entry["empty_branch"][example.name] = {  # type: ignore[index]
+            "structural_accesses": structural.total_accesses,
+            "cost_accesses": cost.total_accesses,
+            "rerun_accesses": rerun,
+        }
 
-    # -- distillation cross-check --------------------------------------------
+    # -- distillation cross-check: no phase boundary, so no difference ---------
     example = star_example(rays=3, width=8)
-    with Engine(example.schema, example.instance) as engine:
-        structural = engine.execute(
-            example.query_text, strategy="distillation", share_session_cache=False
-        )
-    with Engine(example.schema, example.instance) as engine:
-        cost = engine.execute(
-            example.query_text,
-            strategy="distillation",
-            share_session_cache=False,
-            optimizer="cost",
-        )
-    assert cost.answers == structural.answers == example.expected_answers
-    assert cost.total_accesses <= structural.total_accesses
+    structural, cost = _order_pair(example, strategy="distillation")
+    assert cost.total_accesses == structural.total_accesses
     entry["distillation_cross_check"] = {
         "workload": example.name,
         "structural_accesses": structural.total_accesses,
         "cost_accesses": cost.total_accesses,
     }
-    entry["never_worse_than_structural"] = True
+    entry["strictly_fewer_on_empty_branch"] = True
     return entry
 
 
@@ -1144,11 +1127,13 @@ def main(argv: List[str] | None = None) -> int:
         f"{throughput_entry['speedup']}x vs sequential)"
     )
     optimizer_entry = bench_optimizer()
-    adaptive_run = optimizer_entry["adaptive"]  # type: ignore[index]
     print(
         f"optimizer on {len(optimizer_entry['topologies'])} topologies: "  # type: ignore[arg-type]
-        f"cost accesses <= structural on all; adaptive replans "
-        f"{adaptive_run['replans']} on {adaptive_run['workload']}"
+        f"cost accesses == structural on all; empty-branch "
+        + ", ".join(
+            f"{name} {record['cost_accesses']} vs {record['structural_accesses']}"
+            for name, record in optimizer_entry["empty_branch"].items()  # type: ignore[union-attr]
+        )
     )
     fault_entry = bench_fault_tolerance()
     overhead_run = fault_entry["zero_fault_overhead"]  # type: ignore[index]

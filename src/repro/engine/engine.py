@@ -29,11 +29,11 @@ from repro.engine.explain import Explanation
 from repro.engine.plan_cache import PlanCache
 from repro.engine.prepared import PreparedPlan
 from repro.engine.result import Result
+from repro.engine.statistics import StatisticsCollector
 from repro.engine.strategy import ExecuteOptions, StrategyLike
 from repro.exceptions import EngineError, ReproError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
-from repro.optimizer.stats import StatisticsCollector
 from repro.plan.minimal import MinimalPlanGenerator
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.parser import parse_query
@@ -69,9 +69,10 @@ class EngineSession:
         log: cumulative access log over all executions of the session.
         executions: number of executions absorbed so far.
         statistics: per-relation runtime statistics mined from the absorbed
-            logs — the cost-based optimizer's input.  They accumulate
-            across queries, so later queries are planned with what earlier
-            ones learned.
+            logs (:mod:`repro.engine.statistics`), accumulated across
+            queries.  Observability only — ``stats()["relations"]``, the
+            server's ``/metrics``, ``WorkloadReport.relation_stats`` —
+            nothing plans with them.
         store: the :class:`~repro.sources.store.CacheStore` backing the
             meta-caches' records and the query-result tier.  The default is
             an unbounded in-memory store (the historical behaviour); a
@@ -195,8 +196,7 @@ class WorkloadReport:
         max_parallel: the concurrency bound the run was asked for.
         relation_stats: the session's per-relation statistics after the run
             (rows per access, fanout by binding arity, empty rate, average
-            latency, meta hits) — the observables the cost-based optimizer
-            plans with.
+            latency, meta hits).
         cache_stats: cache-tier accounting of the run — store kind and
             persistence, binding-tier hit rate, result-tier hits and hit
             rate, evictions during the run, and entry gauges after it.

@@ -72,10 +72,6 @@ class Explanation:
         admits_forall_minimal_plan: the ∀-minimality condition of Section IV.
         caches: every cache predicate with its providers.
         datalog: the plan rendered as the Datalog program of Section IV.
-        optimizer: the cost-based optimizer's account of the most recent
-            execution — chosen order, estimated vs. actual per-relation
-            cardinalities, re-planning events — or None when the plan has
-            only run with the structural order (or not run at all).
         kernel_profile: the runtime kernel's per-phase profile of the most
             recent execution (offer / dispatch / absorb / answer-check
             timings and counters), or None when the plan has not run.
@@ -93,7 +89,6 @@ class Explanation:
     admits_forall_minimal_plan: bool
     caches: Tuple[CacheInfo, ...]
     datalog: str
-    optimizer: Optional[Dict[str, object]] = None
     kernel_profile: Optional[Dict[str, object]] = None
 
     # -- rendering -----------------------------------------------------------
@@ -124,8 +119,6 @@ class Explanation:
             ],
             "datalog": self.datalog,
         }
-        if self.optimizer is not None:
-            payload["optimizer"] = self.optimizer
         if self.kernel_profile is not None:
             payload["kernel_profile"] = self.kernel_profile
         return payload
@@ -158,23 +151,6 @@ class Explanation:
         lines.append("datalog program:")
         for line in self.datalog.splitlines():
             lines.append(f"  {line}")
-        if self.optimizer is not None:
-            lines.append("optimizer (last run):")
-            lines.append(
-                f"  mode={self.optimizer.get('mode')} method={self.optimizer.get('method')}"
-                f" replans={self.optimizer.get('replans')}"
-            )
-            order = self.optimizer.get("groups") or []
-            rendered = " < ".join(
-                "{" + ", ".join(group) + "}" for group in order  # type: ignore[union-attr]
-            )
-            lines.append(f"  order: {rendered or '(empty)'}")
-            for entry in self.optimizer.get("relations") or []:  # type: ignore[union-attr]
-                lines.append(
-                    "  {relation}: est. accesses {estimated_accesses}, "
-                    "actual {actual_accesses}; est. fanout {estimated_fanout}, "
-                    "actual {actual_fanout}".format(**entry)  # type: ignore[arg-type]
-                )
         if self.kernel_profile is not None:
             lines.append("kernel profile (last run):")
             timings = self.kernel_profile.get("timings_seconds") or {}
@@ -231,7 +207,6 @@ def build_explanation(prepared: "PreparedPlan") -> Explanation:
             )
         )
 
-    report = getattr(prepared, "last_optimizer_report", None)
     profile = getattr(prepared, "last_kernel_profile", None)
     return Explanation(
         query=str(plan.original_query),
@@ -246,6 +221,5 @@ def build_explanation(prepared: "PreparedPlan") -> Explanation:
         admits_forall_minimal_plan=plan.admits_forall_minimal_plan,
         caches=tuple(caches),
         datalog=str(plan.to_datalog()),
-        optimizer=report.to_dict() if report is not None else None,
         kernel_profile=profile.to_dict() if profile is not None else None,
     )

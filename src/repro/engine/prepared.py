@@ -13,11 +13,13 @@ from repro.engine.strategy import (
     CONCURRENCY_MODES,
     ExecuteOptions,
     ExecutionStrategy,
+    OPTIMIZERS,
     StrategyLike,
     async_unsupported,
     resolve_strategy,
     streaming_unsupported,
     unknown_concurrency,
+    unknown_optimizer,
 )
 from repro.exceptions import ReproError
 from repro.plan.plan import QueryPlan
@@ -47,9 +49,6 @@ class PreparedPlan:
     engine: "Engine"
     query: ConjunctiveQuery
     plan: QueryPlan
-    #: The cost-based optimizer's report of the most recent execution
-    #: (None before any run, and after runs with the structural order).
-    last_optimizer_report: Optional[object] = None
     #: The runtime kernel's per-phase profile of the most recent execution
     #: (None before any run; see :class:`repro.runtime.profile.KernelProfile`).
     last_kernel_profile: Optional[object] = None
@@ -108,8 +107,8 @@ class PreparedPlan:
         awaited: bool = False,
     ) -> Tuple[ExecutionStrategy, ExecuteOptions]:
         """Resolve one call's strategy and options — the single door every
-        entry point enters by, so a bad strategy, option or concurrency
-        mode raises the same error (with query/plan context) at the call
+        entry point enters by, so a bad strategy, option, concurrency mode
+        or optimizer raises the same error (with query/plan context) at the call
         site of ``execute``, ``aexecute``, ``stream`` and ``astream`` alike.
         """
         try:
@@ -117,6 +116,8 @@ class PreparedPlan:
             opts = self._options(options, overrides)
             if opts.concurrency not in CONCURRENCY_MODES:
                 raise unknown_concurrency(opts.concurrency)
+            if opts.optimizer not in OPTIMIZERS:
+                raise unknown_optimizer(opts.optimizer)
             if streaming and not resolved.supports_streaming:
                 raise streaming_unsupported(resolved.name)
             if (awaited or opts.concurrency == "async") and not resolved.supports_async:
@@ -206,8 +207,8 @@ class PreparedPlan:
 
         Defaults to the distillation scheduler, whose simulated parallel
         wrappers produce answers as soon as they are derivable (Section V).
-        Resolution errors (unknown name or concurrency mode, strategy
-        without streaming support) are raised here, at the call site, not
+        Resolution errors (unknown name, concurrency mode or optimizer,
+        strategy without streaming support) are raised here, at the call site, not
         at first iteration.
         """
         return self._stream(*self._resolve(strategy, options, overrides, streaming=True))

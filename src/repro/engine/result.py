@@ -70,8 +70,10 @@ class Result:
             sequential strategies it is the back-to-back sum.
         time_to_first_answer: simulated time of the first answer, when the
             strategy streams (None otherwise).
-        failed_at_position: ordering position at which the fast-failing test
-            cut the execution, if it did.
+        failed_at_position: the phase (counted from 1 along the access
+            order taken; the plan's ordering position under the default
+            structural order) before which the fast-failing test cut the
+            execution, if it did.
         failed_relations: relations with at least one permanently failed
             access during the execution (sorted).
         retry_stats: resilience accounting of the execution (attempts,
@@ -81,9 +83,6 @@ class Result:
             callers that need the full detail (answer times, sequential
             time and ``parallel_speedup``, peak in-flight accesses); None
             for result-cache hits.
-        optimizer_report: the cost-based optimizer's account of the run
-            (chosen order, estimated vs. actual cardinalities, re-planning
-            events); None when the structural order was used.
         result_cache_hit: True when the answers were served whole from the
             engine's query-result cache tier (no plan executed, zero
             accesses); see :mod:`repro.sources.store`.
@@ -106,7 +105,6 @@ class Result:
     retry_stats: RetryStats = field(default_factory=RetryStats)
     access_log: AccessLog = field(default_factory=AccessLog, repr=False)
     raw: object = field(default=None, repr=False)
-    optimizer_report: object = field(default=None, repr=False)
     result_cache_hit: bool = False
     kernel_profile: object = field(default=None, repr=False)
 
@@ -199,8 +197,6 @@ class Result:
             payload["time_to_first_answer"] = self.time_to_first_answer
         else:
             payload["retry_stats"].pop("backoff_seconds", None)  # type: ignore[union-attr]
-        if self.optimizer_report is not None:
-            payload["optimizer"] = self.optimizer_report.to_dict()  # type: ignore[attr-defined]
         if include_profile and self.kernel_profile is not None:
             payload["profile"] = self.kernel_profile.to_dict()  # type: ignore[attr-defined]
         return payload
@@ -235,8 +231,6 @@ class Result:
                 f"  {breakdown.relation}: {breakdown.accesses} accesses, "
                 f"{breakdown.distinct_rows} rows"
             )
-        if self.optimizer_report is not None:
-            lines.append(str(self.optimizer_report))
         return "\n".join(lines)
 
     def __str__(self) -> str:

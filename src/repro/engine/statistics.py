@@ -1,7 +1,8 @@
 """Per-relation runtime statistics mined from the session's access logs.
 
-The optimizer's inputs are observables the engine already produces as a
-side effect of running queries: every counted access is an
+The observability surface of a session: what each relation has cost so
+far.  The inputs are observables the engine already produces as a side
+effect of running queries: every counted access is an
 :class:`~repro.sources.access.AccessRecord` in the execution's
 :class:`~repro.sources.log.AccessLog`, every deduplicated access is a hit
 on a session :class:`~repro.sources.cache.MetaCache`, and every retry is
@@ -11,8 +12,11 @@ accounted in the run's :class:`~repro.sources.resilience.RetryStats`.
 (fanout), observed fanout per bound-position pattern, empty-access rate,
 meta-hit counts, and retry-stretched per-access latency — and lives on the
 :class:`~repro.engine.engine.EngineSession`, so the statistics accumulate
-across the queries of a session: the second query of a workload is planned
-with what the first one learned.
+across the queries of a session.  They are *read* by
+``session.stats()["relations"]``, the server's ``/metrics`` and
+``WorkloadReport.relation_stats``; nothing in the engine plans with them
+(``optimizer="cost"`` decides with the exact pending-binding counts of the
+run itself, see :class:`repro.runtime.policy.OrderedFastFail`).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ whether it streams, whether it consults the session caches, which few
 :class:`~repro.engine.result.Result` fields it adds — over the one driver
 written here, :class:`KernelStrategy`.
 
-The driver builds log, optimizer, cache database, policy, dispatcher and
-kernel, pumps the kernel, and — whatever way the pump ends — folds what
-really hit the sources into the engine session and builds the result
+The driver builds log, cache database, policy, dispatcher and kernel,
+pumps the kernel, and — whatever way the pump ends — folds what really
+hit the sources into the engine session and builds the result
 straight from the :class:`~repro.runtime.kernel.KernelOutcome`.  It pairs
 the policy with its dispatcher: the strategy's simulated clock under
 ``concurrency="simulated"``, the :class:`~repro.runtime.dispatch.
@@ -29,8 +29,6 @@ from typing import TYPE_CHECKING, AsyncIterator, ClassVar, Dict, Iterator, List,
 
 from repro.engine.result import Result, SourceBreakdown, Termination
 from repro.engine.strategy import ExecuteOptions, ExecutionStrategy, register_strategy
-from repro.exceptions import StrategyError
-from repro.optimizer import AccessOptimizer
 from repro.runtime.dispatch import (
     AsyncDispatcher,
     Dispatcher,
@@ -83,30 +81,6 @@ def _breakdown(
     return tuple(entries), total_latency
 
 
-def _optimizer_for(
-    prepared: "PreparedPlan", options: ExecuteOptions
-) -> Optional[AccessOptimizer]:
-    """Build the cost-based optimizer selected by ``options.optimizer``.
-
-    ``"structural"`` returns None — the policies then follow the paper's
-    d-graph order exactly, byte-identical to the pre-optimizer engine.
-    """
-    if options.optimizer == "structural":
-        return None
-    if options.optimizer != "cost":
-        raise StrategyError(
-            f"unknown optimizer {options.optimizer!r}; use 'structural' or 'cost'",
-            plan=prepared.plan,
-        )
-    engine = prepared.engine
-    return AccessOptimizer(
-        prepared.plan,
-        statistics=engine.session.statistics,
-        registry=engine.registry,
-        default_latency=options.default_latency,
-    )
-
-
 class KernelStrategy(ExecutionStrategy):
     """A built-in strategy: a *(policy, dispatcher)* declaration.
 
@@ -132,7 +106,6 @@ class KernelStrategy(ExecutionStrategy):
         prepared: "PreparedPlan",
         options: ExecuteOptions,
         cache_db: Optional[CacheDatabase],
-        optimizer: Optional[AccessOptimizer],
     ) -> SchedulingPolicy:
         """*What* is offered: the scheduling policy of one run."""
 
@@ -169,7 +142,6 @@ class KernelStrategy(ExecutionStrategy):
         registry = engine.registry
         default_latency = options.default_latency if self.charges_default_latency else 0.0
         log = AccessLog()
-        optimizer = _optimizer_for(prepared, options)
         cache_db = None
         if self.consults_session_caches:
             cache_db = (
@@ -177,7 +149,7 @@ class KernelStrategy(ExecutionStrategy):
                 if options.share_session_cache
                 else CacheDatabase()
             )
-        policy = self.policy(prepared, options, cache_db, optimizer)
+        policy = self.policy(prepared, options, cache_db)
         budget = AccessBudget(options.max_accesses)
         if options.concurrency == "async":
             dispatcher: Dispatcher = AsyncDispatcher(
@@ -205,8 +177,6 @@ class KernelStrategy(ExecutionStrategy):
                 default_latency=default_latency,
                 kernel_profile=outcome.profile if outcome is not None else None,
             )
-            report = optimizer.report(log) if optimizer is not None else None
-            prepared.last_optimizer_report = report
             if outcome is not None:
                 prepared.last_kernel_profile = outcome.profile
                 elapsed = time.perf_counter() - started
@@ -238,7 +208,6 @@ class KernelStrategy(ExecutionStrategy):
                     retry_stats=outcome.retry_stats,
                     access_log=log,
                     raw=outcome,
-                    optimizer_report=report,
                     kernel_profile=outcome.profile,
                     **fields,
                 )
@@ -306,8 +275,8 @@ class NaiveStrategy(KernelStrategy):
     name = "naive"
     consults_session_caches = False
 
-    def policy(self, prepared, options, cache_db, optimizer) -> EagerAllRelations:
-        return EagerAllRelations(prepared.engine.schema, prepared.query, optimizer=optimizer)
+    def policy(self, prepared, options, cache_db) -> EagerAllRelations:
+        return EagerAllRelations(prepared.engine.schema, prepared.query)
 
 
 @register_strategy
@@ -316,9 +285,12 @@ class FastFailStrategy(KernelStrategy):
 
     name = "fast_fail"
 
-    def policy(self, prepared, options, cache_db, optimizer) -> OrderedFastFail:
+    def policy(self, prepared, options, cache_db) -> OrderedFastFail:
         return OrderedFastFail(
-            prepared.plan, cache_db, fast_fail=options.fast_fail, optimizer=optimizer
+            prepared.plan,
+            cache_db,
+            fast_fail=options.fast_fail,
+            fewest_pending_first=options.optimizer == "cost",
         )
 
     def result_fields(self, policy: OrderedFastFail, outcome) -> Dict[str, object]:
@@ -338,13 +310,8 @@ class DistillationStrategy(KernelStrategy):
     supports_streaming = True
     charges_default_latency = True
 
-    def policy(self, prepared, options, cache_db, optimizer) -> EagerPlan:
-        return EagerPlan(
-            prepared.plan,
-            cache_db,
-            respect_ordering=options.respect_ordering,
-            optimizer=optimizer,
-        )
+    def policy(self, prepared, options, cache_db) -> EagerPlan:
+        return EagerPlan(prepared.plan, cache_db, respect_ordering=options.respect_ordering)
 
     def simulated_dispatcher(
         self, policy: PlanPolicy, default_latency, *wiring

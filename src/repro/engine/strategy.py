@@ -84,11 +84,19 @@ class ExecuteOptions:
         breaker: per-relation circuit-breaker configuration; an open
             breaker short-circuits accesses and excludes the relation from
             further offers until its cool-down elapses.
-        optimizer: ``"structural"`` (default) follows the paper's d-graph
-            ordering exactly; ``"cost"`` asks :mod:`repro.optimizer` for a
-            statistics-driven admissible access order (same answers, never
-            more source accesses) with adaptive mid-run re-planning when
-            observed cardinalities diverge from the estimates.
+        optimizer: which admissible access order the fast-failing
+            strategy takes when the ordering constraints leave a choice.
+            ``"structural"`` (default) follows the plan's positions — the
+            paper's static join-first linearization.  ``"cost"`` chooses
+            while running: at each phase boundary, the ready position
+            whose caches have the fewest pending bindings goes next, so a
+            cheap branch is populated — and tested for emptiness — before
+            an expensive sibling (see
+            :class:`repro.runtime.policy.OrderedFastFail`).  Answers never
+            depend on it; access counts differ only on queries whose
+            answer is empty.  ``naive`` and ``distillation`` have no phase
+            boundary: they accept both values and behave identically.
+            Any other value is an error.
     """
 
     fast_fail: bool = True
@@ -135,6 +143,15 @@ CONCURRENCY_MODES: Tuple[str, ...] = ("simulated", "async")
 def unknown_concurrency(mode: object) -> ExecutionError:
     """The error raised for a ``concurrency`` that is not one of the two modes."""
     return ExecutionError(f"unknown concurrency mode {mode!r}; use 'simulated' or 'async'")
+
+
+#: The values of :attr:`ExecuteOptions.optimizer`.
+OPTIMIZERS: Tuple[str, ...] = ("structural", "cost")
+
+
+def unknown_optimizer(optimizer: object) -> StrategyError:
+    """The error raised for an ``optimizer`` that is not one of the two orders."""
+    return StrategyError(f"unknown optimizer {optimizer!r}; use 'structural' or 'cost'")
 
 
 def async_unsupported(name: str, *, plan: object = None) -> StrategyError:

@@ -494,52 +494,49 @@ def chaos_example(width: int = 8, rays: int = 3, selectivity: float = 1.0) -> Ex
     )
 
 
-def adaptive_example(
-    width: int = 3, trap_fanout: int = 16, safe_fanout: int = 2
+def empty_branch_example(
+    width: int = 8, fanout: int = 16, empty_name: str = "zempty"
 ) -> Example:
-    """The adaptive-optimizer stress topology: misleading cold-start fanouts.
+    """A query with an empty answer and a choice of access order.
 
-    ``seed^oo(D0, Aux)`` emits ``width`` keys; two independent branches
-    expand them — ``lure^ioo`` with ``trap_fanout`` rows per key and
-    ``probe^ioo`` with ``safe_fanout`` — and ``gate^iio(T, S, Z)`` joins
-    one matching pair per key into the answer.  Cold, both branches price
-    identically, so a cost-based planner ties and picks ``lure`` first
-    (lexicographic tie-break); its observed fanout then contradicts the
-    cold default by a factor of ``trap_fanout / 4`` and the adaptive hook
-    must re-plan mid-run (``trap_fanout >= 12`` crosses the 3x divergence
-    threshold).  Structural and cost orders still perform the same access
-    set and compute the same answers — what changes is only what the run
-    *learns*.
+    ``seed^oo(D0, Aux)`` emits ``width`` keys that feed two independent
+    branches: an expensive one — ``big^ioo(D0, T, Aux)`` with ``fanout``
+    rows per key, each feeding one access to ``tail^io(T, Z)`` — and a
+    cheap one, ``<empty_name>^io(D0, E)``, which has no tuples at all.  The
+    answer is empty, and fast-failing can prove it after ``1 + width +
+    width`` accesses (seed, ``big``, the empty relation) — if the empty
+    relation is populated before ``tail``.  The ordering constraints allow
+    either order; the plan's static positions break the tie between
+    ``tail`` and the empty relation by name, so the default order makes
+    all ``width * fanout`` ``tail`` accesses first when the name sorts
+    after ``tail`` (``zempty``: 145 accesses) and none when it sorts
+    before (``aempty``: 17).  ``optimizer="cost"`` reads 17 either way.
     """
-    if width < 2:
-        raise ValueError("adaptive_example needs width >= 2 (divergence needs samples)")
-    if trap_fanout < 1 or safe_fanout < 1:
-        raise ValueError("adaptive_example needs positive fanouts")
+    if width < 1 or fanout < 1:
+        raise ValueError("empty_branch_example needs width >= 1 and fanout >= 1")
+    if not empty_name.isidentifier() or empty_name in ("seed", "big", "tail"):
+        raise ValueError(f"empty_branch_example cannot name a relation {empty_name!r}")
     schema = Schema.from_signatures(
         {
             "seed": ("oo", ["D0", "Aux"]),
-            "lure": ("ioo", ["D0", "T", "Aux"]),
-            "probe": ("ioo", ["D0", "S", "Aux"]),
-            "gate": ("iio", ["T", "S", "Z"]),
+            "big": ("ioo", ["D0", "T", "Aux"]),
+            "tail": ("io", ["T", "Z"]),
+            empty_name: ("io", ["D0", "E"]),
         }
     )
     instance = DatabaseInstance(schema)
-    expected = set()
     for i in range(width):
         instance.add_tuple("seed", (f"u{i}", f"sa{i}"))
-        for j in range(trap_fanout):
-            instance.add_tuple("lure", (f"u{i}", f"t{i}_{j}", f"la{i}_{j}"))
-        for k in range(safe_fanout):
-            instance.add_tuple("probe", (f"u{i}", f"s{i}_{k}", f"pa{i}_{k}"))
-        instance.add_tuple("gate", (f"t{i}_0", f"s{i}_0", f"z{i}"))
-        expected.add((f"z{i}",))
-    query_text = "q(Z) <- seed(X, A0), lure(X, T, A1), probe(X, S, A2), gate(T, S, Z)"
+        for j in range(fanout):
+            instance.add_tuple("big", (f"u{i}", f"t{i}_{j}", f"ba{i}_{j}"))
+            instance.add_tuple("tail", (f"t{i}_{j}", f"z{i}_{j}"))
+    query_text = f"q(Z) <- seed(X, A0), big(X, T, A1), tail(T, Z), {empty_name}(X, E)"
     return Example(
-        name=f"adaptive-{width}x{trap_fanout}/{safe_fanout}",
+        name=f"empty-branch-{width}x{fanout}-{empty_name}",
         schema=schema,
         instance=instance,
         query_text=query_text,
-        expected_answers=frozenset(expected),
+        expected_answers=frozenset(),
     )
 
 
@@ -553,7 +550,7 @@ SCENARIOS: Dict[str, Callable[..., Example]] = {
     "skewed-fanout": skewed_fanout_example,
     "cycle": cyclic_example,
     "chaos": chaos_example,
-    "adaptive": adaptive_example,
+    "empty-branch": empty_branch_example,
     "zipf-fanout": zipf_fanout_example,
     "deep-cycle": deep_cycle_example,
 }

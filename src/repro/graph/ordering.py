@@ -21,10 +21,13 @@ the fast-failing test fail early); this is implemented as a tie-break.
 
 :func:`ordering_constraints` exposes the constraint system itself — the
 condensation groups and their precedence DAG, in a canonical, hash-seed
-independent shape — so other consumers (notably the cost-based planner in
-:mod:`repro.optimizer`) can enumerate *admissible* access orders: every
-topological linearization of the condensation respects the access
-limitations, because each group's providers lie in its DAG predecessors.
+independent shape.  Every topological linearization of the condensation is
+an *admissible* access order: each group's providers lie in its DAG
+predecessors, so the access limitations are respected.
+:class:`SourceOrdering` keeps, next to the one linearization it chose, each
+position's predecessor positions, so a consumer that linearizes at run time
+(``optimizer="cost"``, :class:`repro.runtime.policy.OrderedFastFail`) reads
+the DAG from the plan instead of recomputing the condensation.
 """
 
 from __future__ import annotations
@@ -115,11 +118,16 @@ class SourceOrdering:
             sharing a position belong to a cyclic d-path).
         is_unique: True when the ordering constraints admit exactly one
             ordering — the condition under which a ∀-minimal plan exists.
+        predecessors: per position (``predecessors[position - 1]``), the
+            positions whose groups precede it in the condensation DAG.  A
+            sequence of positions is an admissible access order iff every
+            position comes after all of its predecessors.
     """
 
     positions: Dict[str, int]
     groups: Tuple[Tuple[str, ...], ...]
     is_unique: bool
+    predecessors: Tuple[Tuple[int, ...], ...] = ()
 
     @property
     def number_of_positions(self) -> int:
@@ -130,6 +138,9 @@ class SourceOrdering:
 
     def sources_at(self, position: int) -> Tuple[str, ...]:
         return self.groups[position - 1]
+
+    def predecessors_of(self, position: int) -> Tuple[int, ...]:
+        return self.predecessors[position - 1]
 
     @property
     def admits_forall_minimal_plan(self) -> bool:
@@ -251,7 +262,15 @@ def compute_ordering(
     for position, group in enumerate(ordered_groups, start=1):
         for source_id in group:
             positions[source_id] = position
+    before = constraints.predecessors()
+    predecessors = tuple(
+        tuple(sorted(positions[predecessor[0]] for predecessor in before[group]))
+        for group in ordered_groups
+    )
 
     return SourceOrdering(
-        positions=positions, groups=tuple(ordered_groups), is_unique=unique
+        positions=positions,
+        groups=tuple(ordered_groups),
+        is_unique=unique,
+        predecessors=predecessors,
     )

@@ -28,6 +28,7 @@ iteration order.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.plan.plan import CachePredicate, ProviderSpec, QueryPlan
@@ -60,6 +61,10 @@ class DeltaProduct:
         news = [len(stream) for stream in self._streams]
         self._consumed = news
         return self._emit(olds, news)
+
+    def pending(self) -> int:
+        """How many tuples the next :meth:`fresh` call would yield (consumes nothing)."""
+        return math.prod(len(stream) for stream in self._streams) - math.prod(self._consumed)
 
     def _emit(self, olds: List[int], news: List[int]) -> Iterator[Tuple[object, ...]]:
         streams = self._streams
@@ -187,6 +192,19 @@ class CacheBindingGenerator:
         for stream in self._streams:
             stream.pull()
         return self._product.fresh()
+
+    def pending(self) -> int:
+        """How many bindings :meth:`fresh_bindings` would yield now.
+
+        Pulls the provider streams (which :meth:`fresh_bindings` does
+        anyway) but consumes no binding and looks nothing up: bindings the
+        session meta-cache would serve count like any other.
+        """
+        if not self._streams:
+            return 0 if self._nullary_emitted else 1
+        for stream in self._streams:
+            stream.pull()
+        return self._product.pending()
 
 
 def initialize_plan_caches(

@@ -237,8 +237,6 @@ class KernelOutcome:
             have been reached and ``answers`` is a lower bound.
         retry_stats: the run's resilience accounting (attempts, retries,
             failures, breaker trips, refunds, backoff).
-        replans: adaptive re-planning events the policy's access optimizer
-            performed mid-run (0 without a cost-based optimizer).
         gate_served: dispatched accesses that the claim gate resolved from
             the cache store (another execution — or, with a persistent
             store, another process — had already performed them) instead of
@@ -256,7 +254,6 @@ class KernelOutcome:
     budget_exhausted: bool = False
     failed_relations: Tuple[str, ...] = ()
     retry_stats: RetryStats = field(default_factory=RetryStats)
-    replans: int = 0
     gate_served: int = 0
     peak_in_flight: int = 0
     #: Per-phase timings/counters of the run (see :mod:`repro.runtime.profile`).
@@ -508,7 +505,6 @@ class FixpointKernel:
             budget_exhausted=budget_exhausted,
             failed_relations=self.resilience.snapshot_failed_relations(),
             retry_stats=self.resilience.stats,
-            replans=getattr(self.policy, "optimizer_replans", 0),
             gate_served=gate_served,
             peak_in_flight=getattr(self.dispatcher, "peak_in_flight", 0),
             profile=profile,

@@ -37,7 +37,6 @@ from repro.runtime.kernel import AccessRequest, Completion
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.domains import AbstractDomain
     from repro.model.schema import RelationSchema, Schema
-    from repro.optimizer.planner import AccessOptimizer
     from repro.plan.plan import CachePredicate, QueryPlan
     from repro.query.conjunctive import ConjunctiveQuery
     from repro.sources.cache import CacheDatabase, MetaCache
@@ -144,30 +143,14 @@ class EagerAllRelations(SchedulingPolicy):
     too, so the baseline is reproduced exactly.  When the access budget
     runs dry the run raises — the Cartesian products can grow quickly in
     randomized experiments.
-
-    An ``optimizer``'s per-relation cost ranking orders the extraction
-    sweeps (cheap/high-yield relations first); the access *set* is
-    unchanged — the fixpoint enumerates every pool combination either way.
     """
 
     budget_action = "raise"
     dedup_accesses = False
 
-    def __init__(
-        self,
-        schema: "Schema",
-        query: "ConjunctiveQuery",
-        optimizer: Optional["AccessOptimizer"] = None,
-    ) -> None:
+    def __init__(self, schema: "Schema", query: "ConjunctiveQuery") -> None:
         self.schema = schema
         self.query = query
-        self.optimizer = optimizer
-        # An unordered policy cannot reorder phases, but it can dispatch
-        # cheap, productive sources first: a fixed cost-ranked relation
-        # iteration order.
-        self._relation_rank: Dict[str, object] = (
-            optimizer.relation_priority() if optimizer is not None else {}
-        )
         self.cache: Dict[str, Set[Row]] = {relation.name: set() for relation in schema}
         self.pool = _ValuePool()
         #: Delta passes that enumerated at least one fresh binding (the
@@ -193,13 +176,7 @@ class EagerAllRelations(SchedulingPolicy):
     def offer(self, emit: Emit) -> bool:
         emitted = False
         excluded = self.dispatcher.resilience.excluded
-        relations = list(self.schema)
-        if self._relation_rank:
-            default_rank = (float("inf"), 0.0)
-            relations.sort(
-                key=lambda r: (self._relation_rank.get(r.name, default_rank), r.name)
-            )
-        for relation in relations:
+        for relation in self.schema:
             if excluded(relation.name):
                 # Open breaker / dead source: leave the relation's delta
                 # unconsumed so a half-open recovery can resume it.
@@ -252,42 +229,18 @@ class PlanPolicy(SchedulingPolicy):
     serves meta-cache hits at offer time, absorbs completions into the
     cache tables, and evaluates the rewritten query over them.
 
-    When an :class:`~repro.optimizer.planner.AccessOptimizer` is attached,
-    the policy follows its (cost-based) access order instead of the plan's
-    structural positions, feeds it every observed completion, and exposes
-    its re-planning count to the kernel.  Any admissible order reaches the
-    same least fixpoint — the order decides *when* accesses run, never
-    *whether*.
+    Every admissible access order reaches the same least fixpoint: an
+    order decides *when* accesses run, never *whether* — except where a
+    fast-failing test between two phases ends the run early, which only
+    :class:`OrderedFastFail` has.
     """
 
-    def __init__(
-        self,
-        plan: "QueryPlan",
-        cache_db: "CacheDatabase",
-        optimizer: Optional["AccessOptimizer"] = None,
-    ) -> None:
+    def __init__(self, plan: "QueryPlan", cache_db: "CacheDatabase") -> None:
         self.plan = plan
         self.cache_db = cache_db
-        self.optimizer = optimizer
         self.generators: Dict[str, CacheBindingGenerator] = initialize_plan_caches(
             plan, cache_db
         )
-
-    @property
-    def optimizer_replans(self) -> int:
-        """Adaptive re-planning events this run (0 without an optimizer)."""
-        return self.optimizer.replans if self.optimizer is not None else 0
-
-    def _order_groups(self) -> List[List["CachePredicate"]]:
-        """The access order as cache groups: the optimizer's when present,
-        the plan's structural positions otherwise (same caches, same
-        iteration order as ``plan.caches_at`` — byte-identical offers)."""
-        if self.optimizer is not None:
-            return [
-                [self.plan.caches[name] for name in group]
-                for group in self.optimizer.order.groups
-            ]
-        return [self.plan.caches_at(position) for position in self.plan.positions()]
 
     def _offer_caches(self, caches: List["CachePredicate"], emit: Emit) -> bool:
         """Offer the fresh bindings of the given caches; True when a
@@ -324,8 +277,6 @@ class PlanPolicy(SchedulingPolicy):
 
     def absorb(self, completion: Completion) -> None:
         self.cache_db.cache(completion.request.target).add_all(completion.rows)
-        if self.optimizer is not None and completion.counted:
-            self.optimizer.note(completion.request.relation, len(completion.rows))
 
     def evaluate(self) -> FrozenSet[Row]:
         return self.plan.rewritten_query.evaluate(self.cache_db.contents())
@@ -367,12 +318,12 @@ class OrderedFastFail(PlanPolicy):
     the ordering of the sources of the optimized d-graph — one kernel phase
     per position:
 
-    * before populating the caches of position ``i``, the sub-query made
-      of the atoms whose caches are already fully populated (positions
-      ``< i``) is checked for satisfiability; if it fails, the answer is
-      certainly empty and the execution stops without making any further
-      access (``failed_at`` records the position; ``fast_fail=False``
-      skips the test);
+    * before populating the caches of the next position, the sub-query
+      made of the atoms whose caches are already fully populated is
+      checked for satisfiability; if it fails, the answer is certainly
+      empty and the execution stops without making any further access
+      (``failed_at`` records the phase, counted from 1;
+      ``fast_fail=False`` skips the test);
     * within a position, the cache rules are iterated to a fixpoint: an
       access is made only when all the domain providers of the cache
       supply a value for every input argument, and only if the same access
@@ -389,8 +340,24 @@ class OrderedFastFail(PlanPolicy):
     unchanged, so the access set is identical.  When the access budget
     runs dry the run raises.
 
-    An ``optimizer``'s cost-based access order replaces the plan's
-    structural positions (None: structural order).
+    **When several orderings are possible.**  The ordering constraints fix
+    the order only up to the topological linearizations of the
+    condensation DAG (a ∀-minimal plan exists iff there is exactly one),
+    and every linearization reaches the same fixpoint: the one thing the
+    choice changes is how early the test above fires on a query whose
+    answer is empty.  The paper's heuristic — sources involved in more
+    joins first — is static and is what the plan's positions encode
+    (``optimizer="structural"``, the default).  With
+    ``fewest_pending_first`` (``optimizer="cost"``) the linearization is
+    chosen while running instead: at each phase boundary, among the
+    positions whose predecessors are all populated, populate the one
+    whose caches have the fewest fresh bindings to offer — the exact
+    count the binding generators hold, not an estimate — ties broken by
+    plan position.  A cheap group is populated, and tested, before an
+    expensive sibling; if the cheap one comes back empty the expensive
+    one is never accessed.  The rule has no parameter and nothing to warm
+    up.  It is a greedy, so it can lose to the static order when that
+    happens to place the empty group first.
     """
 
     budget_action = "raise"
@@ -400,60 +367,59 @@ class OrderedFastFail(PlanPolicy):
         plan: "QueryPlan",
         cache_db: "CacheDatabase",
         fast_fail: bool = True,
-        optimizer: Optional["AccessOptimizer"] = None,
+        fewest_pending_first: bool = False,
     ) -> None:
-        super().__init__(plan, cache_db, optimizer=optimizer)
+        super().__init__(plan, cache_db)
         self.fast_fail = fast_fail
-        self._groups = self._order_groups()
-        # Reported positions: the plan's structural position values by
-        # default (back-compat for ``failed_at``), 1..k along a cost order.
-        self._position_labels = (
-            plan.positions()
-            if optimizer is None
-            else list(range(1, len(self._groups) + 1))
-        )
-        self._rebuild_ranks()
-        self._index = -1
-        self.failed_at: Optional[int] = None
-
-    def _rebuild_ranks(self) -> None:
-        self._rank: Dict[str, int] = {
-            cache.name: rank
-            for rank, group in enumerate(self._groups)
-            for cache in group
+        self.fewest_pending_first = fewest_pending_first
+        self._positions = plan.positions()
+        self._caches_at = {
+            position: plan.caches_at(position) for position in self._positions
         }
+        self._position_of = {cache.name: cache.position for cache in plan.caches.values()}
+        #: The position being populated, and those fully populated before it.
+        self._current: Optional[int] = None
+        self._populated: Set[int] = set()
+        self.failed_at: Optional[int] = None
 
     def begin(self) -> bool:
         return self.advance()
 
     def advance(self) -> bool:
-        self._index += 1
-        if (
-            self.optimizer is not None
-            and 0 < self._index < len(self._groups)
-            and self.optimizer.maybe_replan(
-                tuple(
-                    tuple(cache.name for cache in group)
-                    for group in self._groups[: self._index]
-                )
-            )
-        ):
-            # Observed cardinalities contradicted the estimates: the
-            # remaining phases were re-ranked (the executed prefix is
-            # preserved by construction).
-            self._groups = self._order_groups()
-            self._rebuild_ranks()
-        if self._index >= len(self._groups):
+        if self._current is not None:
+            self._populated.add(self._current)
+        if len(self._populated) == len(self._positions):
             return False
-        if self.fast_fail and not self._prefix_satisfiable(self._index):
-            self.failed_at = self._position_labels[self._index]
+        if self.fast_fail and not self._prefix_satisfiable():
+            self.failed_at = self._positions[len(self._populated)]
             return False
+        self._current = self._next_position()
         return True
+
+    def _next_position(self) -> int:
+        if not self.fewest_pending_first:
+            return self._positions[len(self._populated)]
+        predecessors_of = self.plan.ordering.predecessors_of
+        ready = [
+            position
+            for position in self._positions
+            if position not in self._populated
+            and self._populated.issuperset(predecessors_of(position))
+        ]
+        return min(ready, key=lambda position: (self._pending(position), position))
+
+    def _pending(self, position: int) -> int:
+        """Fresh bindings the caches of ``position`` would be offered now."""
+        return sum(
+            self.generators[cache.name].pending()
+            for cache in self._caches_at[position]
+            if not cache.is_artificial
+        )
 
     def offer(self, emit: Emit) -> bool:
         caches = [
             cache
-            for cache in self._groups[self._index]
+            for cache in self._caches_at[self._current]
             if not cache.is_artificial
         ]
         return self._offer_caches(caches, emit)
@@ -469,19 +435,18 @@ class OrderedFastFail(PlanPolicy):
             f"{self.dispatcher.budget.limit}"
         )
 
-    def _prefix_satisfiable(self, index: int) -> bool:
+    def _prefix_satisfiable(self) -> bool:
         """Early non-emptiness test over the already-populated caches.
 
         Evaluates the sub-conjunction of the rewritten query restricted to
-        the atoms whose cache was populated in a phase strictly before
-        ``index`` (along the active access order); if it is unsatisfiable,
-        the whole query is certainly empty.
+        the atoms whose cache was populated in an earlier phase; if it is
+        unsatisfiable, the whole query is certainly empty.
         """
-        prefix_atoms = []
-        for atom in self.plan.rewritten_query.body:
-            rank = self._rank.get(atom.predicate)
-            if rank is not None and rank < index:
-                prefix_atoms.append(atom)
+        prefix_atoms = [
+            atom
+            for atom in self.plan.rewritten_query.body
+            if self._position_of.get(atom.predicate) in self._populated
+        ]
         if not prefix_atoms:
             return True
         from repro.query.evaluate import conjunction_is_satisfiable
@@ -511,9 +476,7 @@ class EagerPlan(PlanPolicy):
 
     With ``respect_ordering``, accesses for a cache are only offered once
     every cache of a strictly smaller ordering position has drained; the
-    default offers as eagerly as possible, like the prototype.  An
-    ``optimizer``'s cost-based order ranks the offer sequence (and, with
-    ``respect_ordering``, the phases).
+    default offers as eagerly as possible, like the prototype.
     """
 
     budget_action = "stop"
@@ -523,51 +486,25 @@ class EagerPlan(PlanPolicy):
         plan: "QueryPlan",
         cache_db: "CacheDatabase",
         respect_ordering: bool = False,
-        optimizer: Optional["AccessOptimizer"] = None,
     ) -> None:
-        super().__init__(plan, cache_db, optimizer=optimizer)
+        super().__init__(plan, cache_db)
         self.respect_ordering = respect_ordering
-        self._refresh_order()
-
-    def _refresh_order(self) -> None:
-        """(Re)materialize the offer order and phase ranks from the
-        optimizer's current access order (structural when absent)."""
-        if self.optimizer is None:
-            self._offer_sequence = list(self.plan.caches.values())
-            self._cache_rank = {
-                cache.name: cache.position for cache in self.plan.caches.values()
-            }
-        else:
-            groups = self.optimizer.order.groups
-            self._offer_sequence = [
-                self.plan.caches[name] for group in groups for name in group
-            ]
-            self._cache_rank = {
-                name: rank for rank, group in enumerate(groups, start=1) for name in group
-            }
 
     def offer(self, emit: Emit) -> bool:
-        if self.optimizer is not None and self.optimizer.maybe_replan(()):
-            # Eager offers have no executed-prefix notion: a divergence
-            # re-ranks the whole dispatch order (the access *set* — the
-            # plan's least fixpoint — is order-independent).
-            self._refresh_order()
         caches = [
             cache
-            for cache in self._offer_sequence
+            for cache in self.plan.caches.values()
             if not cache.is_artificial and not self._held_back(cache)
         ]
         return self._offer_caches(caches, emit)
 
     def _held_back(self, cache: "CachePredicate") -> bool:
         """With ``respect_ordering``, a cache's accesses are only offered
-        once every cache of a strictly smaller phase (along the active
-        access order) has drained."""
+        once every cache of a strictly smaller position has drained."""
         if not self.respect_ordering:
             return False
-        rank = self._cache_rank[cache.name]
         for other in self.plan.caches.values():
-            if other.is_artificial or self._cache_rank[other.name] >= rank:
+            if other.is_artificial or other.position >= cache.position:
                 continue
             if self.dispatcher.relation_active(other.relation.name):
                 return True

@@ -36,6 +36,7 @@ from typing import Dict, Optional, Set
 
 from repro.engine import Engine
 from repro.engine.strategy import CONCURRENCY_MODES as _CONCURRENCY_MODES
+from repro.engine.strategy import OPTIMIZERS as _OPTIMIZERS
 from repro.exceptions import ReproError
 from repro.serve.admission import AdmissionController, Rejection
 from repro.serve.metrics import ServerMetrics
@@ -87,6 +88,11 @@ class QueryServer:
             raise ReproError(
                 f"serve concurrency must be one of {_CONCURRENCY_MODES}, "
                 f"got {self.config.concurrency!r}"
+            )
+        if self.config.optimizer not in _OPTIMIZERS:
+            raise ReproError(
+                f"serve optimizer must be one of {_OPTIMIZERS}, "
+                f"got {self.config.optimizer!r}"
             )
         self.metrics = ServerMetrics()
         self.admission = AdmissionController(
@@ -253,12 +259,15 @@ class QueryServer:
                 f"'concurrency' must be one of {_CONCURRENCY_MODES}, "
                 f"got {concurrency!r}"
             )
+        optimizer = payload.get("optimizer", self.config.optimizer)
+        if optimizer not in _OPTIMIZERS:
+            raise ReproError(f"'optimizer' must be one of {_OPTIMIZERS}, got {optimizer!r}")
         return {
             "query": text,
             # None means "the endpoint's default": config.strategy for
             # /query, distillation (the streaming strategy) for /query/stream.
             "strategy": payload.get("strategy"),
-            "optimizer": payload.get("optimizer", self.config.optimizer),
+            "optimizer": optimizer,
             "concurrency": concurrency,
             "include_timings": bool(payload.get("include_timings", False)),
         }

@@ -138,6 +138,21 @@ def test_removed_thread_pool_mode_is_rejected_by_argparse(capsys) -> None:
     assert "invalid choice: 'real'" in capsys.readouterr().err
 
 
+def test_run_empty_branch_under_both_access_orders(capsys) -> None:
+    accesses = {}
+    for optimizer in ("structural", "cost"):
+        argv = ["run", "--scenario", "empty-branch", "--optimizer", optimizer, "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["answers"] == [] and payload["complete"]
+        assert "optimizer" not in payload
+        accesses[optimizer] = payload["total_accesses"]
+    assert accesses == {"structural": 145, "cost": 17}
+    with pytest.raises(SystemExit):
+        main(["run", "--scenario", "empty-branch", "--optimizer", "voodoo"])
+    assert "invalid choice: 'voodoo'" in capsys.readouterr().err
+
+
 def test_unknown_scenario_is_a_clean_error(capsys) -> None:
     assert main(["run", "--scenario", "moebius"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

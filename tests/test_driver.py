@@ -5,8 +5,8 @@ driver in :mod:`repro.engine.strategies`; these tests pin what that driver
 owes every ``strategy × concurrency × entry point`` cell alike: the same
 answers and accesses, the ``last_*`` handles, a session that absorbs
 exactly what hit the sources — also when the run raises or the consumer
-walks away — one error for an unknown concurrency mode, and a sync-over-
-async bridge that refuses to run inside a running loop without leaking a
+walks away — one error for an unknown concurrency mode or optimizer, and a
+sync-over-async bridge that refuses to run inside a running loop without leaking a
 coroutine.
 """
 
@@ -21,7 +21,7 @@ import pytest
 
 from repro import Engine, ExecuteOptions
 from repro.examples import chaos_example, star_example
-from repro.exceptions import ExecutionError, ReproError
+from repro.exceptions import ExecutionError, ReproError, StrategyError
 from repro.runtime import KernelOutcome
 from repro.sources.wrapper import SourceRegistry
 
@@ -60,16 +60,17 @@ def _cells():
 def test_every_door_leads_to_the_same_execution(strategy, concurrency, entry) -> None:
     example = chaos_example(width=5, rays=2)
 
-    def run(concurrency: str, entry: str):
+    def run(concurrency: str, entry: str, optimizer: str):
         engine = Engine(example.schema, example.instance)
         prepared = engine.plan(example.query_text)
         result, rows = _enter(
-            prepared, entry, strategy=strategy, concurrency=concurrency, optimizer="cost"
+            prepared, entry, strategy=strategy, concurrency=concurrency, optimizer=optimizer
         )
         return engine, prepared, result, rows
 
-    _, _, reference, _ = run("simulated", "execute")
-    engine, prepared, result, rows = run(concurrency, entry)
+    # The answer is not empty, so the access order cannot matter either.
+    _, _, reference, _ = run("simulated", "execute", "structural")
+    engine, prepared, result, rows = run(concurrency, entry, "cost")
 
     assert result.answers == reference.answers == example.expected_answers
     assert result.total_accesses == reference.total_accesses > 0
@@ -82,7 +83,6 @@ def test_every_door_leads_to_the_same_execution(strategy, concurrency, entry) ->
     assert isinstance(result.raw, KernelOutcome)
     assert result.raw.answers == result.answers
     assert result.kernel_profile is result.raw.profile is prepared.last_kernel_profile
-    assert result.optimizer_report is prepared.last_optimizer_report is not None
     if rows is not None:
         assert set(rows) == result.answers and len(rows) == len(result.answers)
         assert prepared.last_stream_result is result
@@ -178,6 +178,32 @@ def test_unknown_concurrency_is_one_error_everywhere(mode, strategy, entry) -> N
     with pytest.raises(ExecutionError, match="unknown concurrency mode"):
         Engine(
             example.schema, example.instance, options=ExecuteOptions(concurrency=mode)
+        ).execute(example.query_text, strategy=strategy)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_unknown_optimizer_is_one_error_everywhere(strategy, entry) -> None:
+    # Same door, same rule: raised at the call site (a stream raises before
+    # its first ``next``), before the strategy's streaming support is asked.
+    example = star_example(rays=2, width=3)
+    engine = Engine(example.schema, example.instance)
+    prepared = engine.plan(example.query_text)
+    call = getattr(prepared, entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StrategyError) as raised:
+            outcome = call(strategy=strategy, optimizer="voodoo")
+            if entry == "aexecute":
+                asyncio.run(outcome)
+    assert str(raised.value).startswith(
+        "unknown optimizer 'voodoo'; use 'structural' or 'cost'"
+    )
+    assert raised.value.query is prepared.query
+    assert engine.session.executions == 0
+    with pytest.raises(StrategyError, match="unknown optimizer"):
+        Engine(
+            example.schema, example.instance, options=ExecuteOptions(optimizer="voodoo")
         ).execute(example.query_text, strategy=strategy)
 
 

@@ -26,13 +26,20 @@ per-relation latencies, then asserts:
 * serving over the HTTP front end (:mod:`repro.serve`) — sync and
   streaming, fault-free or with recoverable injected faults — returns
   payloads identical to in-process ``execute()`` for all three strategies
-  (the server is a transport, never a semantics).
+  (the server is a transport, never a semantics);
+* ``optimizer="cost"`` returns the structural order's answers, with the
+  structural order's access count wherever the answer is not empty; on a
+  second generated family whose answer *is* empty (one relation of the
+  query, chosen by the seed, has no tuples) both access orders return the
+  empty answer, never repeat an access, and fast-fail to a subset of the
+  accesses the same plan makes with the test switched off.
 
 The fixed-seed subset runs in CI; the full sweep is `pytest -m slow`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import tempfile
@@ -43,6 +50,8 @@ import pytest
 
 from repro import Engine
 from repro.examples import Example, make_scenario
+from repro.model.instance import DatabaseInstance
+from repro.query.parser import parse_query
 from repro.sources.resilience import BreakerConfig, FaultSchedule, RetryPolicy
 from repro.sources.wrapper import SourceRegistry
 
@@ -71,7 +80,7 @@ def generate_case(seed: int) -> Tuple[Example, Dict[str, float]]:
             "cycle",
             "wide-fanout",
             "chaos",
-            "adaptive",
+            "empty-branch",
         ]
     )
     if kind == "chain":
@@ -101,12 +110,12 @@ def generate_case(seed: int) -> Tuple[Example, Dict[str, float]]:
         example = make_scenario(kind, size=size, seeds=rng.randint(1, min(3, size)))
     elif kind == "wide-fanout":
         example = make_scenario(kind, width=rng.randint(1, 4), fanout=rng.randint(1, 5))
-    elif kind == "adaptive":
+    elif kind == "empty-branch":
         example = make_scenario(
             kind,
             width=rng.randint(2, 3),
-            trap_fanout=rng.choice([6, 12, 14]),
-            safe_fanout=rng.randint(1, 2),
+            fanout=rng.randint(1, 6),
+            empty_name=rng.choice(["aempty", "zempty"]),
         )
     else:
         example = make_scenario(
@@ -118,6 +127,47 @@ def generate_case(seed: int) -> Tuple[Example, Dict[str, float]]:
     latencies = {
         relation.name: rng.choice([0.0, 0.005, 0.01, 0.02])
         for relation in example.schema
+    }
+    return example, latencies
+
+
+def generate_empty_case(seed: int) -> Tuple[Example, Dict[str, float]]:
+    """One random scenario whose answer is empty: a relation of the query,
+    chosen by the seed, has no tuples — the hub (nothing can be accessed
+    after it), one ray or branch (its siblings are wasted work unless it
+    is populated first), or the last stage."""
+    rng = random.Random(seed * 4099 + 3)
+    kind = rng.choice(["star", "diamond", "chaos", "empty-branch"])
+    if kind == "star":
+        example = make_scenario(kind, rays=rng.randint(2, 4), width=rng.randint(1, 6))
+    elif kind == "diamond":
+        example = make_scenario(kind, width=rng.randint(1, 6))
+    elif kind == "chaos":
+        example = make_scenario(kind, width=rng.randint(1, 5), rays=rng.randint(2, 3))
+    else:
+        example = make_scenario(
+            kind,
+            width=rng.randint(1, 4),
+            fanout=rng.randint(1, 5),
+            empty_name=rng.choice(["aempty", "zempty"]),
+        )
+    victim = rng.choice(sorted({atom.predicate for atom in parse_query(example.query_text).body}))
+    instance = DatabaseInstance(
+        example.schema,
+        {
+            relation.schema.name: relation.as_set()
+            for relation in example.instance
+            if relation.schema.name != victim
+        },
+    )
+    example = dataclasses.replace(
+        example,
+        name=f"{example.name}-without-{victim}",
+        instance=instance,
+        expected_answers=frozenset(),
+    )
+    latencies = {
+        relation.name: rng.choice([0.0, 0.005, 0.01, 0.02]) for relation in example.schema
     }
     return example, latencies
 
@@ -192,7 +242,7 @@ def check_zero_fault_rate_is_identity(seed: int) -> None:
 
 
 def check_cost_optimizer_equivalence(seed: int) -> None:
-    """The cost-based order computes the same answers with no more accesses."""
+    """``optimizer="cost"``: same answers; same accesses unless the answer is empty."""
     example, latencies = generate_case(seed)
     for strategy in STRATEGIES:
         structural = _execute(example, _registry(example, latencies, "memory"), strategy)
@@ -202,15 +252,60 @@ def check_cost_optimizer_equivalence(seed: int) -> None:
             strategy,
             optimizer="cost",
         )
-        assert cost.answers == structural.answers, (
+        assert cost.answers == structural.answers == example.expected_answers, (
             f"seed {seed}: optimizer='cost' changed {strategy}'s answers on {example.name}"
         )
-        assert cost.total_accesses <= structural.total_accesses, (
-            f"seed {seed}: optimizer='cost' made {strategy} perform more accesses "
-            f"on {example.name}: {cost.total_accesses} > {structural.total_accesses}"
+        # Every admissible order reaches the same fixpoint; only a fast-fail
+        # test — which needs an empty answer to fire — can cut one short.
+        if example.expected_answers or strategy != "fast_fail":
+            assert cost.total_accesses == structural.total_accesses, (
+                f"seed {seed}: optimizer='cost' changed {strategy}'s access count "
+                f"on {example.name}: {cost.total_accesses} != {structural.total_accesses}"
+            )
+
+
+def check_empty_answer_orders(seed: int) -> None:
+    """On an empty answer, under either access order, fast-fail is sound.
+
+    What the paper guarantees, per order: the (empty) obtainable answer, no
+    access made twice, and an access set contained in the one the same
+    plan makes without the early test.  Deliberately *not* asserted:
+    ``cost <= structural`` — the rule is a greedy, and the static order
+    wins whenever it happens to place the empty group first.
+    """
+    example, latencies = generate_empty_case(seed)
+    assert not example.expected_answers
+    for optimizer in ("structural", "cost"):
+        runs = {
+            fast_fail: _execute(
+                example,
+                _registry(example, latencies, "memory"),
+                "fast_fail",
+                optimizer=optimizer,
+                fast_fail=fast_fail,
+            )
+            for fast_fail in (True, False)
+        }
+        for fast_fail, result in runs.items():
+            assert result.answers == frozenset() and result.complete, (
+                f"seed {seed}: {optimizer}/fast_fail={fast_fail} found answers "
+                f"on {example.name}"
+            )
+            accesses = [record.access for record in result.access_log]
+            assert len(accesses) == len(set(accesses)), (
+                f"seed {seed}: {optimizer}/fast_fail={fast_fail} repeated an "
+                f"access on {example.name}"
+            )
+        assert runs[False].failed_at_position is None
+        cut = {record.access for record in runs[True].access_log}
+        full = {record.access for record in runs[False].access_log}
+        assert cut <= full, (
+            f"seed {seed}: {optimizer} fast-failed into accesses the full run "
+            f"never makes on {example.name}: {sorted(cut - full)}"
         )
-        assert cost.optimizer_report is not None
-        assert structural.optimizer_report is None
+    for strategy in ("naive", "distillation"):
+        result = _execute(example, _registry(example, latencies, "memory"), strategy)
+        assert result.answers == frozenset()
 
 
 def check_sqlite_store_equivalence(seed: int) -> None:
@@ -494,6 +589,11 @@ def test_fuzz_cost_optimizer_equivalence(seed: int) -> None:
 
 
 @pytest.mark.parametrize("seed", CI_SEEDS)
+def test_fuzz_empty_answer_orders(seed: int) -> None:
+    check_empty_answer_orders(seed)
+
+
+@pytest.mark.parametrize("seed", CI_SEEDS)
 def test_fuzz_sqlite_store_equivalence(seed: int) -> None:
     check_sqlite_store_equivalence(seed)
 
@@ -525,6 +625,7 @@ def test_fuzz_full_sweep(seed: int) -> None:
     check_zero_fault_rate_is_identity(seed)
     check_faulty_runs_hold_the_completeness_contract(seed)
     check_cost_optimizer_equivalence(seed)
+    check_empty_answer_orders(seed)
     check_sqlite_store_equivalence(seed)
     check_async_dispatcher_equivalence(seed)
     check_async_http_equivalence(seed)

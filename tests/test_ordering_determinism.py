@@ -27,7 +27,7 @@ SCENARIO_SPECS = (
     ("star", {"rays": 3, "width": 2}),
     ("diamond", {"width": 2}),
     ("cycle", {"size": 4, "seeds": 1}),
-    ("adaptive", {"width": 2, "trap_fanout": 3, "safe_fanout": 2}),
+    ("empty-branch", {"width": 2, "fanout": 3}),
 )
 
 #: Run in a fresh interpreter: print, for every scenario, the ordering groups
@@ -52,6 +52,7 @@ for name, params in specs:
         "groups": [list(group) for group in ordering.groups],
         "positions": dict(sorted(ordering.positions.items())),
         "unique": ordering.is_unique,
+        "predecessors": [list(before) for before in ordering.predecessors],
         "dag": {{
             ",".join(group): [",".join(s) for s in successors]
             for group, successors in sorted(constraints.successors.items())
@@ -116,6 +117,13 @@ def test_computed_ordering_is_admissible(name: str, params: dict) -> None:
     assert constraints.is_admissible(ordering.groups)
     for source_id, position in ordering.positions.items():
         assert constraints.group_of(source_id) == ordering.groups[position - 1]
+    # The ordering keeps the DAG it linearized, as positions.
+    before = constraints.predecessors()
+    for position, group in enumerate(ordering.groups, start=1):
+        assert [ordering.groups[p - 1] for p in ordering.predecessors_of(position)] == sorted(
+            before[group], key=ordering.groups.index
+        )
+        assert all(p < position for p in ordering.predecessors_of(position))
 
 
 def test_inadmissible_sequences_are_rejected() -> None:

@@ -22,6 +22,7 @@ import pytest
 
 from repro import Engine
 from repro.examples import make_scenario, mixed_workload, running_example
+from repro.exceptions import ReproError
 from repro.serve import (
     AdmissionController,
     LatencyHistogram,
@@ -198,6 +199,24 @@ def test_stream_rejects_non_streaming_strategy_with_400() -> None:
             {"query": running_example().query_text, "strategy": "naive"},
         )
     assert items[0] == 400
+
+
+def test_unknown_optimizer_is_a_clean_400_on_both_endpoints() -> None:
+    # Regression: the optimizer used to be checked inside the running
+    # driver, so /query took an admission slot first and /query/stream had
+    # already written its 200 head when the error chunk followed.
+    query = running_example().query_text
+    with _example_handle() as handle:
+        status, body = _request(
+            handle.url, "POST", "/query", {"query": query, "optimizer": "voodoo"}
+        )
+        assert status == 400 and "'optimizer' must be one of" in body["error"]
+        items = _stream(handle.url, {"query": query, "optimizer": "voodoo"})
+        assert items[0] == 400 and len(items) == 2 and "voodoo" in items[1]["error"]
+        _, metrics = _request(handle.url, "GET", "/metrics")
+    assert metrics["server"]["peak_in_flight"] == 0
+    with pytest.raises(ReproError, match="serve optimizer must be one of"):
+        _example_handle(optimizer="voodoo")
 
 
 # -- admission control -------------------------------------------------------
