@@ -95,7 +95,6 @@ from repro.sources.resilience import (  # noqa: E402
     RetryPolicy,
 )
 from repro.sources.fixture_server import FixtureServer  # noqa: E402
-from repro.sources.store import CacheConfig  # noqa: E402
 from repro.sources.wrapper import SourceRegistry  # noqa: E402
 
 #: (length, width) of the generated chains, in growing total-tuple order.
@@ -629,31 +628,24 @@ def bench_optimizer() -> Dict[str, object]:
 
 
 def bench_cache_tier() -> Dict[str, object]:
-    """Cold vs warm runs over a persistent store, plus the result tier.
+    """Cold vs warm runs over a persistent store.
 
-    Three passes over the ``star+diamond`` mixed workload:
+    Two passes over the ``star+diamond`` mixed workload:
 
     * **cold**: a fresh engine on a fresh SQLite store — every access hits
       the sources; asserted equivalent (answers *and* access counts) to a
       plain in-memory run;
     * **warm**: a *restarted* engine on the same store file — asserted to
-      repeat zero source accesses while returning identical answers;
-    * **result tier**: repeated alpha-renamed queries with the result cache
-      on — the repeats are asserted to be served as result-cache hits, and
-      the per-query latency speedup is reported.
+      repeat zero source accesses while returning identical answers.
     """
     workload = mixed_workload(("star", "diamond"), repeat=2)
     texts = workload.query_texts()
     entry: Dict[str, object] = {"workload": workload.name}
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "cache_store.db")
-        with Engine(
-            workload.schema, workload.instance, cache=CacheConfig(store="sqlite", path=path)
-        ) as engine:
+        with Engine(workload.schema, workload.instance, cache=f"sqlite:{path}") as engine:
             cold = engine.run_workload(texts, strategy="fast_fail")
-        with Engine(
-            workload.schema, workload.instance, cache=CacheConfig(store="sqlite", path=path)
-        ) as engine:
+        with Engine(workload.schema, workload.instance, cache=f"sqlite:{path}") as engine:
             warm = engine.run_workload(texts, strategy="fast_fail")
         with Engine(workload.schema, workload.instance) as engine:
             memory = engine.run_workload(texts, strategy="fast_fail")
@@ -675,30 +667,6 @@ def bench_cache_tier() -> Dict[str, object]:
             "hit_rate": round(report.hit_rate, 4),
             "wall_seconds": round(report.wall_seconds, 4),
         }
-
-    renamed = mixed_workload(("star", "diamond"), repeat=2, rename_repeats=True)
-    half = len(renamed.queries) // 2
-    with Engine(
-        renamed.schema, renamed.instance, cache=CacheConfig(result_cache=True)
-    ) as engine:
-        first_wall = -time.perf_counter()
-        firsts = [engine.execute(text) for text in renamed.query_texts()[:half]]
-        first_wall += time.perf_counter()
-        repeat_wall = -time.perf_counter()
-        repeats = [engine.execute(text) for text in renamed.query_texts()[half:]]
-        repeat_wall += time.perf_counter()
-    assert all(not result.result_cache_hit for result in firsts)
-    assert all(result.result_cache_hit for result in repeats), (
-        "alpha-renamed repeats missed the result cache"
-    )
-    assert [r.answers for r in repeats] == [r.answers for r in firsts]
-    entry["result_cache"] = {
-        "queries": half,
-        "first_pass_seconds": round(first_wall, 4),
-        "repeat_pass_seconds": round(repeat_wall, 4),
-        "speedup": round(first_wall / repeat_wall, 1) if repeat_wall > 0 else None,
-        "repeat_hits": len(repeats),
-    }
     return entry
 
 
@@ -1201,13 +1169,11 @@ def main(argv: List[str] | None = None) -> int:
     cache_entry = bench_cache_tier()
     cold_run = cache_entry["cold"]  # type: ignore[index]
     warm_run = cache_entry["warm"]  # type: ignore[index]
-    result_run = cache_entry["result_cache"]  # type: ignore[index]
     print(
         f"cache tier on {cache_entry['workload']}: "
         f"cold {cold_run['accesses']} accesses at {cold_run['qps']} qps, "
         f"warm restart {warm_run['accesses']} accesses at {warm_run['qps']} qps "
-        f"(hit rate {warm_run['hit_rate']}); result cache repeat speedup "
-        f"{result_run['speedup']}x over {result_run['queries']} queries"
+        f"(hit rate {warm_run['hit_rate']})"
     )
 
     report = {

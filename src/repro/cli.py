@@ -23,7 +23,6 @@ concurrently over one engine session and reports throughput::
     python -m repro workload --mix star,chaos --repeat 2 --fail 0.3 --retries 3
     python -m repro workload --mix star,diamond --optimizer cost --json
     python -m repro workload --mix star,diamond --cache-store sqlite:/tmp/c.db --json
-    python -m repro run --example --result-cache --cache-max-entries 1000
     python -m repro serve-fixture --scenario star:rays=4 --latency 0.002
     python -m repro run --scenario star:rays=4 --backend http://127.0.0.1:8080 \
         --strategy distillation --concurrency async --max-in-flight 256
@@ -44,9 +43,9 @@ empty-branch``: 17 instead of 145).
 ``--cache-store sqlite:PATH`` makes the session's "never repeat an access"
 domain persistent: a re-run of the same command warm-starts from the prior
 run's accesses (watch ``total_accesses`` drop to zero), and concurrent
-processes sharing the file perform each access exactly once.  ``--cache-ttl``
-and ``--cache-max-entries`` bound the cache (evicted accesses are simply
-re-performed); ``--result-cache`` adds the query-result tier above it.
+processes sharing the file perform each access exactly once.  Nothing is
+ever evicted; a file written over a different source schema, or by a build
+with another on-disk layout, is refused before the first query.
 
 ``--fail`` wraps every backend in a deterministic, seeded
 :class:`~repro.sources.resilience.FlakyBackend`; ``--retries``/``--timeout``
@@ -79,7 +78,6 @@ from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.sources.backend import BACKEND_KINDS
 from repro.sources.resilience import DEFAULT_RETRY, FaultSchedule, RetryPolicy
-from repro.sources.store import CacheConfig
 from repro.sources.wrapper import SourceRegistry
 
 
@@ -192,45 +190,11 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         default="memory",
         help=(
-            "where the session's access cache lives: 'memory' (default, "
-            "process-local) or 'sqlite:PATH' (persistent; restarted runs "
-            "warm-start and concurrent processes share one access domain)"
+            "where the session's meta-caches keep the accesses already made: "
+            "'memory' (default, process-local) or 'sqlite:PATH' (persistent; "
+            "restarted runs warm-start and concurrent processes share one "
+            "access domain)"
         ),
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "expire cached accesses after SECONDS (default: never); an "
-            "expired access is simply re-performed on next need"
-        ),
-    )
-    parser.add_argument(
-        "--cache-max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound the cache to N access records with LRU eviction (default: unbounded)",
-    )
-    parser.add_argument(
-        "--result-cache",
-        action="store_true",
-        help=(
-            "enable the query-result cache tier: repeated (alpha-equivalent) "
-            "queries are answered without executing the plan"
-        ),
-    )
-
-
-def _cache_config(args: argparse.Namespace) -> CacheConfig:
-    """Translate the --cache-* flags into a CacheConfig."""
-    return CacheConfig.parse(
-        args.cache_store,
-        ttl=args.cache_ttl,
-        max_entries=args.cache_max_entries,
-        result_cache=args.result_cache,
     )
 
 
@@ -308,7 +272,7 @@ def _build_engine(args: argparse.Namespace) -> Tuple[Engine, str]:
     )
     if getattr(args, "fail", None):
         registry.inject_faults(parse_fail_spec(args.fail))
-    return Engine(schema, registry, cache=_cache_config(args)), query
+    return Engine(schema, registry, cache=args.cache_store), query
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -451,7 +415,7 @@ def _command_workload(args: argparse.Namespace) -> int:
     )
     if args.fail:
         registry.inject_faults(parse_fail_spec(args.fail))
-    with Engine(workload.schema, registry, cache=_cache_config(args)) as engine:
+    with Engine(workload.schema, registry, cache=args.cache_store) as engine:
         report = engine.run_workload(
             workload.query_texts(),
             strategy=args.strategy,
@@ -512,20 +476,12 @@ def _command_workload(args: argparse.Namespace) -> int:
             )
             cache = report.cache_stats
             if cache:
-                tier = (
+                print(
                     f"cache store {cache['store']}"
                     f"{' (persistent)' if cache['persistent'] else ''}: "
                     f"binding hit rate {cache['binding_hit_rate']:.1%}, "
-                    f"{cache['binding_entries']} records, "
-                    f"{cache['evictions']} evictions"
+                    f"{cache['binding_entries']} records"
                 )
-                if cache["result_cache"]:
-                    tier += (
-                        f"; result tier: {cache['result_hits']} hits "
-                        f"(rate {cache['result_hit_rate']:.1%}, "
-                        f"{cache['result_entries']} entries)"
-                    )
-                print(tier)
             if report.relation_stats:
                 print("per-relation statistics:")
                 for relation, stats in report.relation_stats.items():
@@ -582,7 +538,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         drain_timeout=args.drain_timeout,
         execute_overrides=_resilience_overrides(args),
     )
-    with Engine(workload.schema, registry, cache=_cache_config(args)) as engine:
+    with Engine(workload.schema, registry, cache=args.cache_store) as engine:
         try:
             asyncio.run(serve_forever(engine, config))
         except KeyboardInterrupt:

@@ -43,10 +43,10 @@ from repro.runtime.profile import KernelProfile
 from repro.sources.backend import BackendLike
 from repro.sources.cache import CacheDatabase, MetaCache
 from repro.sources.log import AccessLog
-from repro.sources.store import CacheConfig, CacheStore, MemoryCacheStore, build_store
+from repro.sources.store import CacheStore, MemoryCacheStore, build_store
 from repro.sources.wrapper import SourceRegistry
 
-CacheLike = Union[None, str, CacheConfig, CacheStore]
+CacheLike = Union[None, str, CacheStore]
 
 
 class EngineSession:
@@ -73,11 +73,11 @@ class EngineSession:
             queries.  Observability only — ``stats()["relations"]``, the
             server's ``/metrics``, ``WorkloadReport.relation_stats`` —
             nothing plans with them.
-        store: the :class:`~repro.sources.store.CacheStore` backing the
-            meta-caches' records and the query-result tier.  The default is
-            an unbounded in-memory store (the historical behaviour); a
-            persistent store makes the session warm-start from prior
-            processes, and TTL/LRU knobs bound its growth.
+        store: the :class:`~repro.sources.store.CacheStore` holding the
+            meta-caches' records and claims.  The default is an in-memory
+            store; a persistent store makes the session warm-start from
+            prior processes.  Nothing is evicted: a store miss means the
+            access was never performed in the store's domain.
         kernel_profile: cumulative per-phase kernel profile over every
             execution absorbed so far (see
             :class:`~repro.runtime.profile.KernelProfile`); surfaced as
@@ -197,9 +197,9 @@ class WorkloadReport:
         relation_stats: the session's per-relation statistics after the run
             (rows per access, fanout by binding arity, empty rate, average
             latency, meta hits).
-        cache_stats: cache-tier accounting of the run — store kind and
-            persistence, binding-tier hit rate, result-tier hits and hit
-            rate, evictions during the run, and entry gauges after it.
+        cache_stats: cache-store accounting of the run — store kind and
+            persistence, meta-cache hits and hit rate during the run, and
+            the number of recorded accesses after it.
     """
 
     results: List[Result]
@@ -251,10 +251,9 @@ class Engine:
         join_first_heuristic: tie-break source orderings by join count.
         options: default :class:`~repro.engine.strategy.ExecuteOptions` for
             executions started from this engine.
-        cache: the cache-store tier — ``None`` (default in-memory store,
-            historical behaviour), a spec string (``"memory"`` or
-            ``"sqlite:PATH"``), a :class:`~repro.sources.store.CacheConfig`
-            (TTL, entry bounds, result cache), or a ready
+        cache: where the session's meta-caches keep their records —
+            ``None`` (an in-memory store), a spec string (``"memory"`` or
+            ``"sqlite:PATH"``), or a ready
             :class:`~repro.sources.store.CacheStore` instance.  A
             persistent store warm-starts the session from prior processes
             and is fingerprint-checked against this engine's sources.
@@ -291,9 +290,7 @@ class Engine:
                 self.schema, minimize=minimize, join_first_heuristic=join_first_heuristic
             )
         )
-        self.cache_config, store = CacheConfig.coerce(cache)
-        if store is None:
-            store = build_store(self.cache_config)
+        store = build_store(cache)
         # A persistent store must have been built over these same sources:
         # serving rows recorded for a different schema would be silent
         # corruption, so the store is bound to a schema fingerprint.
@@ -541,39 +538,28 @@ class Engine:
         wall = time.perf_counter() - started
         return self._workload_report(results, wall, before, peak, max_parallel)
 
-    def _workload_before(self) -> Tuple[int, int, Dict[str, object]]:
-        return (
-            self.session.log.total_accesses,
-            self.session.meta_hits,
-            self.session.store.stats(),
-        )
+    def _workload_before(self) -> Tuple[int, int]:
+        return self.session.log.total_accesses, self.session.meta_hits
 
     def _workload_report(
         self,
         results: List[Result],
         wall: float,
-        before: Tuple[int, int, Dict[str, object]],
+        before: Tuple[int, int],
         peak: int,
         max_parallel: int,
     ) -> WorkloadReport:
-        accesses_before, hits_before, store_before = before
-        store = self.session.store
+        accesses_before, hits_before = before
         accesses = self.session.log.total_accesses - accesses_before
         hits = self.session.meta_hits - hits_before
         served = accesses + hits
-        store_after = store.stats()
-        result_hits = sum(1 for result in results if result.result_cache_hit)
+        store_after = self.session.store.stats()
         cache_stats: Dict[str, object] = {
             "store": store_after["kind"],
             "persistent": store_after["persistent"],
             "binding_hits": hits,
             "binding_hit_rate": round((hits / served) if served else 0.0, 4),
             "binding_entries": store_after["binding_entries"],
-            "evictions": int(store_after["evictions"]) - int(store_before["evictions"]),
-            "result_cache": store.result_cache,
-            "result_hits": result_hits,
-            "result_hit_rate": round(result_hits / len(results), 4) if results else 0.0,
-            "result_entries": store_after["result_entries"],
         }
         return WorkloadReport(
             results=results,

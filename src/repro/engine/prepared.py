@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AsyncIterator, Iterator, Optional, Tuple
 
 from repro.datalog.program import DatalogProgram
 from repro.engine.explain import Explanation, build_explanation
-from repro.engine.result import Result, Termination
+from repro.engine.result import Result
 from repro.engine.strategy import (
     CONCURRENCY_MODES,
     ExecuteOptions,
@@ -24,7 +23,6 @@ from repro.engine.strategy import (
 from repro.exceptions import ReproError
 from repro.plan.plan import QueryPlan
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.minimize import canonical_form
 from repro.runtime.kernel import StreamedAnswer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,44 +56,11 @@ class PreparedPlan:
     #: the kernel produced an outcome).  Servers streaming answers over a
     #: wire read it to append an honest completeness trailer.
     last_stream_result: Optional[Result] = None
-    #: Lazily computed canonical key for the query-result cache tier.
-    _result_key: Optional[str] = None
 
     # -- execution -----------------------------------------------------------
     def _options(self, options: Optional[ExecuteOptions], overrides: dict) -> ExecuteOptions:
         base = options if options is not None else self.engine.default_options
         return base.override(**overrides) if overrides else base
-
-    def result_key(self) -> str:
-        """The canonical-form key of this query in the result-cache tier.
-
-        Alpha-equivalent queries (same core up to variable renaming and
-        body reordering) share one key, so a repeat of a previously
-        completed query is answered without executing the plan.
-        """
-        if self._result_key is None:
-            self._result_key = canonical_form(self.query)
-        return self._result_key
-
-    def _cached_result(
-        self, strategy_name: str, answers: frozenset, elapsed: float = 0.0
-    ) -> Result:
-        """Shape a result-tier hit as a regular, complete :class:`Result`.
-
-        Zero accesses and an empty per-source breakdown: nothing executed.
-        Only *complete* results are ever recorded in the tier, so serving
-        them as ``COMPLETED`` preserves the honest-completeness contract.
-        """
-        return Result(
-            strategy=strategy_name,
-            answers=answers,
-            termination=Termination.COMPLETED,
-            total_accesses=0,
-            per_source=(),
-            elapsed_seconds=elapsed,
-            simulated_latency=0.0,
-            result_cache_hit=True,
-        )
 
     def _resolve(
         self,
@@ -126,26 +91,6 @@ class PreparedPlan:
             raise error.with_context(query=self.query, plan=self.plan)
         return resolved, opts
 
-    def _lookup_result(self, strategy_name: str) -> Optional[Result]:
-        """A result-tier hit for this query, shaped as a result (else None)."""
-        store = self.engine.session.store
-        if not (store.result_cache and self.plan.answerable):
-            return None
-        started = time.perf_counter()
-        cached = store.lookup_result(self.result_key())
-        if cached is None:
-            return None
-        return self._cached_result(strategy_name, cached, time.perf_counter() - started)
-
-    def _record_result(self, result: Result) -> Result:
-        """Feed the result tier.  Only complete answers are cacheable: a
-        budget-cut or failure-degraded lower bound must never be served as
-        the answer to a later, healthy run."""
-        store = self.engine.session.store
-        if store.result_cache and self.plan.answerable and result.complete:
-            store.record_result(self.result_key(), result.answers)
-        return result
-
     def execute(
         self,
         strategy: StrategyLike = "fast_fail",
@@ -168,10 +113,7 @@ class PreparedPlan:
         """
         resolved, opts = self._resolve(strategy, options, overrides)
         try:
-            cached = self._lookup_result(resolved.name)
-            if cached is not None:
-                return cached
-            return self._record_result(resolved.run(self, opts))
+            return resolved.run(self, opts)
         except ReproError as error:
             raise error.with_context(query=self.query, plan=self.plan)
 
@@ -185,15 +127,11 @@ class PreparedPlan:
 
         With ``concurrency="async"`` the strategy's accesses run as asyncio
         tasks; the simulated mode is stepped inline by the kernel's async
-        driver, so every strategy/mode combination is awaitable.  Shares
-        the result-cache tier with the sync path.
+        driver, so every strategy/mode combination is awaitable.
         """
         resolved, opts = self._resolve(strategy, options, overrides, awaited=True)
         try:
-            cached = self._lookup_result(resolved.name)
-            if cached is not None:
-                return cached
-            return self._record_result(await resolved.arun(self, opts))
+            return await resolved.arun(self, opts)
         except ReproError as error:
             raise error.with_context(query=self.query, plan=self.plan)
 

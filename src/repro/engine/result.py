@@ -81,15 +81,10 @@ class Result:
         access_log: the ordered record of this execution's accesses.
         raw: the run's :class:`~repro.runtime.kernel.KernelOutcome`, for
             callers that need the full detail (answer times, sequential
-            time and ``parallel_speedup``, peak in-flight accesses); None
-            for result-cache hits.
-        result_cache_hit: True when the answers were served whole from the
-            engine's query-result cache tier (no plan executed, zero
-            accesses); see :mod:`repro.sources.store`.
+            time and ``parallel_speedup``, peak in-flight accesses).
         kernel_profile: per-phase timings/counters of the runtime kernel
             that produced the result (offer / dispatch / absorb /
-            answer-check); None for result-cache hits, which execute no
-            kernel.  See :class:`repro.runtime.profile.KernelProfile`.
+            answer-check).  See :class:`repro.runtime.profile.KernelProfile`.
     """
 
     strategy: str
@@ -105,7 +100,6 @@ class Result:
     retry_stats: RetryStats = field(default_factory=RetryStats)
     access_log: AccessLog = field(default_factory=AccessLog, repr=False)
     raw: object = field(default=None, repr=False)
-    result_cache_hit: bool = False
     kernel_profile: object = field(default=None, repr=False)
 
     # -- inspection ----------------------------------------------------------
@@ -189,7 +183,6 @@ class Result:
             "complete": self.complete,
             "failed_relations": list(self.failed_relations),
             "retry_stats": self.retry_stats.to_dict(),
-            "result_cache_hit": self.result_cache_hit,
         }
         if include_timings:
             payload["elapsed_seconds"] = self.elapsed_seconds
@@ -211,8 +204,6 @@ class Result:
             f"sim. latency : {self.simulated_latency:.4f}",
             f"wall clock   : {self.elapsed_seconds:.4f}s",
         ]
-        if self.result_cache_hit:
-            lines.append("result cache : hit (answers served without execution)")
         if self.time_to_first_answer is not None:
             lines.append(f"first answer : {self.time_to_first_answer:.4f}")
         if self.failed_at_position is not None:

@@ -589,7 +589,6 @@ class MixedWorkload:
 def mixed_workload(
     mix: Tuple[str, ...] = ("star", "diamond", "chain"),
     repeat: int = 2,
-    rename_repeats: bool = False,
 ) -> MixedWorkload:
     """Build a mixed multi-scenario workload for concurrent execution.
 
@@ -599,10 +598,6 @@ def mixed_workload(
         repeat: how many times each scenario's query appears in the stream;
             repeats after the first are answerable entirely from a
             session's meta-caches.
-        rename_repeats: alpha-rename the variables of every repeat after
-            the first, so repeats are equivalent but not textually
-            identical — the workload then exercises the result-cache
-            tier's canonicalized keys rather than string equality.
     """
     if repeat < 1:
         raise ReproError("mixed_workload needs repeat >= 1")
@@ -642,18 +637,7 @@ def mixed_workload(
     instance = DatabaseInstance(schema)
     for name, rows in merged_tuples:
         instance.add_tuples(name, rows)
-    rounds: list[WorkloadQuery] = []
-    for round_index in range(repeat):
-        for query in per_scenario:
-            if rename_repeats and round_index > 0:
-                renamed = parse_query(query.text).rename_apart(f"_r{round_index}")
-                query = WorkloadQuery(
-                    text=str(renamed),
-                    expected_answers=query.expected_answers,
-                    scenario=query.scenario,
-                )
-            rounds.append(query)
-    queries = tuple(rounds)
+    queries = tuple(per_scenario) * repeat
     return MixedWorkload(
         name="+".join(mix) + f"-x{repeat}",
         schema=schema,

@@ -1,11 +1,10 @@
-"""Conjunctive queries, unions of conjunctive queries and related algorithms.
+"""Conjunctive queries and related algorithms.
 
 The package provides:
 
 * terms (:class:`~repro.query.terms.Variable`,
   :class:`~repro.query.terms.Constant`) and atoms;
-* :class:`~repro.query.conjunctive.ConjunctiveQuery` and
-  :class:`~repro.query.ucq.UnionOfConjunctiveQueries`;
+* :class:`~repro.query.conjunctive.ConjunctiveQuery`;
 * a small textual parser (:func:`~repro.query.parser.parse_query`);
 * homomorphisms, containment and Chandra–Merlin minimization;
 * the constant-elimination preprocessing step of Section III of the paper;
@@ -17,11 +16,10 @@ from repro.query.classify import is_connection_query
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.homomorphism import find_homomorphism, is_contained_in, is_equivalent_to
 from repro.query.minimize import minimize_query
-from repro.query.parser import parse_atom, parse_query, parse_ucq
+from repro.query.parser import parse_atom, parse_query
 from repro.query.preprocess import PreprocessedQuery, eliminate_constants
 from repro.query.substitution import Substitution
 from repro.query.terms import Constant, Term, Variable
-from repro.query.ucq import UnionOfConjunctiveQueries
 
 __all__ = [
     "Atom",
@@ -30,7 +28,6 @@ __all__ = [
     "PreprocessedQuery",
     "Substitution",
     "Term",
-    "UnionOfConjunctiveQueries",
     "Variable",
     "eliminate_constants",
     "find_homomorphism",
@@ -40,5 +37,4 @@ __all__ = [
     "minimize_query",
     "parse_atom",
     "parse_query",
-    "parse_ucq",
 ]

@@ -12,8 +12,6 @@ The accepted syntax follows Datalog conventions::
 * bare identifiers starting with a lower-case letter are string constants;
 * ``<-`` and ``:-`` both separate head and body (only outside quotes, so a
   quoted constant may contain either); atoms are comma-separated.
-
-UCQs are written one disjunct per line (or separated by ``;``).
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.exceptions import ParseError
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.terms import Constant, Term, Variable
-from repro.query.ucq import UnionOfConjunctiveQueries
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)\s*\(")
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
@@ -193,14 +190,3 @@ def parse_query(text: str) -> ConjunctiveQuery:
     body_atoms = tuple(parse_atom(atom_text, fresh) for atom_text in _split_atoms(body_text))
     return ConjunctiveQuery(head_atom.predicate, head_atom.terms, body_atoms)
 
-
-def parse_ucq(text: str) -> UnionOfConjunctiveQueries:
-    """Parse a UCQ written as one CQ per line (or separated by ``;``)."""
-    pieces: List[str] = []
-    for line in re.split(r"[;\n]", text):
-        line = line.strip()
-        if line:
-            pieces.append(line)
-    if not pieces:
-        raise ParseError("empty UCQ")
-    return UnionOfConjunctiveQueries(tuple(parse_query(piece) for piece in pieces))

@@ -31,6 +31,13 @@ fulfils the claim and then reads the rows for free.  All cache mutation
 stays with the kernel — access tasks only claim, read backends, and
 fulfil.
 
+The backlogs the dispatchers keep between an offer and its read are the
+paper's Figure 5 *access tables*: the access tuples that are ready to be
+shipped to a wrapper.  An entry is one request per cache occurrence, not
+one per relation, because two caches over one relation may legitimately
+dispatch the same binding — the meta-cache gate, not the table, is what
+keeps the source from seeing it twice.
+
 Every backend read runs through the kernel's
 :class:`~repro.sources.resilience.ResilienceContext`, which owns retries,
 timeouts and per-relation circuit breakers.  An access that permanently
@@ -178,14 +185,12 @@ class Dispatcher(abc.ABC):
         waiters are never stranded on a dead claimant: they re-contend and
         may retry the access themselves.
 
-        The meta-cache resolves the claim against the session's pluggable
-        cache store (:mod:`repro.sources.store`): with a persistent store
-        the "recorded" check spans prior processes (warm start) and the
-        claim gate spans concurrent ones, so every dispatcher honours
-        one shared "never repeat an access" domain without knowing which
-        store backs it.  A bounded store may have *evicted* a binding, in
-        which case the claim is simply owned again and the access re-runs —
-        see :class:`~repro.runtime.kernel.AccessBudget` for the accounting.
+        The meta-cache resolves the claim against the session's cache
+        store (:mod:`repro.sources.store`): with a persistent store the
+        "recorded" check spans prior processes (warm start) and the claim
+        gate spans concurrent ones, so every dispatcher honours one shared
+        "never repeat an access" domain without knowing which store backs
+        it.
 
         Returns the :class:`AccessOutcome`, or ``None`` when the budget
         denied the access.  A failed outcome's grant is refunded here.

@@ -177,12 +177,6 @@ class AccessBudget:
     gate-served batch slot, or an access that permanently failed — so
     ``total_granted - refunded`` always equals the number of accesses
     recorded against the sources.
-
-    The budget deliberately has no memory of *which* bindings were granted:
-    when a bounded cache store evicts a binding record, a later execution
-    that re-performs the access asks for (and consumes) a fresh grant, so a
-    re-performed access is priced as a genuine new access — eviction trades
-    accesses for space, it never corrupts the accounting.
     """
 
     def __init__(self, limit: Optional[int]) -> None:

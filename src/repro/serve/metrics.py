@@ -129,7 +129,6 @@ class ServerMetrics:
         self.results = {
             "completed": 0,
             "degraded": 0,
-            "result_cache_hits": 0,
             "total_accesses": 0,
             "answers": 0,
         }
@@ -175,8 +174,6 @@ class ServerMetrics:
                 self.results["completed"] += 1
             else:
                 self.results["degraded"] += 1
-            if result.result_cache_hit:
-                self.results["result_cache_hits"] += 1
             self.results["total_accesses"] += result.total_accesses
             self.results["answers"] += len(result.answers)
             stats = result.retry_stats

@@ -14,7 +14,7 @@ This package models the data-extraction half of Figure 5 of the paper:
 * :class:`~repro.sources.log.AccessLog` — global record of the accesses
   performed during an execution;
 * :class:`~repro.sources.cache.CacheDatabase` — the cache tables (one per
-  plan cache predicate), the per-relation meta-caches and the access tables.
+  plan cache predicate) and the per-relation meta-caches.
 """
 
 from repro.sources.access import AccessRecord, AccessTuple
@@ -26,7 +26,7 @@ from repro.sources.backend import (
     SQLiteBackend,
     build_backend,
 )
-from repro.sources.cache import AccessTable, CacheDatabase, CacheTable, MetaCache
+from repro.sources.cache import CacheDatabase, CacheTable, MetaCache
 from repro.sources.log import AccessLog
 from repro.sources.resilience import (
     BreakerConfig,
@@ -50,7 +50,6 @@ from repro.sources.wrapper import SourceRegistry, SourceWrapper
 __all__ = [
     "AccessLog",
     "AccessRecord",
-    "AccessTable",
     "AccessTuple",
     "BACKEND_KINDS",
     "BreakerConfig",

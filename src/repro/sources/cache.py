@@ -1,4 +1,4 @@
-"""The cache database: cache tables, meta-caches and access tables.
+"""The cache database: cache tables and meta-caches.
 
 Toorjah's data-extraction layer (Figure 5 of the paper) keeps three kinds of
 auxiliary structures:
@@ -6,21 +6,20 @@ auxiliary structures:
 * **cache tables** — one physical table per cache predicate of the plan (one
   cache per occurrence of a relation in the query, plus one per relevant
   relation not occurring in the query), holding the tuples extracted so far;
-* **meta-caches** — one per relation, defined as the union of all the caches
-  over that relation; before accessing a relation, the executor consults the
-  meta-cache to check whether the access tuple was already used (possibly by
-  another occurrence), in which case the extraction is read from the cache
-  instead of hitting the source again;
-* **access tables** — one per relation with limitations, storing the access
-  tuples that are ready to be shipped to the corresponding wrapper (used by
-  the distillation scheduler).
+* **meta-caches** — one per relation; before accessing a relation, the
+  executor consults the meta-cache to check whether the access tuple was
+  already used (possibly by another occurrence), in which case the
+  extraction is read from the cache instead of hitting the source again;
+* **access tables** — the access tuples that are ready to be shipped to a
+  wrapper.  These are the dispatchers' backlogs and live in
+  :mod:`repro.runtime.dispatch`, not here.
 
-Every structure here is *append-only* and indexed for the executors' hot
-paths: cache tables maintain per-position value indexes (set + insertion
-log), so reading the distinct values at an argument position — the operation
-behind every domain-provider evaluation — is O(1) instead of a scan over all
-rows, and the logs let the executors consume only the values that appeared
-since their last visit (delta-driven binding generation, see
+Cache tables are *append-only* and indexed for the executors' hot paths:
+they maintain per-position value indexes (set + insertion log), so reading
+the distinct values at an argument position — the operation behind every
+domain-provider evaluation — is O(1) instead of a scan over all rows, and
+the logs let the executors consume only the values that appeared since
+their last visit (delta-driven binding generation, see
 :mod:`repro.plan.bindings`).
 """
 
@@ -28,9 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import (
-    Deque,
     Dict,
     FrozenSet,
     Iterable,
@@ -43,15 +40,13 @@ from typing import (
 )
 
 from repro.model.schema import RelationSchema
-from repro.sources.access import AccessTuple
-from repro.sources.store import (
-    CacheStore,
-    ClaimStatus,
-    MemoryCacheStore,
-    RelationRecords,
-)
+from repro.sources.store import CacheStore, ClaimStatus, MemoryCacheStore
 
 Row = Tuple[object, ...]
+
+#: Seconds between polls while a blocking claim waits out another
+#: *process*'s claim (a local owner is waited for on a condition variable).
+_CLAIM_POLL_INTERVAL = 0.01
 
 
 class CacheTable:
@@ -195,12 +190,6 @@ class MetaCache:
     repeated access (possibly issued on behalf of a different occurrence of
     the relation) can be answered locally at no cost.
 
-    The union of all extracted rows is maintained incrementally on
-    :meth:`record`, so :meth:`all_rows` is O(1) amortized instead of a union
-    over every recorded access.  The union is append-only: re-recording a
-    binding never removes rows from it (sources are assumed immutable within
-    a session, so a repeated access returns the same rows anyway).
-
     Meta-caches are shared between the concurrent executions of an engine
     session, so every method is thread-safe, and the *claim* protocol
     extends the "never repeat an access" invariant across threads: a
@@ -210,77 +199,90 @@ class MetaCache:
     read the rows for free.  An owner never holds a claim while waiting on
     another, so claim chains always resolve.
 
-    The binding→rows records themselves live in a pluggable
-    :class:`~repro.sources.store.RelationRecords` handle (see
-    :mod:`repro.sources.store`): the default in-memory handle reproduces the
-    historical dictionary exactly, while a persistent handle makes the
-    "never repeat an access" domain survive restarts and extends the claim
-    protocol across processes.  Because a bounded store may *evict* records,
-    a lookup miss no longer implies the access was never performed — it only
-    means it must be (re-)performed, which the claim gate then arbitrates.
-    The row union stays in-process and append-only regardless of the store.
+    The binding→rows records themselves live in a
+    :class:`~repro.sources.store.CacheStore` (see :mod:`repro.sources.store`),
+    addressed by this relation's name: the meta-cache is the in-process
+    claim gate and hit counter over that store and nothing else.  A
+    persistent store makes the "never repeat an access" domain survive
+    restarts and extends the claim protocol across processes.  Nothing is
+    ever evicted, so a lookup miss means the access was never performed in
+    the store's domain.
     """
 
     def __init__(
-        self,
-        relation: RelationSchema,
-        records: Optional[RelationRecords] = None,
-        claim_poll_interval: float = 0.01,
+        self, relation: RelationSchema, store: Optional[CacheStore] = None
     ) -> None:
-        self.relation = relation
-        if records is None:
-            records = MemoryCacheStore().records(relation)
-        self._records = records
-        self._claim_poll_interval = claim_poll_interval
-        self._union: Set[Row] = set()
-        self._union_view: Optional[FrozenSet[Row]] = None
+        self._store = store if store is not None else MemoryCacheStore()
+        self._name = relation.name
         self._inflight: Set[Tuple[object, ...]] = set()
         self._cond = threading.Condition()
         #: Accesses answered locally instead of hitting the source (offer
         #: passes and claim hits alike); feeds the session hit-rate stats.
         self.hits = 0
 
-    def _absorb_union(self, rows: FrozenSet[Row]) -> None:
-        """Fold served rows into the union (no-op when already absorbed).
-
-        Must be called with the condition held.  Needed because a persistent
-        store can serve rows recorded by an earlier process, which never
-        passed through this instance's :meth:`record`.
-        """
-        if not rows <= self._union:
-            self._union.update(rows)
-            self._union_view = None
-
-    def has_access(self, binding: Tuple[object, ...]) -> bool:
-        with self._cond:
-            return self._records.contains(tuple(binding))
-
     def record(self, binding: Tuple[object, ...], rows: FrozenSet[Row]) -> None:
         """Record one performed access, fulfilling any claim on its binding."""
-        rows = frozenset(rows)
         binding = tuple(binding)
         # The store write also releases any cross-process claim, so remote
         # waiters see the rows no later than local ones.
-        self._records.put(binding, rows)
+        self._store.put(self._name, binding, frozenset(rows))
         with self._cond:
-            self._absorb_union(rows)
             if binding in self._inflight:
                 self._inflight.discard(binding)
                 self._cond.notify_all()
 
-    def rows_for(self, binding: Tuple[object, ...]) -> FrozenSet[Row]:
-        with self._cond:
-            rows = self._records.get(tuple(binding), touch=False)
-            return rows if rows is not None else frozenset()
-
     def lookup(self, binding: Tuple[object, ...]) -> Optional[FrozenSet[Row]]:
         """The recorded rows for a binding, or None — counting a hit."""
         with self._cond:
-            rows = self._records.get(tuple(binding))
+            rows = self._store.get(self._name, tuple(binding))
             if rows is not None:
                 self.hits += 1
-                self._absorb_union(rows)
             return rows
+
+    def _claim(
+        self, binding: Tuple[object, ...], wait: bool
+    ) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
+        """The claim protocol, written once; ``wait`` only adds the waiting.
+
+        In-process contention is settled on the condition variable first;
+        the surviving owner then contends with other *processes* through
+        the store's claim table (trivially won for the in-memory store).
+        With ``wait`` a local owner is waited for on the condition — the
+        recorded/in-flight check and the wait happen under it, so a
+        fulfilment cannot slip between them — and a remote one is polled;
+        without, either conflict returns ``WAIT`` at once.
+        """
+        with self._cond:
+            while True:
+                rows = self._store.get(self._name, binding)
+                if rows is not None:
+                    self.hits += 1
+                    return ClaimStatus.SERVED, rows
+                if binding not in self._inflight:
+                    self._inflight.add(binding)
+                    break
+                if not wait:
+                    return ClaimStatus.WAIT, None
+                self._cond.wait()
+        # This caller owns the access in-process; win it across processes
+        # too.  The store is asked outside the condition so local record()
+        # and abandon() calls for other bindings are never blocked.
+        while True:
+            status, rows = self._store.claim(self._name, binding)
+            if status is ClaimStatus.OWNED:
+                return status, None
+            if status is ClaimStatus.SERVED or not wait:
+                break
+            time.sleep(_CLAIM_POLL_INTERVAL)
+        # Recorded, or still claimed, by another process: release the
+        # in-process marker so local contenders (including this caller's
+        # retry) can re-contend.
+        with self._cond:
+            if status is ClaimStatus.SERVED:
+                self.hits += 1
+            self._inflight.discard(binding)
+            self._cond.notify_all()
+        return status, rows
 
     def claim(self, binding: Tuple[object, ...]) -> Optional[FrozenSet[Row]]:
         """Atomically take ownership of one access, or be served its rows.
@@ -289,38 +291,8 @@ class MetaCache:
         :meth:`record` with the retrieved rows, or :meth:`abandon` on
         failure); returns the rows when the binding is already recorded —
         possibly after waiting out another execution's in-flight access.
-        In-process contention is settled on the condition variable first;
-        the surviving owner then contends with other *processes* through
-        the store's claim table (trivially won for the in-memory store).
         """
-        binding = tuple(binding)
-        with self._cond:
-            while True:
-                rows = self._records.get(binding)
-                if rows is not None:
-                    self.hits += 1
-                    self._absorb_union(rows)
-                    return rows
-                if binding not in self._inflight:
-                    self._inflight.add(binding)
-                    break
-                self._cond.wait()
-        # This thread owns the access in-process; win it across processes
-        # too.  Polling happens outside the condition so local record() and
-        # abandon() calls for other bindings are never blocked.
-        while True:
-            status, rows = self._records.claim(binding)
-            if status is ClaimStatus.OWNED:
-                return None
-            if status is ClaimStatus.SERVED:
-                served = rows if rows is not None else frozenset()
-                with self._cond:
-                    self.hits += 1
-                    self._absorb_union(served)
-                    self._inflight.discard(binding)
-                    self._cond.notify_all()
-                return served
-            time.sleep(self._claim_poll_interval)
+        return self._claim(tuple(binding), wait=True)[1]
 
     def try_claim(
         self, binding: Tuple[object, ...]
@@ -335,103 +307,22 @@ class MetaCache:
         ``(WAIT, None)`` when another coroutine/thread/process holds the
         claim and the caller should retry after a pause.
         """
-        binding = tuple(binding)
-        with self._cond:
-            rows = self._records.get(binding)
-            if rows is not None:
-                self.hits += 1
-                self._absorb_union(rows)
-                return ClaimStatus.SERVED, rows
-            if binding in self._inflight:
-                return ClaimStatus.WAIT, None
-            self._inflight.add(binding)
-        status, rows = self._records.claim(binding)
-        if status is ClaimStatus.OWNED:
-            return ClaimStatus.OWNED, None
-        if status is ClaimStatus.SERVED:
-            served = rows if rows is not None else frozenset()
-            with self._cond:
-                self.hits += 1
-                self._absorb_union(served)
-                self._inflight.discard(binding)
-                self._cond.notify_all()
-            return ClaimStatus.SERVED, served
-        # Another *process* owns the claim: release the in-process marker so
-        # local contenders (including this caller's retry) can re-contend.
-        with self._cond:
-            self._inflight.discard(binding)
-            self._cond.notify_all()
-        return ClaimStatus.WAIT, None
+        return self._claim(tuple(binding), wait=False)
 
     def abandon(self, binding: Tuple[object, ...]) -> None:
         """Give up an owned claim (the access failed); waiters re-contend."""
         binding = tuple(binding)
-        self._records.release(binding)
+        self._store.release(self._name, binding)
         with self._cond:
             self._inflight.discard(binding)
             self._cond.notify_all()
 
-    def bindings(self) -> FrozenSet[Tuple[object, ...]]:
-        with self._cond:
-            return self._records.bindings()
-
-    def all_rows(self) -> FrozenSet[Row]:
-        """Union of all rows extracted from the relation so far."""
-        with self._cond:
-            if self._union_view is None:
-                self._union_view = frozenset(self._union)
-            return self._union_view
-
     def __len__(self) -> int:
         with self._cond:
-            return len(self._records)
+            return self._store.count(self._name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MetaCache({self.relation.name!r}, {len(self)} accesses)"
-
-
-class AccessTable:
-    """Pending access tuples for one relation with limitations.
-
-    The paper's Figure 5 structure: access tuples generated from the cache
-    database wait here before being shipped to the relation's wrapper.  The
-    built-in dispatchers (:mod:`repro.runtime.dispatch`) keep their
-    backlogs per *cache occurrence* rather than per relation (two caches
-    over one relation may legitimately dispatch the same binding), so this
-    per-relation table is the dedup-by-relation variant offered to external
-    schedulers via :meth:`CacheDatabase.access_table`.  Offers are O(1): a
-    seen-set rejects duplicates (whether still pending or already
-    delivered) and the pending backlog is a deque, so :meth:`take` pops
-    from the front without shifting the rest.
-    """
-
-    def __init__(self, relation: RelationSchema) -> None:
-        self.relation = relation
-        self.pending: Deque[AccessTuple] = deque()
-        self.delivered: Set[AccessTuple] = set()
-        self._seen: Set[AccessTuple] = set()
-
-    def offer(self, access: AccessTuple) -> bool:
-        """Add an access tuple unless it was already offered or delivered."""
-        if access in self._seen:
-            return False
-        self._seen.add(access)
-        self.pending.append(access)
-        return True
-
-    def take(self) -> Optional[AccessTuple]:
-        """Remove and return the next pending access tuple, if any."""
-        if not self.pending:
-            return None
-        access = self.pending.popleft()
-        self.delivered.add(access)
-        return access
-
-    def __len__(self) -> int:
-        return len(self.pending)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AccessTable({self.relation.name!r}, {len(self)} pending)"
+        return f"MetaCache({self._name!r}, {len(self)} accesses)"
 
 
 class CacheDatabase:
@@ -446,9 +337,9 @@ class CacheDatabase:
     is guarded by ``meta_lock`` (the session's lock), so concurrent
     executions agree on one :class:`MetaCache` object per relation.
 
-    ``store`` selects where the meta-caches' records live (see
+    ``store`` is where the meta-caches' records live (see
     :mod:`repro.sources.store`); when omitted, each meta-cache gets a
-    private unbounded in-memory handle — the historical behaviour.
+    private in-memory store.
     """
 
     def __init__(
@@ -461,7 +352,6 @@ class CacheDatabase:
         self._meta: Dict[str, MetaCache] = shared_meta if shared_meta is not None else {}
         self._meta_lock = meta_lock if meta_lock is not None else threading.Lock()
         self._store = store
-        self._access_tables: Dict[str, AccessTable] = {}
 
     # -- cache tables ------------------------------------------------------------
     def create_cache(self, name: str, relation: RelationSchema, position: int = 0) -> CacheTable:
@@ -478,14 +368,6 @@ class CacheDatabase:
     def caches(self) -> List[CacheTable]:
         return list(self._caches.values())
 
-    def caches_at_position(self, position: int) -> List[CacheTable]:
-        return [cache for cache in self._caches.values() if cache.position == position]
-
-    def caches_of_relation(self, relation_name: str) -> List[CacheTable]:
-        return [
-            cache for cache in self._caches.values() if cache.relation.name == relation_name
-        ]
-
     # -- meta-caches ----------------------------------------------------------------
     def meta_cache(self, relation: RelationSchema) -> MetaCache:
         meta = self._meta.get(relation.name)
@@ -493,36 +375,13 @@ class CacheDatabase:
             with self._meta_lock:
                 meta = self._meta.get(relation.name)
                 if meta is None:
-                    if self._store is not None:
-                        meta = MetaCache(
-                            relation,
-                            records=self._store.records(relation),
-                            claim_poll_interval=getattr(
-                                self._store, "claim_poll_interval", 0.01
-                            ),
-                        )
-                    else:
-                        meta = MetaCache(relation)
-                    self._meta[relation.name] = meta
+                    meta = self._meta[relation.name] = MetaCache(relation, self._store)
         return meta
-
-    def meta_caches(self) -> Dict[str, MetaCache]:
-        return dict(self._meta)
-
-    # -- access tables ----------------------------------------------------------------
-    def access_table(self, relation: RelationSchema) -> AccessTable:
-        if relation.name not in self._access_tables:
-            self._access_tables[relation.name] = AccessTable(relation)
-        return self._access_tables[relation.name]
 
     # -- views ---------------------------------------------------------------------------
     def contents(self) -> Dict[str, FrozenSet[Row]]:
         """Snapshot ``{cache_name: rows}`` used to evaluate queries over the caches."""
         return {name: cache.rows() for name, cache in self._caches.items()}
-
-    def extracted_rows_by_relation(self) -> Dict[str, FrozenSet[Row]]:
-        """Distinct rows extracted per source relation (via the meta-caches)."""
-        return {name: meta.all_rows() for name, meta in self._meta.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheDatabase({len(self._caches)} caches, {len(self._meta)} meta-caches)"

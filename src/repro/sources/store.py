@@ -1,40 +1,24 @@
-"""Pluggable cache stores: where the "never repeat an access" domain lives.
+"""Cache stores: where the "never repeat an access" domain lives.
 
-The paper's central invariant — an access tuple is shipped to a source at
-most once — is enforced by the per-relation meta-caches of
-:mod:`repro.sources.cache`.  Historically those meta-caches were plain
-in-process dictionaries: they died with the process (a restarted engine
-re-paid every access) and grew without bound.  This module extracts the
-storage behind them into a :class:`CacheStore` interface with two tiers:
-
-* the **binding tier** — ``(relation, binding) → rows`` records plus the
-  cross-execution *claim* table that makes concurrent executions (and, for
-  the persistent store, concurrent *processes*) agree on a single owner per
-  access;
-* the **result tier** — ``canonical query shape → answers``, letting a
-  repeated (alpha-equivalent) query skip the fixpoint entirely.  See
-  :func:`repro.query.minimize.canonical_form`.
+Section IV of the paper needs one thing from its cache layer: a
+per-relation meta-cache that remembers which access tuples were already
+used, and what the source returned, so that no access is ever shipped
+twice.  :class:`~repro.sources.cache.MetaCache` is that structure; a
+:class:`CacheStore` is the place its ``(relation, binding) -> rows`` records
+are kept, plus the *claim* table that makes concurrent executions (and, for
+the persistent store, concurrent *processes*) agree on a single owner per
+access.  There is one tier and nothing is ever evicted: a store miss
+*means* "this access was never performed in this domain".
 
 Two implementations are provided:
 
-* :class:`MemoryCacheStore` — the default.  With the default knobs
-  (no TTL, no entry bound) it behaves byte-identically to the historical
-  dictionaries; optional TTL / LRU bounds turn it into a size-capped cache.
+* :class:`MemoryCacheStore` — the default: one dictionary per relation.
 * :class:`SQLiteCacheStore` — a persistent store (SQLite in WAL mode).  A
   restarted engine warm-starts from every access recorded by its
   predecessors, and N processes pointed at one database file share a single
-  access domain: the claim table extends the PR-4 claim/abandon protocol
-  across processes, with *stale-claimant takeover* so a crashed owner never
-  wedges the others.
-
-Eviction semantics (both stores): evicting a binding record is **not** a
-correctness bug — it merely forgets that the access was performed, so a
-later execution re-performs it.  The claim gate then hands ownership to a
-new claimant, the access is re-counted by :class:`~repro.runtime.kernel.
-AccessBudget` as a genuine new access, and the recorded rows re-enter the
-store.  Claims themselves are never evicted (only fulfilled, abandoned, or
-taken over when stale), and the meta-caches' in-process row *union* remains
-append-only, so already-derived answers are never retracted.
+  access domain: the claim table extends the in-process claim/abandon
+  protocol across processes, with *stale-claimant takeover* so a crashed
+  owner never wedges the others.
 """
 
 from __future__ import annotations
@@ -46,13 +30,11 @@ import threading
 import time
 import uuid
 from abc import ABC, abstractmethod
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.exceptions import EngineError
-from repro.model.schema import RelationSchema
 
 Row = Tuple[object, ...]
 Binding = Tuple[object, ...]
@@ -79,136 +61,41 @@ class ClaimStatus(Enum):
     WAIT = "wait"
 
 
-@dataclass(frozen=True)
-class CacheConfig:
-    """Declarative configuration of an engine's cache-store tier.
-
-    ``store`` selects the backing implementation (``"memory"`` or
-    ``"sqlite"``, the latter requiring ``path``).  ``ttl`` and
-    ``max_entries`` bound the binding *and* result tiers (``None`` means
-    unbounded — the default, which preserves the historical behaviour
-    exactly).  ``result_cache`` switches on the query-result tier; it is
-    off by default because a result-tier hit answers a query with zero
-    accesses, which changes access counts relative to a cold engine.
-    """
-
-    store: str = "memory"
-    path: Optional[str] = None
-    ttl: Optional[float] = None
-    max_entries: Optional[int] = None
-    result_cache: bool = False
-    #: Seconds after which another process's unfulfilled claim may be
-    #: taken over (the claimant is presumed dead).
-    stale_claim_after: float = 10.0
-    #: Seconds between polls while waiting out another process's claim.
-    claim_poll_interval: float = 0.01
-
-    @classmethod
-    def parse(cls, spec: str, **overrides: object) -> "CacheConfig":
-        """Build a config from a CLI-style spec: ``memory`` or ``sqlite:PATH``."""
-        spec = spec.strip()
-        if spec == "memory":
-            config = cls()
-        elif spec.startswith("sqlite:"):
-            path = spec[len("sqlite:") :]
-            if not path:
-                raise CacheStoreError("sqlite cache store needs a path: sqlite:PATH")
-            config = cls(store="sqlite", path=path)
-        elif spec == "sqlite":
-            raise CacheStoreError("sqlite cache store needs a path: sqlite:PATH")
-        else:
-            raise CacheStoreError(
-                f"unknown cache store {spec!r}; use 'memory' or 'sqlite:PATH'"
-            )
-        return replace(config, **overrides) if overrides else config
-
-    @classmethod
-    def coerce(
-        cls, value: Union[None, str, "CacheConfig", "CacheStore"]
-    ) -> Tuple["CacheConfig", Optional["CacheStore"]]:
-        """Normalize the ``Engine(cache=...)`` argument.
-
-        Accepts ``None`` (defaults), a spec string, a :class:`CacheConfig`,
-        or a ready :class:`CacheStore` instance (returned as the second
-        element so the engine can adopt it as-is).
-        """
-        if value is None:
-            return cls(), None
-        if isinstance(value, CacheStore):
-            return cls(store=value.kind, result_cache=value.result_cache), value
-        if isinstance(value, str):
-            return cls.parse(value), None
-        if isinstance(value, CacheConfig):
-            return value, None
-        raise CacheStoreError(
-            f"cache must be None, a spec string, a CacheConfig or a CacheStore, "
-            f"not {type(value).__name__}"
-        )
-
-
-class RelationRecords(ABC):
-    """Per-relation handle onto a store's binding tier.
-
-    One instance backs one :class:`~repro.sources.cache.MetaCache`; all
-    methods must be safe to call concurrently (the store serializes
-    internally).
-    """
-
-    @abstractmethod
-    def get(self, binding: Binding, touch: bool = True) -> Optional[FrozenSet[Row]]:
-        """The recorded rows for a binding, or None.
-
-        ``touch`` marks the entry as recently used (LRU) and counts a
-        store-level hit; pass False for pure inspection.
-        """
-
-    @abstractmethod
-    def contains(self, binding: Binding) -> bool:
-        """Whether the binding is recorded (no hit counted, no LRU touch)."""
-
-    @abstractmethod
-    def put(self, binding: Binding, rows: FrozenSet[Row]) -> None:
-        """Record one performed access, releasing any claim on the binding."""
-
-    @abstractmethod
-    def claim(self, binding: Binding) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
-        """Ask for cross-process ownership of one access (see :class:`ClaimStatus`)."""
-
-    @abstractmethod
-    def release(self, binding: Binding) -> None:
-        """Give up an owned claim without recording (the access failed)."""
-
-    @abstractmethod
-    def bindings(self) -> FrozenSet[Binding]:
-        """All recorded bindings."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of recorded bindings."""
-
-
 class CacheStore(ABC):
-    """Two-tier cache storage shared by all executions of an engine session."""
+    """Record and claim storage shared by all executions of an engine session.
+
+    Every method takes the relation's name and the access's binding (a
+    tuple) and must be safe to call concurrently; the store serializes
+    internally.
+    """
 
     #: Store flavour, e.g. ``"memory"`` or ``"sqlite"``.
     kind: str = "abstract"
     #: Whether records survive the process (drives warm-start stats wiring).
     persistent: bool = False
-    #: Whether the query-result tier is enabled.
-    result_cache: bool = False
 
     @abstractmethod
-    def records(self, relation: RelationSchema) -> RelationRecords:
-        """The binding-tier handle for one relation."""
-
-    # -- result tier -------------------------------------------------------
-    @abstractmethod
-    def lookup_result(self, key: str) -> Optional[FrozenSet[Row]]:
-        """Cached answers for a canonical query key, or None."""
+    def get(self, relation: str, binding: Binding) -> Optional[FrozenSet[Row]]:
+        """The recorded rows of one access (counting a store hit), or None
+        when the access was never performed in this domain."""
 
     @abstractmethod
-    def record_result(self, key: str, answers: FrozenSet[Row]) -> None:
-        """Cache the complete answers of one query under its canonical key."""
+    def put(self, relation: str, binding: Binding, rows: FrozenSet[Row]) -> None:
+        """Record one performed access, releasing any claim on the binding."""
+
+    @abstractmethod
+    def claim(
+        self, relation: str, binding: Binding
+    ) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
+        """Ask for cross-process ownership of one access (see :class:`ClaimStatus`)."""
+
+    @abstractmethod
+    def release(self, relation: str, binding: Binding) -> None:
+        """Give up an owned claim without recording (the access failed)."""
+
+    @abstractmethod
+    def count(self, relation: str) -> int:
+        """Number of recorded accesses of one relation."""
 
     # -- persistence hooks -------------------------------------------------
     def persisted_hit_counters(self) -> Dict[str, int]:
@@ -221,18 +108,14 @@ class CacheStore(ABC):
     # -- bookkeeping -------------------------------------------------------
     @abstractmethod
     def stats(self) -> Dict[str, object]:
-        """Monotone (per-process) counters plus entry gauges, for reports."""
+        """Monotone (per-process) counters plus the entry gauge, for reports."""
 
     @abstractmethod
     def clear(self) -> None:
-        """Drop every record, claim and cached result."""
+        """Drop every record and claim."""
 
     def close(self) -> None:
         """Release external resources (idempotent)."""
-
-
-def _expired(stamp: float, ttl: Optional[float], now: float) -> bool:
-    return ttl is not None and now - stamp > ttl
 
 
 @dataclass
@@ -241,197 +124,60 @@ class StoreCounters:
 
     binding_hits: int = 0
     accesses_recorded: int = 0
-    evictions: int = 0
-    result_hits: int = 0
-    result_lookups: int = 0
-    result_evictions: int = 0
     claim_takeovers: int = 0
 
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "binding_hits": self.binding_hits,
-            "accesses_recorded": self.accesses_recorded,
-            "evictions": self.evictions,
-            "result_hits": self.result_hits,
-            "result_lookups": self.result_lookups,
-            "result_evictions": self.result_evictions,
-            "claim_takeovers": self.claim_takeovers,
-        }
 
+class MemoryCacheStore(CacheStore):
+    """The in-process store: one plain dictionary per relation, one lock."""
 
-class _MemoryRecords(RelationRecords):
-    """Binding-tier handle of :class:`MemoryCacheStore` for one relation."""
+    kind = "memory"
+    persistent = False
 
-    def __init__(self, store: "MemoryCacheStore", relation_name: str) -> None:
-        self._store = store
-        self._relation = relation_name
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._records: Dict[str, Dict[Binding, FrozenSet[Row]]] = {}
+        self.counters = StoreCounters()
 
-    def get(self, binding: Binding, touch: bool = True) -> Optional[FrozenSet[Row]]:
-        return self._store._get(self._relation, tuple(binding), touch)
+    def get(self, relation: str, binding: Binding) -> Optional[FrozenSet[Row]]:
+        with self._lock:
+            records = self._records.get(relation)
+            rows = records.get(binding) if records is not None else None
+            if rows is not None:
+                self.counters.binding_hits += 1
+            return rows
 
-    def contains(self, binding: Binding) -> bool:
-        return self._store._contains(self._relation, tuple(binding))
+    def put(self, relation: str, binding: Binding, rows: FrozenSet[Row]) -> None:
+        with self._lock:
+            self._records.setdefault(relation, {})[binding] = rows
+            self.counters.accesses_recorded += 1
 
-    def put(self, binding: Binding, rows: FrozenSet[Row]) -> None:
-        self._store._put(self._relation, tuple(binding), frozenset(rows))
-
-    def claim(self, binding: Binding) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
+    def claim(
+        self, relation: str, binding: Binding
+    ) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
         # Intra-process contention is resolved by the MetaCache's condition
         # variable before the store is consulted, and a memory store is never
         # shared across processes: the caller always owns the access.
         return ClaimStatus.OWNED, None
 
-    def release(self, binding: Binding) -> None:
+    def release(self, relation: str, binding: Binding) -> None:
         pass  # nothing persisted for an unrecorded claim
 
-    def bindings(self) -> FrozenSet[Binding]:
-        return self._store._bindings(self._relation)
-
-    def __len__(self) -> int:
-        return self._store._count(self._relation)
-
-
-class MemoryCacheStore(CacheStore):
-    """The in-process store: one ordered map per tier, optional TTL/LRU.
-
-    With the default knobs (``ttl=None``, ``max_entries=None``) every
-    operation degenerates to a plain dictionary read/write — byte-identical
-    to the historical ``MetaCache`` internals.  ``max_entries`` bounds the
-    *binding* tier store-wide with LRU eviction (and the result tier
-    separately, with the same bound); ``ttl`` expires entries lazily on
-    lookup.  ``clock`` is injectable for deterministic TTL tests.
-    """
-
-    kind = "memory"
-    persistent = False
-
-    def __init__(
-        self,
-        ttl: Optional[float] = None,
-        max_entries: Optional[int] = None,
-        result_cache: bool = False,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.ttl = ttl
-        self.max_entries = max_entries
-        self.result_cache = result_cache
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._bounded = ttl is not None or max_entries is not None
-        self._records: "OrderedDict[Tuple[str, Binding], Tuple[FrozenSet[Row], float]]"
-        self._records = OrderedDict()
-        self._results: "OrderedDict[str, Tuple[FrozenSet[Row], float]]" = OrderedDict()
-        self.counters = StoreCounters()
-
-    @classmethod
-    def from_config(cls, config: CacheConfig) -> "MemoryCacheStore":
-        return cls(
-            ttl=config.ttl,
-            max_entries=config.max_entries,
-            result_cache=config.result_cache,
-        )
-
-    def records(self, relation: RelationSchema) -> RelationRecords:
-        return _MemoryRecords(self, relation.name)
-
-    # -- binding tier ------------------------------------------------------
-    def _get(
-        self, relation: str, binding: Binding, touch: bool
-    ) -> Optional[FrozenSet[Row]]:
-        key = (relation, binding)
+    def count(self, relation: str) -> int:
         with self._lock:
-            entry = self._records.get(key)
-            if entry is None:
-                return None
-            rows, stamp = entry
-            if self._bounded and _expired(stamp, self.ttl, self._clock()):
-                del self._records[key]
-                self.counters.evictions += 1
-                return None
-            if touch:
-                self.counters.binding_hits += 1
-                if self.max_entries is not None:
-                    self._records.move_to_end(key)
-            return rows
+            return len(self._records.get(relation, ()))
 
-    def _contains(self, relation: str, binding: Binding) -> bool:
-        key = (relation, binding)
-        with self._lock:
-            entry = self._records.get(key)
-            if entry is None:
-                return False
-            if self._bounded and _expired(entry[1], self.ttl, self._clock()):
-                del self._records[key]
-                self.counters.evictions += 1
-                return False
-            return True
-
-    def _put(self, relation: str, binding: Binding, rows: FrozenSet[Row]) -> None:
-        key = (relation, binding)
-        with self._lock:
-            self._records[key] = (rows, self._clock() if self._bounded else 0.0)
-            self.counters.accesses_recorded += 1
-            if self.max_entries is not None:
-                self._records.move_to_end(key)
-                while len(self._records) > self.max_entries:
-                    self._records.popitem(last=False)
-                    self.counters.evictions += 1
-
-    def _bindings(self, relation: str) -> FrozenSet[Binding]:
-        with self._lock:
-            return frozenset(
-                binding for (rel, binding) in self._records if rel == relation
-            )
-
-    def _count(self, relation: str) -> int:
-        with self._lock:
-            return sum(1 for (rel, _) in self._records if rel == relation)
-
-    # -- result tier -------------------------------------------------------
-    def lookup_result(self, key: str) -> Optional[FrozenSet[Row]]:
-        with self._lock:
-            self.counters.result_lookups += 1
-            entry = self._results.get(key)
-            if entry is None:
-                return None
-            answers, stamp = entry
-            if self._bounded and _expired(stamp, self.ttl, self._clock()):
-                del self._results[key]
-                self.counters.result_evictions += 1
-                return None
-            self.counters.result_hits += 1
-            if self.max_entries is not None:
-                self._results.move_to_end(key)
-            return answers
-
-    def record_result(self, key: str, answers: FrozenSet[Row]) -> None:
-        with self._lock:
-            self._results[key] = (
-                frozenset(answers),
-                self._clock() if self._bounded else 0.0,
-            )
-            if self.max_entries is not None:
-                self._results.move_to_end(key)
-                while len(self._results) > self.max_entries:
-                    self._results.popitem(last=False)
-                    self.counters.result_evictions += 1
-
-    # -- bookkeeping -------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            stats: Dict[str, object] = {
+            return {
                 "kind": self.kind,
                 "persistent": self.persistent,
-                "binding_entries": len(self._records),
-                "result_entries": len(self._results),
+                "binding_entries": sum(map(len, self._records.values())),
+                **asdict(self.counters),
             }
-            stats.update(self.counters.snapshot())
-            return stats
 
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
-            self._results.clear()
 
 
 def _encode_value_list(values: Tuple[object, ...], what: str) -> str:
@@ -459,43 +205,13 @@ def _decode_rows(payload: str) -> FrozenSet[Row]:
     return frozenset(tuple(row) for row in json.loads(payload))
 
 
-class _SQLiteRecords(RelationRecords):
-    """Binding-tier handle of :class:`SQLiteCacheStore` for one relation."""
-
-    def __init__(self, store: "SQLiteCacheStore", relation_name: str) -> None:
-        self._store = store
-        self._relation = relation_name
-
-    def get(self, binding: Binding, touch: bool = True) -> Optional[FrozenSet[Row]]:
-        return self._store._get(self._relation, tuple(binding), touch)
-
-    def contains(self, binding: Binding) -> bool:
-        return self._store._contains(self._relation, tuple(binding))
-
-    def put(self, binding: Binding, rows: FrozenSet[Row]) -> None:
-        self._store._put(self._relation, tuple(binding), frozenset(rows))
-
-    def claim(self, binding: Binding) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
-        return self._store._claim(self._relation, tuple(binding))
-
-    def release(self, binding: Binding) -> None:
-        self._store._release(self._relation, tuple(binding))
-
-    def bindings(self) -> FrozenSet[Binding]:
-        return self._store._bindings(self._relation)
-
-    def __len__(self) -> int:
-        return self._store._count(self._relation)
-
-
 class SQLiteCacheStore(CacheStore):
     """Persistent cache store over one SQLite database file (WAL mode).
 
     Layout::
 
-        records(relation, binding, rows, created, last_used)
+        records(relation, binding, rows)
         claims(relation, binding, claimant, claimed_at)
-        results(key, answers, created, last_used)
         counters(relation, hits)          -- survives restarts, feeds stats
         store_meta(key, value)            -- schema fingerprint, format version
 
@@ -504,65 +220,48 @@ class SQLiteCacheStore(CacheStore):
     SQLite itself (``BEGIN IMMEDIATE`` write transactions, WAL journal, busy
     timeout).  The claim table is the cross-process edition of the
     claim/abandon protocol: a claimant row marks an access as in flight, and
-    a claim older than ``stale_claim_after`` is presumed orphaned by a dead
-    process and taken over.
+    a claim older than ``stale_claim_after`` seconds is presumed orphaned by
+    a dead process and taken over.  ``clock`` is injectable so tests can age
+    a claim without sleeping.
 
-    When the store is unbounded, recorded rows are mirrored in an in-process
-    dict so repeated reads skip SQL entirely; any TTL/entry bound disables
-    the mirror (eviction must be observable on the next lookup).
+    Records are never deleted short of :meth:`clear`, so every row set read
+    or written is mirrored in an in-process dict and repeated reads skip the
+    ``SELECT``.
     """
 
     kind = "sqlite"
     persistent = True
 
-    _FORMAT_VERSION = "1"
+    _FORMAT_VERSION = "2"
 
     def __init__(
         self,
         path: str,
-        ttl: Optional[float] = None,
-        max_entries: Optional[int] = None,
-        result_cache: bool = False,
         stale_claim_after: float = 10.0,
-        claim_poll_interval: float = 0.01,
         claimant: Optional[str] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.path = path
-        self.ttl = ttl
-        self.max_entries = max_entries
-        self.result_cache = result_cache
         self.stale_claim_after = stale_claim_after
-        self.claim_poll_interval = claim_poll_interval
         # time.time() by default: claim timestamps must be comparable
         # *across processes*, which rules out the monotonic clock.
         self._clock = clock
         self.claimant = claimant or f"{os.getpid()}:{uuid.uuid4().hex[:8]}"
         self._lock = threading.RLock()
-        self._bounded = ttl is not None or max_entries is not None
         self._mirror: Dict[Tuple[str, Binding], FrozenSet[Row]] = {}
         self.counters = StoreCounters()
         self._closed = False
         self._conn = sqlite3.connect(
             path, timeout=30.0, check_same_thread=False, isolation_level=None
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=30000")
-        self._create_tables()
-
-    @classmethod
-    def from_config(cls, config: CacheConfig) -> "SQLiteCacheStore":
-        if not config.path:
-            raise CacheStoreError("sqlite cache store needs a path")
-        return cls(
-            config.path,
-            ttl=config.ttl,
-            max_entries=config.max_entries,
-            result_cache=config.result_cache,
-            stale_claim_after=config.stale_claim_after,
-            claim_poll_interval=config.claim_poll_interval,
-        )
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute("PRAGMA busy_timeout=30000")
+            self._create_tables()
+        except BaseException:
+            self._conn.close()
+            raise
 
     def _create_tables(self) -> None:
         with self._lock:
@@ -571,8 +270,7 @@ class SQLiteCacheStore(CacheStore):
                 self._conn.execute(
                     "CREATE TABLE IF NOT EXISTS records ("
                     " relation TEXT NOT NULL, binding TEXT NOT NULL,"
-                    " rows TEXT NOT NULL, created REAL NOT NULL,"
-                    " last_used REAL NOT NULL,"
+                    " rows TEXT NOT NULL,"
                     " PRIMARY KEY (relation, binding))"
                 )
                 self._conn.execute(
@@ -580,11 +278,6 @@ class SQLiteCacheStore(CacheStore):
                     " relation TEXT NOT NULL, binding TEXT NOT NULL,"
                     " claimant TEXT NOT NULL, claimed_at REAL NOT NULL,"
                     " PRIMARY KEY (relation, binding))"
-                )
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS results ("
-                    " key TEXT PRIMARY KEY, answers TEXT NOT NULL,"
-                    " created REAL NOT NULL, last_used REAL NOT NULL)"
                 )
                 self._conn.execute(
                     "CREATE TABLE IF NOT EXISTS counters ("
@@ -611,35 +304,19 @@ class SQLiteCacheStore(CacheStore):
                     f"this build expects {self._FORMAT_VERSION}"
                 )
 
-    def records(self, relation: RelationSchema) -> RelationRecords:
-        return _SQLiteRecords(self, relation.name)
-
-    # -- binding tier ------------------------------------------------------
+    # -- records and claims ------------------------------------------------
     def _fetch(
-        self, relation: str, binding_key: str, touch: bool
+        self, relation: str, binding: Binding, binding_key: str
     ) -> Optional[FrozenSet[Row]]:
-        """Read one record inside the caller's transaction, expiring on TTL."""
+        """Read one record from disk into the mirror (caller holds the lock)."""
         row = self._conn.execute(
-            "SELECT rows, created FROM records WHERE relation = ? AND binding = ?",
+            "SELECT rows FROM records WHERE relation = ? AND binding = ?",
             (relation, binding_key),
         ).fetchone()
         if row is None:
             return None
-        payload, created = row
-        now = self._clock()
-        if _expired(created, self.ttl, now):
-            self._conn.execute(
-                "DELETE FROM records WHERE relation = ? AND binding = ?",
-                (relation, binding_key),
-            )
-            self.counters.evictions += 1
-            return None
-        if touch and self.max_entries is not None:
-            self._conn.execute(
-                "UPDATE records SET last_used = ? WHERE relation = ? AND binding = ?",
-                (now, relation, binding_key),
-            )
-        return _decode_rows(payload)
+        rows = self._mirror[(relation, binding)] = _decode_rows(row[0])
+        return rows
 
     def _count_hit(self, relation: str) -> None:
         self.counters.binding_hits += 1
@@ -649,99 +326,50 @@ class SQLiteCacheStore(CacheStore):
             (relation,),
         )
 
-    def _get(
-        self, relation: str, binding: Binding, touch: bool
-    ) -> Optional[FrozenSet[Row]]:
+    def get(self, relation: str, binding: Binding) -> Optional[FrozenSet[Row]]:
         with self._lock:
-            mirrored = self._mirror.get((relation, binding))
-            if mirrored is not None:
-                if touch:
-                    self._count_hit(relation)
-                return mirrored
-            binding_key = _encode_value_list(binding, "binding")
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                rows = self._fetch(relation, binding_key, touch)
-                if rows is not None and touch:
-                    self._count_hit(relation)
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            if rows is not None and not self._bounded:
-                self._mirror[(relation, binding)] = rows
+            rows = self._mirror.get((relation, binding))
+            if rows is None:
+                rows = self._fetch(
+                    relation, binding, _encode_value_list(binding, "binding")
+                )
+            if rows is not None:
+                self._count_hit(relation)
             return rows
 
-    def _contains(self, relation: str, binding: Binding) -> bool:
-        with self._lock:
-            if (relation, binding) in self._mirror:
-                return True
-            binding_key = _encode_value_list(binding, "binding")
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                rows = self._fetch(relation, binding_key, touch=False)
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            return rows is not None
-
-    def _put(self, relation: str, binding: Binding, rows: FrozenSet[Row]) -> None:
+    def put(self, relation: str, binding: Binding, rows: FrozenSet[Row]) -> None:
         with self._lock:
             binding_key = _encode_value_list(binding, "binding")
             payload = _encode_rows(rows)
-            now = self._clock()
             self._conn.execute("BEGIN IMMEDIATE")
             try:
                 self._conn.execute(
-                    "INSERT OR REPLACE INTO records "
-                    "(relation, binding, rows, created, last_used) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (relation, binding_key, payload, now, now),
+                    "INSERT OR REPLACE INTO records (relation, binding, rows) "
+                    "VALUES (?, ?, ?)",
+                    (relation, binding_key, payload),
                 )
                 self._conn.execute(
                     "DELETE FROM claims WHERE relation = ? AND binding = ?",
                     (relation, binding_key),
                 )
                 self.counters.accesses_recorded += 1
-                if self.max_entries is not None:
-                    self._evict_lru("records", self.max_entries)
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
                 raise
-            if not self._bounded:
-                self._mirror[(relation, binding)] = rows
+            self._mirror[(relation, binding)] = rows
 
-    def _evict_lru(self, table: str, bound: int) -> None:
-        """Drop least-recently-used rows beyond ``bound`` (caller holds a txn)."""
-        (count,) = self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()
-        excess = count - bound
-        if excess <= 0:
-            return
-        self._conn.execute(
-            f"DELETE FROM {table} WHERE rowid IN "
-            f"(SELECT rowid FROM {table} ORDER BY last_used, rowid LIMIT ?)",
-            (excess,),
-        )
-        if table == "records":
-            self.counters.evictions += excess
-        else:
-            self.counters.result_evictions += excess
-
-    def _claim(
+    def claim(
         self, relation: str, binding: Binding
     ) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
         with self._lock:
             binding_key = _encode_value_list(binding, "binding")
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                rows = self._fetch(relation, binding_key, touch=True)
+                rows = self._fetch(relation, binding, binding_key)
                 if rows is not None:
                     self._count_hit(relation)
                     self._conn.execute("COMMIT")
-                    if not self._bounded:
-                        self._mirror[(relation, binding)] = rows
                     return ClaimStatus.SERVED, rows
                 now = self._clock()
                 claim = self._conn.execute(
@@ -774,7 +402,7 @@ class SQLiteCacheStore(CacheStore):
                 self._conn.execute("ROLLBACK")
                 raise
 
-    def _release(self, relation: str, binding: Binding) -> None:
+    def release(self, relation: str, binding: Binding) -> None:
         with self._lock:
             binding_key = _encode_value_list(binding, "binding")
             self._conn.execute(
@@ -782,66 +410,12 @@ class SQLiteCacheStore(CacheStore):
                 (relation, binding_key, self.claimant),
             )
 
-    def _bindings(self, relation: str) -> FrozenSet[Binding]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT binding FROM records WHERE relation = ?", (relation,)
-            ).fetchall()
-            return frozenset(tuple(json.loads(key)) for (key,) in rows)
-
-    def _count(self, relation: str) -> int:
+    def count(self, relation: str) -> int:
         with self._lock:
             (count,) = self._conn.execute(
                 "SELECT COUNT(*) FROM records WHERE relation = ?", (relation,)
             ).fetchone()
             return count
-
-    # -- result tier -------------------------------------------------------
-    def lookup_result(self, key: str) -> Optional[FrozenSet[Row]]:
-        with self._lock:
-            self.counters.result_lookups += 1
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._conn.execute(
-                    "SELECT answers, created FROM results WHERE key = ?", (key,)
-                ).fetchone()
-                if row is None:
-                    self._conn.execute("COMMIT")
-                    return None
-                payload, created = row
-                now = self._clock()
-                if _expired(created, self.ttl, now):
-                    self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
-                    self.counters.result_evictions += 1
-                    self._conn.execute("COMMIT")
-                    return None
-                self._conn.execute(
-                    "UPDATE results SET last_used = ? WHERE key = ?", (now, key)
-                )
-                self.counters.result_hits += 1
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            return _decode_rows(payload)
-
-    def record_result(self, key: str, answers: FrozenSet[Row]) -> None:
-        with self._lock:
-            payload = _encode_rows(answers)
-            now = self._clock()
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO results (key, answers, created, last_used) "
-                    "VALUES (?, ?, ?, ?)",
-                    (key, payload, now, now),
-                )
-                if self.max_entries is not None:
-                    self._evict_lru("results", self.max_entries)
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
 
     # -- persistence hooks -------------------------------------------------
     def persisted_hit_counters(self) -> Dict[str, int]:
@@ -880,24 +454,19 @@ class SQLiteCacheStore(CacheStore):
             (binding_entries,) = self._conn.execute(
                 "SELECT COUNT(*) FROM records"
             ).fetchone()
-            (result_entries,) = self._conn.execute(
-                "SELECT COUNT(*) FROM results"
-            ).fetchone()
-            stats: Dict[str, object] = {
+            return {
                 "kind": self.kind,
                 "persistent": self.persistent,
                 "binding_entries": binding_entries,
-                "result_entries": result_entries,
+                **asdict(self.counters),
             }
-            stats.update(self.counters.snapshot())
-            return stats
 
     def clear(self) -> None:
         with self._lock:
             self._mirror.clear()
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                for table in ("records", "claims", "results", "counters"):
+                for table in ("records", "claims", "counters"):
                     self._conn.execute(f"DELETE FROM {table}")
                 self._conn.execute("COMMIT")
             except BaseException:
@@ -927,12 +496,28 @@ class SQLiteCacheStore(CacheStore):
             self._conn.close()
 
 
-def build_store(config: CacheConfig) -> CacheStore:
-    """Instantiate the store selected by a :class:`CacheConfig`."""
-    if config.store == "memory":
-        return MemoryCacheStore.from_config(config)
-    if config.store == "sqlite":
-        return SQLiteCacheStore.from_config(config)
-    raise CacheStoreError(
-        f"unknown cache store kind {config.store!r}; use 'memory' or 'sqlite'"
-    )
+def build_store(cache: Union[None, str, CacheStore]) -> CacheStore:
+    """The store an ``Engine(cache=...)`` argument names.
+
+    ``None`` or ``"memory"`` is a fresh :class:`MemoryCacheStore`,
+    ``"sqlite:PATH"`` a :class:`SQLiteCacheStore` over that file, and a
+    ready :class:`CacheStore` instance is adopted as-is.
+    """
+    if cache is None:
+        return MemoryCacheStore()
+    if isinstance(cache, CacheStore):
+        return cache
+    if not isinstance(cache, str):
+        raise CacheStoreError(
+            "cache must be None, a spec string or a CacheStore, "
+            f"not {type(cache).__name__}"
+        )
+    spec = cache.strip()
+    kind, _, path = spec.partition(":")
+    if spec == "memory":
+        return MemoryCacheStore()
+    if kind == "sqlite":
+        if not path:
+            raise CacheStoreError("sqlite cache store needs a path: sqlite:PATH")
+        return SQLiteCacheStore(path)
+    raise CacheStoreError(f"unknown cache store {spec!r}; use 'memory' or 'sqlite:PATH'")

@@ -1,11 +1,12 @@
-"""The pluggable cache-store tier: configuration, eviction, persistence,
-cross-process sharing, and the canonical-key query-result cache.
+"""The cache store: spec parsing, persistence, the on-disk format guard and
+cross-process sharing of one "never repeat an access" domain.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -15,50 +16,51 @@ import pytest
 import repro
 from repro import Engine
 from repro.examples import mixed_workload, running_example, star_example
-from repro.query.minimize import canonical_form
-from repro.query.parser import parse_query
-from repro.sources.resilience import FaultSchedule
 from repro.sources.store import (
-    CacheConfig,
     CacheStoreError,
     ClaimStatus,
     MemoryCacheStore,
     SQLiteCacheStore,
     build_store,
 )
-from repro.sources.wrapper import SourceRegistry
 
 
 # -- configuration ----------------------------------------------------------
 
 
-def test_cache_config_parse_specs() -> None:
-    assert CacheConfig.parse("memory") == CacheConfig()
-    config = CacheConfig.parse("sqlite:/tmp/x.db", ttl=5.0, max_entries=10)
-    assert (config.store, config.path) == ("sqlite", "/tmp/x.db")
-    assert (config.ttl, config.max_entries) == (5.0, 10)
-    with pytest.raises(CacheStoreError):
-        CacheConfig.parse("sqlite")  # needs a path
-    with pytest.raises(CacheStoreError):
-        CacheConfig.parse("redis://nope")
+def test_cache_config_parse_specs(tmp_path) -> None:
+    assert isinstance(build_store("memory"), MemoryCacheStore)
+    path = str(tmp_path / "x.db")
+    store = build_store(f"sqlite:{path}")
+    try:
+        assert isinstance(store, SQLiteCacheStore)
+        assert (store.kind, store.path, store.persistent) == ("sqlite", path, True)
+    finally:
+        store.close()
+    for spec in ("sqlite", "sqlite:"):
+        with pytest.raises(CacheStoreError, match="needs a path"):
+            build_store(spec)
+    with pytest.raises(CacheStoreError, match="unknown cache store"):
+        build_store("redis://nope")
 
 
-def test_cache_config_coerce_accepts_store_instance_and_rejects_junk() -> None:
-    store = MemoryCacheStore(result_cache=True)
-    config, adopted = CacheConfig.coerce(store)
-    assert adopted is store
-    assert config.store == "memory" and config.result_cache
-    assert CacheConfig.coerce(None) == (CacheConfig(), None)
-    with pytest.raises(CacheStoreError):
-        CacheConfig.coerce(42)  # type: ignore[arg-type]
+def test_cache_config_coerce_accepts_store_instance_and_rejects_junk(example) -> None:
+    store = MemoryCacheStore()
+    assert build_store(store) is store
+    assert Engine(example.schema, example.instance, cache=store).session.store is store
+    assert isinstance(build_store(None), MemoryCacheStore)
+    with pytest.raises(CacheStoreError, match="not int"):
+        build_store(42)  # type: ignore[arg-type]
+    with pytest.raises(CacheStoreError, match="not int"):
+        Engine(example.schema, example.instance, cache=42)  # type: ignore[arg-type]
 
 
-def test_build_store_rejects_unknown_kind() -> None:
-    with pytest.raises(CacheStoreError):
-        build_store(CacheConfig(store="carrier-pigeon"))
+def test_build_store_rejects_unknown_kind(example) -> None:
+    with pytest.raises(CacheStoreError, match="unknown cache store"):
+        Engine(example.schema, example.instance, cache="carrier-pigeon")
 
 
-# -- the in-memory store: default identity, TTL, LRU ------------------------
+# -- the in-memory store ------------------------------------------------------
 
 
 def test_memory_default_store_preserves_session_semantics(example) -> None:
@@ -72,69 +74,30 @@ def test_memory_default_store_preserves_session_semantics(example) -> None:
     assert second.total_accesses == 0  # every access served by the store
     stats = engine.session.stats()["cache_store"]
     assert stats["kind"] == "memory"
-    assert stats["evictions"] == 0  # unbounded default never evicts
+    # One record per performed access, and it stays: nothing is evicted.
+    assert stats["binding_entries"] == first.total_accesses
+    assert stats["accesses_recorded"] == first.total_accesses
 
 
-def test_memory_ttl_expires_entries_with_injected_clock(example) -> None:
-    now = [0.0]
-    store = MemoryCacheStore(ttl=10.0, clock=lambda: now[0])
-    records = store.records(next(iter(example.schema)))
-    records.put(("a",), frozenset({("a", "b")}))
-    assert records.get(("a",)) == frozenset({("a", "b")})
-    now[0] = 10.5  # past the TTL: the entry lazily expires on lookup
-    assert records.get(("a",)) is None
-    assert not records.contains(("a",))
-    assert store.counters.evictions == 1
-
-
-def test_memory_lru_eviction_prefers_least_recently_used(example) -> None:
-    store = MemoryCacheStore(max_entries=2)
-    records = store.records(next(iter(example.schema)))
-    records.put(("a",), frozenset({("a", "1")}))
-    records.put(("b",), frozenset({("b", "1")}))
-    assert records.get(("a",)) is not None  # touch "a": "b" is now the LRU
-    records.put(("c",), frozenset({("c", "1")}))
-    assert records.contains(("a",)) and records.contains(("c",))
-    assert not records.contains(("b",))
-    assert store.counters.evictions == 1
-
-
-def test_bounded_session_reperforms_evicted_accesses() -> None:
-    """Satellite: eviction is re-performance, never a wrong answer.
-
-    A session bounded to fewer entries than the workload needs keeps
-    answering correctly — an evicted binding is simply re-performed (and
-    re-counted by the budget) on the next execution, unlike the unbounded
-    default where a repeat costs zero accesses.
-    """
-    example = star_example(rays=2, width=5)
-    engine = Engine(example.schema, example.instance, cache=CacheConfig(max_entries=2))
-    first = engine.execute(example.query_text, strategy="fast_fail")
-    second = engine.execute(example.query_text, strategy="fast_fail")
-    assert first.answers == second.answers == example.expected_answers
-    assert first.total_accesses > 2  # the workload overflows the bound...
-    assert second.total_accesses > 0  # ...so the repeat re-performs accesses
-    assert second.total_accesses == sum(b.accesses for b in second.per_source)
-    stats = engine.session.stats()["cache_store"]
-    assert stats["evictions"] > 0
-    assert stats["binding_entries"] <= 2
-
-
-def test_bounded_memory_claim_is_trivially_owned(example) -> None:
-    records = MemoryCacheStore(max_entries=1).records(next(iter(example.schema)))
-    assert records.claim(("x",)) == (ClaimStatus.OWNED, None)
-    records.release(("x",))  # releasing an unrecorded claim is a no-op
+def test_memory_claim_is_trivially_owned() -> None:
+    store = MemoryCacheStore()
+    assert store.claim("r", ("x",)) == (ClaimStatus.OWNED, None)
+    store.release("r", ("x",))  # releasing an unrecorded claim is a no-op
+    assert store.get("r", ("x",)) is None and store.count("r") == 0
 
 
 # -- the SQLite store: persistence and warm starts --------------------------
 
 
-def _sqlite_engine(example, path: str, **knobs) -> Engine:
-    return Engine(
-        example.schema,
-        example.instance,
-        cache=CacheConfig(store="sqlite", path=str(path), **knobs),
-    )
+def _sqlite_engine(example, path) -> Engine:
+    return Engine(example.schema, example.instance, cache=f"sqlite:{path}")
+
+
+def _record_counts(engine: Engine) -> tuple:
+    """The two views of "recorded accesses": per-relation sum and store gauge."""
+    stats = engine.session.stats()
+    assert stats["known_accesses"] == engine.session.known_accesses
+    return stats["known_accesses"], stats["cache_store"]["binding_entries"]
 
 
 def test_sqlite_warm_restart_repeats_zero_accesses(tmp_path) -> None:
@@ -155,11 +118,14 @@ def test_sqlite_store_cold_run_matches_memory_counts(tmp_path) -> None:
     example = star_example(rays=2, width=5)
     with _sqlite_engine(example, tmp_path / "store.db") as engine:
         stored = engine.execute(example.query_text, strategy="fast_fail")
-    plain = Engine(example.schema, example.instance).execute(
-        example.query_text, strategy="fast_fail"
-    )
+        stored_counts = _record_counts(engine)
+    with Engine(example.schema, example.instance) as engine:
+        plain = engine.execute(example.query_text, strategy="fast_fail")
+        plain_counts = _record_counts(engine)
     assert stored.answers == plain.answers
     assert stored.total_accesses == plain.total_accesses
+    # Both stores count one record per performed access, the same way.
+    assert stored_counts == plain_counts == (plain.total_accesses,) * 2
 
 
 def test_sqlite_hit_counters_survive_restart(tmp_path) -> None:
@@ -195,9 +161,10 @@ def test_sqlite_fingerprint_mismatch_raises(tmp_path) -> None:
 def test_sqlite_rejects_unserializable_binding(tmp_path, example) -> None:
     store = SQLiteCacheStore(str(tmp_path / "store.db"))
     try:
-        records = store.records(next(iter(example.schema)))
         with pytest.raises(CacheStoreError, match="cannot be serialized"):
-            records.put((object(),), frozenset())
+            store.put("r", (object(),), frozenset())
+        with pytest.raises(CacheStoreError, match="does not round-trip"):
+            store.put("r", ((1, 2),), frozenset())  # a tuple comes back a list
     finally:
         store.close()
 
@@ -213,17 +180,39 @@ def test_sqlite_session_reset_erases_persisted_domain(tmp_path) -> None:
     assert again.total_accesses == cold.total_accesses  # domain was wiped
 
 
-def test_sqlite_ttl_eviction_reperforms_accesses(tmp_path) -> None:
-    example = star_example(rays=2, width=3)
-    now = [1000.0]
-    store = SQLiteCacheStore(str(tmp_path / "store.db"), ttl=60.0, clock=lambda: now[0])
-    with Engine(example.schema, example.instance, cache=store) as engine:
-        cold = engine.execute(example.query_text, strategy="fast_fail")
-        now[0] += 61.0  # every record is now past its TTL
-        stale = engine.execute(example.query_text, strategy="fast_fail")
-    assert stale.answers == cold.answers
-    assert stale.total_accesses == cold.total_accesses  # all re-performed
-    assert store.counters.evictions > 0
+def _write_version_1_store(path) -> None:
+    """A file as the previous on-disk layout left it (timestamped records)."""
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(
+            "CREATE TABLE records (relation TEXT NOT NULL, binding TEXT NOT NULL,"
+            " rows TEXT NOT NULL, created REAL NOT NULL, last_used REAL NOT NULL,"
+            " PRIMARY KEY (relation, binding))"
+        )
+        conn.execute("CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        conn.execute("INSERT INTO store_meta VALUES ('format_version', '1')")
+    conn.close()
+
+
+def test_sqlite_refuses_an_older_on_disk_format_before_the_first_query(
+    tmp_path, example, capsys
+) -> None:
+    """A version-1 file would fail a NOT NULL insert mid-run; say so up front."""
+    from repro.cli import main
+
+    path = str(tmp_path / "old.db")
+    _write_version_1_store(path)
+    for construct in (
+        lambda: SQLiteCacheStore(path),
+        lambda: build_store(f"sqlite:{path}"),
+        lambda: Engine(example.schema, example.instance, cache=f"sqlite:{path}"),
+    ):
+        with pytest.raises(CacheStoreError, match="format version 1.*expects 2"):
+            construct()
+    assert main(["run", "--example", "--cache-store", f"sqlite:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "format version 1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 # -- cross-process claims ----------------------------------------------------
@@ -231,7 +220,7 @@ def test_sqlite_ttl_eviction_reperforms_accesses(tmp_path) -> None:
 
 def test_sqlite_claim_wait_and_stale_takeover(tmp_path, example) -> None:
     path = str(tmp_path / "store.db")
-    relation = next(iter(example.schema))
+    relation = next(iter(example.schema)).name
     now = [0.0]
     alive = SQLiteCacheStore(
         path, stale_claim_after=5.0, claimant="alive", clock=lambda: now[0]
@@ -240,21 +229,22 @@ def test_sqlite_claim_wait_and_stale_takeover(tmp_path, example) -> None:
         path, stale_claim_after=5.0, claimant="rival", clock=lambda: now[0]
     )
     try:
-        assert alive.records(relation).claim(("k",)) == (ClaimStatus.OWNED, None)
+        assert alive.claim(relation, ("k",)) == (ClaimStatus.OWNED, None)
         # Re-claiming one's own access stays OWNED (idempotent).
-        assert alive.records(relation).claim(("k",)) == (ClaimStatus.OWNED, None)
+        assert alive.claim(relation, ("k",)) == (ClaimStatus.OWNED, None)
         # A live foreign claim makes the rival wait...
         now[0] = 1.0
-        assert rival.records(relation).claim(("k",)) == (ClaimStatus.WAIT, None)
+        assert rival.claim(relation, ("k",)) == (ClaimStatus.WAIT, None)
         # ...until it goes stale, at which point the rival takes it over.
         now[0] = 6.5
-        assert rival.records(relation).claim(("k",)) == (ClaimStatus.OWNED, None)
+        assert rival.claim(relation, ("k",)) == (ClaimStatus.OWNED, None)
         assert rival.counters.claim_takeovers == 1
         # The original owner's release no longer touches the rival's claim.
-        alive.records(relation).release(("k",))
+        alive.release(relation, ("k",))
+        assert alive.claim(relation, ("k",)) == (ClaimStatus.WAIT, None)
         rows = frozenset({("k", "v")})
-        rival.records(relation).put(("k",), rows)
-        assert alive.records(relation).claim(("k",)) == (ClaimStatus.SERVED, rows)
+        rival.put(relation, ("k",), rows)
+        assert alive.claim(relation, ("k",)) == (ClaimStatus.SERVED, rows)
     finally:
         alive.close()
         rival.close()
@@ -303,73 +293,23 @@ def test_two_processes_share_one_access_domain(tmp_path) -> None:
     assert sum(totals) == solo.total_accesses
 
 
-# -- the query-result cache --------------------------------------------------
-
-
-def test_canonical_form_is_alpha_and_order_invariant() -> None:
-    base = parse_query("q(X) <- r1(A, X, Y), r2('volare', Z, A)")
-    renamed = base.rename_apart("_other")
-    permuted = parse_query("q(X) <- r2('volare', Z, A), r1(A, X, Y)")
-    different = parse_query("q(X) <- r1(A, X, Y)")
-    assert str(renamed) != str(base)  # textually distinct...
-    assert canonical_form(renamed) == canonical_form(base)  # ...same shape
-    assert canonical_form(permuted) == canonical_form(base)
-    assert canonical_form(different) != canonical_form(base)
-
-
-def test_result_cache_serves_alpha_equivalent_repeats(example) -> None:
-    engine = Engine(
-        example.schema, example.instance, cache=CacheConfig(result_cache=True)
-    )
-    first = engine.execute(example.query_text, strategy="fast_fail")
-    assert not first.result_cache_hit
-    renamed = str(parse_query(example.query_text).rename_apart("_v2"))
-    repeat = engine.execute(renamed, strategy="fast_fail")
-    assert repeat.result_cache_hit
-    assert repeat.answers == first.answers == example.expected_answers
-    assert repeat.total_accesses == 0 and repeat.per_source == ()
-    assert "result cache" in repeat.summary()
-    stats = engine.session.stats()["cache_store"]
-    assert stats["result_hits"] == 1 and stats["result_entries"] == 1
-
-
-def test_result_cache_skips_incomplete_results() -> None:
-    example = star_example(rays=2, width=4)
-    registry = SourceRegistry(example.instance)
-    registry.inject_faults(FaultSchedule(seed=1, transient_rate=1.0))
-    engine = Engine(
-        example.schema, registry, cache=CacheConfig(result_cache=True)
-    )
-    first = engine.execute(example.query_text, strategy="fast_fail")
-    assert not first.complete  # every source call faults
-    repeat = engine.execute(example.query_text, strategy="fast_fail")
-    assert not repeat.result_cache_hit  # incomplete results are never cached
-
-
-def test_result_cache_off_by_default(example) -> None:
-    engine = Engine(example.schema, example.instance)
-    engine.execute(example.query_text, strategy="fast_fail")
-    repeat = engine.execute(example.query_text, strategy="fast_fail")
-    assert not repeat.result_cache_hit  # served by the binding tier instead
-    assert repeat.total_accesses == 0
-
-
 # -- reporting ---------------------------------------------------------------
 
 
 def test_workload_report_carries_cache_tier_stats(tmp_path) -> None:
     workload = mixed_workload(("star", "diamond"), repeat=2)
     with Engine(
-        workload.schema,
-        workload.instance,
-        cache=CacheConfig(store="sqlite", path=str(tmp_path / "w.db")),
+        workload.schema, workload.instance, cache=f"sqlite:{tmp_path / 'w.db'}"
     ) as engine:
         report = engine.run_workload(workload.query_texts(), strategy="fast_fail")
     cache = report.cache_stats
+    assert set(cache) == {
+        "store", "persistent", "binding_hits", "binding_hit_rate", "binding_entries"
+    }
     assert cache["store"] == "sqlite" and cache["persistent"]
-    assert cache["binding_hits"] >= 0 and 0.0 <= cache["binding_hit_rate"] <= 1.0
-    assert cache["binding_entries"] > 0
-    assert cache["result_cache"] is False and cache["result_hits"] == 0
+    assert cache["binding_hits"] == report.meta_hits > 0
+    assert cache["binding_hit_rate"] == round(report.hit_rate, 4)
+    assert cache["binding_entries"] == report.total_accesses > 0
     assert report.to_dict()["cache"] == cache
 
 
@@ -398,3 +338,9 @@ def test_cli_cache_store_flags(tmp_path, capsys) -> None:
     )
     payload = json.loads(capsys.readouterr().out)
     assert payload["cache"]["store"] == "sqlite"
+    # One cache flag is left; the result tier and the bounds went with theirs.
+    for removed in (["--result-cache"], ["--cache-ttl", "5"], ["--cache-max-entries", "9"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--example", *removed])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from repro.model.schema import Schema
 from repro.plan.bindings import DeltaProduct
-from repro.sources.access import AccessTuple
-from repro.sources.cache import AccessTable, CacheTable, MetaCache
+from repro.sources.cache import CacheTable, MetaCache
 
 SCHEMA = Schema.from_signatures({"r": ("ioo", ["A", "B", "C"])})
 RELATION = SCHEMA["r"]
@@ -28,32 +27,16 @@ def test_cache_table_positional_indexes_track_insertions() -> None:
     assert table.values_at(0) == {"a", "b"}
 
 
-def test_meta_cache_union_is_maintained_incrementally() -> None:
+def test_meta_cache_records_accesses_and_counts_hits() -> None:
     meta = MetaCache(RELATION)
     meta.record(("a",), frozenset({("a", "x", 1)}))
     meta.record(("b",), frozenset({("b", "y", 2), ("b", "z", 3)}))
-    assert meta.all_rows() == {("a", "x", 1), ("b", "y", 2), ("b", "z", 3)}
-    # The memoized view is refreshed when new rows arrive.
-    meta.record(("c",), frozenset({("c", "w", 4)}))
-    assert ("c", "w", 4) in meta.all_rows()
+    meta.record(("c",), frozenset())  # an access that returned nothing is still an access
     assert len(meta) == 3
-    assert meta.has_access(("a",)) and not meta.has_access(("z",))
-
-
-def test_access_table_offers_are_deduplicated_in_o1() -> None:
-    table = AccessTable(RELATION)
-    first = AccessTuple("r", ("a",))
-    second = AccessTuple("r", ("b",))
-    assert table.offer(first)
-    assert not table.offer(first)  # still pending
-    assert table.offer(second)
-    assert len(table) == 2
-
-    assert table.take() == first  # FIFO
-    assert not table.offer(first)  # already delivered
-    assert table.take() == second
-    assert table.take() is None
-    assert table.delivered == {first, second}
+    assert meta.lookup(("b",)) == {("b", "y", 2), ("b", "z", 3)}
+    assert meta.lookup(("c",)) == frozenset()
+    assert meta.lookup(("z",)) is None  # never performed
+    assert meta.hits == 2
 
 
 def test_delta_product_covers_the_growing_product_exactly_once() -> None:

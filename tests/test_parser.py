@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ParseError, ReproError
-from repro.query import Constant, Variable, parse_atom, parse_query, parse_ucq
+from repro.query import Constant, Variable, parse_atom, parse_query
 
 ROUND_TRIP_QUERIES = [
     "q(N) <- r1(A, N, Y1), r2('volare', Y2, A)",
@@ -35,11 +35,6 @@ def test_quoted_commas_and_parens_survive() -> None:
     query = parse_query("q(X) <- r(X, 'a, (b)'), s(X)")
     assert len(query.body) == 2
     assert query.body[0].terms[1] == Constant("a, (b)")
-
-
-def test_ucq_split_on_semicolons_and_newlines() -> None:
-    ucq = parse_ucq("q(X) <- r(X); q(X) <- s(X)\nq(X) <- t(X)")
-    assert len(ucq.disjuncts) == 3
 
 
 @pytest.mark.parametrize(

@@ -270,11 +270,10 @@ def test_budget_denial_delivers_parked_retry_completions() -> None:
             f"budget {budget_limit}: paid-for accesses were dropped from the log"
         )
         assert outcome.budget_exhausted
-        # Every logged access's rows reached the caches (nothing absorbed short).
+        # Every logged access's rows reached the meta-cache (nothing recorded short).
         for record in log:
-            assert record.rows <= policy.cache_db.meta_cache(
-                plan.schema[record.relation]
-            ).all_rows()
+            meta = policy.cache_db.meta_cache(plan.schema[record.relation])
+            assert meta.lookup(record.access.binding) == record.rows
 
 
 def test_failed_access_does_not_consume_the_budget() -> None:

@@ -125,7 +125,7 @@ def test_served_payloads_are_byte_stable_and_golden() -> None:
         '"failed_relations":[],"per_source":['
         '{"accesses":1,"distinct_rows":1,"relation":"r1"},'
         '{"accesses":1,"distinct_rows":1,"relation":"r2"}],'
-        '"result_cache_hit":false,"retry_stats":{"attempts":2,"breaker_trips":0,'
+        '"retry_stats":{"attempts":2,"breaker_trips":0,'
         '"failures":0,"refunded":0,"retries":0,"short_circuited":0,"timeouts":0,'
         '"transient_faults":0},"strategy":"fast_fail","termination":"completed",'
         '"total_accesses":2}'
@@ -383,14 +383,13 @@ def test_shutdown_leaves_no_orphaned_claims_in_sqlite_store(tmp_path: Path) -> N
 
 
 def test_store_close_releases_only_own_claims(tmp_path: Path) -> None:
-    from repro.sources.store import CacheConfig, ClaimStatus, SQLiteCacheStore
+    from repro.sources.store import ClaimStatus, SQLiteCacheStore
 
     path = str(tmp_path / "claims.db")
-    config = CacheConfig.parse(f"sqlite:{path}")
-    mine = SQLiteCacheStore.from_config(config)
-    peer = SQLiteCacheStore.from_config(config)
-    assert mine._claim("r", ("b1",))[0] is ClaimStatus.OWNED
-    assert peer._claim("r", ("b2",))[0] is ClaimStatus.OWNED
+    mine = SQLiteCacheStore(path)
+    peer = SQLiteCacheStore(path)
+    assert mine.claim("r", ("b1",))[0] is ClaimStatus.OWNED
+    assert peer.claim("r", ("b2",))[0] is ClaimStatus.OWNED
     mine.close()
     conn = sqlite3.connect(path)
     try:
