@@ -37,7 +37,7 @@ from repro.model.schema import Schema
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.minimize import minimize_query
-from repro.plan.plan import CachePredicate, ProviderSpec, QueryPlan
+from repro.plan.plan import CachePredicate, CompiledPlan, ProviderSpec, QueryPlan
 
 
 def _cache_name(source: Source) -> str:
@@ -113,6 +113,7 @@ class MinimalPlanGenerator:
             cache_of_atom=cache_of_atom,
             constant_facts=dict(analysis.preprocessed.constant_facts),
             rewritten_query=rewritten,
+            compiled=CompiledPlan(rewritten.body, caches),
             answerable=True,
         )
 

@@ -19,7 +19,7 @@ provider specifications, which is all the fast-failing policy needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.datalog.program import DatalogProgram, Rule
@@ -27,6 +27,7 @@ from repro.graph.ordering import SourceOrdering
 from repro.graph.relevance import RelevanceAnalysis
 from repro.model.schema import RelationSchema, Schema
 from repro.query.atoms import Atom
+from repro.query.compiled import JoinProgram
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.preprocess import PreprocessedQuery
 from repro.query.terms import Variable
@@ -105,6 +106,57 @@ class CachePredicate:
         )
 
 
+class CompiledPlan:
+    """What every execution of a plan *shape* derives from it, derived once.
+
+    The rewritten query's body and the caches' positions do not depend on
+    the query's constants, so one holder — created with the shape's plan and
+    carried by every :func:`~repro.engine.plan_cache.bind_plan` copy —
+    serves every key of a template: the position tables the fast-failing
+    policy walks, and the :class:`~repro.query.compiled.JoinProgram` of
+    every conjunction a run evaluates.  Programs compile on first use.  Two
+    threads may compile the same one; compilation is deterministic and a
+    dict store is atomic, so whichever stores last changes nothing.
+    """
+
+    def __init__(self, body: Tuple[Atom, ...], caches: Dict[str, CachePredicate]) -> None:
+        self._body = body
+        self._position_of = {cache.name: cache.position for cache in caches.values()}
+        #: Ordering positions of the plan, ascending, and the caches at each.
+        self.positions: List[int] = sorted(set(self._position_of.values()))
+        self.caches_at: Dict[int, List[CachePredicate]] = {
+            position: [cache for cache in caches.values() if cache.position == position]
+            for position in self.positions
+        }
+        self._everywhere = frozenset(self.positions)
+        self._pivots: Dict[int, JoinProgram] = {}
+        self._prefixes: Dict[FrozenSet[int], JoinProgram] = {}
+
+    def full(self) -> JoinProgram:
+        """The program of the whole body — every position populated: the
+        query's answers."""
+        return self.prefix(self._everywhere)
+
+    def pivot(self, atom_index: int) -> JoinProgram:
+        """The whole body with one atom scanned first (streaming checks)."""
+        program = self._pivots.get(atom_index)
+        if program is None:
+            program = self._pivots[atom_index] = JoinProgram(self._body, pivot=atom_index)
+        return program
+
+    def prefix(self, populated: FrozenSet[int]) -> JoinProgram:
+        """The atoms whose caches sit at the ``populated`` positions — the
+        fast-failing test.  The structural order only ever asks for the first
+        *k* positions; ``optimizer="cost"`` may ask for any down-closed set
+        of the ordering."""
+        program = self._prefixes.get(populated)
+        if program is None:
+            program = self._prefixes[populated] = JoinProgram(
+                [atom for atom in self._body if self._position_of[atom.predicate] in populated]
+            )
+        return program
+
+
 @dataclass(frozen=True)
 class QueryPlan:
     """A complete ⊂-minimal query plan.
@@ -122,6 +174,7 @@ class QueryPlan:
         constant_facts: extensions of the artificial constant relations.
         rewritten_query: the original query with every body atom replaced by
             its cache predicate.
+        compiled: the shape's :class:`CompiledPlan` (shared, not compared).
         answerable: False when the query mentions a non-queryable relation;
             such plans are degenerate and always produce the empty answer.
 
@@ -142,6 +195,7 @@ class QueryPlan:
     cache_of_atom: Dict[int, str]
     constant_facts: Dict[str, FrozenSet[Tuple[object, ...]]]
     rewritten_query: ConjunctiveQuery
+    compiled: CompiledPlan = field(compare=False, repr=False)
     answerable: bool = True
 
     # -- derived views ------------------------------------------------------------
@@ -159,10 +213,10 @@ class QueryPlan:
         return self.analysis.irrelevant
 
     def caches_at(self, position: int) -> List[CachePredicate]:
-        return [cache for cache in self.caches.values() if cache.position == position]
+        return list(self.compiled.caches_at.get(position, ()))
 
     def positions(self) -> List[int]:
-        return sorted({cache.position for cache in self.caches.values()})
+        return list(self.compiled.positions)
 
     def cache_for_source(self, source_id: str) -> CachePredicate:
         for cache in self.caches.values():

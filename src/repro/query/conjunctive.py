@@ -39,10 +39,9 @@ class ConjunctiveQuery:
         object.__setattr__(self, "body", tuple(self.body))
         if not self.body:
             raise QueryError("a conjunctive query must have a non-empty body")
+        body_variables = self.body_variable_set()
         missing = [
-            variable
-            for variable in self.head_variables()
-            if variable not in self.body_variable_set()
+            variable for variable in self.head_variables() if variable not in body_variables
         ]
         if missing:
             names = ", ".join(str(variable) for variable in missing)
@@ -228,12 +227,6 @@ class ConjunctiveQuery:
                     raise QueryError(f"head term {term} is unbound after body evaluation")
             answers.add(tuple(row))
         return frozenset(answers)
-
-    def holds_in(self, contents: Mapping[str, Iterable[Tuple[object, ...]]]) -> bool:
-        """True when the body is satisfiable over the given relation contents."""
-        from repro.query.evaluate import conjunction_is_satisfiable
-
-        return conjunction_is_satisfiable(self.body, contents)
 
     # -- rendering ------------------------------------------------------------------------
     def head_string(self) -> str:

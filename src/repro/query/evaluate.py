@@ -1,11 +1,15 @@
-"""Evaluation of conjunctions of atoms over explicit relation contents.
+"""Reference evaluation of conjunctions over explicit relation contents.
 
 This is the textbook join-by-backtracking evaluation of a conjunctive query
-body against in-memory relations; it is used to answer queries over the cache
-database, to perform the fast-failing satisfiability checks, and as the
-reference semantics in tests.  Atoms are matched left to right after a greedy
-reordering that prefers atoms with more bound terms (a simple bound-first
-join order that keeps intermediate results small).
+body against in-memory relations: the *reference semantics* of a
+conjunction.  It answers the naive baseline's query
+(:class:`~repro.runtime.policy.EagerAllRelations`), evaluates rule bodies
+for the Datalog oracle (:mod:`repro.datalog.evaluation`), and is what the
+compiled join programs (:mod:`repro.query.compiled`) are tested against.
+No plan-driven execution calls it — those run the shape's compiled programs
+— and it deliberately shares no code with them.  Atoms are matched left to
+right after a greedy reordering that prefers atoms with more bound terms (a
+simple bound-first join order that keeps intermediate results small).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.query.atoms import Atom
 from repro.query.substitution import Substitution
-from repro.query.terms import Constant, Term, Variable
+from repro.query.terms import Constant, Variable
 
 RelationContents = Mapping[str, Iterable[Tuple[object, ...]]]
 
@@ -139,35 +143,3 @@ def evaluate_conjunction(
                 yield from search(depth + 1, matched)
 
     yield from search(0, start)
-
-
-def conjunction_is_satisfiable(
-    atoms: Sequence[Atom],
-    contents: RelationContents,
-) -> bool:
-    """True when at least one substitution satisfies the conjunction."""
-    for _ in evaluate_conjunction(atoms, contents):
-        return True
-    return False
-
-
-def project_answers(
-    atoms: Sequence[Atom],
-    head_terms: Sequence[Term],
-    contents: RelationContents,
-) -> Set[Tuple[object, ...]]:
-    """Evaluate a conjunction and project the results onto ``head_terms``."""
-    answers: Set[Tuple[object, ...]] = set()
-    for substitution in evaluate_conjunction(atoms, contents):
-        row: List[object] = []
-        ok = True
-        for term in head_terms:
-            value = substitution.apply(term)
-            if isinstance(value, Constant):
-                row.append(value.value)
-            else:
-                ok = False
-                break
-        if ok:
-            answers.add(tuple(row))
-    return answers

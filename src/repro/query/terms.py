@@ -44,7 +44,10 @@ class Constant:
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
-            return f"'{self.value}'"
+            # The textual syntax has no escapes: a value holding a single
+            # quote re-parses only inside double quotes.
+            quote = '"' if "'" in self.value else "'"
+            return f"{quote}{self.value}{quote}"
         return str(self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

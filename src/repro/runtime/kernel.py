@@ -428,7 +428,9 @@ class FixpointKernel:
         gate_served = 0
         profile = self.profile
 
+        started = perf_counter()
         more_phases = self.policy.begin()
+        profile.fast_fail_seconds += perf_counter() - started
         while more_phases and not budget_exhausted:
             while True:
                 started = perf_counter()
@@ -478,7 +480,9 @@ class FixpointKernel:
                         profile.answers_streamed += 1
                         yield ("answer", streamed)
             if not budget_exhausted:
+                started = perf_counter()
                 more_phases = self.policy.advance()
+                profile.fast_fail_seconds += perf_counter() - started
 
         total_time = self.dispatcher.total_time()
         started = perf_counter()
@@ -490,6 +494,7 @@ class FixpointKernel:
         profile.answer_checks = self.tracker.incremental_checks + self.tracker.full_checks
         profile.incremental_checks = self.tracker.incremental_checks
         profile.full_checks = self.tracker.full_checks
+        profile.fast_fail_checks = self.policy.fast_fail_checks
         return KernelOutcome(
             answers=frozenset(self.tracker.answers),
             answer_times=self.tracker.answer_times,

@@ -61,6 +61,10 @@ class SchedulingPolicy(abc.ABC):
     #: is served locally instead of repeated.
     dedup_accesses: bool = True
 
+    #: Fast-failing tests performed so far (only :class:`OrderedFastFail`
+    #: makes any); the kernel reports it as ``fast_fail_checks``.
+    fast_fail_checks: int = 0
+
     def bind_dispatcher(self, dispatcher: Dispatcher) -> None:
         """Called by the kernel once the dispatcher exists (for gating)."""
         self.dispatcher = dispatcher
@@ -227,7 +231,9 @@ class PlanPolicy(SchedulingPolicy):
     Owns the plan's cache tables and delta-driven binding generators in a
     (possibly session-shared) :class:`~repro.sources.cache.CacheDatabase`,
     serves meta-cache hits at offer time, absorbs completions into the
-    cache tables, and evaluates the rewritten query over them.
+    cache tables, and evaluates the rewritten query over them by running
+    the shape's compiled join programs (``plan.compiled``, see
+    :mod:`repro.query.compiled`) directly against the tables' indexes.
 
     Every admissible access order reaches the same least fixpoint: an
     order decides *when* accesses run, never *whether* — except where a
@@ -241,6 +247,12 @@ class PlanPolicy(SchedulingPolicy):
         self.generators: Dict[str, CacheBindingGenerator] = initialize_plan_caches(
             plan, cache_db
         )
+        #: Per body atom, its table's row log and how much of it the
+        #: streaming checks have joined already (see :meth:`evaluate_delta`).
+        self._logs = [
+            cache_db.cache(atom.predicate).row_log() for atom in plan.rewritten_query.body
+        ]
+        self._marks = [0] * len(self._logs)
 
     def _offer_caches(self, caches: List["CachePredicate"], emit: Emit) -> bool:
         """Offer the fresh bindings of the given caches; True when a
@@ -279,24 +291,32 @@ class PlanPolicy(SchedulingPolicy):
         self.cache_db.cache(completion.request.target).add_all(completion.rows)
 
     def evaluate(self) -> FrozenSet[Row]:
-        return self.plan.rewritten_query.evaluate(self.cache_db.contents())
+        plan = self.plan
+        return frozenset(
+            plan.compiled.full().answers(self.cache_db.find, plan.rewritten_query.head_terms)
+        )
 
     def evaluate_delta(self) -> Set[Row]:
-        """Answers newly derivable since the previous delta call.
+        """Answers derivable now that use a row added since the previous call.
 
-        Backed by the semi-naive evaluator over the cache tables' row logs
-        (:mod:`repro.query.incremental`), so a call costs time proportional
-        to the rows absorbed since the last one — this is what the kernel's
-        intermediate (streaming) answer checks run instead of a full
-        re-evaluation of the rewritten query.
+        The semi-naive step over the cache tables' append-only row logs:
+        each atom whose table grew has its pivot program run over just the
+        new rows, so a call costs time proportional to them and the answers
+        they enable — this is what the kernel's intermediate (streaming)
+        answer checks run instead of a full re-evaluation.  The result is a
+        superset of the truly new answers (one may be re-derived through
+        another pivot) and a subset of :meth:`evaluate`.
         """
-        if getattr(self, "_incremental", None) is None:
-            from repro.query.incremental import IncrementalAnswerEvaluator
-
-            self._incremental = IncrementalAnswerEvaluator(
-                self.plan.rewritten_query, self.cache_db
-            )
-        return self._incremental.delta_answers()
+        plan = self.plan
+        out: Set[Row] = set()
+        for pivot, log in enumerate(self._logs):
+            low, high = self._marks[pivot], len(log)
+            if low < high:
+                self._marks[pivot] = high
+                out |= plan.compiled.pivot(pivot).answers(
+                    self.cache_db.find, plan.rewritten_query.head_terms, log[low:high]
+                )
+        return out
 
     def meta_for(self, relation: str) -> Optional["MetaCache"]:
         return self.cache_db.meta_cache(self.plan.schema[relation])
@@ -372,14 +392,11 @@ class OrderedFastFail(PlanPolicy):
         super().__init__(plan, cache_db)
         self.fast_fail = fast_fail
         self.fewest_pending_first = fewest_pending_first
-        self._positions = plan.positions()
-        self._caches_at = {
-            position: plan.caches_at(position) for position in self._positions
-        }
-        self._position_of = {cache.name: cache.position for cache in plan.caches.values()}
+        self._positions = plan.compiled.positions
+        self._caches_at = plan.compiled.caches_at
         #: The position being populated, and those fully populated before it.
         self._current: Optional[int] = None
-        self._populated: Set[int] = set()
+        self._populated: FrozenSet[int] = frozenset()
         self.failed_at: Optional[int] = None
 
     def begin(self) -> bool:
@@ -387,7 +404,7 @@ class OrderedFastFail(PlanPolicy):
 
     def advance(self) -> bool:
         if self._current is not None:
-            self._populated.add(self._current)
+            self._populated |= {self._current}
         if len(self._populated) == len(self._positions):
             return False
         if self.fast_fail and not self._prefix_satisfiable():
@@ -438,20 +455,15 @@ class OrderedFastFail(PlanPolicy):
     def _prefix_satisfiable(self) -> bool:
         """Early non-emptiness test over the already-populated caches.
 
-        Evaluates the sub-conjunction of the rewritten query restricted to
-        the atoms whose cache was populated in an earlier phase; if it is
+        Runs the sub-conjunction of the rewritten query restricted to the
+        atoms whose cache was populated in an earlier phase; if it is
         unsatisfiable, the whole query is certainly empty.
         """
-        prefix_atoms = [
-            atom
-            for atom in self.plan.rewritten_query.body
-            if self._position_of.get(atom.predicate) in self._populated
-        ]
-        if not prefix_atoms:
+        program = self.plan.compiled.prefix(self._populated)
+        if not program.steps:
             return True
-        from repro.query.evaluate import conjunction_is_satisfiable
-
-        return conjunction_is_satisfiable(prefix_atoms, self.cache_db.contents())
+        self.fast_fail_checks += 1
+        return program.satisfiable(self.cache_db.find)
 
 
 class EagerPlan(PlanPolicy):

@@ -1,13 +1,15 @@
 """Lightweight per-phase profiling of the fixpoint kernel.
 
-Every kernel run owns a :class:`KernelProfile` and charges its four phases
+Every kernel run owns a :class:`KernelProfile` and charges its five phases
 to it — *offer* (binding enumeration + meta-cache hits), *dispatch*
 (dispatcher refills and steps, i.e. simulated-event or real scheduling),
-*absorb* (folding completions into the caches), and *answer-check*
-(incremental/full query evaluation) — together with the counters that make
-a regression diagnosable without external tools: offer passes, dispatcher
-steps, completions and completion batches, and how many answer checks ran
-incrementally vs. as full evaluations.
+*absorb* (folding completions into the caches), *answer-check*
+(incremental/full query evaluation) and *fast-fail* (the policy's phase
+transitions, i.e. Section IV's non-emptiness tests between positions) —
+together with the counters that make a regression diagnosable without
+external tools: offer passes, dispatcher steps, completions and completion
+batches, how many answer checks ran incrementally vs. as full evaluations,
+and how many fast-failing tests ran.
 
 The profile travels with the run's result (``Result.to_dict()["profile"]``,
 ``explain()``, the ``--profile`` CLI flag) and engine sessions aggregate the
@@ -25,6 +27,7 @@ _TIMINGS = (
     "dispatch_seconds",
     "absorb_seconds",
     "answer_check_seconds",
+    "fast_fail_seconds",
 )
 
 _COUNTERS = (
@@ -36,6 +39,7 @@ _COUNTERS = (
     "incremental_checks",
     "full_checks",
     "answers_streamed",
+    "fast_fail_checks",
 )
 
 
@@ -45,18 +49,10 @@ class KernelProfile:
     __slots__ = _TIMINGS + _COUNTERS + ("runs", "max_batch")
 
     def __init__(self) -> None:
-        self.offer_seconds = 0.0
-        self.dispatch_seconds = 0.0
-        self.absorb_seconds = 0.0
-        self.answer_check_seconds = 0.0
-        self.offer_passes = 0
-        self.dispatch_steps = 0
-        self.completions = 0
-        self.completion_batches = 0
-        self.answer_checks = 0
-        self.incremental_checks = 0
-        self.full_checks = 0
-        self.answers_streamed = 0
+        for name in _TIMINGS:
+            setattr(self, name, 0.0)
+        for name in _COUNTERS:
+            setattr(self, name, 0)
         #: Kernel runs folded into this profile (1 for a single execution).
         self.runs = 1
         #: Largest completion batch absorbed in one dispatcher step.
@@ -72,12 +68,7 @@ class KernelProfile:
 
     @property
     def total_seconds(self) -> float:
-        return (
-            self.offer_seconds
-            + self.dispatch_seconds
-            + self.absorb_seconds
-            + self.answer_check_seconds
-        )
+        return sum(getattr(self, name) for name in _TIMINGS)
 
     # -- rendering -----------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -110,6 +101,7 @@ class KernelProfile:
                 self.answer_check_seconds,
                 f"{self.incremental_checks} incremental + {self.full_checks} full",
             ),
+            ("fast-fail", self.fast_fail_seconds, f"{self.fast_fail_checks} tests"),
         ):
             share = 100.0 * seconds / total
             lines.append(f"  {label:<13} {seconds * 1000.0:9.2f} ms  {share:5.1f}%  ({detail})")

@@ -34,7 +34,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -100,9 +99,6 @@ class CacheTable:
         return sum(1 for row in rows if self.add(row))
 
     # -- inspection ----------------------------------------------------------
-    def rows(self) -> FrozenSet[Row]:
-        return frozenset(self._rows)
-
     def values_at(self, position: int) -> Set[object]:
         """Distinct values at one argument position.
 
@@ -163,10 +159,6 @@ class CacheTable:
                     bucket.append(row)
             entry[1] = len(log)
         return index
-
-    def probe(self, positions: Tuple[int, ...], key: Tuple[object, ...]) -> Sequence[Row]:
-        """Rows whose values at ``positions`` equal ``key`` (O(1) + new-row upkeep)."""
-        return self.index_for(positions).get(key, ())
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._rows)
@@ -362,11 +354,10 @@ class CacheDatabase:
     def cache(self, name: str) -> CacheTable:
         return self._caches[name]
 
-    def has_cache(self, name: str) -> bool:
-        return name in self._caches
-
-    def caches(self) -> List[CacheTable]:
-        return list(self._caches.values())
+    def find(self, name: str) -> Optional[CacheTable]:
+        """The cache table ``name``, or None — the ``predicate -> table``
+        lookup the compiled join programs run against."""
+        return self._caches.get(name)
 
     # -- meta-caches ----------------------------------------------------------------
     def meta_cache(self, relation: RelationSchema) -> MetaCache:
@@ -377,11 +368,6 @@ class CacheDatabase:
                 if meta is None:
                     meta = self._meta[relation.name] = MetaCache(relation, self._store)
         return meta
-
-    # -- views ---------------------------------------------------------------------------
-    def contents(self) -> Dict[str, FrozenSet[Row]]:
-        """Snapshot ``{cache_name: rows}`` used to evaluate queries over the caches."""
-        return {name: cache.rows() for name, cache in self._caches.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheDatabase({len(self._caches)} caches, {len(self._meta)} meta-caches)"

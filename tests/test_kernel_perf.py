@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.engine import Engine
 from repro.examples import (
+    chain_example,
     deep_cycle_example,
     ucq_fanout_workload,
     wide_fanout_example,
@@ -206,10 +207,30 @@ def test_kernel_profile_phases_cover_the_run() -> None:
         "dispatch",
         "absorb",
         "answer_check",
+        "fast_fail",
     }
     # The session aggregates per-run profiles under stats()["kernel"].
     assert stats["kernel"]["runs"] >= 1
     assert stats["kernel"]["counters"]["completions"] >= result.total_accesses
+
+
+def test_fast_fail_checks_count_the_prefix_tests_performed() -> None:
+    chain = chain_example(length=3, width=4)
+    with Engine(chain.schema, chain.instance) as engine:
+        prepared = engine.plan(chain.query_text)
+        positions = prepared.plan.positions()
+        tested = prepared.execute(strategy="fast_fail").kernel_profile
+        untested = prepared.execute(strategy="fast_fail", fast_fail=False).kernel_profile
+        eager = prepared.execute(strategy="distillation").kernel_profile
+        kernel = engine.session_stats()["kernel"]
+    # free, s1, s2, s3 sit at one position each: one test per boundary with
+    # a populated prefix — none before the first phase, none after the last.
+    assert len(positions) == 4
+    assert tested.fast_fail_checks == len(positions) - 1
+    assert tested.fast_fail_seconds > 0.0
+    assert untested.fast_fail_checks == 0 and eager.fast_fail_checks == 0
+    assert kernel["counters"]["fast_fail_checks"] == len(positions) - 1
+    assert any("fast-fail" in line and "3 tests" in line for line in tested.describe())
 
 
 # -- scale-tier scenario generators ------------------------------------------

@@ -51,6 +51,43 @@ def test_parse_errors(bad: str) -> None:
     assert isinstance(info.value, ReproError)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # An empty slot used to be dropped, shifting every later position.
+        "q(X) <- r(X,,Y)",
+        "q(X) <- r(X,), s(X)",
+        "q(X,) <- r(X)",
+        "q(X) <- r(,)",
+        "q(X) <- r(X),, s(X)",
+        "q(X) <- r(X),",
+        "q(X) <- , r(X)",
+        # A bare term is one token: these used to parse with a variable
+        # named "Y Z", resp. die as an "unsafe query" about "X) s(X".
+        "q(Y) <- r(Y), s(Y Z)",
+        "q(X) <- r(X) s(X)",
+        "q(X) <- r(X, a'b)",
+        "q(X) <- r(X, 'a'b)",
+    ],
+)
+def test_empty_slots_and_multi_token_terms_are_parse_errors(bad: str) -> None:
+    with pytest.raises(ParseError):
+        parse_query(bad)
+
+
+def test_no_argument_is_not_an_empty_argument() -> None:
+    assert parse_query("q() <- r( )").body[0].terms == ()
+    assert parse_query("q <- r(X)").head_terms == ()
+    assert parse_atom("r(a-1, b.c)").terms == (Constant("a-1"), Constant("b.c"))
+
+
+def test_a_constant_holding_a_single_quote_renders_reparseable() -> None:
+    assert str(Constant("it's")) == '"it\'s"'
+    query = parse_query('q(X) <- r(X, "it\'s")')
+    assert query.body[0].terms[1] == Constant("it's")
+    assert parse_query(str(query)) == query
+
+
 def test_empty_body_is_query_error() -> None:
     from repro.exceptions import QueryError
 

@@ -5,16 +5,23 @@ must not split on (``:-``, ``<-``, commas), numeric constants, repeated
 anonymous ``_`` terms and mixed arities.  For every generated query the
 first render must reparse to an equal query and render identically again,
 and anonymous variables must stay pairwise distinct (no silent equi-join).
+
+The same generator checks the parse memo (``parse_query`` parses each text
+*skeleton* once): whatever the memo holds, ``parse_query`` returns what the
+uncached grammar returns, for the text that filled an entry and for every
+later text that hits it.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 
-from repro.query.parser import parse_query
-from repro.query.terms import Variable
+from repro.query import parser
+from repro.query.parser import PARSE_MEMO_ENTRIES, parse_query
+from repro.query.terms import Constant, Variable
 
 #: Constants deliberately containing the tokens the tokenizer must treat as
 #: data when quoted.
@@ -26,6 +33,7 @@ TRICKY_CONSTANTS = [
     "trailing,",
     ":-",
     "plain",
+    "it's",
 ]
 
 VARIABLE_POOL = ["X", "Y", "Z", "W1", "Long_Var", "V2"]
@@ -33,7 +41,11 @@ VARIABLE_POOL = ["X", "Y", "Z", "W1", "Long_Var", "V2"]
 PREDICATE_POOL = ["r", "s", "t", "edge", "rel3"]
 
 
-def _random_query_text(rng: random.Random) -> str:
+def _random_query_text(rng: random.Random, literals: Optional[random.Random] = None) -> str:
+    """``rng`` draws the structure, ``literals`` (default: ``rng`` too) the
+    constants' values — one structure under two literal draws is two texts
+    of one skeleton."""
+    literals = literals or rng
     body_atoms = []
     body_variables = []
     for _ in range(rng.randint(1, 4)):
@@ -48,11 +60,11 @@ def _random_query_text(rng: random.Random) -> str:
             elif kind < 0.55:
                 terms.append("_")
             elif kind < 0.8:
-                terms.append("'" + rng.choice(TRICKY_CONSTANTS) + "'")
+                terms.append(str(Constant(literals.choice(TRICKY_CONSTANTS))))
             elif kind < 0.9:
-                terms.append(str(rng.randint(-50, 50)))
+                terms.append(str(literals.randint(-50, 50)))
             else:
-                terms.append(str(rng.randint(0, 9)) + ".5")
+                terms.append(str(literals.randint(0, 9)) + ".5")
         body_atoms.append(f"{predicate}({', '.join(terms)})")
     if body_variables and rng.random() < 0.9:
         head_count = rng.randint(1, min(3, len(body_variables)))
@@ -116,3 +128,93 @@ def test_quoted_separators_round_trip_exactly() -> None:
         if not isinstance(term, Variable)
     }
     assert constants == {"a:-b", "x,y", "<- arrow"}
+
+
+# -- the parse memo ---------------------------------------------------------------
+@pytest.fixture()
+def memo(monkeypatch: pytest.MonkeyPatch) -> dict:
+    """An empty memo for one test (the real one is shared by the process)."""
+    fresh: dict = {}
+    monkeypatch.setattr(parser, "_MEMO", fresh)
+    return fresh
+
+
+def _grammar_calls(monkeypatch: pytest.MonkeyPatch) -> list:
+    calls: list = []
+    grammar = parser._parse_uncached
+
+    def counting(text: str):
+        calls.append(text)
+        return grammar(text)
+
+    monkeypatch.setattr(parser, "_parse_uncached", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_memo_hits_and_misses_parse_like_the_grammar(seed: int, memo: dict) -> None:
+    texts = [
+        _random_query_text(random.Random(seed), random.Random(f"{seed}/{draw}"))
+        for draw in ("a", "b", "a")
+    ]
+    for text in texts:
+        cached, reference = parse_query(text), parser._parse_uncached(text)
+        assert cached == reference, text
+        assert str(cached) == str(reference), text
+    assert len(memo) <= 1  # one structure, one skeleton (none at all with a `_`)
+
+
+def test_the_second_text_of_a_skeleton_never_enters_the_grammar(memo, monkeypatch) -> None:
+    calls = _grammar_calls(monkeypatch)
+    first = parse_query("q(N) <- r1(A, N, 1958), r2('volare', Y2, A)")
+    assert len(memo) == 1 and calls
+    del calls[:]
+    second = parse_query('q(N) <- r1(A, N, -7), r2("nel blu, dipinto", Y2, A)')
+    assert calls == []
+    assert str(first) == "q(N) <- r1(A, N, 1958), r2('volare', Y2, A)"
+    assert str(second) == "q(N) <- r1(A, N, -7), r2('nel blu, dipinto', Y2, A)"
+    # Bare lower-case constants are part of the skeleton, not literals.
+    assert parse_query("q(N) <- r1(A, N, 1958), r2(volare, Y2, A)") == first
+    assert len(memo) == 2
+
+
+def test_literal_types_survive_a_hit(memo) -> None:
+    values = [
+        parse_query(f"q(X) <- r(X, {literal})").body[0].terms[1].value
+        for literal in ("1", "1.0", "'1'", "007", "1.50", "-0", '"1.0"')
+    ]
+    assert len(memo) == 1
+    assert [(type(value), value) for value in values] == [
+        (int, 1), (float, 1.0), (str, "1"), (int, 7), (float, 1.5), (int, 0), (str, "1.0")
+    ]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q(X) <- r(X, _), s(_, 'a')",  # fresh names depend on the whole text
+        "q(X) <- r(X, 'a' 'b')",  # two quoted regions, one constant
+        "q(X) <- r(X, a-1)",  # the 1 is part of a bare constant
+    ],
+)
+def test_texts_the_memo_cannot_vouch_for_are_never_stored(text, memo, monkeypatch) -> None:
+    calls = _grammar_calls(monkeypatch)
+    for _ in range(2):
+        assert parse_query(text) == parser._parse_uncached(text)
+    assert memo == {}
+    assert calls.count(text) == 4  # both calls of each round reached the grammar
+
+
+def test_anonymous_names_still_avoid_quoted_text_on_every_call(memo) -> None:
+    assert str(parse_query("q(X) <- r(X, _), s('_anon1')")) == "q(X) <- r(X, _anon2), s('_anon1')"
+    assert str(parse_query("q(X) <- r(X, _), s('_anon2')")) == "q(X) <- r(X, _anon1), s('_anon2')"
+
+
+def test_the_memo_is_bounded(memo) -> None:
+    for index in range(PARSE_MEMO_ENTRIES + 40):
+        parse_query(f"q(X{index}) <- r(X{index}, 'k')")
+        assert len(memo) <= PARSE_MEMO_ENTRIES
+    assert len(memo) == PARSE_MEMO_ENTRIES
+    # The oldest skeletons went first; a dropped one parses (and is stored) again.
+    assert "q(X0) <- r(X0, \x00)" not in memo
+    assert str(parse_query("q(X0) <- r(X0, 'again')")) == "q(X0) <- r(X0, 'again')"

@@ -6,6 +6,11 @@ that shape (:mod:`repro.engine.plan_cache`).  The contract under test:
 nothing a caller can observe depends on the cache.  Answers, access counts,
 the access log and ``explain()`` / ``to_datalog()`` / ``describe()`` are
 the same on a hit and on a miss, whichever constants filled the entry.
+
+A shape also carries what its executions share (``plan.compiled``: the
+compiled join programs) and the parser memoizes text skeletons, so the
+second query of a template compiles nothing and parses nothing — and no
+plan-driven run evaluates through the reference interpreter.
 """
 
 from __future__ import annotations
@@ -18,11 +23,15 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from test_fuzz_equivalence import CI_SEEDS, STRATEGIES, _registry, generate_case
 
+import repro.plan.plan
+import repro.query.evaluate
+import repro.query.parser
 from repro import Engine
 from repro.engine.plan_cache import PLAN_CACHE_ENTRIES, query_shape
 from repro.exceptions import UnanswerableQueryError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
+from repro.query.compiled import JoinProgram
 from repro.query.parser import parse_query
 from repro.query.terms import Constant
 
@@ -178,6 +187,62 @@ def test_warm_plan_is_indistinguishable_from_a_fresh_one(seed: int) -> None:
     assert len(answers) == 1, f"seed {seed}: strategies disagree on {second}"
 
 
+# -- (c') what a shape carries is built once --------------------------------------
+def _every_door(engine: Engine, text: str) -> list:
+    """Answers through every strategy, ``execute`` and ``stream``, both orders."""
+    answers = []
+    for optimizer in ("structural", "cost"):
+        for strategy in STRATEGIES:
+            answers.append(engine.execute(text, strategy=strategy, optimizer=optimizer).answers)
+        streamed = engine.stream(text, strategy="distillation", optimizer=optimizer)
+        answers.append(frozenset(answer.row for answer in streamed))
+    return answers
+
+
+def test_second_query_of_a_shape_compiles_and_parses_nothing(example, monkeypatch) -> None:
+    compiled, parsed = [], []
+
+    class CountingProgram(JoinProgram):
+        def __init__(self, *args, **kwargs) -> None:
+            compiled.append(args)
+            super().__init__(*args, **kwargs)
+
+    grammar = repro.query.parser._parse_uncached
+    monkeypatch.setattr(repro.plan.plan, "JoinProgram", CountingProgram)
+    monkeypatch.setattr(
+        repro.query.parser, "_parse_uncached", lambda text: parsed.append(text) or grammar(text)
+    )
+    monkeypatch.setattr(repro.query.parser, "_MEMO", {})
+    with Engine(example.schema, example.instance) as engine:
+        first = _every_door(engine, example.query_text)
+        assert set(first) == {example.expected_answers}
+        # Full body, fast-fail prefixes, a pivot per body atom; the text and
+        # (to derive its template) its marked skeleton.
+        assert len(compiled) >= 3 and parsed[0] == example.query_text and len(parsed) == 2
+        del compiled[:], parsed[:]
+        engine.reset_session()
+        second = _every_door(engine, example.query_text.replace("volare", "la vie en rose"))
+    assert len(set(second)) == 1 and second != first
+    assert compiled == [] and parsed == []
+
+
+def test_no_plan_driven_run_calls_the_reference_evaluator(engine, example, monkeypatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluate_conjunction called on the hot path")
+
+    monkeypatch.setattr(repro.query.evaluate, "evaluate_conjunction", forbidden)
+    for optimizer in ("structural", "cost"):
+        for strategy in ("fast_fail", "distillation"):
+            result = engine.execute(example.query_text, strategy=strategy, optimizer=optimizer)
+            assert result.answers == example.expected_answers
+            engine.reset_session()
+    streamed = engine.stream(example.query_text, strategy="distillation")
+    assert {answer.row for answer in streamed} == example.expected_answers
+    # The naive baseline is the reference interpreter's caller: the patch bites.
+    with pytest.raises(AssertionError, match="hot path"):
+        engine.execute(example.query_text, strategy="naive")
+
+
 # -- (d) failed plans are never cached -----------------------------------------
 def test_unanswerable_shape_raises_every_time_with_the_current_query(engine) -> None:
     for year in (1928, 1938, 1928):
@@ -222,6 +287,13 @@ def test_eight_threads_on_two_shapes_agree_with_the_serial_run(example) -> None:
 
     def worker(engine: Engine, offset: int) -> None:
         barrier.wait(timeout=30)
+        # Execute and stream before anything else, so the threads race to
+        # compile the two shapes' join programs on first use.
+        at = offset % len(queries)
+        strategy = STRATEGIES[1:][offset % 2]
+        assert engine.execute(queries[at], strategy=strategy).answers == expected[at][1]
+        streamed = engine.stream(queries[at], strategy="distillation")
+        assert frozenset(answer.row for answer in streamed) == expected[at][1]
         for step in range(rounds):
             at = (offset + step) % len(queries)
             assert str(engine.plan(queries[at]).to_datalog()) == expected[at][0]
@@ -240,7 +312,7 @@ def test_eight_threads_on_two_shapes_agree_with_the_serial_run(example) -> None:
     finally:
         sys.setswitchinterval(interval)
     # No lost update: every plan() call was counted exactly once.
-    assert stats["hits"] + stats["misses"] == threads * (rounds + len(queries))
+    assert stats["hits"] + stats["misses"] == threads * (2 + rounds + len(queries))
     assert stats["entries"] == 2 and 2 <= stats["misses"] <= 2 * threads
 
 
