@@ -34,7 +34,7 @@ from repro.model.schema import RelationSchema, Schema
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.runtime.kernel import StreamedAnswer
-from repro.sources.async_backend import AsyncBackend, AsyncBackendAdapter, as_async_backend
+from repro.sources.async_backend import AsyncBackend
 from repro.sources.backend import (
     CallableBackend,
     InMemoryBackend,
@@ -67,7 +67,6 @@ __version__ = "0.2.0"
 
 __all__ = [
     "AsyncBackend",
-    "AsyncBackendAdapter",
     "BreakerConfig",
     "CallableBackend",
     "CircuitBreaker",
@@ -103,7 +102,6 @@ __all__ = [
     "StreamedAnswer",
     "Termination",
     "WorkloadReport",
-    "as_async_backend",
     "available_strategies",
     "build_backend",
     "parse_query",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AsyncIterator, Iterator, Optional, Tuple
 
@@ -176,8 +177,11 @@ class PreparedPlan:
         self, resolved, opts: ExecuteOptions
     ) -> AsyncIterator[StreamedAnswer]:
         try:
-            async for answer in resolved.astream(self, opts):
-                yield answer
+            # Closing this generator must finish the run's clean-up (tasks,
+            # claims, session absorb) before ``aclose()`` returns.
+            async with contextlib.aclosing(resolved.astream(self, opts)) as answers:
+                async for answer in answers:
+                    yield answer
         except ReproError as error:
             raise error.with_context(query=self.query, plan=self.plan)
 

@@ -15,8 +15,9 @@ is authoritative for:
 * :class:`AsyncDispatcher` — the production counterpart
   (``concurrency="async"``, every strategy): accesses really run, each an
   awaited task on one event loop (bounded by ``max_in_flight``), stamped
-  with the wall clock relative to the start of the run; HTTP sources are
-  awaited natively, sync backends are adapted onto an executor's threads.
+  with the wall clock relative to the start of the run; a read costs what
+  its source costs — HTTP and in-memory backends are awaited inline on the
+  loop, backends that may block run on an executor's threads.
 
 The first two are the ``concurrency="simulated"`` clocks; which one a
 strategy runs on is part of its declaration
@@ -583,10 +584,14 @@ class SimulatedParallelDispatcher(Dispatcher):
 class AsyncDispatcher(Dispatcher):
     """Event-loop dispatch: every access is an awaited task on one loop.
 
-    The dispatcher of real concurrency, for sources reached over real I/O
-    (the HTTP backend awaits its socket natively; sync backends are
-    adapted onto an executor's threads, so a slow callable or SQLite
-    source overlaps too).  The event loop keeps up to ``max_in_flight``
+    The dispatcher of real concurrency, for sources reached over real I/O.
+    A backend with a native async read (``alookup``) is awaited inline on
+    the loop thread: the HTTP backend awaits its socket, the in-memory one
+    is a dictionary probe that never waits — neither costs a thread.  Any
+    other backend (SQLite, a slow callable, injected faults, a user
+    subclass) may sleep or lock, so its ``lookup`` runs on an executor
+    this run builds the first time such a backend is actually read, and
+    overlaps there.  The event loop keeps up to ``max_in_flight``
     individual accesses in flight across all relations — thousands of
     concurrent remote lookups cost coroutines, not threads.
 
@@ -624,8 +629,7 @@ class AsyncDispatcher(Dispatcher):
         self._tasks: Set["asyncio.Task"] = set()
         self._task_request: Dict["asyncio.Task", AccessRequest] = {}
         self._inflight_load: Dict[str, int] = {}
-        #: Executor for backends without a native async read (lazily built;
-        #: threads are only spawned if a sync backend is actually adapted).
+        #: Pool for backends without a native async read; see :meth:`_pool`.
         self._executor: Optional[ThreadPoolExecutor] = None
         self._started = time.perf_counter()
         #: High-water mark of concurrently in-flight access tasks.
@@ -691,59 +695,73 @@ class AsyncDispatcher(Dispatcher):
         if not self._tasks:
             return None if self._backlog else []
         done, _ = await asyncio.wait(self._tasks, return_when=asyncio.FIRST_COMPLETED)
-        now = time.perf_counter() - self._started
-        completions: List[Completion] = []
-        for task in done:
-            self._tasks.discard(task)
-            request = self._task_request.pop(task)
-            self._inflight_load[request.relation] -= 1
-            outcome = task.result()  # programming errors propagate
-            self.sequential_time += outcome.read_seconds
-            if outcome.counted:
-                self.registry.wrapper(request.relation).record_access(
-                    request.binding, outcome.rows, self.log, simulated_time=now
-                )
-            else:
-                # Served by the gate — or permanently failed — without a
-                # recorded access: give the launch-time reservation back.
-                self.budget.refund(1)
-                if outcome.failed:
-                    self.resilience.note_refund()
-            completions.append(
-                Completion(
-                    request, outcome.rows, now, counted=outcome.counted, failed=outcome.failed
-                )
+        now = self.now()
+        return [self._reap(task, now) for task in done]
+
+    def _reap(self, task: "asyncio.Task", now: float) -> Completion:
+        """Account for one finished task at the coordinator."""
+        self._tasks.discard(task)
+        request = self._task_request.pop(task)
+        self._inflight_load[request.relation] -= 1
+        outcome = task.result()  # programming errors propagate
+        self.sequential_time += outcome.read_seconds
+        if outcome.counted:
+            self.registry.wrapper(request.relation).record_access(
+                request.binding, outcome.rows, self.log, simulated_time=now
             )
-        return completions
+        else:
+            # Served by the gate — or permanently failed — without a
+            # recorded access: give the launch-time reservation back.
+            self.budget.refund(1)
+            if outcome.failed:
+                self.resilience.note_refund()
+        return Completion(
+            request, outcome.rows, now, counted=outcome.counted, failed=outcome.failed
+        )
 
     def total_time(self) -> float:
-        return time.perf_counter() - self._started
+        return self.now()
 
     async def aclose(self) -> None:
-        """Cancel in-flight tasks and await them out; refund their grants."""
+        """Cancel what is still in flight and await it out; account for the rest.
+
+        A task that already finished — its access performed and recorded on
+        the meta-cache — but that no ``astep`` has reaped yet is logged like
+        any other: the run's cost is what hit the sources, also when the
+        consumer stops early.  Only tasks that never delivered an outcome
+        (cancelled here, or dead of a programming error) get their
+        launch-time budget grant back uncounted.
+        """
         tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()  # a no-op on the finished ones
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        now = self.now()
+        for task in tasks:
+            if task.cancelled() or task.exception() is not None:
+                self.budget.refund(1)
+            else:
+                self._reap(task, now)
         self._tasks.clear()
         self._task_request.clear()
         self._inflight_load.clear()
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-            # Every launched task holds one budget grant until the
-            # coordinator consumes its outcome; these never will be.
-            self.budget.refund(len(tasks))
 
     def close(self) -> None:
+        """Let go of the pool without joining it: this runs on the loop
+        thread, and a cancelled query's blocking read may still occupy a
+        worker — which finishes its read (the claim is already abandoned)
+        and exits on its own."""
         if self._executor is not None:
-            self._executor.shutdown(wait=True)
+            self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
 
     # ------------------------------------------------------------------------------
-    def _sync_executor(self) -> ThreadPoolExecutor:
+    def _pool(self) -> ThreadPoolExecutor:
+        """This run's pool, built the first time a wrapper asks for it —
+        i.e. when a backend without a native async read is actually read."""
         if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(32, self.max_in_flight)
-            )
+            self._executor = ThreadPoolExecutor(max_workers=min(32, self.max_in_flight))
         return self._executor
 
     async def _perform_one(self, request: AccessRequest, wrapper: "SourceWrapper"):
@@ -773,7 +791,7 @@ class AsyncDispatcher(Dispatcher):
             performed = await self.resilience.aperform(
                 request.relation,
                 request.binding,
-                lambda: wrapper.alookup(request.binding, executor=self._sync_executor()),
+                lambda: wrapper.alookup(request.binding, self._pool),
             )
         except BaseException:
             # Cancellation and programming errors both land here — never

@@ -59,7 +59,10 @@ class ServeConfig:
     #: Default strategy for ``POST /query`` (streaming always distills).
     strategy: str = "fast_fail"
     #: Dispatch mode for query execution.  ``async`` overlaps each query's
-    #: source accesses as tasks on the server loop and never blocks it;
+    #: source accesses as tasks on the server loop and never blocks it: a
+    #: backend with a native ``alookup`` (memory — the default deployment —
+    #: and HTTP) is awaited inline at no thread's cost, one that may block
+    #: (sqlite, callable) is read on executor threads the loop never joins;
     #: ``simulated`` is deterministic but steps inline (fine for tests and
     #: tiny fixtures, wrong for slow sources).
     concurrency: str = "async"

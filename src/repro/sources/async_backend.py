@@ -2,26 +2,27 @@
 
 The paper's sources are remote, access-limited interfaces; reaching
 thousands of them concurrently is an event-loop job, not a thread-pool
-job.  :class:`AsyncBackend` is the protocol the asyncio-native dispatcher
-speaks: any backend exposing a coroutine ``alookup(binding) -> rows``
-(and optionally a batched ``alookup_many``) is awaited natively on the
-loop — :class:`~repro.sources.http.HTTPBackend` is the shipping example.
+job.  :class:`AsyncBackend` is the contract the asyncio-native dispatcher
+reads by: a backend exposing a coroutine ``alookup(binding) -> rows`` is
+awaited on the loop thread itself —
+:class:`~repro.sources.http.HTTPBackend` because its socket is awaited,
+:class:`~repro.sources.backend.InMemoryBackend` because a dictionary probe
+never waits.
 
-Every existing *sync* backend (memory / sqlite / callable / flaky) keeps
-working unchanged: :func:`as_async_backend` wraps it in an
-:class:`AsyncBackendAdapter` that runs the blocking ``lookup`` on an
-executor, so the event loop never blocks on a slow read.  The adapter is
-a pure transport — same rows, same call counts — which is what keeps the
-async dispatcher inside the cross-dispatcher equivalence contract.
+**Implement ``alookup`` only if it never blocks the loop thread.**  Having
+one is the whole declaration; there is no flag beside it.  A backend
+without it — sqlite, a latency-injecting callable, an injected fault's
+sleep, any user :class:`~repro.sources.backend.SourceBackend` subclass — is
+presumed to sleep or lock, and :meth:`SourceWrapper.alookup
+<repro.sources.wrapper.SourceWrapper.alookup>` hands its blocking
+``lookup`` to the dispatcher's executor instead: same rows, same call
+counts, which is what keeps the async dispatcher inside the
+cross-dispatcher equivalence contract.
 """
 
 from __future__ import annotations
 
-import asyncio
-from concurrent.futures import Executor
-from typing import FrozenSet, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
-
-from repro.sources.backend import SourceBackend
+from typing import FrozenSet, Protocol, Tuple, runtime_checkable
 
 Row = Tuple[object, ...]
 Binding = Tuple[object, ...]
@@ -29,44 +30,8 @@ Binding = Tuple[object, ...]
 
 @runtime_checkable
 class AsyncBackend(Protocol):
-    """A backend whose reads are coroutines (awaited on the event loop)."""
+    """A backend whose reads are coroutines that never block the loop."""
 
     async def alookup(self, binding: Binding) -> FrozenSet[Row]:
         """Rows whose input arguments equal ``binding``."""
         ...  # pragma: no cover - protocol
-
-    async def alookup_many(self, bindings: Sequence[Binding]) -> List[FrozenSet[Row]]:
-        """Answer a batch of bindings; one result per binding, in order."""
-        ...  # pragma: no cover - protocol
-
-
-class AsyncBackendAdapter:
-    """Make any sync :class:`SourceBackend` awaitable.
-
-    The blocking ``lookup`` runs on ``executor`` (or the loop's default
-    executor when None) via ``run_in_executor``, so a slow sync read —
-    sqlite, a latency-injecting callable, an injected fault's sleep —
-    parks a pool thread, not the event loop.
-    """
-
-    def __init__(self, backend: SourceBackend, executor: Optional[Executor] = None) -> None:
-        self.backend = backend
-        self.executor = executor
-
-    async def alookup(self, binding: Binding) -> FrozenSet[Row]:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self.executor, self.backend.lookup, tuple(binding))
-
-    async def alookup_many(self, bindings: Sequence[Binding]) -> List[FrozenSet[Row]]:
-        loop = asyncio.get_running_loop()
-        batch = [tuple(binding) for binding in bindings]
-        return await loop.run_in_executor(self.executor, self.backend.lookup_many, batch)
-
-
-def as_async_backend(
-    backend: SourceBackend, executor: Optional[Executor] = None
-) -> AsyncBackend:
-    """The backend itself when it is already async, else an adapter over it."""
-    if hasattr(backend, "alookup"):
-        return backend  # type: ignore[return-value]
-    return AsyncBackendAdapter(backend, executor)

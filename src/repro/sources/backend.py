@@ -21,12 +21,14 @@ relation's wrapper.  Three backends ship with the library:
 Backends are *pure readers*: they do no counting, no logging and no latency
 simulation — that bookkeeping stays in :class:`~repro.sources.wrapper.
 SourceWrapper`.  They must be safe to call from multiple threads, because
-the async dispatcher (:class:`~repro.runtime.dispatch.AsyncDispatcher`)
-runs a sync backend's lookups on an executor's threads (through
-:class:`~repro.sources.async_backend.AsyncBackendAdapter`) and
 :meth:`~repro.engine.engine.Engine.execute_many` runs whole queries
-concurrently; :class:`SQLiteBackend` serializes on an
-internal lock, the other two are read-only over immutable state.
+concurrently and the async dispatcher (:class:`~repro.runtime.dispatch.
+AsyncDispatcher`) runs ``lookup`` on an executor's threads for every
+backend that may sleep or lock — which is any backend without a coroutine
+``alookup`` (:class:`~repro.sources.async_backend.AsyncBackend`).
+:class:`InMemoryBackend` has one, because a dictionary probe never waits,
+and is read inline on the loop thread; :class:`SQLiteBackend` serializes on
+an internal lock, the other two are read-only over immutable state.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ class InMemoryBackend(SourceBackend):
 
     def lookup(self, binding: Binding) -> FrozenSet[Row]:
         return self.instance.lookup(binding)
+
+    async def alookup(self, binding: Binding) -> FrozenSet[Row]:
+        """:meth:`lookup` as its own async read: the probe never waits, so
+        the async dispatcher awaits it inline instead of paying a thread hop."""
+        return self.lookup(binding)
 
 
 class SQLiteBackend(SourceBackend):

@@ -24,8 +24,10 @@ wrappers run in parallel.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -98,21 +100,26 @@ class SourceWrapper:
         return self.backend.lookup_many(validated)
 
     async def alookup(
-        self, binding: Binding, executor: Optional["Executor"] = None
+        self, binding: Binding, pool: Optional[Callable[[], "Executor"]] = None
     ) -> FrozenSet[Row]:
         """:meth:`lookup` as a coroutine, for the event-loop dispatcher.
 
-        A backend with a native async read (``alookup``) is awaited on the
-        loop; a sync one is adapted onto ``executor`` (or the loop's
-        default pool) so it never blocks the loop.  Same validation, same
-        rows, no counting — the async dispatcher's coordinator counts via
-        :meth:`record_access`.
+        A backend with a native async read (``alookup``, see
+        :class:`~repro.sources.async_backend.AsyncBackend`) is awaited
+        inline on the loop thread; any other may sleep or lock, so its
+        blocking ``lookup`` runs on the executor ``pool()`` returns — asked
+        for only then, so the caller can build it on first need (None: the
+        loop's default pool).  Same validation, same rows, no counting —
+        the async dispatcher's coordinator counts via :meth:`record_access`.
         """
-        from repro.sources.async_backend import as_async_backend
-
         binding = tuple(binding)
         validate_binding(self.schema, binding)
-        return await as_async_backend(self.backend, executor).alookup(binding)
+        native = getattr(self.backend, "alookup", None)
+        if native is not None:
+            return await native(binding)
+        return await asyncio.get_running_loop().run_in_executor(
+            pool() if pool is not None else None, self.backend.lookup, binding
+        )
 
     # -- counted accesses -----------------------------------------------------
     def record_access(

@@ -395,7 +395,10 @@ def check_async_dispatcher_equivalence(seed: int) -> None:
     the asyncio dispatcher must produce the simulated dispatcher's answers
     *and* its access counts, total and per-source: the per-policy access
     set is a least fixpoint, so overlapping the accesses on an event loop
-    cannot change which accesses are performed.
+    cannot change which accesses are performed.  That holds whichever way
+    the dispatcher reads the backend — inline on the loop (memory) or on
+    executor threads (sqlite, callable) — so the access *sets* and the
+    timing-free payloads are compared too.
     """
     example, latencies = generate_case(seed)
     for strategy in STRATEGIES:
@@ -424,6 +427,10 @@ def check_async_dispatcher_equivalence(seed: int) -> None:
                 f"seed {seed}: async {strategy} on {backend} performed different "
                 f"accesses on {example.name}: {observed} != {expected}"
             )
+            assert overlapped.access_log.access_set() == baseline.access_log.access_set()
+            assert overlapped.to_dict(include_timings=False) == baseline.to_dict(
+                include_timings=False
+            ), f"seed {seed}: async {strategy} on {backend} reported a different payload"
 
 
 def check_async_http_equivalence(seed: int) -> None:
