@@ -89,11 +89,8 @@ from repro.examples import (  # noqa: E402
     wide_fanout_example,
     zipf_fanout_example,
 )
-from repro.sources.resilience import (  # noqa: E402
-    BreakerConfig,
-    FaultSchedule,
-    RetryPolicy,
-)
+from repro.sources.faults import FaultSchedule  # noqa: E402
+from repro.sources.resilience import BreakerConfig, RetryPolicy  # noqa: E402
 from repro.sources.fixture_server import FixtureServer  # noqa: E402
 from repro.sources.wrapper import SourceRegistry  # noqa: E402
 

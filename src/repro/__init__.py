@@ -42,13 +42,12 @@ from repro.sources.backend import (
     SQLiteBackend,
     build_backend,
 )
+from repro.sources.faults import FaultSchedule, FlakyBackend
 from repro.sources.fixture_server import FixtureServer
 from repro.sources.http import HTTPBackend
 from repro.sources.resilience import (
     BreakerConfig,
     CircuitBreaker,
-    FaultSchedule,
-    FlakyBackend,
     ResilienceConfig,
     RetryPolicy,
     RetryStats,

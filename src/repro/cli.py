@@ -48,7 +48,7 @@ ever evicted; a file written over a different source schema, or by a build
 with another on-disk layout, is refused before the first query.
 
 ``--fail`` wraps every backend in a deterministic, seeded
-:class:`~repro.sources.resilience.FlakyBackend`; ``--retries``/``--timeout``
+:class:`~repro.sources.faults.FlakyBackend`; ``--retries``/``--timeout``
 turn on the retry policy and per-access timeout, and results report honest
 completeness (``Result.complete``, failed relations, retry stats) instead
 of crashing on source failures.
@@ -77,7 +77,8 @@ from repro.exceptions import ReproError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.sources.backend import BACKEND_KINDS
-from repro.sources.resilience import DEFAULT_RETRY, FaultSchedule, RetryPolicy
+from repro.sources.faults import FaultSchedule
+from repro.sources.resilience import DEFAULT_RETRY, RetryPolicy
 from repro.sources.wrapper import SourceRegistry
 
 

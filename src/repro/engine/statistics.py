@@ -132,7 +132,9 @@ class StatisticsCollector:
         default_latency: float = 0.0,
         retry_stats: Optional["RetryStats"] = None,
     ) -> None:
-        """Fold one execution's access log into the per-relation statistics.
+        """Fold one execution's access log into the per-relation statistics,
+        from the log's own per-relation totals — the records are not walked
+        again.
 
         ``retry_stats`` stretches the charged latencies by the run's mean
         attempts-per-counted-access ratio: retries are not individually
@@ -140,31 +142,29 @@ class StatisticsCollector:
         a deliberate approximation that still makes flaky runs price their
         accesses above the nominal wrapper latency.
         """
-        records = list(log)
-        if not records:
+        totals = log.totals()
+        if not totals:
             return
         stretch = 1.0
-        if retry_stats is not None and retry_stats.attempts > len(records):
-            stretch = retry_stats.attempts / len(records)
+        if retry_stats is not None and retry_stats.attempts > log.total_accesses:
+            stretch = retry_stats.attempts / log.total_accesses
         with self._lock:
             self.observations += 1
-            for record in records:
-                relation = record.relation
+            for relation, observed in totals.items():
                 stats = self._stats_locked(relation)
-                stats.accesses += 1
-                stats.rows += record.row_count
-                if not record.rows:
-                    stats.empty_accesses += 1
-                stats.max_rows = max(stats.max_rows, record.row_count)
-                arity = len(record.access.binding)
-                accesses, rows = stats.fanout_by_arity.get(arity, (0, 0))
-                stats.fanout_by_arity[arity] = (accesses + 1, rows + record.row_count)
+                stats.accesses += observed.accesses
+                stats.rows += observed.returned
+                stats.empty_accesses += observed.empty
+                stats.max_rows = max(stats.max_rows, observed.largest)
+                for arity, (accesses, rows) in observed.by_arity.items():
+                    known = stats.fanout_by_arity.get(arity, (0, 0))
+                    stats.fanout_by_arity[arity] = (known[0] + accesses, known[1] + rows)
                 latency = (
                     registry.latency_of(relation, default_latency)
                     if registry is not None
                     else default_latency
                 )
-                stats.latency += latency * stretch
+                stats.latency += observed.accesses * latency * stretch
 
     def preload_store_hits(self, counters: Dict[str, int]) -> None:
         """Seed hit counters persisted by previous processes' cache store.

@@ -453,7 +453,7 @@ def chaos_example(width: int = 8, rays: int = 3, selectivity: float = 1.0) -> Ex
     dependency (the tail — an upstream failure silently empties it), and
     an irrelevant ``noise^io(D0, Aux)`` relation that only the naive
     strategy touches.  The topology itself is deterministic; faults are
-    injected on top via :class:`~repro.sources.resilience.FlakyBackend`
+    injected on top via :class:`~repro.sources.faults.FlakyBackend`
     (``repro run --scenario chaos --fail rate=0.2``), so
     ``expected_answers`` is always the fault-free answer set that a
     ``Result.complete`` execution must reproduce exactly.

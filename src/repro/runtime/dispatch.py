@@ -23,14 +23,36 @@ The first two are the ``concurrency="simulated"`` clocks; which one a
 strategy runs on is part of its declaration
 (:mod:`repro.engine.strategies`).
 
-Before touching a source, every dispatcher offers the access to the
-policy's *gate* — the per-relation session meta-cache.  A recorded binding
-is served locally (``Completion.counted=False``); an unrecorded one is
-*claimed*, so that two concurrent executions sharing a session never
-perform the same access twice: the second claimant waits until the first
-fulfils the claim and then reads the rows for free.  All cache mutation
-stays with the kernel — access tasks only claim, read backends, and
-fulfil.
+**Who owns what per access.**  What happens to one request between the
+offer and the completion is the *access protocol*, written once as a plain
+generator (:meth:`Dispatcher._access`) in the style of the kernel's own
+machine: offer the binding to the policy's *gate* — the per-relation
+session meta-cache — where a recorded binding is served locally
+(``Completion.counted=False``) and an unrecorded one is *claimed*, so that
+two concurrent executions sharing a session never perform the same access
+twice; charge the budget; read the backend through the run's
+:class:`~repro.sources.resilience.ResilienceContext` (the one retry loop:
+retries, timeouts, per-relation circuit breakers); then record the rows on
+the meta-cache — or abandon the claim, on *every* failure path, so a racing
+execution can retry instead of deadlocking on a dead claimant.  The
+protocol touches no clock and does no I/O: it yields ``read``,
+``sleep(d)`` and ``wait_claim`` effects to a *trampoline*.  The sync one
+(:meth:`Dispatcher._resolve`, under both simulated clocks) reads with a
+blocking ``lookup``, waits for a claim on the meta-cache's condition
+variable and never sleeps — a simulated clock charges ``attempts × latency
++ backoff`` from the outcome; the async one
+(:meth:`AsyncDispatcher._aresolve`) awaits ``alookup``, really sleeps the
+backoff and polls a contended claim, because a coroutine must never block
+the loop its fulfiller runs on.  The *coordinator* — each dispatcher's
+``step``/``astep``, on the kernel's thread — stamps the outcome with its
+clock, counts and logs the performed accesses and builds the completions.
+All cache mutation stays with the kernel.
+
+The meta-cache resolves a claim against the session's cache store
+(:mod:`repro.sources.store`): with a persistent store the "recorded" check
+spans prior processes (warm start) and the claim gate spans concurrent
+ones, so every dispatcher honours one shared "never repeat an access"
+domain without knowing which store backs it.
 
 The backlogs the dispatchers keep between an offer and its read are the
 paper's Figure 5 *access tables*: the access tuples that are ready to be
@@ -39,15 +61,9 @@ one per relation, because two caches over one relation may legitimately
 dispatch the same binding — the meta-cache gate, not the table, is what
 keeps the source from seeing it twice.
 
-Every backend read runs through the kernel's
-:class:`~repro.sources.resilience.ResilienceContext`, which owns retries,
-timeouts and per-relation circuit breakers.  An access that permanently
-fails abandons its meta-cache claim (a racing execution can retry instead
-of deadlocking on a dead claimant), refunds its budget grant, and resolves
-to a ``failed`` completion instead of raising — the run finishes with a
-failure-flagged partial result.  Retry backoff is priced through each
-dispatcher's authoritative clock: the simulated dispatchers charge
-``attempts × latency + backoff``, the async dispatcher really slept.
+An access that permanently fails refunds its budget grant and resolves to
+a ``failed`` completion instead of raising — the run finishes with a
+failure-flagged partial result.
 """
 
 from __future__ import annotations
@@ -65,7 +81,7 @@ from typing import (
     ClassVar,
     Deque,
     Dict,
-    FrozenSet,
+    Generator,
     Iterable,
     Iterator,
     List,
@@ -76,15 +92,14 @@ from typing import (
 
 from repro.exceptions import ExecutionError
 from repro.runtime.kernel import AccessBudget, AccessRequest, Completion
-from repro.sources.resilience import ResilienceContext
+from repro.sources.resilience import AccessOutcome, Effect, ResilienceContext
 from repro.sources.store import ClaimStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.policy import SchedulingPolicy
+    from repro.sources.cache import MetaCache
     from repro.sources.log import AccessLog
     from repro.sources.wrapper import SourceRegistry, SourceWrapper
-
-Row = Tuple[object, ...]
 
 #: Access tuples that may wait at one simulated wrapper (Section V: a tuple
 #: is delivered to its wrapper "provided its queue is not full"); further
@@ -92,25 +107,36 @@ Row = Tuple[object, ...]
 WRAPPER_QUEUE_CAPACITY = 64
 
 
-@dataclass(frozen=True, slots=True)
-class AccessOutcome:
-    """Resolution of one access request by :meth:`Dispatcher._acquire_rows`.
+#: The effect the access protocol yields when another claimant holds the
+#: binding: the trampoline waits the way its world allows and answers with
+#: what :meth:`~repro.sources.cache.MetaCache.claim` would — the served
+#: rows, or None once the caller owns the access.
+WAIT_CLAIM = ("wait_claim", None)
 
-    ``counted`` is True only for a successful, performed source read (the
-    caller must log it and charge its latency).  A gate-served hit has
-    ``counted=False, failed=False``; a permanently failed access has
-    ``counted=False, failed=True`` with empty rows.  ``attempts`` is how
-    many source reads were made (0 when a breaker short-circuited the
-    request) and ``backoff`` the retry delay a simulated dispatcher must
-    charge to its clock (the async dispatcher already slept it).
-    """
+#: What a dispatcher needs of one relation: the wrapper that reads it, the
+#: session gate its accesses are recorded on (None: neither recorded nor
+#: deduplicated) and what one access costs on a simulated clock.
+Source = Tuple["SourceWrapper", Optional["MetaCache"], float]
 
-    rows: FrozenSet[Row]
-    counted: bool
-    read_seconds: float
-    failed: bool = False
-    attempts: int = 1
-    backoff: float = 0.0
+
+class _Sources(Dict[str, Source]):
+    """``relation -> Source`` for one run: resolved through the registry
+    and the policy's gate at the relation's first access, a plain
+    dictionary read for every access after it."""
+
+    def __init__(self, dispatcher: "Dispatcher") -> None:
+        super().__init__()
+        self._dispatcher = dispatcher
+
+    def __missing__(self, relation: str) -> Source:
+        dispatcher = self._dispatcher
+        assert dispatcher.gate is not None, "dispatcher used before bind_dispatcher"
+        source = self[relation] = (
+            dispatcher.registry.wrapper(relation),
+            dispatcher.gate.meta_for(relation),
+            dispatcher.registry.latency_of(relation, dispatcher.default_latency),
+        )
+        return source
 
 
 class Dispatcher(abc.ABC):
@@ -119,6 +145,8 @@ class Dispatcher(abc.ABC):
     #: True when the dispatcher's clock is the wall clock — retry backoff
     #: must then really sleep instead of being charged to a simulation.
     wall_clock: ClassVar[bool] = False
+    #: Latency charged for wrappers that declare none.
+    default_latency = 0.0
 
     def __init__(self, registry: "SourceRegistry", log: "AccessLog", budget: AccessBudget) -> None:
         self.registry = registry
@@ -133,6 +161,7 @@ class Dispatcher(abc.ABC):
         self.resilience = ResilienceContext()
         #: Cumulative cost of the performed accesses run back to back.
         self.sequential_time = 0.0
+        self._sources = _Sources(self)
 
     def now(self) -> float:
         """The dispatcher's current authoritative clock (breaker cool-downs
@@ -172,86 +201,85 @@ class Dispatcher(abc.ABC):
     def close(self) -> None:
         """Release execution resources (executor threads); idempotent."""
 
-    # -- shared access path ----------------------------------------------------
-    def _acquire_rows(
-        self, request: AccessRequest, wrapper: "SourceWrapper"
-    ) -> Optional[AccessOutcome]:
-        """The claim protocol of the blocking (simulated-clock) dispatchers.
+    # -- the access path --------------------------------------------------------
+    def _access(
+        self,
+        request: AccessRequest,
+        meta: Optional["MetaCache"],
+        budget: Optional[AccessBudget],
+    ) -> Generator[Effect, object, Optional[AccessOutcome]]:
+        """The access protocol, written once: claim → budget → resilient
+        read → record | abandon (see the module docstring), as a plain
+        generator driven by :meth:`_resolve` or
+        :meth:`AsyncDispatcher._aresolve`.
 
-        Claim the binding on the session gate (a recorded or concurrently
-        in-flight access is served locally), charge the budget, read the
-        backend through the resilience context (retries, timeout, breaker),
-        and record the result on the meta-cache — abandoning the claim on
-        every failure path, including a permanently failed access, so
-        waiters are never stranded on a dead claimant: they re-contend and
-        may retry the access themselves.
+        ``budget`` is charged right before the read — None when the caller
+        reserved the grant beforehand and settles it itself.  The claim is
+        abandoned on every path that does not record: budget denial, a
+        permanently failed access, and whatever the read raised that was
+        not an operational fault (a programming error, a cancellation) —
+        waiters re-contend and may retry the access themselves.
 
-        The meta-cache resolves the claim against the session's cache
-        store (:mod:`repro.sources.store`): with a persistent store the
-        "recorded" check spans prior processes (warm start) and the claim
-        gate spans concurrent ones, so every dispatcher honours one shared
-        "never repeat an access" domain without knowing which store backs
-        it.
-
-        Returns the :class:`AccessOutcome`, or ``None`` when the budget
-        denied the access.  A failed outcome's grant is refunded here.
+        Returns the :class:`~repro.sources.resilience.AccessOutcome`, or
+        None when the budget denied the access; a failed outcome's grant
+        is refunded here when it was taken here.
         """
-        assert self.gate is not None, "dispatcher used before bind_dispatcher"
-        meta = self.gate.meta_for(request.relation)
+        binding = request.binding
         owns_claim = False
         if meta is not None and self.gate.dedup_accesses:
-            served = meta.claim(request.binding)
+            status, served = meta.try_claim(binding)
+            if status is ClaimStatus.WAIT:
+                served = yield WAIT_CLAIM
             if served is not None:
-                return AccessOutcome(served, counted=False, read_seconds=0.0)
+                return AccessOutcome(served, False)
             owns_claim = True
-        if self.budget.grant(1) < 1:
-            if owns_claim:
-                meta.abandon(request.binding)
-            return None
+        outcome = None
         try:
-            performed = self.resilience.perform(
-                request.relation,
-                request.binding,
-                lambda: wrapper.lookup(request.binding),
-            )
+            if budget is None or budget.grant(1):
+                outcome = yield from self.resilience.perform(request.relation, binding)
         except BaseException:
-            # Non-operational errors (programming bugs) still propagate —
-            # but never with the claim held.
             if owns_claim:
-                meta.abandon(request.binding)
+                meta.abandon(binding)
             raise
-        if performed.failed:
-            if owns_claim:
-                meta.abandon(request.binding)
-            self.budget.refund(1)
+        if outcome is not None and outcome.counted:
+            if meta is not None:
+                meta.record(binding, outcome.rows)
+            return outcome
+        if owns_claim:
+            meta.abandon(binding)
+        if outcome is not None and budget is not None:
+            budget.refund(1)
             self.resilience.note_refund()
-            return AccessOutcome(
-                frozenset(),
-                counted=False,
-                read_seconds=0.0,
-                failed=True,
-                attempts=performed.attempts,
-                backoff=performed.backoff,
-            )
-        if meta is not None:
-            meta.record(request.binding, performed.rows)
-        return AccessOutcome(
-            performed.rows,
-            counted=True,
-            read_seconds=performed.read_seconds,
-            attempts=performed.attempts,
-            backoff=performed.backoff,
-        )
+        return outcome
 
-    def _recorded_rows(self, request: AccessRequest) -> Optional[FrozenSet[Row]]:
-        """Non-claiming gate probe: the rows when the binding is already
-        recorded (counted as a hit), else None."""
-        if self.gate is None or not self.gate.dedup_accesses:
-            return None
-        meta = self.gate.meta_for(request.relation)
-        if meta is None:
-            return None
-        return meta.lookup(request.binding)
+    def _resolve(
+        self, request: AccessRequest, wrapper: "SourceWrapper", meta: Optional["MetaCache"]
+    ) -> Optional[AccessOutcome]:
+        """The sync trampoline: run the access protocol on this thread.
+
+        Reads block, a contended claim is waited for on the meta-cache's
+        condition variable, and a backoff is not slept — both dispatchers
+        this serves keep a simulated clock and charge it from the outcome.
+        Whatever a read raises is raised inside the protocol, which decides
+        what is a fault to retry and what must propagate.
+        """
+        steps = self._access(request, meta, self.budget)
+        try:
+            kind, _ = next(steps)
+            while True:
+                try:
+                    if kind == "read":
+                        reply = wrapper.lookup(request.binding)
+                    elif kind == "wait_claim":
+                        reply = meta.claim(request.binding)
+                    else:  # "sleep": charged from the outcome, never waited
+                        reply = None
+                except BaseException as error:
+                    kind, _ = steps.throw(error)
+                else:
+                    kind, _ = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
 
 
 class SequentialDispatcher(Dispatcher):
@@ -299,34 +327,26 @@ class SequentialDispatcher(Dispatcher):
         backoff waited in line.  Failed accesses charge the same but are
         never logged; short-circuited ones (open breaker) cost nothing.
         """
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return []
         completions: List[Completion] = []
-        while self._queue:
-            request = self._queue[0]
-            wrapper = self.registry.wrapper(request.relation)
-            outcome = self._acquire_rows(request, wrapper)
+        sources = self._sources
+        while queue:
+            request = queue[0]
+            wrapper, meta, latency = sources[request.relation]
+            outcome = self._resolve(request, wrapper, meta)
             if outcome is None:
                 return completions if completions else None
-            self._queue.popleft()
-            if not outcome.counted and not outcome.failed:
-                completions.append(
-                    Completion(request, outcome.rows, self.clock, counted=False)
-                )
-                continue
-            latency = self.registry.latency_of(request.relation, self.default_latency)
-            cost = outcome.attempts * latency + outcome.backoff
-            self.clock += cost
-            self.sequential_time += cost
-            if outcome.failed:
-                completions.append(
-                    Completion(request, frozenset(), self.clock, counted=False, failed=True)
-                )
-                continue
-            wrapper.record_access(
-                request.binding, outcome.rows, self.log, simulated_time=self.clock
-            )
-            completions.append(Completion(request, outcome.rows, self.clock, counted=True))
+            queue.popleft()
+            rows, counted, failed, attempts, backoff, _ = outcome
+            if counted or failed:
+                cost = attempts * latency + backoff
+                self.clock += cost
+                self.sequential_time += cost
+                if counted:
+                    wrapper.record_access(request.binding, rows, self.log, self.clock)
+            completions.append(Completion(request, rows, self.clock, counted, failed))
         return completions
 
     def total_time(self) -> float:
@@ -374,6 +394,7 @@ class SimulatedParallelDispatcher(Dispatcher):
         default_latency: float = 0.01,
     ) -> None:
         super().__init__(registry, log, budget)
+        self.default_latency = default_latency
         self._wrappers: Dict[str, _WrapperState] = {}
         for name in relations:
             if name in self._wrappers:
@@ -434,7 +455,12 @@ class SimulatedParallelDispatcher(Dispatcher):
                     queue.append(backlog.popleft())
                 if not queue or state.scheduled:
                     break
-                rows = self._recorded_rows(queue[0])
+                # Non-claiming gate probe: the rows when the head's binding
+                # is already recorded (counted as a hit).
+                meta = None
+                if self.gate is not None and self.gate.dedup_accesses:
+                    meta = self._sources[name][1]
+                rows = meta.lookup(queue[0].binding) if meta is not None else None
                 if rows is None:
                     # A stalled wrapper's head stays queued but is never
                     # re-scheduled: the budget that denied it cannot grow.
@@ -448,8 +474,7 @@ class SimulatedParallelDispatcher(Dispatcher):
                         state.scheduled = True
                         heapq.heappush(self._events, (start + state.latency, name))
                     break
-                request = queue.popleft()
-                self._ready.append(Completion(request, rows, now, counted=False))
+                self._ready.append(Completion(queue.popleft(), rows, now, False))
 
     def has_work(self) -> bool:
         return bool(self._ready) or bool(self._events) or any(
@@ -494,7 +519,7 @@ class SimulatedParallelDispatcher(Dispatcher):
             state = self._wrappers[relation]
             state.scheduled = False
             self._dirty.add(relation)
-            wrapper = self.registry.wrapper(relation)
+            wrapper, meta, _ = self._sources[relation]
             if state.pending is not None:
                 # A retried access resolved earlier; its extended finish
                 # event just popped, so deliver (and log) it now — in clock
@@ -505,12 +530,12 @@ class SimulatedParallelDispatcher(Dispatcher):
                         completion.request.binding,
                         completion.rows,
                         self.log,
-                        simulated_time=completion.finish_time,
+                        completion.finish_time,
                     )
                 completions.append(completion)
                 continue
             request = state.queue[0]
-            outcome = self._acquire_rows(request, wrapper)
+            outcome = self._resolve(request, wrapper, meta)
             if outcome is None:
                 # The budget denied this wrapper's head.  Other events may
                 # still be in the heap — notably retry-stretched pending
@@ -528,15 +553,13 @@ class SimulatedParallelDispatcher(Dispatcher):
                 # A concurrent execution recorded the binding between
                 # schedule and completion: the rows are served, the
                 # wrapper's busy time and the budget stay untouched.
-                completions.append(Completion(request, outcome.rows, finish, counted=False))
+                completions.append(Completion(request, outcome.rows, finish, False))
                 continue
             if outcome.attempts == 0:
                 # Short-circuited by an open breaker: the wrapper did no
                 # work, so its busy time and the sequential cost stay
                 # untouched.
-                completions.append(
-                    Completion(request, frozenset(), finish, counted=False, failed=True)
-                )
+                completions.append(Completion(request, frozenset(), finish, False, True))
                 continue
             # Retries stretch the access beyond its scheduled one-latency
             # slot: every attempt occupied the wrapper, every backoff waited
@@ -546,11 +569,7 @@ class SimulatedParallelDispatcher(Dispatcher):
             state.busy_until = completion_time
             self.sequential_time += outcome.attempts * state.latency + outcome.backoff
             completion = Completion(
-                request,
-                outcome.rows if not outcome.failed else frozenset(),
-                completion_time,
-                counted=not outcome.failed,
-                failed=outcome.failed,
+                request, outcome.rows, completion_time, outcome.counted, outcome.failed
             )
             if extra <= 0:
                 if completion.counted:
@@ -558,10 +577,7 @@ class SimulatedParallelDispatcher(Dispatcher):
                     # stamped with this event's finish time, not
                     # count × latency.
                     wrapper.record_access(
-                        request.binding,
-                        completion.rows,
-                        self.log,
-                        simulated_time=completion_time,
+                        request.binding, completion.rows, self.log, completion_time
                     )
                 completions.append(completion)
                 continue
@@ -595,15 +611,15 @@ class AsyncDispatcher(Dispatcher):
     individual accesses in flight across all relations — thousands of
     concurrent remote lookups cost coroutines, not threads.
 
-    Division of labour: **tasks** only claim bindings on the session gate
-    (non-blockingly — a coroutine must never block the loop its fulfiller
-    runs on) and perform pure backend reads through
-    :meth:`~repro.sources.resilience.ResilienceContext.aperform`; the
-    **coordinator** (the kernel's async driver) counts and logs performed
-    accesses on the wall clock, absorbs the rows into the caches, and
-    refunds the budget for gate-served or failed ones.  The budget is charged one grant per task
-    at launch, so ``total_granted - refunded`` equals recorded accesses,
-    same as every other dispatcher.
+    Division of labour: each **task** is the async trampoline
+    (:meth:`_aresolve`) over the one access protocol — it claims the
+    binding on the session gate, awaits the backend read under the run's
+    retry loop, really sleeps a backoff (this clock is the wall clock) and
+    records or abandons; the **coordinator** (the kernel's async driver)
+    counts and logs performed accesses on the wall clock, absorbs the rows
+    into the caches, and refunds the budget for gate-served or failed ones.
+    The budget is charged one grant per task at launch, so ``total_granted
+    - refunded`` equals recorded accesses, same as every other dispatcher.
 
     Only the async kernel driver (:meth:`~repro.runtime.kernel.
     FixpointKernel.astream`) can run this dispatcher; the sync ``step()``
@@ -662,8 +678,7 @@ class AsyncDispatcher(Dispatcher):
                 break
             request = self._backlog.popleft()
             self._backlog_load[request.relation] -= 1
-            wrapper = self.registry.wrapper(request.relation)
-            task = loop.create_task(self._perform_one(request, wrapper))
+            task = loop.create_task(self._aresolve(request))
             self._tasks.add(task)
             self._task_request[task] = request
             self._inflight_load[request.relation] = (
@@ -706,8 +721,8 @@ class AsyncDispatcher(Dispatcher):
         outcome = task.result()  # programming errors propagate
         self.sequential_time += outcome.read_seconds
         if outcome.counted:
-            self.registry.wrapper(request.relation).record_access(
-                request.binding, outcome.rows, self.log, simulated_time=now
+            self._sources[request.relation][0].record_access(
+                request.binding, outcome.rows, self.log, now
             )
         else:
             # Served by the gate — or permanently failed — without a
@@ -715,9 +730,7 @@ class AsyncDispatcher(Dispatcher):
             self.budget.refund(1)
             if outcome.failed:
                 self.resilience.note_refund()
-        return Completion(
-            request, outcome.rows, now, counted=outcome.counted, failed=outcome.failed
-        )
+        return Completion(request, outcome.rows, now, outcome.counted, outcome.failed)
 
     def total_time(self) -> float:
         return self.now()
@@ -764,61 +777,38 @@ class AsyncDispatcher(Dispatcher):
             self._executor = ThreadPoolExecutor(max_workers=min(32, self.max_in_flight))
         return self._executor
 
-    async def _perform_one(self, request: AccessRequest, wrapper: "SourceWrapper"):
-        """Task body: the claim protocol of :meth:`Dispatcher._acquire_rows`,
-        with non-blocking claims and an awaited resilient read.
+    async def _aresolve(self, request: AccessRequest) -> AccessOutcome:
+        """The async trampoline: one task's run of the access protocol.
 
-        A claim conflict cannot be waited out on the meta-cache's condition
-        variable — the fulfilling coroutine may be on this very loop — so
-        the task polls :meth:`~repro.sources.cache.MetaCache.try_claim`
-        with short sleeps.  Cancellation (``aclose`` mid-run) abandons an
-        owned claim like any other failure path, so no waiter is ever
-        stranded.
+        Reads are awaited, a backoff is really slept, and a contended claim
+        is polled with short sleeps — the one place a wake-up would replace
+        the poll.  Whatever an await raises — a cancellation (``aclose``
+        mid-run) included — is raised inside the protocol, which abandons
+        an owned claim before letting it through.  The budget grant was
+        taken at launch and is settled by :meth:`_reap`.
         """
-        assert self.gate is not None, "dispatcher used before bind_dispatcher"
-        meta = self.gate.meta_for(request.relation)
-        owns_claim = False
-        if meta is not None and self.gate.dedup_accesses:
-            while True:
-                status, served = meta.try_claim(request.binding)
-                if status is ClaimStatus.SERVED:
-                    return AccessOutcome(served, counted=False, read_seconds=0.0)
-                if status is ClaimStatus.OWNED:
-                    owns_claim = True
-                    break
-                await asyncio.sleep(self.claim_poll)
+        wrapper, meta, _ = self._sources[request.relation]
+        binding = request.binding
+        steps = self._access(request, meta, None)
         try:
-            performed = await self.resilience.aperform(
-                request.relation,
-                request.binding,
-                lambda: wrapper.alookup(request.binding, self._pool),
-            )
-        except BaseException:
-            # Cancellation and programming errors both land here — never
-            # leave with the claim held.
-            if owns_claim:
-                meta.abandon(request.binding)
-            raise
-        if performed.failed:
-            if owns_claim:
-                meta.abandon(request.binding)
-            return AccessOutcome(
-                frozenset(),
-                counted=False,
-                read_seconds=0.0,
-                failed=True,
-                attempts=performed.attempts,
-                backoff=performed.backoff,
-            )
-        if meta is not None:
-            meta.record(request.binding, performed.rows)
-        return AccessOutcome(
-            performed.rows,
-            counted=True,
-            read_seconds=performed.read_seconds,
-            attempts=performed.attempts,
-            backoff=performed.backoff,
-        )
+            kind, delay = next(steps)
+            while True:
+                try:
+                    if kind == "read":
+                        reply = await wrapper.alookup(binding, self._pool)
+                    elif kind == "wait_claim":
+                        status = ClaimStatus.WAIT
+                        while status is ClaimStatus.WAIT:
+                            await asyncio.sleep(self.claim_poll)
+                            status, reply = meta.try_claim(binding)
+                    else:
+                        reply = await asyncio.sleep(delay)
+                except BaseException as error:
+                    kind, delay = steps.throw(error)
+                else:
+                    kind, delay = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
 
 
 @contextlib.contextmanager

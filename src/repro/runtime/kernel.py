@@ -37,6 +37,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -55,8 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Row = Tuple[object, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class AccessRequest:
+class AccessRequest(NamedTuple):
     """One unit of dispatchable work: access ``relation`` with ``binding``.
 
     ``target`` names the structure the rows are destined for — a cache
@@ -70,8 +70,7 @@ class AccessRequest:
     binding: Tuple[object, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Completion:
+class Completion(NamedTuple):
     """One finished access, stamped with the dispatcher's authoritative clock.
 
     ``counted`` is False when the rows were served without touching the
@@ -92,8 +91,7 @@ class Completion:
     failed: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class StreamedAnswer:
+class StreamedAnswer(NamedTuple):
     """One incremental answer produced by a streaming execution.
 
     Attributes:
@@ -154,7 +152,7 @@ class AnswerTracker:
         for row in current:
             if row not in answer_times:
                 answer_times[row] = now
-                fresh.append(StreamedAnswer(row=row, simulated_time=now))
+                fresh.append(StreamedAnswer(row, now))
         self.answers.update(current)
         if self.first_answer_time is None and self.answers:
             self.first_answer_time = now
@@ -314,7 +312,7 @@ class FixpointKernel:
         self.answer_check_interval = answer_check_interval
         policy.bind_dispatcher(dispatcher)
         self.resilience = ResilienceContext(resilience)
-        self.resilience.bind_clock(self.dispatcher.now, real_sleep=self.dispatcher.wall_clock)
+        self.resilience.bind_clock(self.dispatcher.now, wall_clock=self.dispatcher.wall_clock)
         self.dispatcher.resilience = self.resilience
         # Intermediate answer checks go through the policy's incremental
         # evaluator when it has one; the final check is always full.

@@ -27,14 +27,13 @@ from repro.sources.backend import (
     build_backend,
 )
 from repro.sources.cache import CacheDatabase, CacheTable, MetaCache
+from repro.sources.faults import FaultSchedule, FlakyBackend, make_flaky
 from repro.sources.log import AccessLog
 from repro.sources.resilience import (
     BreakerConfig,
     BreakerState,
     CircuitBreaker,
     CircuitOpenError,
-    FaultSchedule,
-    FlakyBackend,
     ResilienceConfig,
     ResilienceContext,
     RetryPolicy,
@@ -43,7 +42,6 @@ from repro.sources.resilience import (
     SourceTimeoutError,
     SourceUnavailableError,
     TransientSourceError,
-    make_flaky,
 )
 from repro.sources.wrapper import SourceRegistry, SourceWrapper
 

@@ -10,18 +10,18 @@ on a database is the quantity the paper's minimality notions compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, NamedTuple, Tuple
 
+from repro.exceptions import AccessError
 from repro.model.schema import RelationSchema
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class AccessTuple:
+class AccessTuple(NamedTuple):
     """The binding of an access: one value per input argument, in order.
 
     For a free relation the binding is the empty tuple; the access then
-    retrieves the whole extension.
+    retrieves the whole extension.  Immutable, hashable and ordered by
+    ``(relation, binding)``.
     """
 
     relation: str
@@ -32,14 +32,16 @@ class AccessTuple:
         return f"{self.relation}[{rendered}]"
 
 
-@dataclass(frozen=True, slots=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
     """The outcome of one access: the access tuple plus what it returned.
 
     Attributes:
         access: the access tuple that was sent to the source.
         rows: the tuples returned by the source (full tuples of the relation).
-        sequence_number: position of this access in the global access order.
+        sequence_number: position of this access in its *execution's* log
+            (how many accesses that run had logged before it).  A session's
+            cumulative log holds the records of several runs unchanged, so
+            there the numbers restart with every run.
         simulated_time: simulated clock value (seconds) at which the access
             completed, according to the wrapper's latency model.
     """
@@ -64,9 +66,7 @@ def validate_binding(schema: RelationSchema, binding: Tuple[object, ...]) -> Non
     Raises:
         repro.exceptions.AccessError: when the binding length is wrong.
     """
-    from repro.exceptions import AccessError
-
-    expected = len(schema.input_positions)
+    expected = len(schema.input_domains)
     if len(binding) != expected:
         raise AccessError(
             f"access to {schema.name!r} must bind {expected} input argument(s); "

@@ -185,11 +185,20 @@ class MetaCache:
     Meta-caches are shared between the concurrent executions of an engine
     session, so every method is thread-safe, and the *claim* protocol
     extends the "never repeat an access" invariant across threads: a
-    dispatcher :meth:`claim`\\ s a binding before touching the source.  The
-    first claimant owns the access (and must :meth:`record` or
-    :meth:`abandon` it); later claimants block until it is fulfilled and
-    read the rows for free.  An owner never holds a claim while waiting on
-    another, so claim chains always resolve.
+    dispatcher claims a binding (:meth:`try_claim`) before touching the
+    source.  The first claimant owns the access (and must :meth:`record`
+    or :meth:`abandon` it); later claimants are told to wait, re-contend
+    once it is fulfilled and read the rows for free (:meth:`claim` is that
+    loop for a caller that may block its thread).  An owner never holds a
+    claim while waiting on another, so claim chains always resolve.
+
+    One plain :class:`threading.Lock` guards the in-flight set, the hit
+    counter and the waiter count; the condition variable is built over that
+    same lock and used only to *wait*.  Claimants that block register
+    themselves under the lock before waiting, and whoever releases a
+    marker notifies — under the same lock — only when somebody is
+    registered: an uncontended claim/record pair never leaves C, and a
+    waiter can never miss its wake-up.
 
     The binding→rows records themselves live in a
     :class:`~repro.sources.store.CacheStore` (see :mod:`repro.sources.store`),
@@ -207,7 +216,10 @@ class MetaCache:
         self._store = store if store is not None else MemoryCacheStore()
         self._name = relation.name
         self._inflight: Set[Tuple[object, ...]] = set()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: Threads blocked in :meth:`claim` right now (counted under the lock).
+        self._waiters = 0
         #: Accesses answered locally instead of hitting the source (offer
         #: passes and claim hits alike); feeds the session hit-rate stats.
         self.hits = 0
@@ -218,33 +230,44 @@ class MetaCache:
         # The store write also releases any cross-process claim, so remote
         # waiters see the rows no later than local ones.
         self._store.put(self._name, binding, frozenset(rows))
-        with self._cond:
-            if binding in self._inflight:
-                self._inflight.discard(binding)
+        with self._lock:
+            self._inflight.discard(binding)
+            if self._waiters:
                 self._cond.notify_all()
 
     def lookup(self, binding: Tuple[object, ...]) -> Optional[FrozenSet[Row]]:
         """The recorded rows for a binding, or None — counting a hit."""
-        with self._cond:
+        with self._lock:
             rows = self._store.get(self._name, tuple(binding))
             if rows is not None:
                 self.hits += 1
             return rows
 
-    def _claim(
-        self, binding: Tuple[object, ...], wait: bool
+    def try_claim(
+        self, binding: Tuple[object, ...], wait: bool = False
     ) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
-        """The claim protocol, written once; ``wait`` only adds the waiting.
+        """The claim protocol, written once: one round of it, non-blocking
+        unless ``wait``.
 
-        In-process contention is settled on the condition variable first;
-        the surviving owner then contends with other *processes* through
-        the store's claim table (trivially won for the in-memory store).
-        With ``wait`` a local owner is waited for on the condition — the
-        recorded/in-flight check and the wait happen under it, so a
+        Returns ``(OWNED, None)`` when the caller now owns the access (it
+        must :meth:`record` the retrieved rows, or :meth:`abandon` on
+        failure), ``(SERVED, rows)`` when the binding is recorded (a hit),
+        or ``(WAIT, None)`` when another coroutine/thread/process holds the
+        claim.  What to do about ``WAIT`` is the caller's: a thread blocks
+        (``wait=True``, i.e. :meth:`claim`); a coroutine cannot — that would
+        stall the event loop the fulfilling coroutine runs on — so it
+        sleeps and calls this again.
+
+        In-process contention is settled under the lock first; the
+        surviving owner then contends with other *processes* through the
+        store's claim table (trivially won for the in-memory store).  With
+        ``wait`` a local owner is waited for on the condition — the
+        recorded/in-flight check and the wait happen under its lock, so a
         fulfilment cannot slip between them — and a remote one is polled;
         without, either conflict returns ``WAIT`` at once.
         """
-        with self._cond:
+        binding = tuple(binding)
+        with self._lock:
             while True:
                 rows = self._store.get(self._name, binding)
                 if rows is not None:
@@ -255,10 +278,14 @@ class MetaCache:
                     break
                 if not wait:
                     return ClaimStatus.WAIT, None
-                self._cond.wait()
+                self._waiters += 1
+                try:
+                    self._cond.wait()
+                finally:
+                    self._waiters -= 1
         # This caller owns the access in-process; win it across processes
-        # too.  The store is asked outside the condition so local record()
-        # and abandon() calls for other bindings are never blocked.
+        # too.  The store is asked outside the lock so local record() and
+        # abandon() calls for other bindings are never blocked.
         while True:
             status, rows = self._store.claim(self._name, binding)
             if status is ClaimStatus.OWNED:
@@ -269,48 +296,35 @@ class MetaCache:
         # Recorded, or still claimed, by another process: release the
         # in-process marker so local contenders (including this caller's
         # retry) can re-contend.
-        with self._cond:
+        with self._lock:
             if status is ClaimStatus.SERVED:
                 self.hits += 1
             self._inflight.discard(binding)
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
         return status, rows
 
     def claim(self, binding: Tuple[object, ...]) -> Optional[FrozenSet[Row]]:
         """Atomically take ownership of one access, or be served its rows.
 
-        Returns None when the caller now owns the access (it must call
-        :meth:`record` with the retrieved rows, or :meth:`abandon` on
-        failure); returns the rows when the binding is already recorded —
-        possibly after waiting out another execution's in-flight access.
+        :meth:`try_claim` for a caller that may block its thread: returns
+        None when the caller now owns the access, the rows when the binding
+        is already recorded — possibly after waiting out another
+        execution's in-flight access.
         """
-        return self._claim(tuple(binding), wait=True)[1]
-
-    def try_claim(
-        self, binding: Tuple[object, ...]
-    ) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
-        """One non-blocking round of the claim protocol.
-
-        The async dispatcher cannot block on the condition variable (that
-        would stall the event loop the fulfilling coroutine runs on), so it
-        polls this method with ``await asyncio.sleep(...)`` between rounds.
-        Returns ``(OWNED, None)`` when the caller now owns the access,
-        ``(SERVED, rows)`` when the binding is recorded (a hit), or
-        ``(WAIT, None)`` when another coroutine/thread/process holds the
-        claim and the caller should retry after a pause.
-        """
-        return self._claim(tuple(binding), wait=False)
+        return self.try_claim(binding, wait=True)[1]
 
     def abandon(self, binding: Tuple[object, ...]) -> None:
         """Give up an owned claim (the access failed); waiters re-contend."""
         binding = tuple(binding)
         self._store.release(self._name, binding)
-        with self._cond:
+        with self._lock:
             self._inflight.discard(binding)
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._store.count(self._name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

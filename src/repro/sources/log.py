@@ -1,9 +1,17 @@
 """Global access log.
 
 The log records every access performed during the evaluation of a query, in
-order, and offers the per-relation aggregations used by the experiment
-harnesses: number of accesses and number of extracted (distinct) rows per
-relation, which are exactly the columns of Figure 6 of the paper.
+order, and offers the per-relation aggregations the engine reports: number
+of accesses and number of extracted (distinct) rows per relation — exactly
+the columns of Figure 6 of the paper — plus the returned-row counts the
+session statistics are built from.
+
+Recording is the hot half — once per source access — so it is an append and
+a set add.  The aggregates are the cold half — read once per execution —
+so they are brought up to date *on demand*, from a watermark into the
+record list, the way :meth:`repro.sources.cache.CacheTable.index_for`
+maintains its indexes.  A log nobody asks (an engine session's cumulative
+log is read for its length only) never builds them.
 """
 
 from __future__ import annotations
@@ -13,6 +21,32 @@ from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.sources.access import AccessRecord, AccessTuple
 
+Row = Tuple[object, ...]
+
+
+class RelationTotals:
+    """What one relation's accesses in a log add up to.
+
+    Attributes:
+        accesses: accesses made to the relation.
+        rows: the distinct rows they extracted (their union).
+        returned: rows returned, summed per access (a row two accesses both
+            returned counts twice).
+        empty: accesses that returned no rows.
+        largest: the largest single-access result.
+        by_arity: ``{bound-position count: (accesses, returned)}``.
+    """
+
+    __slots__ = ("accesses", "rows", "returned", "empty", "largest", "by_arity")
+
+    def __init__(self) -> None:
+        self.accesses = 0
+        self.rows: Set[Row] = set()
+        self.returned = 0
+        self.empty = 0
+        self.largest = 0
+        self.by_arity: Dict[int, Tuple[int, int]] = {}
+
 
 class AccessLog:
     """An ordered record of accesses with per-relation aggregation.
@@ -20,63 +54,83 @@ class AccessLog:
     Mutation is lock-protected: an engine session's cumulative log absorbs
     per-execution logs from concurrently finishing queries, so
     :meth:`record` and :meth:`extend` must be safe to call from several
-    threads.  The aggregation views are meant to be read once the writers
-    have quiesced (per-execution logs have a single writer by design).
+    threads.  The aggregation views catch up with the records under the
+    same lock, but are meant to be read once the writers have quiesced
+    (per-execution logs have a single writer by design).
     """
 
     def __init__(self) -> None:
         self._records: List[AccessRecord] = []
         self._seen: Set[AccessTuple] = set()
-        self._rows_by_relation: Dict[str, Set[Tuple[object, ...]]] = {}
         self._lock = threading.Lock()
+        #: Per-relation aggregates over ``_records[:_aggregated]``, keyed in
+        #: order of first access.
+        self._totals: Dict[str, RelationTotals] = {}
+        self._aggregated = 0
 
     # -- recording -----------------------------------------------------------
     def record(self, record: AccessRecord) -> None:
         with self._lock:
-            self._record_locked(record)
-
-    def _record_locked(self, record: AccessRecord) -> None:
-        self._records.append(record)
-        self._seen.add(record.access)
-        self._rows_by_relation.setdefault(record.relation, set()).update(record.rows)
+            self._records.append(record)
+            self._seen.add(record.access)
 
     def extend(self, other: "AccessLog") -> None:
-        """Append every record of ``other`` (used to fold per-execution logs
-        into an engine session's cumulative log)."""
+        """Append every record of ``other``, in order (used to fold
+        per-execution logs into an engine session's cumulative log)."""
         with self._lock:
-            for record in other:
-                self._record_locked(record)
+            self._records.extend(other._records)
+            self._seen.update(other._seen)
 
     def was_accessed(self, access: AccessTuple) -> bool:
         """True when the exact (relation, binding) access was already made."""
         return access in self._seen
 
     # -- aggregation -----------------------------------------------------------
+    def totals(self) -> Dict[str, RelationTotals]:
+        """Per-relation aggregates of everything recorded so far, keyed in
+        order of first access.  The mapping is live — read it, don't keep it."""
+        with self._lock:
+            records = self._records
+            totals = self._totals
+            for index in range(self._aggregated, len(records)):
+                (relation, binding), rows, _, _ = records[index]
+                entry = totals.get(relation)
+                if entry is None:
+                    entry = totals[relation] = RelationTotals()
+                count = len(rows)
+                entry.accesses += 1
+                entry.rows.update(rows)
+                entry.returned += count
+                if not count:
+                    entry.empty += 1
+                elif count > entry.largest:
+                    entry.largest = count
+                accesses, returned = entry.by_arity.get(len(binding), (0, 0))
+                entry.by_arity[len(binding)] = (accesses + 1, returned + count)
+            self._aggregated = len(records)
+            return totals
+
     @property
     def total_accesses(self) -> int:
         return len(self._records)
 
     def accesses_of(self, relation: str) -> int:
         """Number of accesses made to the given relation."""
-        return sum(1 for record in self._records if record.relation == relation)
+        entry = self.totals().get(relation)
+        return entry.accesses if entry is not None else 0
 
-    def distinct_accesses_of(self, relation: str) -> int:
-        return len({record.access for record in self._records if record.relation == relation})
-
-    def rows_of(self, relation: str) -> FrozenSet[Tuple[object, ...]]:
+    def rows_of(self, relation: str) -> FrozenSet[Row]:
         """Distinct rows extracted from the given relation."""
-        return frozenset(self._rows_by_relation.get(relation, frozenset()))
+        entry = self.totals().get(relation)
+        return frozenset(entry.rows) if entry is not None else frozenset()
 
     def row_count_of(self, relation: str) -> int:
-        return len(self._rows_by_relation.get(relation, ()))
+        entry = self.totals().get(relation)
+        return len(entry.rows) if entry is not None else 0
 
     def accessed_relations(self) -> List[str]:
         """Relations accessed at least once, in order of first access."""
-        seen: List[str] = []
-        for record in self._records:
-            if record.relation not in seen:
-                seen.append(record.relation)
-        return seen
+        return list(self.totals())
 
     def access_set(self) -> FrozenSet[AccessTuple]:
         """The set ``Acc(D, Π)`` of the paper: all distinct accesses made."""
@@ -85,15 +139,9 @@ class AccessLog:
     def per_relation_summary(self) -> Dict[str, Tuple[int, int]]:
         """``{relation: (accesses, distinct_rows)}`` for every accessed relation."""
         return {
-            relation: (self.accesses_of(relation), self.row_count_of(relation))
-            for relation in self.accessed_relations()
+            relation: (entry.accesses, len(entry.rows))
+            for relation, entry in self.totals().items()
         }
-
-    def total_simulated_time(self) -> float:
-        """Largest simulated completion time among the recorded accesses."""
-        if not self._records:
-            return 0.0
-        return max(record.simulated_time for record in self._records)
 
     # -- container protocol -------------------------------------------------------
     def __iter__(self) -> Iterator[AccessRecord]:
@@ -103,4 +151,4 @@ class AccessLog:
         return len(self._records)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AccessLog({self.total_accesses} accesses over {len(self._rows_by_relation)} relations)"
+        return f"AccessLog({self.total_accesses} accesses over {len(self.totals())} relations)"

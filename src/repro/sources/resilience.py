@@ -1,17 +1,12 @@
-"""The resilience layer: deterministic fault injection, retries, breakers.
+"""The resilience layer: retries, timeouts, circuit breakers.
 
 The paper's execution model assumes every access eventually succeeds; a
-production deployment cannot.  This module supplies the three pieces the
-runtime uses to keep a query alive when a source flakes, times out or goes
-down mid-execution:
+production deployment cannot.  This module supplies what the runtime uses
+to keep a query alive when a source flakes, times out or goes down
+mid-execution:
 
-* :class:`FlakyBackend` — a decorator over any
-  :class:`~repro.sources.backend.SourceBackend` that injects faults from a
-  *deterministic, seeded* :class:`FaultSchedule`.  Whether (and how) an
-  access fails depends only on ``(seed, relation, binding, attempt)``, never
-  on thread interleaving or process hash salt, so fuzzing runs are exactly
-  reproducible and a fault-free schedule (all rates zero) is byte-identical
-  to the undecorated backend.
+* the fault taxonomy (:class:`SourceFault` and its subclasses) a backend
+  raises for operational — as opposed to programming — errors;
 * :class:`RetryPolicy` — bounded attempts with exponential backoff.  The
   backoff is *priced through the run's authoritative clock*: simulated
   dispatchers charge it to the simulated clock, the async (wall-clock)
@@ -22,24 +17,25 @@ down mid-execution:
   the scheduling policies stop offering its bindings) until ``cooldown``
   has elapsed on the run's clock, at which point one probe is let through.
 
-:class:`ResilienceContext` ties the three together for one kernel run: the
-dispatchers route every source read through :meth:`ResilienceContext.
-perform`, which owns the retry loop, the breaker bookkeeping, timeout
+:class:`ResilienceContext` ties them together for one kernel run: every
+source read goes through :meth:`ResilienceContext.perform`, the one retry
+loop — a plain generator that owns the breaker bookkeeping, timeout
 classification and the :class:`RetryStats` counters that end up on the
-:class:`~repro.engine.result.Result`.
+:class:`~repro.engine.result.Result`, and leaves the reading and the
+sleeping to whoever drives it (:mod:`repro.runtime.dispatch`).  Injecting
+faults to exercise all this is test tooling and lives in
+:mod:`repro.sources.faults`.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Awaitable, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Generator, NamedTuple, Optional, Set, Tuple
 
 from repro.exceptions import AccessError
-from repro.sources.backend import SourceBackend
 
 Row = Tuple[object, ...]
 Binding = Tuple[object, ...]
@@ -87,172 +83,6 @@ class CircuitOpenError(SourceFault):
     """The relation's circuit breaker rejected the access without trying it."""
 
     retryable = False
-
-
-# -- deterministic fault injection ----------------------------------------------
-def _stable_rng_seed(*parts: object) -> int:
-    """A process-independent seed for ``random``-free fault planning.
-
-    Python's builtin ``hash`` is salted per process; fault schedules must
-    not be, or two fuzzing runs (or the two processes of a differential
-    comparison) would inject different faults.
-    """
-    digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-class _StableRandom:
-    """A tiny splitmix64-style generator seeded from a stable digest.
-
-    Only ``random()`` (uniform in [0, 1)) is needed; using our own generator
-    keeps fault plans identical across Python versions regardless of
-    ``random.Random``'s internal seeding of non-int objects.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & 0xFFFFFFFFFFFFFFFF
-
-    def random(self) -> float:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        z = z ^ (z >> 31)
-        return (z >> 11) / float(1 << 53)
-
-
-@dataclass(frozen=True)
-class FaultSchedule:
-    """A seeded, deterministic plan of which accesses fail, and how.
-
-    For every ``(relation, binding)`` pair the schedule derives — purely
-    from ``seed`` — a sequence of *leading faults* (transient errors and
-    timeouts the first attempts hit before one succeeds) and whether the
-    eventually-successful call is *slow*.  A permanent outage
-    (``outage_after``) kills the backend after that many total lookups.
-
-    Attributes:
-        seed: the schedule's seed; same seed, same faults, every run.
-        transient_rate: probability that an attempt hits a transient error.
-        timeout_rate: probability that an attempt hits an injected timeout.
-        slow_rate: probability that the successful call is slow.
-        slow_seconds: real ``time.sleep`` injected into slow calls.
-        outage_after: total lookups (across all bindings) after which the
-            source is permanently down; ``None`` disables the outage.
-        max_consecutive: cap on leading faults per binding, so a fault rate
-            below 1.0 always leaves the binding eventually servable.
-    """
-
-    seed: int = 0
-    transient_rate: float = 0.0
-    timeout_rate: float = 0.0
-    slow_rate: float = 0.0
-    slow_seconds: float = 0.0
-    outage_after: Optional[int] = None
-    max_consecutive: int = 3
-
-    def __post_init__(self) -> None:
-        for name in ("transient_rate", "timeout_rate", "slow_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"FaultSchedule.{name} must be in [0, 1], got {rate!r}")
-        if self.max_consecutive < 0:
-            raise ValueError("FaultSchedule.max_consecutive must be >= 0")
-
-    @property
-    def fault_free(self) -> bool:
-        """True when the schedule can never inject anything."""
-        return (
-            self.transient_rate == 0.0
-            and self.timeout_rate == 0.0
-            and self.slow_rate == 0.0
-            and self.outage_after is None
-        )
-
-    def plan_for(self, relation: str, binding: Binding) -> Tuple[Tuple[str, ...], bool]:
-        """The (leading fault kinds, slow?) plan of one binding's attempts."""
-        rng = _StableRandom(_stable_rng_seed(self.seed, relation, tuple(binding)))
-        faults: List[str] = []
-        while len(faults) < self.max_consecutive:
-            roll = rng.random()
-            if roll < self.transient_rate:
-                faults.append("transient")
-            elif roll < self.transient_rate + self.timeout_rate:
-                faults.append("timeout")
-            else:
-                break
-        slow = rng.random() < self.slow_rate
-        return tuple(faults), slow
-
-    def with_seed(self, seed: int) -> "FaultSchedule":
-        return replace(self, seed=seed)
-
-
-class FlakyBackend(SourceBackend):
-    """Wraps any backend with a deterministic fault schedule.
-
-    Attempt counters are kept per binding (under a lock — the real
-    dispatcher reads from worker threads), so the *n*-th attempt at a
-    binding deterministically hits the *n*-th planned fault regardless of
-    what other bindings or threads are doing.  With an all-zero schedule
-    the wrapper is pass-through: same rows, same call counts, no sleeps.
-    """
-
-    kind = "flaky"
-
-    def __init__(self, inner: SourceBackend, schedule: FaultSchedule) -> None:
-        self.inner = inner
-        self.schedule = schedule
-        self.schema = inner.schema
-        #: The in-memory instance when the inner backend has one (keeps
-        #: SourceWrapper's back-compat ``instance`` attribute working).
-        self.instance = getattr(inner, "instance", None)
-        self._lock = threading.Lock()
-        self._attempts: Dict[Binding, int] = {}
-        self._total_lookups = 0
-        self._closed = False
-
-    def lookup(self, binding: Binding) -> FrozenSet[Row]:
-        if self.schedule.fault_free:
-            # A schedule that can never inject anything is pure passthrough:
-            # no fault planning, no attempt counting, no lock — the
-            # zero-fault overhead of the resilience stack stays negligible.
-            return self.inner.lookup(tuple(binding))
-        binding = tuple(binding)
-        relation = self.schema.name
-        with self._lock:
-            attempt = self._attempts.get(binding, 0)
-            self._attempts[binding] = attempt + 1
-            self._total_lookups += 1
-            total = self._total_lookups
-        outage = self.schedule.outage_after
-        if outage is not None and total > outage:
-            raise SourceUnavailableError(relation, binding, "permanent outage injected")
-        faults, slow = self.schedule.plan_for(relation, binding)
-        if attempt < len(faults):
-            kind = faults[attempt]
-            if kind == "timeout":
-                raise SourceTimeoutError(relation, binding, "injected timeout")
-            raise TransientSourceError(relation, binding, "injected transient fault")
-        if slow and self.schedule.slow_seconds > 0:
-            time.sleep(self.schedule.slow_seconds)
-        return self.inner.lookup(binding)
-
-    def lookup_many(self, bindings: Sequence[Binding]) -> List[FrozenSet[Row]]:
-        # Each binding must be individually faultable, so no bulk delegation.
-        return [self.lookup(binding) for binding in bindings]
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.inner.close()
-
-
-def make_flaky(registry: object, schedule: FaultSchedule) -> None:
-    """Alias for :meth:`~repro.sources.wrapper.SourceRegistry.inject_faults`
-    for callers holding only this module (avoids the circular import)."""
-    registry.inject_faults(schedule)  # type: ignore[attr-defined]
 
 
 # -- retry policy ----------------------------------------------------------------
@@ -461,26 +291,34 @@ class RetryStats:
         }
 
 
-@dataclass(frozen=True)
-class PerformOutcome:
-    """What one resilient read produced (or didn't).
+class AccessOutcome(NamedTuple):
+    """How one access request resolved: what the access protocol returns.
 
-    ``fault`` is None on success; on failure ``rows`` is empty and the
-    fault explains why.  ``attempts`` counts source reads actually made
-    (0 when the breaker short-circuited the access); ``backoff`` is the
-    retry delay to charge to a simulated clock (the real dispatcher has
+    ``counted`` is True only for a successful, performed source read (the
+    dispatcher must log it and charge its latency).  A request the session
+    gate served has ``counted=False, failed=False``; a permanently failed
+    access has ``counted=False, failed=True`` with empty rows.  ``attempts``
+    is how many source reads were made (0 when the gate served the request
+    or a breaker short-circuited it) and ``backoff`` the retry delay a
+    simulated dispatcher must charge to its clock (the async dispatcher
     already slept it).
     """
 
     rows: FrozenSet[Row]
-    read_seconds: float
-    attempts: int
-    backoff: float
-    fault: Optional[SourceFault] = None
+    counted: bool
+    failed: bool = False
+    attempts: int = 0
+    backoff: float = 0.0
+    read_seconds: float = 0.0
 
-    @property
-    def failed(self) -> bool:
-        return self.fault is not None
+
+#: The effects :meth:`ResilienceContext.perform` yields to its driver, in
+#: the ``(kind, payload)`` shape of the kernel's own machine: the driver
+#: answers ``read`` with the rows (or raises what the read raised at the
+#: ``yield``) and ``sleep`` — the payload is the backoff in seconds — with
+#: nothing, after waiting it out on whatever clock it keeps.
+READ = ("read", None)
+Effect = Tuple[str, Optional[float]]
 
 
 class ResilienceContext:
@@ -492,20 +330,19 @@ class ResilienceContext:
     of killing the run, which is the new baseline semantics.
 
     ``clock`` is bound by the kernel to the dispatcher's authoritative
-    clock; ``real_sleep`` tells :meth:`perform` whether to actually sleep
-    retry backoffs (wall-clock dispatch) or merely report them for the
-    caller to charge to a simulated clock.
+    clock; ``wall_clock`` says that clock is the real one, so reads are
+    timed for the run's sequential-cost accounting even without a timeout.
     """
 
     def __init__(
         self,
         config: Optional[ResilienceConfig] = None,
         clock: Callable[[], float] = lambda: 0.0,
-        real_sleep: bool = False,
+        wall_clock: bool = False,
     ) -> None:
         self.config = config if config is not None else ResilienceConfig()
         self.clock = clock
-        self.real_sleep = real_sleep
+        self.wall_clock = wall_clock
         self.stats = RetryStats()
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -515,9 +352,9 @@ class ResilienceContext:
         self._dead: Set[str] = set()
 
     # -- wiring ---------------------------------------------------------------
-    def bind_clock(self, clock: Callable[[], float], real_sleep: bool) -> None:
+    def bind_clock(self, clock: Callable[[], float], wall_clock: bool) -> None:
         self.clock = clock
-        self.real_sleep = real_sleep
+        self.wall_clock = wall_clock
 
     def breaker_for(self, relation: str) -> Optional[CircuitBreaker]:
         if self.config.breaker is None:
@@ -536,22 +373,34 @@ class ResilienceContext:
     # -- offer-side exclusion --------------------------------------------------
     def excluded(self, relation: str) -> bool:
         """True while the relation must not be offered: its breaker is open
-        (cool-down pending) or the source is known permanently down."""
-        with self._lock:
-            if relation in self._dead:
-                return True
-            breaker = self._breakers.get(relation)
+        (cool-down pending) or the source is known permanently down.
+
+        Lock-free like :meth:`perform`'s own reads of the same two
+        structures: the GIL makes them safe, and a stale answer merely
+        offers (or holds back) one pass's bindings of a relation whose
+        breaker another thread is tripping this instant.
+        """
+        if self._dead and relation in self._dead:
+            return True
+        breaker = self._breakers.get(relation) if self._breakers else None
         return breaker is not None and breaker.blocked()
 
     # -- the resilient read ----------------------------------------------------
     def perform(
-        self, relation: str, binding: Binding, read: Callable[[], FrozenSet[Row]]
-    ) -> PerformOutcome:
-        """Run one backend read under retry/timeout/breaker policy.
+        self, relation: str, binding: Binding
+    ) -> Generator[Effect, Optional[FrozenSet[Row]], AccessOutcome]:
+        """One backend read under retry/timeout/breaker policy — the one
+        retry loop, as a plain generator.
 
-        Never raises for operational faults — the outcome carries them —
-        so dispatchers have one uniform failure path.  Non-fault exceptions
-        (programming errors) propagate unchanged.
+        It yields :data:`READ` for every attempt and ``("sleep", delay)``
+        before every retry; the driver performs them its own way (a
+        blocking ``lookup`` or an awaited ``alookup``; a simulated clock
+        charges the outcome's ``backoff`` and does not wait, the wall clock
+        sleeps) and the :class:`AccessOutcome` is the generator's return
+        value.  Operational faults never escape — the outcome carries
+        ``failed`` — so drivers have one uniform failure path; any other
+        exception the read raised (a programming error, a cancellation)
+        propagates unchanged.
 
         The hot path (healthy source, closed breaker) is engineered for
         near-zero overhead: dead-set and breaker reads are lock-free (the
@@ -561,35 +410,30 @@ class ResilienceContext:
         configured timeout, or a wall-clock dispatcher's sequential
         accounting).
         """
+        config = self.config
         breaker: Optional[CircuitBreaker] = None
-        if self.config.breaker is not None:
+        if config.breaker is not None:
             breaker = self._breakers.get(relation) or self.breaker_for(relation)
         dead = bool(self._dead) and relation in self._dead
         if dead or (breaker is not None and not breaker.try_acquire()):
-            fault = (
-                SourceUnavailableError(relation, binding, "source marked down")
-                if dead
-                else CircuitOpenError(relation, binding, "circuit breaker open")
-            )
             with self._lock:
                 self.stats.short_circuited += 1
                 self.stats.failures += 1
                 self.failed_relations.add(relation)
-            return PerformOutcome(frozenset(), 0.0, attempts=0, backoff=0.0, fault=fault)
+            return AccessOutcome(frozenset(), False, failed=True)
 
-        retry = self.config.retry
+        retry = config.retry
         max_attempts = retry.max_attempts if retry is not None else 1
-        timeout = self.config.timeout
-        time_reads = timeout is not None or self.real_sleep
+        timeout = config.timeout
+        time_reads = timeout is not None or self.wall_clock
         attempts = 0
-        retries = 0
         backoff = 0.0
         while True:
             attempts += 1
             started = time.perf_counter() if time_reads else 0.0
             fault: Optional[SourceFault] = None
             try:
-                rows = read()
+                rows = yield READ
             except SourceFault as error:
                 fault = error
             seconds = (time.perf_counter() - started) if time_reads else 0.0
@@ -602,9 +446,9 @@ class ResilienceContext:
                     breaker.record_success()
                 with self._lock:
                     self.stats.attempts += attempts
-                    self.stats.retries += retries
+                    self.stats.retries += attempts - 1
                     self.stats.backoff_seconds += backoff
-                return PerformOutcome(rows, seconds, attempts=attempts, backoff=backoff)
+                return AccessOutcome(rows, True, False, attempts, backoff, seconds)
 
             # One attempt failed: classify, feed the breaker, decide on retry.
             tripped = False
@@ -623,112 +467,17 @@ class ResilienceContext:
                     self._dead.add(relation)
             if fault.retryable and not tripped and attempts < max_attempts:
                 delay = retry.delay_before(attempts) if retry is not None else 0.0
-                retries += 1
-                backoff += delay
-                if self.real_sleep and delay > 0:
-                    time.sleep(delay)
-                continue
-            with self._lock:
-                self.stats.attempts += attempts
-                self.stats.retries += retries
-                self.stats.backoff_seconds += backoff
-                self.stats.failures += 1
-                self.failed_relations.add(relation)
-            return PerformOutcome(
-                frozenset(), 0.0, attempts=attempts, backoff=backoff, fault=fault
-            )
-
-    async def aperform(
-        self,
-        relation: str,
-        binding: Binding,
-        aread: Callable[[], Awaitable[FrozenSet[Row]]],
-    ) -> PerformOutcome:
-        """:meth:`perform` for coroutine reads: same policy, awaited I/O.
-
-        The retry/timeout/breaker decision tree is kept line-for-line
-        identical to the sync path so the two dispatchers cannot drift;
-        only the read is awaited and retry backoff uses ``asyncio.sleep``
-        (the async dispatcher always runs on the wall clock, so backoff is
-        really waited, never charged to a simulation).
-        """
-        import asyncio
-
-        breaker: Optional[CircuitBreaker] = None
-        if self.config.breaker is not None:
-            breaker = self._breakers.get(relation) or self.breaker_for(relation)
-        dead = bool(self._dead) and relation in self._dead
-        if dead or (breaker is not None and not breaker.try_acquire()):
-            fault = (
-                SourceUnavailableError(relation, binding, "source marked down")
-                if dead
-                else CircuitOpenError(relation, binding, "circuit breaker open")
-            )
-            with self._lock:
-                self.stats.short_circuited += 1
-                self.stats.failures += 1
-                self.failed_relations.add(relation)
-            return PerformOutcome(frozenset(), 0.0, attempts=0, backoff=0.0, fault=fault)
-
-        retry = self.config.retry
-        max_attempts = retry.max_attempts if retry is not None else 1
-        timeout = self.config.timeout
-        time_reads = timeout is not None or self.real_sleep
-        attempts = 0
-        retries = 0
-        backoff = 0.0
-        while True:
-            attempts += 1
-            started = time.perf_counter() if time_reads else 0.0
-            fault: Optional[SourceFault] = None
-            try:
-                rows = await aread()
-            except SourceFault as error:
-                fault = error
-            seconds = (time.perf_counter() - started) if time_reads else 0.0
-            if fault is None and timeout is not None and seconds > timeout:
-                fault = SourceTimeoutError(
-                    relation, binding, f"read took {seconds:.4f}s > timeout {timeout:.4f}s"
-                )
-            if fault is None:
-                if breaker is not None:
-                    breaker.record_success()
-                with self._lock:
-                    self.stats.attempts += attempts
-                    self.stats.retries += retries
-                    self.stats.backoff_seconds += backoff
-                return PerformOutcome(rows, seconds, attempts=attempts, backoff=backoff)
-
-            tripped = False
-            if breaker is not None:
-                before = breaker.trips
-                breaker.record_failure()
-                tripped = breaker.trips > before
-            with self._lock:
-                if isinstance(fault, SourceTimeoutError):
-                    self.stats.timeouts += 1
-                elif isinstance(fault, TransientSourceError):
-                    self.stats.transient_faults += 1
-                if tripped:
-                    self.stats.breaker_trips += 1
-                if not fault.retryable:
-                    self._dead.add(relation)
-            if fault.retryable and not tripped and attempts < max_attempts:
-                delay = retry.delay_before(attempts) if retry is not None else 0.0
-                retries += 1
                 backoff += delay
                 if delay > 0:
-                    await asyncio.sleep(delay)
+                    yield ("sleep", delay)
                 continue
             with self._lock:
                 self.stats.attempts += attempts
-                self.stats.retries += retries
+                self.stats.retries += attempts - 1
                 self.stats.backoff_seconds += backoff
                 self.stats.failures += 1
                 self.failed_relations.add(relation)
-            return PerformOutcome(
-                frozenset(), 0.0, attempts=attempts, backoff=backoff, fault=fault
-            )
+            return AccessOutcome(frozenset(), False, True, attempts, backoff)
 
     # -- bookkeeping hooks used by dispatchers ----------------------------------
     def note_refund(self, count: int = 1) -> None:

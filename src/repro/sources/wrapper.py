@@ -51,7 +51,7 @@ from repro.sources.log import AccessLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import Executor
 
-    from repro.sources.resilience import FaultSchedule
+    from repro.sources.faults import FaultSchedule
 
 Row = Tuple[object, ...]
 Binding = Tuple[object, ...]
@@ -89,8 +89,9 @@ class SourceWrapper:
         the counting themselves via :meth:`record_access`.
         """
         binding = tuple(binding)
-        validate_binding(self.schema, binding)
-        return self.backend.lookup(binding)
+        backend = self.backend
+        validate_binding(backend.schema, binding)
+        return backend.lookup(binding)
 
     def lookup_many(self, bindings: Sequence[Binding]) -> List[FrozenSet[Row]]:
         """Answer a batch of bindings without counting; one result per binding."""
@@ -113,12 +114,13 @@ class SourceWrapper:
         the async dispatcher's coordinator counts via :meth:`record_access`.
         """
         binding = tuple(binding)
-        validate_binding(self.schema, binding)
-        native = getattr(self.backend, "alookup", None)
+        backend = self.backend
+        validate_binding(backend.schema, binding)
+        native = getattr(backend, "alookup", None)
         if native is not None:
             return await native(binding)
         return await asyncio.get_running_loop().run_in_executor(
-            pool() if pool is not None else None, self.backend.lookup, binding
+            pool() if pool is not None else None, backend.lookup, binding
         )
 
     # -- counted accesses -----------------------------------------------------
@@ -140,10 +142,10 @@ class SourceWrapper:
         if log is not None:
             log.record(
                 AccessRecord(
-                    access=AccessTuple(self.name, tuple(binding)),
-                    rows=rows,
-                    sequence_number=log.total_accesses,
-                    simulated_time=simulated_time,
+                    AccessTuple(self.backend.schema.name, tuple(binding)),
+                    rows,
+                    log.total_accesses,
+                    simulated_time,
                 )
             )
 
@@ -313,11 +315,11 @@ class SourceRegistry:
 
     def inject_faults(self, schedule: "FaultSchedule") -> None:
         """Wrap every wrapper's backend in a
-        :class:`~repro.sources.resilience.FlakyBackend` with the given
+        :class:`~repro.sources.faults.FlakyBackend` with the given
         deterministic fault schedule (chaos testing / the CLI ``--fail``
         flag).  Layers compose: injecting twice stacks two schedules.
         """
-        from repro.sources.resilience import FlakyBackend
+        from repro.sources.faults import FlakyBackend
 
         for wrapper in self._wrappers.values():
             wrapper.backend = FlakyBackend(wrapper.backend, schedule)

@@ -17,7 +17,8 @@ from repro.model.schema import RelationSchema
 from repro.sources.cache import MetaCache
 from repro.sources.fixture_server import FixtureServer
 from repro.sources.http import parse_http_url
-from repro.sources.resilience import FaultSchedule, RetryPolicy
+from repro.sources.faults import FaultSchedule
+from repro.sources.resilience import RetryPolicy
 from repro.sources.store import ClaimStatus
 from repro.sources.wrapper import SourceRegistry
 

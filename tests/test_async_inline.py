@@ -25,7 +25,7 @@ from repro.runtime import dispatch
 from repro.serve import ServeConfig, ServeHandle, protocol
 from repro.sources.backend import CallableBackend, InMemoryBackend, SourceBackend
 from repro.sources.fixture_server import FixtureServer
-from repro.sources.resilience import FaultSchedule, FlakyBackend
+from repro.sources.faults import FaultSchedule, FlakyBackend
 from repro.sources.store import ClaimStatus
 from repro.sources.wrapper import SourceRegistry, SourceWrapper
 

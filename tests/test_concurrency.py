@@ -13,7 +13,8 @@ from repro import Engine
 from repro.examples import chain_example, mixed_workload, star_example
 from repro.model.schema import RelationSchema
 from repro.sources.cache import MetaCache
-from repro.sources.resilience import FaultSchedule, RetryPolicy
+from repro.sources.faults import FaultSchedule
+from repro.sources.resilience import RetryPolicy
 from repro.sources.wrapper import SourceRegistry
 
 BACKENDS = ("memory", "sqlite", "callable")

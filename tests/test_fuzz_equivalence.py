@@ -9,7 +9,7 @@ per-relation latencies, then asserts:
   *identical* answers and access counts (the backend is a transport, never
   a semantics);
 * decorating every backend with a fault-free
-  :class:`~repro.sources.resilience.FlakyBackend` — with retry, timeout
+  :class:`~repro.sources.faults.FlakyBackend` — with retry, timeout
   and breaker knobs all switched on — changes nothing: same answers, same
   access counts, same per-source breakdown, byte-identical result payload;
 * under injected transient faults with retries, every strategy still
@@ -48,11 +48,16 @@ from typing import Dict, Tuple
 
 import pytest
 
+# The case generator lives with the cross-checkout fingerprint tool, which
+# may import nothing of the engine before ``--src`` has chosen a checkout.
+from behaviour_fingerprint import generate_case
+
 from repro import Engine
 from repro.examples import Example, make_scenario
 from repro.model.instance import DatabaseInstance
 from repro.query.parser import parse_query
-from repro.sources.resilience import BreakerConfig, FaultSchedule, RetryPolicy
+from repro.sources.faults import FaultSchedule
+from repro.sources.resilience import BreakerConfig, RetryPolicy
 from repro.sources.wrapper import SourceRegistry
 
 STRATEGIES = ("naive", "fast_fail", "distillation")
@@ -62,73 +67,6 @@ BACKENDS = ("memory", "sqlite", "callable")
 CI_SEEDS = tuple(range(8))
 #: The full sweep (`pytest -m slow`): ~25 generated cases.
 FULL_SEEDS = tuple(range(8, 25))
-
-
-def generate_case(seed: int) -> Tuple[Example, Dict[str, float]]:
-    """One random scenario: topology, parameters and per-relation latencies.
-
-    Parameter ranges are sized so the naive strategy's all-relations
-    extraction stays tractable (its value-pool cross products grow fast).
-    """
-    rng = random.Random(seed)
-    kind = rng.choice(
-        [
-            "chain",
-            "star",
-            "diamond",
-            "skewed-fanout",
-            "cycle",
-            "wide-fanout",
-            "chaos",
-            "empty-branch",
-        ]
-    )
-    if kind == "chain":
-        example = make_scenario(kind, length=rng.randint(1, 3), width=rng.randint(1, 5))
-    elif kind == "star":
-        example = make_scenario(
-            kind,
-            rays=rng.randint(1, 4),
-            width=rng.randint(1, 7),
-            selectivity=rng.choice([0.25, 0.5, 1.0]),
-        )
-    elif kind == "diamond":
-        example = make_scenario(
-            kind, width=rng.randint(1, 7), selectivity=rng.choice([0.5, 1.0])
-        )
-    elif kind == "skewed-fanout":
-        keys = rng.randint(1, 4)
-        example = make_scenario(
-            kind,
-            keys=keys,
-            hot_keys=rng.randint(0, keys),
-            hot_fanout=rng.randint(1, 6),
-            cold_fanout=rng.randint(1, 3),
-        )
-    elif kind == "cycle":
-        size = rng.randint(2, 8)
-        example = make_scenario(kind, size=size, seeds=rng.randint(1, min(3, size)))
-    elif kind == "wide-fanout":
-        example = make_scenario(kind, width=rng.randint(1, 4), fanout=rng.randint(1, 5))
-    elif kind == "empty-branch":
-        example = make_scenario(
-            kind,
-            width=rng.randint(2, 3),
-            fanout=rng.randint(1, 6),
-            empty_name=rng.choice(["aempty", "zempty"]),
-        )
-    else:
-        example = make_scenario(
-            kind,
-            width=rng.randint(1, 6),
-            rays=rng.randint(1, 3),
-            selectivity=rng.choice([0.5, 1.0]),
-        )
-    latencies = {
-        relation.name: rng.choice([0.0, 0.005, 0.01, 0.02])
-        for relation in example.schema
-    }
-    return example, latencies
 
 
 def generate_empty_case(seed: int) -> Tuple[Example, Dict[str, float]]:
@@ -510,7 +448,7 @@ def check_served_equivalence(seed: int) -> None:
     :func:`check_async_faulty_equivalence` (deterministic per binding,
     retries cover the consecutive-fault cap), so served and in-process
     runs see identical faults and converge on identical payloads.  A
-    :class:`~repro.sources.resilience.FlakyBackend` burns its leading
+    :class:`~repro.sources.faults.FlakyBackend` burns its leading
     faults statefully per registry, so every faulty comparison gets a
     fresh server — a shared one would absorb the faults the in-process
     baseline still sees.

@@ -3,7 +3,7 @@
 Covers the :class:`~repro.sources.resilience.CircuitBreaker` state machine,
 :class:`~repro.sources.resilience.RetryPolicy` backoff pricing on the
 simulated clock, the budget refund invariant under injected faults, the
-deterministic :class:`~repro.sources.resilience.FlakyBackend`, the honest
+deterministic :class:`~repro.sources.faults.FlakyBackend`, the honest
 completeness contract on :class:`~repro.engine.result.Result`, and the
 close-idempotence regression (double close / close after backend error).
 """
@@ -19,18 +19,16 @@ from repro.runtime.kernel import AccessBudget, FixpointKernel
 from repro.runtime.policy import EagerPlan, OrderedFastFail
 from repro.sources.backend import SQLiteBackend
 from repro.sources.cache import CacheDatabase
+from repro.sources.faults import FaultSchedule, FlakyBackend, make_flaky
 from repro.sources.log import AccessLog
 from repro.sources.resilience import (
     BreakerConfig,
     BreakerState,
     CircuitBreaker,
-    FaultSchedule,
-    FlakyBackend,
     ResilienceConfig,
     RetryPolicy,
     SourceUnavailableError,
     TransientSourceError,
-    make_flaky,
 )
 from repro.sources.wrapper import SourceRegistry
 

@@ -34,7 +34,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.sources.fixture_server import FixtureServer
-from repro.sources.resilience import DEFAULT_RETRY, FaultSchedule
+from repro.sources.faults import FaultSchedule
 from repro.sources.wrapper import SourceRegistry
 
 
