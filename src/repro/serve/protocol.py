@@ -1,169 +1,88 @@
-"""Minimal HTTP/1.1 plumbing shared by the query server and its clients.
+"""The query service's side of the wire, and a client for it.
 
-The serving front end speaks the same stdlib-only asyncio dialect as the
-fixture lookup server (:mod:`repro.sources.fixture_server`): one
-``StreamReader``/``StreamWriter`` pair per connection, requests parsed by
-hand, JSON bodies.  This module holds the request/response framing so the
-server (:mod:`repro.serve.server`), the open-loop load generator
-(:mod:`repro.serve.loadtest`) and the tests all agree on the wire format —
-including chunked transfer encoding, which the streaming endpoint uses to
-push answers as they materialize.
+The framing itself — request parse, response / chunk / stream-head
+framing, canonical JSON — is :mod:`repro.util.http1`, shared with the
+fixture lookup server and the HTTP source backend; the names the server,
+the benchmarks and the tests use are re-exported here.  What this module
+adds is the client that the open-loop load generator
+(:mod:`repro.serve.loadtest`) and the tests drive the service with:
+:func:`request_json` for the JSON endpoints and :func:`stream_lines` for
+the chunked ndjson stream.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
-from dataclasses import dataclass, field
 from typing import AsyncIterator, Dict, Optional, Tuple
 
-#: Request bodies above this are rejected before buffering (same cap as the
-#: fixture server).
-MAX_BODY = 8 * 1024 * 1024
+from repro.util import http1
+from repro.util.http1 import (
+    LAST_CHUNK,
+    MAX_BODY,
+    Request,
+    chunk,
+    dump_json,
+    read_request,
+    response,
+    stream_head,
+)
 
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-
-@dataclass
-class Request:
-    """One parsed HTTP request."""
-
-    method: str
-    path: str
-    headers: Dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
-
-    def json(self) -> dict:
-        """The body as a JSON object (empty body parses as ``{}``)."""
-        if not self.body:
-            return {}
-        payload = json.loads(self.body)
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
-
-    @property
-    def tenant(self) -> str:
-        """The tenant this request bills to (``X-Tenant``, else 'anonymous')."""
-        return self.headers.get("x-tenant", "anonymous") or "anonymous"
+__all__ = [
+    "LAST_CHUNK",
+    "MAX_BODY",
+    "Request",
+    "chunk",
+    "dump_json",
+    "read_request",
+    "request_json",
+    "response",
+    "stream_head",
+    "stream_lines",
+]
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Read one request off a keep-alive connection; None at clean EOF.
+async def _pieces(
+    reader: asyncio.StreamReader, head: http1.Headers, timeout: float
+) -> AsyncIterator[bytes]:
+    """A response body as it arrives: chunk by chunk, or whole when the
+    server framed it with ``Content-Length``."""
+    if head.get("transfer-encoding", "").lower() != "chunked":
+        yield await asyncio.wait_for(http1.read_body(reader, head), timeout)
+        return
+    while piece := await asyncio.wait_for(http1.read_chunk(reader), timeout):
+        yield piece
 
-    Raises ValueError on malformed framing and asyncio.IncompleteReadError
-    on truncation — callers drop the connection either way.
+
+@contextlib.asynccontextmanager
+async def _exchange(
+    url: str,
+    method: str,
+    path: str,
+    payload: Optional[dict],
+    headers: Optional[Dict[str, str]],
+    timeout: float,
+) -> AsyncIterator[Tuple[int, AsyncIterator[bytes]]]:
+    """Open a connection, send one request, read the response head.
+
+    Yields ``(status, body pieces)``; the connection closes on exit.  A
+    fresh connection per call keeps the open-loop load generator honest —
+    no pipelining head-of-line effects.
     """
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.split()
-    if len(parts) < 2:
-        raise ValueError("malformed request line")
-    method, path = parts[0].decode("ascii"), parts[1].decode("ascii")
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.partition(b":")
-        headers[name.strip().lower().decode("ascii")] = value.strip().decode("latin-1")
-    content_length = int(headers.get("content-length", "0") or "0")
-    if content_length > MAX_BODY:
-        raise ValueError("request body too large")
-    body = await reader.readexactly(content_length) if content_length else b""
-    return Request(method=method, path=path, headers=headers, body=body)
-
-
-def dump_json(payload: object) -> bytes:
-    """Canonical response JSON: sorted keys, no whitespace.
-
-    Every response body goes through this one serializer so identical
-    payload dicts produce byte-identical responses (the golden-payload
-    test pins this).
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def response(
-    status: int,
-    payload: object,
-    extra_headers: Tuple[Tuple[str, str], ...] = (),
-    keep_alive: bool = True,
-) -> bytes:
-    """A full JSON response with Content-Length framing."""
-    body = dump_json(payload)
-    lines = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    lines.extend(f"{name}: {value}" for name, value in extra_headers)
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
-
-
-def stream_head(status: int = 200) -> bytes:
-    """Response head opening a chunked newline-delimited-JSON stream."""
-    return (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
-        "Content-Type: application/x-ndjson\r\n"
-        "Transfer-Encoding: chunked\r\n"
-        "Connection: close\r\n"
-        "\r\n"
-    ).encode("ascii")
-
-
-def chunk(payload: object) -> bytes:
-    """One ndjson line as one HTTP chunk."""
-    body = dump_json(payload) + b"\n"
-    return f"{len(body):x}\r\n".encode("ascii") + body + b"\r\n"
-
-
-#: The zero-length chunk terminating a chunked stream.
-LAST_CHUNK = b"0\r\n\r\n"
-
-
-# -- client side (load generator and tests) --------------------------------
-async def _read_head(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str]]:
-    status_line = await reader.readline()
-    if not status_line:
-        raise ConnectionError("server closed the connection before responding")
-    parts = status_line.split()
-    if len(parts) < 2:
-        raise ValueError(f"malformed status line {status_line!r}")
-    status = int(parts[1])
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.partition(b":")
-        headers[name.strip().lower().decode("ascii")] = value.strip().decode("latin-1")
-    return status, headers
-
-
-def _request_bytes(
-    method: str, path: str, payload: Optional[dict], headers: Dict[str, str]
-) -> bytes:
-    body = dump_json(payload) if payload is not None else b""
-    lines = [f"{method} {path} HTTP/1.1", "Host: localhost"]
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    if body:
-        lines.append("Content-Type: application/json")
-    lines.append(f"Content-Length: {len(body)}")
-    lines.append("Connection: close")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+    _, host, port, base = http1.split_url(url)
+    reader, writer = await asyncio.wait_for(asyncio.open_connection(host, port), timeout)
+    try:
+        writer.write(http1.request_bytes(method, base + path, payload, headers, keep_alive=False))
+        await writer.drain()
+        status, head = await asyncio.wait_for(http1.read_response_head(reader), timeout)
+        yield status, _pieces(reader, head, timeout)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
 
 async def request_json(
@@ -177,30 +96,11 @@ async def request_json(
     """One JSON request/response round trip on a fresh connection.
 
     ``url`` is the server base (``http://HOST:PORT``); returns
-    ``(status, parsed_body)``.  A fresh connection per call keeps the
-    open-loop load generator honest — no pipelining head-of-line effects.
+    ``(status, parsed_body)``.
     """
-    host, port = _split(url)
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
-    try:
-        writer.write(_request_bytes(method, path, payload, headers or {}))
-        await writer.drain()
-        status, response_headers = await asyncio.wait_for(_read_head(reader), timeout)
-        if response_headers.get("transfer-encoding", "").lower() == "chunked":
-            body = b"".join([piece async for piece in _iter_chunks(reader, timeout)])
-        else:
-            length = int(response_headers.get("content-length", "0") or "0")
-            body = await asyncio.wait_for(reader.readexactly(length), timeout)
-        parsed = json.loads(body) if body else {}
-        return status, parsed
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    async with _exchange(url, method, path, payload, headers, timeout) as (status, pieces):
+        body = b"".join([piece async for piece in pieces])
+        return status, (json.loads(body) if body else {})
 
 
 async def stream_lines(
@@ -213,25 +113,13 @@ async def stream_lines(
     """POST to a streaming endpoint and yield each ndjson line, parsed.
 
     The first yielded item is the integer status code; JSON lines follow.
-    A non-200 status yields the (non-streamed) error body as its only line.
+    A non-200 status yields the (non-streamed) error body as its only
+    line: every body is canonical JSON, which holds no raw newline.
     """
-    host, port = _split(url)
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
-    try:
-        writer.write(_request_bytes("POST", path, payload, headers or {}))
-        await writer.drain()
-        status, response_headers = await asyncio.wait_for(_read_head(reader), timeout)
+    async with _exchange(url, "POST", path, payload, headers, timeout) as (status, pieces):
         yield status
-        if response_headers.get("transfer-encoding", "").lower() != "chunked":
-            length = int(response_headers.get("content-length", "0") or "0")
-            body = await asyncio.wait_for(reader.readexactly(length), timeout)
-            if body:
-                yield json.loads(body)
-            return
         buffer = b""
-        async for piece in _iter_chunks(reader, timeout):
+        async for piece in pieces:
             buffer += piece
             while b"\n" in buffer:
                 line, _, buffer = buffer.partition(b"\n")
@@ -239,31 +127,3 @@ async def stream_lines(
                     yield json.loads(line)
         if buffer.strip():
             yield json.loads(buffer)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def _iter_chunks(
-    reader: asyncio.StreamReader, timeout: float
-) -> AsyncIterator[bytes]:
-    while True:
-        size_line = await asyncio.wait_for(reader.readline(), timeout)
-        size = int(size_line.strip() or b"0", 16)
-        if size == 0:
-            await reader.readline()  # trailing CRLF of the last chunk
-            return
-        piece = await asyncio.wait_for(reader.readexactly(size), timeout)
-        await reader.readexactly(2)  # chunk's CRLF
-        yield piece
-
-
-def _split(url: str) -> Tuple[str, int]:
-    stripped = url.split("://", 1)[-1].rstrip("/")
-    host, _, port = stripped.partition(":")
-    if not port:
-        raise ValueError(f"server URL {url!r} needs an explicit port")
-    return host, int(port)

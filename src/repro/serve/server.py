@@ -27,27 +27,19 @@ documented in :mod:`repro.serve.admission` and :meth:`QueryServer.shutdown`.
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.engine import Engine
 from repro.engine.strategy import CONCURRENCY_MODES as _CONCURRENCY_MODES
 from repro.engine.strategy import OPTIMIZERS as _OPTIMIZERS
 from repro.exceptions import ReproError
-from repro.serve.admission import AdmissionController, Rejection
+from repro.serve.admission import AdmissionController
 from repro.serve.metrics import ServerMetrics
-from repro.serve.protocol import (
-    LAST_CHUNK,
-    Request,
-    chunk,
-    read_request,
-    response,
-    stream_head,
-)
+from repro.serve.protocol import LAST_CHUNK, Request, chunk, response, stream_head
+from repro.util.http1 import BackgroundServer, serve_connection
 
 
 @dataclass
@@ -81,6 +73,11 @@ class ServeConfig:
     execute_overrides: Dict[str, object] = field(default_factory=dict)
 
 
+def _tenant(request: Request) -> str:
+    """The tenant a request bills to (``X-Tenant``, else 'anonymous')."""
+    return request.headers.get("x-tenant") or "anonymous"
+
+
 class QueryServer:
     """One engine session behind an asyncio HTTP front end."""
 
@@ -105,6 +102,12 @@ class QueryServer:
             tenant_budget=self.config.tenant_budget,
         )
         self.draining = False
+        self._routes = {
+            ("GET", "/healthz"): self._handle_healthz,
+            ("GET", "/metrics"): self._handle_metrics,
+            ("POST", "/query"): self._handle_query,
+            ("POST", "/query/stream"): self._handle_stream,
+        }
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[asyncio.Task] = set()
         self.port: Optional[int] = None
@@ -153,100 +156,70 @@ class QueryServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
+        self._connections.add(task)
         try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except (ValueError, asyncio.IncompleteReadError):
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+            await serve_connection(reader, writer, self._dispatch)
         finally:
-            if task is not None:
-                self._connections.discard(task)
-            try:
-                writer.close()
-            except Exception:
-                pass
+            self._connections.discard(task)
 
     async def _dispatch(self, request: Request, writer: asyncio.StreamWriter) -> bool:
         """Route one request; returns whether to keep the connection."""
-        started = time.perf_counter()
-        route = (request.method, request.path)
-        if route == ("GET", "/healthz"):
-            status, body = 200, {"status": "draining" if self.draining else "ok"}
-            writer.write(response(status, body))
-            await writer.drain()
-            self.metrics.observe_request("healthz", status, time.perf_counter() - started)
-            return True
-        if route == ("GET", "/metrics"):
-            body = self.metrics.to_dict(
-                draining=self.draining,
-                max_concurrent=self.config.max_concurrent,
-                tenants=self.admission.tenants_dict(),
-                session_stats=self.engine.session_stats(),
-            )
-            writer.write(response(200, body))
-            await writer.drain()
-            self.metrics.observe_request("metrics", 200, time.perf_counter() - started)
-            return True
-        if route == ("POST", "/query"):
-            return await self._handle_query(request, writer, started)
-        if route == ("POST", "/query/stream"):
-            return await self._handle_stream(request, writer, started)
-        writer.write(
-            response(404, {"error": f"no route {request.method} {request.path}"})
-        )
+        route = self._routes.get((request.method, request.path))
+        if route is None:
+            refusal = {"error": f"no route {request.method} {request.path}"}
+            return await self._reply(request, writer, "other", 404, refusal)
+        return await route(request, writer)
+
+    async def _reply(
+        self,
+        request: Request,
+        writer: asyncio.StreamWriter,
+        endpoint: str,
+        status: int,
+        body: object,
+        extra_headers: Tuple[Tuple[str, str], ...] = (),
+        keep_alive: bool = True,
+    ) -> bool:
+        """Write one JSON response and observe it; returns whether the
+        connection stays open (the ``Connection`` header says the same)."""
+        keep_alive = keep_alive and request.keep_alive
+        writer.write(response(status, body, extra_headers, keep_alive))
         await writer.drain()
-        self.metrics.observe_request("other", 404, time.perf_counter() - started)
-        return True
+        self.metrics.observe_request(endpoint, status, time.perf_counter() - request.received)
+        return keep_alive
+
+    async def _handle_healthz(self, request: Request, writer: asyncio.StreamWriter) -> bool:
+        body = {"status": "draining" if self.draining else "ok"}
+        return await self._reply(request, writer, "healthz", 200, body)
+
+    async def _handle_metrics(self, request: Request, writer: asyncio.StreamWriter) -> bool:
+        body = self.metrics.to_dict(
+            draining=self.draining,
+            max_concurrent=self.config.max_concurrent,
+            tenants=self.admission.tenants_dict(),
+            session_stats=self.engine.session_stats(),
+        )
+        return await self._reply(request, writer, "metrics", 200, body)
 
     # -- admission ---------------------------------------------------------
     async def _admit(
-        self,
-        endpoint: str,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        started: float,
-    ) -> bool:
-        """Run the admission gates; on refusal, respond and return False."""
+        self, endpoint: str, request: Request, writer: asyncio.StreamWriter
+    ) -> Optional[bool]:
+        """Run the admission gates: None when admitted, else the refusal
+        has been written and the value is whether to keep the connection."""
         if self.draining:
             self.metrics.observe_rejection("draining")
-            writer.write(
-                response(503, {"error": "server is draining"}, keep_alive=False)
-            )
-            await writer.drain()
-            self.metrics.observe_request(endpoint, 503, time.perf_counter() - started)
-            return False
-        rejection = self.admission.admit(request.tenant)
-        if rejection is not None:
-            self._respond_rejection(writer, rejection)
-            await writer.drain()
-            self.metrics.observe_rejection(rejection.reason)
-            self.metrics.observe_request(endpoint, 429, time.perf_counter() - started)
-            return False
-        return True
-
-    def _respond_rejection(
-        self, writer: asyncio.StreamWriter, rejection: Rejection
-    ) -> None:
-        headers = ()
+            refusal = {"error": "server is draining"}
+            return await self._reply(request, writer, endpoint, 503, refusal, keep_alive=False)
+        rejection = self.admission.admit(_tenant(request))
+        if rejection is None:
+            return None
+        headers: Tuple[Tuple[str, str], ...] = ()
         if rejection.retry_after is not None and rejection.retry_after != float("inf"):
             headers = (("Retry-After", f"{rejection.retry_after:g}"),)
-        writer.write(
-            response(
-                429,
-                {"error": rejection.detail, "reason": rejection.reason},
-                extra_headers=headers,
-            )
-        )
+        self.metrics.observe_rejection(rejection.reason)
+        refusal = {"error": rejection.detail, "reason": rejection.reason}
+        return await self._reply(request, writer, endpoint, 429, refusal, headers)
 
     def _parse_query_request(self, request: Request) -> Dict[str, object]:
         try:
@@ -284,18 +257,14 @@ class QueryServer:
         }
 
     # -- the query endpoints -----------------------------------------------
-    async def _handle_query(
-        self, request: Request, writer: asyncio.StreamWriter, started: float
-    ) -> bool:
+    async def _handle_query(self, request: Request, writer: asyncio.StreamWriter) -> bool:
         try:
             spec = self._parse_query_request(request)
         except ReproError as error:
-            writer.write(response(400, {"error": str(error)}))
-            await writer.drain()
-            self.metrics.observe_request("query", 400, time.perf_counter() - started)
-            return True
-        if not await self._admit("query", request, writer, started):
-            return not self.draining
+            return await self._reply(request, writer, "query", 400, {"error": str(error)})
+        refused = await self._admit("query", request, writer)
+        if refused is not None:
+            return refused
         self.metrics.enter()
         result = None
         try:
@@ -314,17 +283,12 @@ class QueryServer:
             body, status = {"error": f"internal error: {error}"}, 500
         finally:
             self.metrics.leave()
-            self.admission.release(request.tenant, result)
+            self.admission.release(_tenant(request), result)
         if result is not None:
             self.metrics.observe_result(result)
-        writer.write(response(status, body))
-        await writer.drain()
-        self.metrics.observe_request("query", status, time.perf_counter() - started)
-        return True
+        return await self._reply(request, writer, "query", status, body)
 
-    async def _handle_stream(
-        self, request: Request, writer: asyncio.StreamWriter, started: float
-    ) -> bool:
+    async def _handle_stream(self, request: Request, writer: asyncio.StreamWriter) -> bool:
         try:
             spec = self._parse_query_request(request)
             prepared = self.engine.plan(spec["query"])
@@ -334,13 +298,11 @@ class QueryServer:
                 **self._execute_overrides(spec),
             )
         except ReproError as error:
-            writer.write(response(400, {"error": str(error)}))
-            await writer.drain()
-            self.metrics.observe_request("stream", 400, time.perf_counter() - started)
-            return True
-        if not await self._admit("stream", request, writer, started):
+            return await self._reply(request, writer, "stream", 400, {"error": str(error)})
+        refused = await self._admit("stream", request, writer)
+        if refused is not None:
             await stream.aclose()
-            return not self.draining
+            return refused
         self.metrics.enter()
         status = 200
         result = None
@@ -388,10 +350,12 @@ class QueryServer:
             await writer.drain()
         finally:
             self.metrics.leave()
-            self.admission.release(request.tenant, result)
+            self.admission.release(_tenant(request), result)
             if result is not None:
                 self.metrics.observe_result(result)
-            self.metrics.observe_request("stream", status, time.perf_counter() - started)
+            self.metrics.observe_request(
+                "stream", status, time.perf_counter() - request.received
+            )
         return False  # the stream response is Connection: close
 
 
@@ -415,89 +379,35 @@ async def serve_forever(engine: Engine, config: Optional[ServeConfig] = None) ->
     await server.shutdown()
 
 
-class ServeHandle:
+class ServeHandle(BackgroundServer):
     """A :class:`QueryServer` on a background thread, for in-process use.
 
-    Mirrors :class:`~repro.sources.fixture_server.FixtureServer`: the
-    server's event loop lives on a daemon thread, ``.url`` points at it,
-    and :meth:`close` drains gracefully then stops the loop.  The handle
-    owns the engine's shutdown — ``close()`` closes it after the drain, so
-    a SQLite cache store releases its claims exactly once.
+    ``.url`` points at it and :meth:`close` drains gracefully, then stops
+    the loop.  The handle owns the engine's shutdown — ``close()`` closes
+    it after the drain, so a SQLite cache store releases its claims
+    exactly once.
     """
 
     def __init__(self, engine: Engine, config: Optional[ServeConfig] = None) -> None:
+        super().__init__()
         self.engine = engine
         self.server = QueryServer(engine, config)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._boot_error: Optional[BaseException] = None
-        self._closed = False
 
     @property
     def url(self) -> str:
         return self.server.url
 
-    def start(self) -> "ServeHandle":
-        if self._thread is not None:
-            return self
-        self._loop = asyncio.new_event_loop()
+    async def _boot(self) -> None:
+        await self.server.start()
 
-        def run() -> None:
-            assert self._loop is not None
-            asyncio.set_event_loop(self._loop)
-
-            async def boot() -> None:
-                try:
-                    await self.server.start()
-                finally:
-                    self._started.set()
-
-            try:
-                self._loop.run_until_complete(boot())
-                self._loop.run_forever()
-            except BaseException as error:  # pragma: no cover - boot failure
-                self._boot_error = error
-                self._started.set()
-            finally:
-                try:
-                    self._loop.close()
-                except Exception:
-                    pass
-
-        self._thread = threading.Thread(target=run, name="repro-serve", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=10)
-        if self.server.port is None:
-            raise RuntimeError(f"query server failed to start: {self._boot_error}")
-        return self
+    async def _halt(self) -> None:
+        await self.server.shutdown()
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Drain the server synchronously from the caller's thread."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        future = asyncio.run_coroutine_threadsafe(self.server.shutdown(), loop)
-        future.result(timeout=timeout)
+        if self._loop is not None:
+            self._call(self.server.shutdown(), timeout)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self.shutdown()
-        except Exception:
-            pass
-        loop, self._loop = self._loop, None
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        super().close()
         self.engine.close()
-
-    def __enter__(self) -> "ServeHandle":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

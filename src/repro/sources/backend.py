@@ -18,7 +18,8 @@ relation's wrapper.  Three backends ship with the library:
   This is the hook for custom HTTP/RPC sources and the slow source used to
   exercise genuinely overlapping accesses (``concurrency="async"``).
 
-Backends are *pure readers*: they do no counting, no logging and no latency
+Backends are *pure readers*, one binding per call (every dispatcher reads
+that way; nothing batches): they do no counting, no logging and no latency
 simulation — that bookkeeping stays in :class:`~repro.sources.wrapper.
 SourceWrapper`.  They must be safe to call from multiple threads, because
 :meth:`~repro.engine.engine.Engine.execute_many` runs whole queries
@@ -37,7 +38,7 @@ import abc
 import sqlite3
 import threading
 import time
-from typing import Callable, ClassVar, FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, ClassVar, FrozenSet, Iterable, Tuple, Union
 
 from repro.exceptions import AccessError
 from repro.model.instance import RelationInstance
@@ -59,10 +60,7 @@ class SourceBackend(abc.ABC):
     """The physical store answering one relation's accesses.
 
     Subclasses set ``kind`` (a short name used in reprs and CLIs), expose the
-    relation's schema as ``schema``, and implement :meth:`lookup`.  The
-    default :meth:`lookup_many` maps :meth:`lookup` over a batch; backends
-    with a cheaper bulk path (one connection round-trip, one lock
-    acquisition) override it.
+    relation's schema as ``schema``, and implement :meth:`lookup`.
     """
 
     kind: ClassVar[str] = ""
@@ -71,10 +69,6 @@ class SourceBackend(abc.ABC):
     @abc.abstractmethod
     def lookup(self, binding: Binding) -> FrozenSet[Row]:
         """Rows whose input arguments equal ``binding`` (may block for I/O)."""
-
-    def lookup_many(self, bindings: Sequence[Binding]) -> List[FrozenSet[Row]]:
-        """Answer a batch of bindings; one result per binding, in order."""
-        return [self.lookup(binding) for binding in bindings]
 
     def close(self) -> None:
         """Release any resources held by the backend (idempotent)."""
@@ -187,28 +181,20 @@ class SQLiteBackend(SourceBackend):
 
     # -- lookup ---------------------------------------------------------------
     def lookup(self, binding: Binding) -> FrozenSet[Row]:
+        binding = tuple(binding)
         with self._lock:
-            return self._lookup_locked(tuple(binding))
-
-    def lookup_many(self, bindings: Sequence[Binding]) -> List[FrozenSet[Row]]:
-        # One lock acquisition (and one connection round, for remote-style
-        # deployments) for the whole batch.
-        with self._lock:
-            return [self._lookup_locked(tuple(binding)) for binding in bindings]
-
-    def _lookup_locked(self, binding: Binding) -> FrozenSet[Row]:
-        if self._closed:
-            raise AccessError(
-                f"SQLite backend for {self.schema.name!r} is closed; "
-                "no further accesses are possible"
-            )
-        if self.schema.arity == 0:
-            return frozenset({()}) if self._nullary_present else frozenset()
-        if binding:
-            cursor = self._connection.execute(self._select_bound, binding)
-        else:
-            cursor = self._connection.execute(self._select_all)
-        return frozenset(tuple(row) for row in cursor.fetchall())
+            if self._closed:
+                raise AccessError(
+                    f"SQLite backend for {self.schema.name!r} is closed; "
+                    "no further accesses are possible"
+                )
+            if self.schema.arity == 0:
+                return frozenset({()}) if self._nullary_present else frozenset()
+            if binding:
+                cursor = self._connection.execute(self._select_bound, binding)
+            else:
+                cursor = self._connection.execute(self._select_all)
+            return frozenset(tuple(row) for row in cursor.fetchall())
 
     def close(self) -> None:
         """Release the connection; safe to call repeatedly, and after a

@@ -17,7 +17,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.sources.backend import SourceBackend
 from repro.sources.resilience import (
@@ -177,10 +177,6 @@ class FlakyBackend(SourceBackend):
         if slow and self.schedule.slow_seconds > 0:
             time.sleep(self.schedule.slow_seconds)
         return self.inner.lookup(binding)
-
-    def lookup_many(self, bindings: Sequence[Binding]) -> List[FrozenSet[Row]]:
-        # Each binding must be individually faultable, so no bulk delegation.
-        return [self.lookup(binding) for binding in bindings]
 
     def close(self) -> None:
         if self._closed:

@@ -2,9 +2,10 @@
 
 Serves a :class:`~repro.model.instance.DatabaseInstance` over the HTTP
 protocol that :class:`~repro.sources.http.HTTPBackend` speaks (see that
-module for the wire format).  The server is a single ``asyncio``
-process-local event loop handling keep-alive HTTP/1.1 connections, so it
-sustains hundreds of concurrent in-flight lookups — which is exactly what
+module for the two routes).  The server is a route table over
+:func:`repro.util.http1.serve_connection` — the connection loop, framing
+and hostile-input handling of the query server — on a single ``asyncio``
+event loop, so it sustains hundreds of concurrent in-flight lookups: what
 the async dispatcher's high in-flight benchmark needs from a fixture.
 
 Two entry points:
@@ -24,110 +25,53 @@ requests overlap their sleeps, a sequential client pays them back to back.
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
 from typing import Optional, Tuple
 
 from repro.model.instance import DatabaseInstance
-
-_MAX_BODY = 8 * 1024 * 1024
-
-
-def _response(status: int, payload: dict) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(status, "Error")
-    return (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        "Connection: keep-alive\r\n"
-        "\r\n"
-    ).encode("ascii") + body
+from repro.util import http1
 
 
-class _FixtureProtocol:
-    """Request handling shared by the CLI server and the in-process helper."""
+class _FixtureRoutes:
+    """The lookup service's route table, shared by the CLI server and the
+    in-process helper."""
 
     def __init__(self, instance: DatabaseInstance, latency: float = 0.0) -> None:
         self.instance = instance
         self.latency = latency
+        self._routes = {
+            ("GET", "/health"): self._health,
+            ("POST", "/lookup"): self._lookup,
+        }
 
-    async def _lookup(self, relation: str, binding: Tuple[object, ...]) -> list:
-        if self.latency > 0:
-            await asyncio.sleep(self.latency)
-        rows = self.instance.relation(relation).lookup(binding)
-        return [list(row) for row in sorted(rows, key=repr)]
+    async def _health(self, request: http1.Request) -> Tuple[int, dict]:
+        return 200, {"status": "ok"}
 
-    async def _dispatch(self, method: str, path: str, body: bytes) -> bytes:
-        if method == "GET" and path == "/health":
-            return _response(200, {"status": "ok"})
-        if method != "POST" or path not in ("/lookup", "/lookup_many"):
-            return _response(404, {"error": f"no route {method} {path}"})
+    async def _lookup(self, request: http1.Request) -> Tuple[int, dict]:
         try:
-            payload = json.loads(body)
+            payload = request.json()
         except ValueError:
-            return _response(400, {"error": "body is not valid JSON"})
+            return 400, {"error": "body is not a JSON object"}
         relation = payload.get("relation")
         if not isinstance(relation, str) or relation not in self.instance.schema:
-            return _response(404, {"error": f"unknown relation {relation!r}"})
+            return 404, {"error": f"unknown relation {relation!r}"}
         try:
-            if path == "/lookup":
-                binding = tuple(payload.get("binding") or ())
-                return _response(200, {"rows": await self._lookup(relation, binding)})
-            bindings = payload.get("bindings")
-            if not isinstance(bindings, list):
-                return _response(400, {"error": "'bindings' must be a list"})
-            results = [
-                await self._lookup(relation, tuple(binding or ())) for binding in bindings
-            ]
-            return _response(200, {"results": results})
+            binding = tuple(payload.get("binding") or ())
+            if self.latency > 0:
+                await asyncio.sleep(self.latency)
+            rows = self.instance.relation(relation).lookup(binding)
         except Exception as error:  # noqa: BLE001 - surface as a 400, not a hang
-            return _response(400, {"error": str(error)})
+            return 400, {"error": str(error)}
+        return 200, {"rows": [list(row) for row in sorted(rows, key=repr)]}
 
-    async def handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                parts = request_line.split()
-                if len(parts) < 2:
-                    break
-                method, path = parts[0].decode("ascii"), parts[1].decode("ascii")
-                content_length = 0
-                keep_alive = True
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.partition(b":")
-                    name = name.strip().lower()
-                    if name == b"content-length":
-                        content_length = int(value.strip())
-                    elif name == b"connection" and value.strip().lower() == b"close":
-                        keep_alive = False
-                if content_length > _MAX_BODY:
-                    writer.write(_response(400, {"error": "body too large"}))
-                    await writer.drain()
-                    break
-                body = await reader.readexactly(content_length) if content_length else b""
-                writer.write(await self._dispatch(method, path, body))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancels parked keep-alive handlers; finish normally so
-            # the stream protocol's done-callback doesn't re-raise at teardown.
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
+    async def handle(self, request: http1.Request, writer: asyncio.StreamWriter) -> bool:
+        route = self._routes.get((request.method, request.path))
+        if route is None:
+            status, payload = 404, {"error": f"no route {request.method} {request.path}"}
+        else:
+            status, payload = await route(request)
+        writer.write(http1.response(status, payload, keep_alive=request.keep_alive))
+        await writer.drain()
+        return request.keep_alive
 
 
 async def start_fixture_server(
@@ -137,12 +81,12 @@ async def start_fixture_server(
     latency: float = 0.0,
 ) -> "asyncio.base_events.Server":
     """Start the lookup server on the running loop; returns the asyncio server."""
-    protocol = _FixtureProtocol(instance, latency=latency)
-    return await asyncio.start_server(protocol.handle, host, port)
-
-
-def _bound_port(server: "asyncio.base_events.Server") -> int:
-    return server.sockets[0].getsockname()[1]
+    routes = _FixtureRoutes(instance, latency=latency)
+    return await asyncio.start_server(
+        lambda reader, writer: http1.serve_connection(reader, writer, routes.handle),
+        host,
+        port,
+    )
 
 
 async def serve_forever(
@@ -153,18 +97,17 @@ async def serve_forever(
 ) -> None:
     """Run the fixture server until cancelled, printing its URL (flushed)."""
     server = await start_fixture_server(instance, host, port, latency=latency)
-    print(f"http://{host}:{_bound_port(server)}", flush=True)
+    print(f"http://{host}:{server.sockets[0].getsockname()[1]}", flush=True)
     async with server:
         await server.serve_forever()
 
 
-class FixtureServer:
+class FixtureServer(http1.BackgroundServer):
     """The lookup server on a background thread, for in-process tests.
 
-    The server's event loop lives on its own daemon thread, so the test
-    (or benchmark) can drive engines — sync or async — against ``.url``
-    from the main thread.  Context-manager enter/exit start and stop it;
-    :meth:`close` is idempotent.
+    The test (or benchmark) drives engines — sync or async — against
+    ``.url`` from the main thread; see
+    :class:`~repro.util.http1.BackgroundServer` for the lifecycle.
     """
 
     def __init__(
@@ -173,15 +116,12 @@ class FixtureServer:
         host: str = "127.0.0.1",
         latency: float = 0.0,
     ) -> None:
+        super().__init__()
         self.instance = instance
         self.host = host
         self.latency = latency
         self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[object] = None
-        self._started = threading.Event()
-        self._closed = False
+        self._server: Optional["asyncio.base_events.Server"] = None
 
     @property
     def url(self) -> str:
@@ -189,73 +129,12 @@ class FixtureServer:
             raise RuntimeError("fixture server is not running; call start()")
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "FixtureServer":
-        if self._thread is not None:
-            return self
-        self._loop = asyncio.new_event_loop()
+    async def _boot(self) -> None:
+        self._server = await start_fixture_server(
+            self.instance, self.host, 0, latency=self.latency
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
 
-        def run() -> None:
-            assert self._loop is not None
-            asyncio.set_event_loop(self._loop)
-
-            async def boot() -> None:
-                self._server = await start_fixture_server(
-                    self.instance, self.host, 0, latency=self.latency
-                )
-                self.port = _bound_port(self._server)
-                self._started.set()
-
-            try:
-                self._loop.run_until_complete(boot())
-                self._loop.run_forever()
-            finally:
-                self._started.set()  # unblock start() even on boot failure
-                try:
-                    self._loop.close()
-                except Exception:
-                    pass
-
-        self._thread = threading.Thread(target=run, name="repro-fixture", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=10)
-        if self.port is None:
-            raise RuntimeError("fixture server failed to start")
-        return self
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        loop, self._loop = self._loop, None
-        if loop is None:
-            return
-
-        async def shutdown() -> None:
-            if self._server is not None:
-                self._server.close()
-            # Idle keep-alive handlers are parked on readline(); cancel them
-            # and let the cancellations land before stopping the loop, so it
-            # closes without "Task was destroyed" warnings.
-            tasks = [
-                task
-                for task in asyncio.all_tasks(loop)
-                if task is not asyncio.current_task()
-            ]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            loop.stop()
-
-        try:
-            asyncio.run_coroutine_threadsafe(shutdown(), loop)
-        except RuntimeError:
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "FixtureServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    async def _halt(self) -> None:
+        if self._server is not None:
+            self._server.close()

@@ -11,7 +11,11 @@ Where the rows actually come from is the business of the wrapper's
 seed, a SQLite table answering indexed selections, or an arbitrary callable
 (the hook for remote sources).  The wrapper itself only does the
 bookkeeping the optimization is about — counting accesses, validating
-bindings, and recording :class:`~repro.sources.access.AccessRecord` entries.
+bindings, and recording :class:`~repro.sources.access.AccessRecord` entries
+— in two steps the dispatchers drive: :meth:`SourceWrapper.lookup` /
+:meth:`~SourceWrapper.alookup` read one binding, and
+:meth:`~SourceWrapper.record_access` counts and logs it once the access
+protocol (claim, budget, retries) says it was performed.
 
 Timestamps are the executors' responsibility: records are stamped with the
 ``simulated_time`` the caller passes, because only the executor knows the
@@ -34,7 +38,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -93,13 +96,6 @@ class SourceWrapper:
         validate_binding(backend.schema, binding)
         return backend.lookup(binding)
 
-    def lookup_many(self, bindings: Sequence[Binding]) -> List[FrozenSet[Row]]:
-        """Answer a batch of bindings without counting; one result per binding."""
-        validated = [tuple(binding) for binding in bindings]
-        for binding in validated:
-            validate_binding(self.schema, binding)
-        return self.backend.lookup_many(validated)
-
     async def alookup(
         self, binding: Binding, pool: Optional[Callable[[], "Executor"]] = None
     ) -> FrozenSet[Row]:
@@ -148,43 +144,6 @@ class SourceWrapper:
                     simulated_time,
                 )
             )
-
-    def access(
-        self,
-        binding: Binding,
-        log: Optional[AccessLog] = None,
-        simulated_time: float = 0.0,
-    ) -> FrozenSet[Row]:
-        """Perform one access with the given binding.
-
-        The binding must contain exactly one value per input argument of the
-        relation, in the order of the input positions.  The matching tuples
-        are returned; the access is counted and, when a log is supplied,
-        recorded there with the caller's clock.
-        """
-        rows = self.lookup(binding)
-        self.record_access(binding, rows, log, simulated_time)
-        return rows
-
-    def access_many(
-        self,
-        bindings: Sequence[Binding],
-        log: Optional[AccessLog] = None,
-        simulated_time: float = 0.0,
-    ) -> List[FrozenSet[Row]]:
-        """Perform a batch of accesses in one backend round.
-
-        Each binding counts as one access (the batch is a transport
-        optimization, not a semantic one) and is logged individually, all
-        stamped with the same completion clock.
-        """
-        results = self.lookup_many(bindings)
-        for binding, rows in zip(bindings, results):
-            self.record_access(binding, rows, log, simulated_time)
-        return results
-
-    def reset_counters(self) -> None:
-        self.access_count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SourceWrapper({self.name!r}, backend={self.backend.kind!r})"
@@ -252,27 +211,6 @@ class SourceRegistry:
             return default
         return wrapper.latency
 
-    # -- convenience ------------------------------------------------------------
-    def access(
-        self,
-        relation_name: str,
-        binding: Binding,
-        log: Optional[AccessLog] = None,
-        simulated_time: float = 0.0,
-    ) -> FrozenSet[Row]:
-        """Access a relation by name (see :meth:`SourceWrapper.access`)."""
-        return self.wrapper(relation_name).access(binding, log, simulated_time)
-
-    def access_many(
-        self,
-        relation_name: str,
-        bindings: Sequence[Binding],
-        log: Optional[AccessLog] = None,
-        simulated_time: float = 0.0,
-    ) -> List[FrozenSet[Row]]:
-        """Batched access by relation name (see :meth:`SourceWrapper.access_many`)."""
-        return self.wrapper(relation_name).access_many(bindings, log, simulated_time)
-
     def fingerprint(self) -> str:
         """Stable digest of the registry's source schemata.
 
@@ -293,10 +231,6 @@ class SourceRegistry:
             )
             parts.append(f"{name}/{schema.pattern}/{domains}")
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-    def reset_counters(self) -> None:
-        for wrapper in self._wrappers.values():
-            wrapper.reset_counters()
 
     def total_access_count(self) -> int:
         return sum(wrapper.access_count for wrapper in self._wrappers.values())

@@ -15,7 +15,7 @@ from repro.examples import chain_example, running_example, star_example
 from repro.exceptions import AccessError, ExecutionError, StrategyError
 from repro.model.schema import RelationSchema
 from repro.sources.cache import MetaCache
-from repro.sources.fixture_server import FixtureServer
+from repro.sources.fixture_server import FixtureServer, start_fixture_server
 from repro.sources.http import parse_http_url
 from repro.sources.faults import FaultSchedule
 from repro.sources.resilience import RetryPolicy
@@ -255,9 +255,7 @@ def test_http_backend_sync_lookup_roundtrip(fixture_server) -> None:
     try:
         rows = backend.lookup(("Adriano Celentano",))
         assert rows == example.instance.relation("r1").lookup(("Adriano Celentano",))
-        many = backend.lookup_many([("Adriano Celentano",), ("no-such-artist",)])
-        assert many[0] == rows
-        assert many[1] == frozenset()
+        assert backend.lookup(("no-such-artist",)) == frozenset()
     finally:
         backend.close()
 
@@ -268,17 +266,51 @@ def test_http_backend_async_lookup_matches_sync(fixture_server) -> None:
     backend = HTTPBackend(relation, server.url)
 
     async def run():
-        single = await backend.alookup(("volare",))
-        many = await backend.alookup_many([("volare",), ("nessuno",)])
-        return single, many
+        return await backend.alookup(("volare",)), await backend.alookup(("nessuno",))
 
     try:
-        single, many = asyncio.run(run())
+        single, empty = asyncio.run(run())
         assert single == backend.lookup(("volare",))
-        assert many[0] == single
-        assert many[1] == example.instance.relation("r2").lookup(("nessuno",))
+        assert empty == example.instance.relation("r2").lookup(("nessuno",))
     finally:
         backend.close()
+
+
+def test_http_backend_alookup_reuses_its_connection_and_reconnects_once(monkeypatch) -> None:
+    """Two reads ride one pooled keep-alive connection; when the fixture
+    has dropped it, the next read reconnects once, inside the same access
+    (no retry attempt consumed), and the new connection is pooled in turn."""
+    example = running_example()
+    opened = []
+    open_connection = asyncio.open_connection
+
+    async def counting_open(*args, **kwargs):
+        opened.append(args)
+        return await open_connection(*args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "open_connection", counting_open)
+
+    async def run():
+        server = await start_fixture_server(example.instance)
+        port = server.sockets[0].getsockname()[1]
+        backend = HTTPBackend(example.schema.get("r2"), f"http://127.0.0.1:{port}")
+        try:
+            rows = [await backend.alookup(("volare",)) for _ in range(2)]
+            assert len(opened) == 1
+            # The fixture ends its idle keep-alive connections (what its
+            # shutdown does): the pooled connection is now stale.
+            for task in asyncio.all_tasks() - {asyncio.current_task()}:
+                task.cancel()
+            await asyncio.sleep(0.05)
+            rows += [await backend.alookup(("volare",)) for _ in range(2)]
+            assert len(opened) == 2
+            return rows
+        finally:
+            backend.close()
+            server.close()
+
+    rows = asyncio.run(run())
+    assert rows == [example.instance.relation("r2").lookup(("volare",))] * 4
 
 
 def test_http_backend_unknown_relation_is_a_permanent_error(fixture_server) -> None:

@@ -1,5 +1,5 @@
-"""Source backends: lookup semantics, batched accesses, cross-backend and
-real-concurrency equivalence, and executor-stamped access clocks."""
+"""Source backends: lookup semantics, cross-backend and real-concurrency
+equivalence, and executor-stamped access clocks."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.sources.backend import (
     as_backend,
     build_backend,
 )
-from repro.sources.log import AccessLog
 from repro.sources.wrapper import SourceRegistry
 
 STRATEGIES = ("naive", "fast_fail", "distillation")
@@ -32,7 +31,6 @@ def test_backend_lookup_matches_instance(example: Example, kind: str) -> None:
         for row in relation:
             binding = tuple(row[i] for i in relation.schema.input_positions)
             assert backend.lookup(binding) == relation.lookup(binding)
-        assert backend.lookup_many([]) == []
 
 
 def test_sqlite_backend_is_an_indexed_selection(example: Example) -> None:
@@ -42,11 +40,6 @@ def test_sqlite_backend_is_an_indexed_selection(example: Example) -> None:
         {("Domenico Modugno", "Italy", 1928)}
     )
     assert backend.lookup(("nobody",)) == frozenset()
-    results = backend.lookup_many([("Edith Piaf",), ("Adriano Celentano",)])
-    assert results == [
-        frozenset({("Edith Piaf", "France", 1915)}),
-        frozenset({("Adriano Celentano", "Italy", 1938)}),
-    ]
     backend.close()
 
 
@@ -80,27 +73,13 @@ def test_as_backend_rejects_garbage() -> None:
         build_backend(None, "no-such-kind")  # type: ignore[arg-type]
 
 
-# -- wrapper: counting, logging, batching ---------------------------------------
-
-
-def test_wrapper_access_many_counts_and_logs(example: Example) -> None:
-    registry = SourceRegistry(example.instance)
-    wrapper = registry.wrapper("r1")
-    log = AccessLog()
-    bindings = [("Domenico Modugno",), ("Edith Piaf",), ("nobody",)]
-    results = wrapper.access_many(bindings, log, simulated_time=2.5)
-    assert len(results) == 3
-    assert wrapper.access_count == 3
-    assert log.total_accesses == 3
-    assert [record.access.binding for record in log] == bindings
-    assert all(record.simulated_time == 2.5 for record in log)
+# -- wrapper: counting ------------------------------------------------------------
 
 
 def test_wrapper_lookup_does_not_count(example: Example) -> None:
     registry = SourceRegistry(example.instance)
     wrapper = registry.wrapper("r1")
     wrapper.lookup(("Edith Piaf",))
-    wrapper.lookup_many([("Edith Piaf",)])
     assert wrapper.access_count == 0
 
 

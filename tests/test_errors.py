@@ -48,10 +48,10 @@ def test_unanswerable_query_raises_with_query_attached(engine) -> None:
 def test_invalid_binding_is_access_error(engine, example) -> None:
     # Direct illegal access at the wrapper layer: wrong number of inputs.
     with pytest.raises(AccessError) as info:
-        engine.registry.access("r1", ("too", "many"))
+        engine.registry.wrapper("r1").lookup(("too", "many"))
     assert isinstance(info.value, ReproError)
     with pytest.raises(AccessError):
-        engine.registry.access("nosuch", ())
+        engine.registry.wrapper("nosuch").lookup(())
 
 
 def test_unknown_strategy_lists_available(engine, example) -> None:
