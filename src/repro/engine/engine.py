@@ -445,8 +445,8 @@ class Engine:
             # The whole workload on one private event loop: queries overlap
             # as coroutines instead of threads (await arun_workload() to
             # run it on an existing loop).
-            with private_event_loop() as loop:
-                return loop.run_until_complete(
+            with private_event_loop() as complete:
+                return complete(
                     self.arun_workload(
                         queries,
                         strategy=strategy,

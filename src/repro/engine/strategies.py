@@ -217,8 +217,8 @@ class KernelStrategy(ExecutionStrategy):
     # crosses the sync-over-async bridge: the async pump, on a private loop.
     def run(self, prepared: "PreparedPlan", options: ExecuteOptions) -> Result:
         if options.concurrency == "async":
-            with private_event_loop() as loop:
-                return loop.run_until_complete(self.arun(prepared, options))
+            with private_event_loop() as complete:
+                return complete(self.arun(prepared, options))
         with self._execution(prepared, options) as run:
             run.kernel.run()
         return run.result
@@ -232,19 +232,16 @@ class KernelStrategy(ExecutionStrategy):
         self, prepared: "PreparedPlan", options: ExecuteOptions
     ) -> Iterator[StreamedAnswer]:
         if options.concurrency == "async":
-            with private_event_loop() as loop:
+            with private_event_loop() as complete:
                 answers = self.astream(prepared, options)
                 try:
-                    while True:
-                        try:
-                            answer = loop.run_until_complete(answers.__anext__())
-                        except StopAsyncIteration:
-                            return
+                    while (answer := complete(anext(answers, None))) is not None:
                         yield answer
+                    return
                 finally:
                     # A consumer that stops early must not strand the
                     # in-flight access tasks on a closed loop.
-                    loop.run_until_complete(answers.aclose())
+                    complete(answers.aclose())
         # The stream's outcome, shaped as a Result once the stream is
         # exhausted, lets wire protocols report completeness after the
         # last answer.

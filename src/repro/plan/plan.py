@@ -128,6 +128,16 @@ class CompiledPlan:
             position: [cache for cache in caches.values() if cache.position == position]
             for position in self.positions
         }
+        #: Per cache, the caches one of whose providers draws values from it:
+        #: the only ones a row added to it can enable a fresh binding of.
+        self.dependents: Dict[str, FrozenSet[str]] = {
+            origin: frozenset(
+                cache.name
+                for cache in caches.values()
+                if any(origin == name for provider in cache.providers for name, _ in provider.origins)
+            )
+            for origin in caches
+        }
         self._everywhere = frozenset(self.positions)
         self._pivots: Dict[int, JoinProgram] = {}
         self._prefixes: Dict[FrozenSet[int], JoinProgram] = {}

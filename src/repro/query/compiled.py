@@ -22,7 +22,10 @@ every atom's pivot program over that atom's new rows — against the other
 atoms' full tables — finds every new answer.  One whose rows span several
 deltas is found once per such pivot; the caller's dedup absorbs that.
 
-A program holds no per-run state, so concurrent runs share it safely.
+A program holds no per-run state, so concurrent runs share it safely.  A
+run *binds* the programs it uses to its own tables once
+(:meth:`JoinProgram.bind`: per step the live index dictionary or row log)
+and after that only runs them (:class:`BoundProgram`).
 :func:`~repro.query.evaluate.evaluate_conjunction` stays the reference
 semantics the programs are tested against; nothing here calls it.
 """
@@ -40,8 +43,8 @@ Row = Tuple[object, ...]
 _At = Tuple[int, int]
 
 #: ``predicate -> table`` (None: no such table, i.e. empty).  A table offers
-#: ``index_for(positions)`` — a ``{key: rows}`` grouping, up to date — and
-#: ``row_log()``; :class:`~repro.sources.cache.CacheTable` does.
+#: ``index_for(positions)`` — a ``{key: rows}`` grouping it keeps up to date
+#: in place — and ``row_log()``; :class:`~repro.sources.cache.CacheTable` does.
 TableLookup = Callable[[str], Optional[object]]
 
 
@@ -122,10 +125,40 @@ class JoinProgram:
             tuple(checks),
         )
 
-    # -- running ---------------------------------------------------------------
+    # -- binding and running -----------------------------------------------------
+    def bind(
+        self, tables: TableLookup, head_terms: Optional[Sequence[Term]] = None
+    ) -> "BoundProgram":
+        """Resolve the program against one run's tables, once: per step the
+        index dictionary (for a scan, the row log) it reads.  Both grow in
+        place, so the bound program stays current for the tables' life.
+        ``head_terms`` is what :meth:`BoundProgram.answers` projects on
+        (constants are copied); without it only ``satisfiable`` is asked.
+        """
+        slots = self._initial
+        head: Optional[List[int]] = None
+        if head_terms is not None:
+            slots, head = slots.copy(), []
+            for term in head_terms:
+                if isinstance(term, Constant):
+                    head.append(len(slots))
+                    slots.append(term.value)
+                else:
+                    head.append(self._slot_of[term])
+        sources: Optional[List[object]] = []
+        for step in self.steps:
+            table = tables(step.predicate)
+            if table is None:  # no such table: the conjunction is empty
+                sources = None
+                break
+            sources.append(
+                table.index_for(step.key_positions) if step.key_positions else table.row_log()
+            )
+        return BoundProgram(self.steps, sources, slots, head)
+
     def satisfiable(self, tables: TableLookup) -> bool:
         """True when the conjunction has a solution (stops at the first)."""
-        return self._run(tables, None, None, None)
+        return self.bind(tables).satisfiable()
 
     def answers(
         self,
@@ -133,74 +166,84 @@ class JoinProgram:
         head_terms: Sequence[Term],
         first_rows: Optional[Sequence[Row]] = None,
     ) -> Set[Row]:
-        """Every solution projected on ``head_terms`` (constants are copied).
+        """Every solution projected on ``head_terms``; see :class:`BoundProgram`."""
+        return self.bind(tables, head_terms).answers(first_rows)
+
+
+class BoundProgram(NamedTuple):
+    """A :class:`JoinProgram` bound to one run's tables: it only runs."""
+
+    steps: Tuple[_Step, ...]
+    #: Per step what it reads; None when some table does not exist.
+    sources: Optional[List[object]]
+    #: The slot list a run starts from (head constants appended).
+    initial: List[object]
+    #: The head terms' slots; None when bound for ``satisfiable`` alone.
+    head: Optional[List[int]]
+
+    def satisfiable(self) -> bool:
+        """True when the conjunction has a solution (stops at the first)."""
+        if self.sources is None:
+            return False
+        return not self.steps or _search(
+            self.steps, self.sources, self.initial.copy(), 0, None, None
+        )
+
+    def answers(self, first_rows: Optional[Sequence[Row]] = None) -> Set[Row]:
+        """Every solution projected on the head terms the program was bound with.
 
         ``first_rows`` replaces the first step's table scan; the program must
         have been compiled with a pivot.
         """
-        if first_rows is not None and self.steps and self.steps[0].key_positions:
+        steps, sources, initial, head = self
+        if first_rows is not None and steps and steps[0].key_positions:
             raise ValueError("first_rows needs a program compiled with a pivot")
+        if sources is None:
+            return set()
+        if not steps:  # the empty conjunction has exactly one (empty) solution
+            return {tuple([initial[slot] for slot in head])}
+        if first_rows is not None:
+            sources = [first_rows, *sources[1:]]
         out: Set[Row] = set()
-        self._run(tables, head_terms, first_rows, out)
+        _search(steps, sources, initial.copy(), 0, head, out)
         return out
 
-    def _run(
-        self,
-        lookup: TableLookup,
-        head_terms: Optional[Sequence[Term]],
-        first_rows: Optional[Sequence[Row]],
-        out: Optional[Set[Row]],
-    ) -> bool:
-        """Backtrack over the steps; ``out`` None means stop at the first solution."""
-        steps = self.steps
-        slots = self._initial.copy()
-        head: List[int] = []
-        if out is not None:
-            for term in head_terms:
-                if isinstance(term, Constant):
-                    head.append(len(slots))
-                    slots.append(term.value)
-                else:
-                    head.append(self._slot_of[term])
-        if not steps:  # the empty conjunction has exactly one (empty) solution
-            if out is not None:
+
+def _search(
+    steps: Tuple[_Step, ...],
+    sources: Sequence[object],
+    slots: List[object],
+    depth: int,
+    head: Optional[List[int]],
+    out: Optional[Set[Row]],
+) -> bool:
+    """Backtrack from step ``depth`` on, assigning ``slots`` in place; ``out``
+    None means stop at the first solution.  A plain function over explicit
+    arguments (not a closure, which would sit in its own cell): a run leaves
+    nothing behind for the cyclic collector.
+    """
+    _, arity, _, key_slots, binds, checks = steps[depth]
+    rows = sources[depth]
+    if len(key_slots) == 1:  # the common probe, without the comprehension
+        rows = rows.get((slots[key_slots[0]],), ())
+    elif key_slots:
+        rows = rows.get(tuple([slots[slot] for slot in key_slots]), ())
+    deeper = depth + 1
+    last = deeper == len(steps)
+    for row in rows:
+        if len(row) != arity:
+            continue
+        for position, slot in binds:
+            slots[slot] = row[position]
+        for position, slot in checks:
+            if row[position] != slots[slot]:
+                break
+        else:
+            if not last:
+                if _search(steps, sources, slots, deeper, head, out):
+                    return True
+            elif out is None:
+                return True
+            else:
                 out.add(tuple([slots[slot] for slot in head]))
-            return True
-        sources: List[object] = []
-        for step in steps:
-            table = lookup(step.predicate)
-            if table is None:
-                return False
-            sources.append(
-                table.index_for(step.key_positions) if step.key_positions else table.row_log()
-            )
-        if first_rows is not None:
-            sources[0] = first_rows
-        last = len(steps) - 1
-
-        def search(depth: int) -> bool:
-            _, arity, _, key_slots, binds, checks = steps[depth]
-            rows = sources[depth]
-            if len(key_slots) == 1:  # the common probe, without the comprehension
-                rows = rows.get((slots[key_slots[0]],), ())
-            elif key_slots:
-                rows = rows.get(tuple([slots[slot] for slot in key_slots]), ())
-            for row in rows:
-                if len(row) != arity:
-                    continue
-                for position, slot in binds:
-                    slots[slot] = row[position]
-                for position, slot in checks:
-                    if row[position] != slots[slot]:
-                        break
-                else:
-                    if depth < last:
-                        if search(depth + 1):
-                            return True
-                    elif out is None:
-                        return True
-                    else:
-                        out.add(tuple([slots[slot] for slot in head]))
-            return False
-
-        return search(0)
+    return False

@@ -132,14 +132,25 @@ def evaluate_conjunction(
             probe.append(bound.value)
         return index.get(tuple(probe), ())
 
-    def search(depth: int, substitution: Substitution) -> Iterator[Substitution]:
-        if depth == len(ordered):
-            yield substitution
-            return
-        atom = ordered[depth]
-        for row in candidates(depth, substitution):
-            matched = _match_atom(atom, row, substitution)
-            if matched is not None:
-                yield from search(depth + 1, matched)
-
-    yield from search(0, start)
+    if not ordered:
+        yield start
+        return
+    # Depth-first over an explicit stack, one frame per atom reached: the
+    # candidate rows still to try and the substitution they extend.  (A
+    # recursive closure would sit in its own cell — garbage only the cyclic
+    # collector frees, once per call.)
+    frames = [(iter(candidates(0, start)), start)]
+    while frames:
+        rows, substitution = frames[-1]
+        depth = len(frames) - 1
+        for row in rows:
+            matched = _match_atom(ordered[depth], row, substitution)
+            if matched is None:
+                continue
+            if depth + 1 == len(ordered):
+                yield matched
+            else:
+                frames.append((iter(candidates(depth + 1, matched)), matched))
+                break
+        else:
+            frames.pop()

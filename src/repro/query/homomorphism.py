@@ -56,20 +56,25 @@ def find_atom_mapping(
     Backtracking search over the source atoms; returns the first substitution
     found or ``None``.
     """
+    return _search(source_atoms, target_atoms, 0, initial or Substitution())
 
-    def search(index: int, substitution: Substitution) -> Optional[Substitution]:
-        if index == len(source_atoms):
-            return substitution
-        source_atom = source_atoms[index]
-        for target_atom in target_atoms:
-            extended = _map_atom(source_atom, target_atom, substitution)
-            if extended is not None:
-                result = search(index + 1, extended)
-                if result is not None:
-                    return result
-        return None
 
-    return search(0, initial or Substitution())
+def _search(
+    source_atoms: Sequence[Atom],
+    target_atoms: Sequence[Atom],
+    index: int,
+    substitution: Substitution,
+) -> Optional[Substitution]:
+    if index == len(source_atoms):
+        return substitution
+    source_atom = source_atoms[index]
+    for target_atom in target_atoms:
+        extended = _map_atom(source_atom, target_atom, substitution)
+        if extended is not None:
+            result = _search(source_atoms, target_atoms, index + 1, extended)
+            if result is not None:
+                return result
+    return None
 
 
 def find_homomorphism(

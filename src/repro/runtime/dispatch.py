@@ -71,6 +71,7 @@ from __future__ import annotations
 import abc
 import asyncio
 import contextlib
+import functools
 import heapq
 import time
 from collections import deque
@@ -78,6 +79,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Awaitable,
+    Callable,
     ClassVar,
     Deque,
     Dict,
@@ -96,7 +99,7 @@ from repro.sources.resilience import AccessOutcome, Effect, ResilienceContext
 from repro.sources.store import ClaimStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.policy import SchedulingPolicy
+    from repro.runtime.policy import Gate
     from repro.sources.cache import MetaCache
     from repro.sources.log import AccessLog
     from repro.sources.wrapper import SourceRegistry, SourceWrapper
@@ -119,24 +122,22 @@ WAIT_CLAIM = ("wait_claim", None)
 Source = Tuple["SourceWrapper", Optional["MetaCache"], float]
 
 
-class _Sources(Dict[str, Source]):
-    """``relation -> Source`` for one run: resolved through the registry
-    and the policy's gate at the relation's first access, a plain
-    dictionary read for every access after it."""
+class SimulatedClock:
+    """A clock its dispatcher advances by assigning ``time``; the run's
+    resilience context and circuit breakers read it by calling it.  It knows
+    nothing of the dispatcher, so keeping the clock does not keep the run."""
 
-    def __init__(self, dispatcher: "Dispatcher") -> None:
-        super().__init__()
-        self._dispatcher = dispatcher
+    __slots__ = ("time",)
 
-    def __missing__(self, relation: str) -> Source:
-        dispatcher = self._dispatcher
-        assert dispatcher.gate is not None, "dispatcher used before bind_dispatcher"
-        source = self[relation] = (
-            dispatcher.registry.wrapper(relation),
-            dispatcher.gate.meta_for(relation),
-            dispatcher.registry.latency_of(relation, dispatcher.default_latency),
-        )
-        return source
+    def __init__(self) -> None:
+        self.time = 0.0
+
+    def __call__(self) -> float:
+        return self.time
+
+
+def _seconds_since(started: float) -> float:
+    return time.perf_counter() - started
 
 
 class Dispatcher(abc.ABC):
@@ -152,21 +153,33 @@ class Dispatcher(abc.ABC):
         self.registry = registry
         self.log = log
         self.budget = budget
-        #: The policy whose gate/dedup settings govern this run (bound by
-        #: the kernel right after construction).
-        self.gate: Optional["SchedulingPolicy"] = None
+        #: What this run's policy lets the dispatcher see of it — values,
+        #: never the policy (bound by the kernel right after construction).
+        self.gate: Optional["Gate"] = None
         #: Failure handling for this run's reads; the kernel replaces this
-        #: passthrough default with the configured context and binds its
-        #: clock to :meth:`now`.
+        #: passthrough default with the configured context and hands it
+        #: :attr:`now`.
         self.resilience = ResilienceContext()
+        #: The dispatcher's authoritative clock, read by calling it (breaker
+        #: cool-downs and retry pricing run on it).
+        self.now: Callable[[], float] = SimulatedClock()
         #: Cumulative cost of the performed accesses run back to back.
         self.sequential_time = 0.0
-        self._sources = _Sources(self)
+        #: ``relation -> Source``, filled at each relation's first access.
+        self._sources: Dict[str, Source] = {}
 
-    def now(self) -> float:
-        """The dispatcher's current authoritative clock (breaker cool-downs
-        and retry pricing run on it)."""
-        return 0.0
+    def _source(self, relation: str) -> Source:
+        """The relation's :data:`Source`: resolved through the registry and
+        the gate at its first access, a dictionary read after that."""
+        source = self._sources.get(relation)
+        if source is None:
+            assert self.gate is not None, "dispatcher used before bind_dispatcher"
+            source = self._sources[relation] = (
+                self.registry.wrapper(relation),
+                self.gate.meta_for(relation),
+                self.registry.latency_of(relation, self.default_latency),
+            )
+        return source
 
     # -- kernel interface -----------------------------------------------------
     @abc.abstractmethod
@@ -301,16 +314,12 @@ class SequentialDispatcher(Dispatcher):
         super().__init__(registry, log, budget)
         self.default_latency = default_latency
         self._queue: Deque[AccessRequest] = deque()
-        self.clock = 0.0
 
     def submit(self, request: AccessRequest) -> None:
         self._queue.append(request)
 
     def has_work(self) -> bool:
         return bool(self._queue)
-
-    def now(self) -> float:
-        return self.clock
 
     def step(self) -> Optional[List[Completion]]:
         """Drain the whole queue back to back.
@@ -332,9 +341,11 @@ class SequentialDispatcher(Dispatcher):
             return []
         completions: List[Completion] = []
         sources = self._sources
+        clock = self.now
         while queue:
             request = queue[0]
-            wrapper, meta, latency = sources[request.relation]
+            relation = request.relation
+            wrapper, meta, latency = sources.get(relation) or self._source(relation)
             outcome = self._resolve(request, wrapper, meta)
             if outcome is None:
                 return completions if completions else None
@@ -342,15 +353,15 @@ class SequentialDispatcher(Dispatcher):
             rows, counted, failed, attempts, backoff, _ = outcome
             if counted or failed:
                 cost = attempts * latency + backoff
-                self.clock += cost
+                clock.time += cost
                 self.sequential_time += cost
                 if counted:
-                    wrapper.record_access(request.binding, rows, self.log, self.clock)
-            completions.append(Completion(request, rows, self.clock, counted, failed))
+                    wrapper.record_access(request.binding, rows, self.log, clock.time)
+            completions.append(Completion(request, rows, clock.time, counted, failed))
         return completions
 
     def total_time(self) -> float:
-        return self.clock
+        return self.now()
 
 
 @dataclass(slots=True)
@@ -410,8 +421,9 @@ class SimulatedParallelDispatcher(Dispatcher):
         #: Completions resolved without wrapper work (meta-cache hits found
         #: at schedule time), delivered by the next :meth:`step`.
         self._ready: List[Completion] = []
-        #: The simulation's current clock (latest event seen), for breakers.
-        self._now = 0.0
+        #: Requests submitted and not yet delivered as completions — in a
+        #: backlog, a wrapper queue, a parked retry or the ready list.
+        self._outstanding = 0
         #: Wrappers whose state changed since they were last refilled: only
         #: these are touched by :meth:`refill` (submit and event delivery
         #: mark them; a quiescent wrapper is never re-scanned or re-probed).
@@ -423,9 +435,7 @@ class SimulatedParallelDispatcher(Dispatcher):
     def submit(self, request: AccessRequest) -> None:
         self._pending[request.relation].append(request)
         self._dirty.add(request.relation)
-
-    def now(self) -> float:
-        return self._now
+        self._outstanding += 1
 
     def refill(self, now: float) -> None:
         """Move backlog into free queue slots and schedule idle wrappers.
@@ -441,7 +451,8 @@ class SimulatedParallelDispatcher(Dispatcher):
         registration order so the delivery order of meta-hit completions —
         and everything downstream of it — is reproducible run to run.
         """
-        self._now = max(self._now, now)
+        if now > self.now.time:
+            self.now.time = now
         if not self._dirty:
             return
         for name, state in self._wrappers.items():
@@ -459,7 +470,7 @@ class SimulatedParallelDispatcher(Dispatcher):
                 # is already recorded (counted as a hit).
                 meta = None
                 if self.gate is not None and self.gate.dedup_accesses:
-                    meta = self._sources[name][1]
+                    meta = self._source(name)[1]
                 rows = meta.lookup(queue[0].binding) if meta is not None else None
                 if rows is None:
                     # A stalled wrapper's head stays queued but is never
@@ -477,9 +488,7 @@ class SimulatedParallelDispatcher(Dispatcher):
                 self._ready.append(Completion(queue.popleft(), rows, now, False))
 
     def has_work(self) -> bool:
-        return bool(self._ready) or bool(self._events) or any(
-            state.queue for state in self._wrappers.values()
-        ) or any(self._pending.values())
+        return self._outstanding > 0
 
     def relation_active(self, relation: str) -> bool:
         state = self._wrappers.get(relation)
@@ -501,6 +510,7 @@ class SimulatedParallelDispatcher(Dispatcher):
         """
         if self._ready:
             ready, self._ready = self._ready, []
+            self._outstanding -= len(ready)
             return ready
         if not self._events:
             # Nothing in flight.  If a wrapper stalled on the budget, the
@@ -513,13 +523,14 @@ class SimulatedParallelDispatcher(Dispatcher):
         completions: List[Completion] = []
         events = self._events
         finish = events[0][0]
-        self._now = max(self._now, finish)
+        if finish > self.now.time:
+            self.now.time = finish
         while events and events[0][0] == finish:
             _, relation = heapq.heappop(events)
             state = self._wrappers[relation]
             state.scheduled = False
             self._dirty.add(relation)
-            wrapper, meta, _ = self._sources[relation]
+            wrapper, meta, _ = self._sources.get(relation) or self._source(relation)
             if state.pending is not None:
                 # A retried access resolved earlier; its extended finish
                 # event just popped, so deliver (and log) it now — in clock
@@ -588,6 +599,7 @@ class SimulatedParallelDispatcher(Dispatcher):
             state.scheduled = True
             heapq.heappush(events, (completion_time, relation))
         if completions:
+            self._outstanding -= len(completions)
             return completions
         return [] if events else None
 
@@ -647,7 +659,7 @@ class AsyncDispatcher(Dispatcher):
         self._inflight_load: Dict[str, int] = {}
         #: Pool for backends without a native async read; see :meth:`_pool`.
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._started = time.perf_counter()
+        self.now = functools.partial(_seconds_since, time.perf_counter())
         #: High-water mark of concurrently in-flight access tasks.
         self.peak_in_flight = 0
 
@@ -657,9 +669,6 @@ class AsyncDispatcher(Dispatcher):
         self._backlog_load[request.relation] = (
             self._backlog_load.get(request.relation, 0) + 1
         )
-
-    def now(self) -> float:
-        return time.perf_counter() - self._started
 
     def refill(self, now: float) -> None:
         """Launch backlog as tasks up to ``max_in_flight``, within the budget."""
@@ -721,7 +730,7 @@ class AsyncDispatcher(Dispatcher):
         outcome = task.result()  # programming errors propagate
         self.sequential_time += outcome.read_seconds
         if outcome.counted:
-            self._sources[request.relation][0].record_access(
+            self._source(request.relation)[0].record_access(
                 request.binding, outcome.rows, self.log, now
             )
         else:
@@ -787,7 +796,7 @@ class AsyncDispatcher(Dispatcher):
         an owned claim before letting it through.  The budget grant was
         taken at launch and is settled by :meth:`_reap`.
         """
-        wrapper, meta, _ = self._sources[request.relation]
+        wrapper, meta, _ = self._source(request.relation)
         binding = request.binding
         steps = self._access(request, meta, None)
         try:
@@ -811,16 +820,38 @@ class AsyncDispatcher(Dispatcher):
             return stop.value
 
 
+async def _settle(awaitable: Awaitable[object]) -> Tuple[object, Optional[BaseException]]:
+    try:
+        return await awaitable, None
+    except BaseException as error:
+        return None, error
+
+
+def _complete(loop: asyncio.AbstractEventLoop, awaitable: Awaitable[object]) -> object:
+    """``loop.run_until_complete(awaitable)``, raising from *here*: an
+    exception that leaves ``run_until_complete`` is held by the finished
+    future, which that frame holds, which the traceback holds — a cycle with
+    the whole run hanging off it until the cyclic collector passes."""
+    value, error = loop.run_until_complete(_settle(awaitable))
+    if error is None:
+        return value
+    try:
+        raise error
+    finally:
+        del error  # the traceback now holds this frame
+
+
 @contextlib.contextmanager
-def private_event_loop() -> Iterator[asyncio.AbstractEventLoop]:
+def private_event_loop() -> Iterator[Callable[[Awaitable[object]], object]]:
     """The one sync-over-async bridge: a private loop for a sync caller.
 
     Only ``concurrency="async"`` reached through a sync entry point
     (``execute``/``stream``/``run_workload``) comes here; the default sync
-    path never touches an event loop.  The caller steps the loop itself
-    (``run_until_complete``), which is what lets a sync ``stream()`` hand
-    out answers one at a time.  Refused inside a running loop — before any
-    coroutine exists, so nothing is left un-awaited.
+    path never touches an event loop.  The caller steps the loop itself —
+    what is yielded runs one awaitable to completion on it — which is what
+    lets a sync ``stream()`` hand out answers one at a time.  Refused inside
+    a running loop — before any coroutine exists, so nothing is left
+    un-awaited.
     """
     try:
         asyncio.get_running_loop()
@@ -834,7 +865,7 @@ def private_event_loop() -> Iterator[asyncio.AbstractEventLoop]:
         )
     loop = asyncio.new_event_loop()
     try:
-        yield loop
+        yield functools.partial(_complete, loop)
         loop.run_until_complete(loop.shutdown_asyncgens())
     finally:
         loop.close()

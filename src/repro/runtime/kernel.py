@@ -312,7 +312,7 @@ class FixpointKernel:
         self.answer_check_interval = answer_check_interval
         policy.bind_dispatcher(dispatcher)
         self.resilience = ResilienceContext(resilience)
-        self.resilience.bind_clock(self.dispatcher.now, wall_clock=self.dispatcher.wall_clock)
+        self.resilience.bind_clock(dispatcher.now, wall_clock=dispatcher.wall_clock)
         self.dispatcher.resilience = self.resilience
         # Intermediate answer checks go through the policy's incremental
         # evaluator when it has one; the final check is always full.

@@ -28,9 +28,20 @@ product.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.plan.bindings import CacheBindingGenerator, DeltaProduct, initialize_plan_caches
+from repro.query.compiled import BoundProgram
 from repro.runtime.dispatch import Dispatcher
 from repro.runtime.kernel import AccessRequest, Completion
 
@@ -45,6 +56,22 @@ Row = Tuple[object, ...]
 
 #: Emit callback handed to :meth:`SchedulingPolicy.offer`.
 Emit = Callable[[AccessRequest], None]
+
+
+class Gate(NamedTuple):
+    """What a dispatcher sees of the policy it runs: values, not the policy.
+    The policy holds its dispatcher, so the dispatcher must not hold it back
+    — a run's object graph is acyclic and dies with the run."""
+
+    #: :attr:`SchedulingPolicy.dedup_accesses`.
+    dedup_accesses: bool
+    #: ``relation -> `` the meta-cache its accesses are recorded in, or None
+    #: (neither recorded nor deduplicated).
+    meta_for: Callable[[str], Optional["MetaCache"]]
+
+
+def _no_meta_cache(relation: str) -> None:
+    return None
 
 
 class SchedulingPolicy(abc.ABC):
@@ -68,7 +95,11 @@ class SchedulingPolicy(abc.ABC):
     def bind_dispatcher(self, dispatcher: Dispatcher) -> None:
         """Called by the kernel once the dispatcher exists (for gating)."""
         self.dispatcher = dispatcher
-        dispatcher.gate = self
+        dispatcher.gate = self.gate()
+
+    def gate(self) -> Gate:
+        """The :class:`Gate` this policy hands its dispatcher."""
+        return Gate(self.dedup_accesses, _no_meta_cache)
 
     def begin(self) -> bool:
         """Enter the first phase; False aborts before any work."""
@@ -95,11 +126,6 @@ class SchedulingPolicy(abc.ABC):
     @abc.abstractmethod
     def evaluate(self) -> FrozenSet[Row]:
         """The query's answers over the current cache state."""
-
-    def meta_for(self, relation: str) -> Optional["MetaCache"]:
-        """The meta-cache accesses of ``relation`` are recorded in (None
-        disables both recording and dedup for the relation)."""
-        return None
 
     def budget_message(self) -> str:
         return "execution exceeded the access budget"
@@ -247,53 +273,71 @@ class PlanPolicy(SchedulingPolicy):
         self.generators: Dict[str, CacheBindingGenerator] = initialize_plan_caches(
             plan, cache_db
         )
-        #: Per body atom, its table's row log and how much of it the
-        #: streaming checks have joined already (see :meth:`evaluate_delta`).
+        #: Per body atom, its table's row log, how much of it the streaming
+        #: checks have joined already and — bound at the atom's first delta —
+        #: its pivot program over this run's tables (see :meth:`evaluate_delta`).
         self._logs = [
             cache_db.cache(atom.predicate).row_log() for atom in plan.rewritten_query.body
         ]
         self._marks = [0] * len(self._logs)
+        self._pivots: List[Optional[BoundProgram]] = [None] * len(self._logs)
+        #: Caches a provider origin of which has grown since they were last
+        #: offered: the only ones an offer pass can find a fresh binding for.
+        self._dirty: Set[str] = set(self.generators)
+        self._dependents = plan.compiled.dependents
 
     def _offer_caches(self, caches: List["CachePredicate"], emit: Emit) -> bool:
         """Offer the fresh bindings of the given caches; True when a
         meta-cache hit changed some cache's contents.
 
-        Caches over a relation whose circuit breaker is open (or whose
-        source is known permanently down) are skipped *without consuming
-        their binding deltas*: if the breaker half-opens later in the run
-        (or a session-level retry succeeds), the pending bindings are
-        offered then; otherwise the run ends incomplete with the relation
-        in ``failed_relations``.
+        A cache none of whose providers' origin tables grew since its last
+        offer has nothing fresh and is skipped without a look (the dirty set:
+        :meth:`absorb` and a meta-cache hit here mark a grown table's
+        dependents).  Caches over a relation whose circuit breaker is open
+        (or whose source is known permanently down) are skipped *without
+        consuming their binding deltas* — they stay dirty: if the breaker
+        half-opens later in the run (or a session-level retry succeeds), the
+        pending bindings are offered then; otherwise the run ends incomplete
+        with the relation in ``failed_relations``.
         """
         changed = False
+        dirty = self._dirty
         excluded = self.dispatcher.resilience.excluded
         for cache in caches:
-            if excluded(cache.relation.name):
+            name = cache.name
+            if name not in dirty:
                 continue
-            fresh = self.generators[cache.name].fresh_bindings()
-            meta = table = None
             relation_name = cache.relation.name
+            if excluded(relation_name):
+                continue
+            dirty.discard(name)
+            fresh = self.generators[name].fresh_bindings()
+            meta = table = None
             # The generator yields each binding of this cache exactly once
             # over the whole run, so no dedup set is needed here.
             for binding in fresh:
                 if meta is None:
                     meta = self.cache_db.meta_cache(cache.relation)
-                    table = self.cache_db.cache(cache.name)
+                    table = self.cache_db.cache(name)
                 rows = meta.lookup(binding)
                 if rows is not None:
                     if table.add_all(rows):
                         changed = True
+                        dirty.update(self._dependents[name])
                     continue
-                emit(AccessRequest(cache.name, relation_name, binding))
+                emit(AccessRequest(name, relation_name, binding))
         return changed
 
     def absorb(self, completion: Completion) -> None:
-        self.cache_db.cache(completion.request.target).add_all(completion.rows)
+        target = completion.request.target
+        if self.cache_db.cache(target).add_all(completion.rows):
+            self._dirty.update(self._dependents[target])
 
     def evaluate(self) -> FrozenSet[Row]:
         plan = self.plan
+        program = plan.compiled.full()
         return frozenset(
-            plan.compiled.full().answers(self.cache_db.find, plan.rewritten_query.head_terms)
+            program.bind(self.cache_db.find, plan.rewritten_query.head_terms).answers()
         )
 
     def evaluate_delta(self) -> Set[Row]:
@@ -307,19 +351,25 @@ class PlanPolicy(SchedulingPolicy):
         superset of the truly new answers (one may be re-derived through
         another pivot) and a subset of :meth:`evaluate`.
         """
-        plan = self.plan
         out: Set[Row] = set()
         for pivot, log in enumerate(self._logs):
             low, high = self._marks[pivot], len(log)
             if low < high:
                 self._marks[pivot] = high
-                out |= plan.compiled.pivot(pivot).answers(
-                    self.cache_db.find, plan.rewritten_query.head_terms, log[low:high]
-                )
+                program = self._pivots[pivot]
+                if program is None:
+                    plan = self.plan
+                    program = self._pivots[pivot] = plan.compiled.pivot(pivot).bind(
+                        self.cache_db.find, plan.rewritten_query.head_terms
+                    )
+                out |= program.answers(log[low:high])
         return out
 
-    def meta_for(self, relation: str) -> Optional["MetaCache"]:
-        return self.cache_db.meta_cache(self.plan.schema[relation])
+    def gate(self) -> Gate:
+        cache_db, schema = self.cache_db, self.plan.schema
+        return Gate(
+            self.dedup_accesses, lambda relation: cache_db.meta_cache(schema[relation])
+        )
 
     def plan_relations(self) -> List[str]:
         """Accessed relations of the plan, in cache declaration order."""
@@ -463,7 +513,7 @@ class OrderedFastFail(PlanPolicy):
         if not program.steps:
             return True
         self.fast_fail_checks += 1
-        return program.satisfiable(self.cache_db.find)
+        return program.bind(self.cache_db.find).satisfiable()
 
 
 class EagerPlan(PlanPolicy):
@@ -501,23 +551,19 @@ class EagerPlan(PlanPolicy):
     ) -> None:
         super().__init__(plan, cache_db)
         self.respect_ordering = respect_ordering
+        self._caches = [cache for cache in plan.caches.values() if not cache.is_artificial]
 
     def offer(self, emit: Emit) -> bool:
-        caches = [
-            cache
-            for cache in self.plan.caches.values()
-            if not cache.is_artificial and not self._held_back(cache)
-        ]
+        caches = self._caches
+        if self.respect_ordering:
+            caches = [cache for cache in caches if not self._held_back(cache)]
         return self._offer_caches(caches, emit)
 
     def _held_back(self, cache: "CachePredicate") -> bool:
         """With ``respect_ordering``, a cache's accesses are only offered
         once every cache of a strictly smaller position has drained."""
-        if not self.respect_ordering:
-            return False
-        for other in self.plan.caches.values():
-            if other.is_artificial or other.position >= cache.position:
-                continue
-            if self.dispatcher.relation_active(other.relation.name):
-                return True
-        return False
+        return any(
+            other.position < cache.position
+            and self.dispatcher.relation_active(other.relation.name)
+            for other in self._caches
+        )

@@ -2,8 +2,9 @@
 
 Everything ``GET /metrics`` reports lives here: request/status counters,
 admission rejection counters, bounded-memory latency histograms with
-quantile estimates, folded resilience accounting, per-tenant usage, and a
-per-relation :class:`SourceHealthBoard`.
+quantile estimates, folded resilience accounting, per-tenant usage, the
+cyclic collector's per-generation counters, and a per-relation
+:class:`SourceHealthBoard`.
 
 The health board deserves a note.  The engine's circuit breakers
 (:class:`repro.sources.resilience.CircuitBreaker`) are *per run*: each
@@ -19,6 +20,7 @@ what the ``/metrics`` ``sources`` section exposes.
 from __future__ import annotations
 
 import bisect
+import gc
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -216,6 +218,10 @@ class ServerMetrics:
                 "tenants": tenants,
             }
         payload["sources"] = self.sources.to_dict()
+        # The cyclic collector, per generation: a run leaves it nothing to
+        # find, so ``collections`` per request says how much garbage the rest
+        # of the process makes (and ``count`` how close the next pass is).
+        payload["gc"] = {"generations": gc.get_stats(), "count": list(gc.get_count())}
         if session_stats is not None:
             payload["session"] = session_stats
         return payload

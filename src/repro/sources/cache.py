@@ -74,9 +74,9 @@ class CacheTable:
         self._value_sets: List[Set[object]] = [set() for _ in range(arity)]
         self._value_logs: List[List[object]] = [[] for _ in range(arity)]
         self._row_log: List[Row] = []
-        # position-group hash indexes, maintained lazily from the row log:
-        # {positions: [{key: [rows]}, watermark-into-row-log]}
-        self._indexes: Dict[Tuple[int, ...], List[object]] = {}
+        # Position-group hash indexes ``{positions: {key: [rows]}}``: built
+        # from the row log when first asked for, kept current by :meth:`add`.
+        self._indexes: Dict[Tuple[int, ...], Dict[Tuple[object, ...], List[Row]]] = {}
 
     # -- mutation -----------------------------------------------------------
     def add(self, row: Row) -> bool:
@@ -93,6 +93,8 @@ class CacheTable:
             if value not in values:
                 values.add(value)
                 self._value_logs[position].append(value)
+        for positions, index in self._indexes.items():
+            _file(index, positions, row)
         return True
 
     def add_all(self, rows: Iterable[Row]) -> int:
@@ -132,32 +134,20 @@ class CacheTable:
     def index_for(self, positions: Tuple[int, ...]) -> Dict[Tuple[object, ...], List[Row]]:
         """Hash index ``{key: rows}`` grouping rows by the given positions.
 
-        Indexes persist across calls and are brought up to date
-        incrementally from the row log, so repeated probes cost O(new rows)
-        instead of a rebuild per evaluation.  Rows too short for the
-        requested positions are skipped (over-arity tolerance cuts both
-        ways).  Callers must treat the returned buckets as read-only.
+        The first call for a position group builds the index from the row
+        log and registers it; from then on :meth:`add` files every new row
+        in it, and every call hands out the *same* dictionary — a caller
+        may keep it for the table's life and watch it grow in place.  Rows
+        too short for the requested positions are skipped (over-arity
+        tolerance cuts both ways).  Callers must treat the returned buckets
+        as read-only.
         """
-        entry = self._indexes.get(positions)
-        if entry is None:
-            entry = [{}, 0]
-            self._indexes[positions] = entry
-        index: Dict[Tuple[object, ...], List[Row]] = entry[0]
-        mark: int = entry[1]
-        log = self._row_log
-        if mark < len(log):
-            width = max(positions) + 1 if positions else 0
-            for i in range(mark, len(log)):
-                row = log[i]
-                if len(row) < width:
-                    continue
-                key = tuple(row[p] for p in positions)
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [row]
-                else:
-                    bucket.append(row)
-            entry[1] = len(log)
+        index = self._indexes.get(positions)
+        if index is None:
+            index = {}
+            for row in self._row_log:
+                _file(index, positions, row)
+            self._indexes[positions] = index
         return index
 
     def __iter__(self) -> Iterator[Row]:
@@ -171,6 +161,17 @@ class CacheTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheTable({self.name!r}, {len(self)} rows)"
+
+
+def _file(
+    index: Dict[Tuple[object, ...], List[Row]], positions: Tuple[int, ...], row: Row
+) -> None:
+    """File ``row`` in a position-group index (a row too short for it is skipped)."""
+    try:
+        key = tuple([row[position] for position in positions])
+    except IndexError:
+        return
+    index.setdefault(key, []).append(row)
 
 
 class MetaCache:

@@ -9,9 +9,8 @@ session statistics are built from.
 Recording is the hot half — once per source access — so it is an append and
 a set add.  The aggregates are the cold half — read once per execution —
 so they are brought up to date *on demand*, from a watermark into the
-record list, the way :meth:`repro.sources.cache.CacheTable.index_for`
-maintains its indexes.  A log nobody asks (an engine session's cumulative
-log is read for its length only) never builds them.
+record list.  A log nobody asks (an engine session's cumulative log is read
+for its length only) never builds them.
 """
 
 from __future__ import annotations

@@ -477,6 +477,9 @@ class ResilienceContext:
                 self.stats.backoff_seconds += backoff
                 self.stats.failures += 1
                 self.failed_relations.add(relation)
+            # The fault's traceback holds this frame (and, frame by frame, the
+            # whole run): let go of it, or the two keep each other alive.
+            del fault
             return AccessOutcome(frozenset(), False, True, attempts, backoff)
 
     # -- bookkeeping hooks used by dispatchers ----------------------------------

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import random
+from typing import Dict, List, Tuple
+
+import pytest
+
 from repro.model.schema import Schema
 from repro.plan.bindings import DeltaProduct
 from repro.sources.cache import CacheTable, MetaCache
@@ -25,6 +30,59 @@ def test_cache_table_positional_indexes_track_insertions() -> None:
     table.add(("b", "z", 3))
     assert table.value_log(1)[mark:] == ["z"]
     assert table.values_at(0) == {"a", "b"}
+
+
+def _grouped(table: CacheTable, positions: Tuple[int, ...]) -> Dict[tuple, List[tuple]]:
+    """The lazy reference: the row log grouped by ``positions``, rows too
+    short for them left out."""
+    reference: Dict[tuple, List[tuple]] = {}
+    for row in table.row_log():
+        if len(row) > max(positions, default=-1):
+            reference.setdefault(tuple(row[p] for p in positions), []).append(row)
+    return reference
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_an_index_registered_at_any_time_equals_the_grouped_row_log(seed: int) -> None:
+    rng = random.Random(seed)
+    table = CacheTable("r_hat", RELATION)
+    groups = [(0,), (1,), (2,), (0, 2), (2, 0), (1, 1), (), (3,), (0, 3)]
+    rng.shuffle(groups)
+    registered: Dict[Tuple[int, ...], dict] = {}
+    for step in range(12):
+        # Register some indexes before, between and after the rows ...
+        for positions in groups[step::4]:
+            if positions not in registered:
+                registered[positions] = table.index_for(positions)
+        # ... which come in every arity the table tolerates: its own, shorter
+        # (skipped by any index that needs the missing position), longer.
+        for _ in range(rng.randint(0, 4)):
+            arity = rng.choice([3, 3, 3, 1, 2, 4])
+            table.add(tuple(rng.choice("abc") for _ in range(arity)))
+        for positions, index in registered.items():
+            assert index == _grouped(table, positions), positions
+            # The same dictionary for the table's life: it grew in place.
+            assert table.index_for(positions) is index
+    assert set(registered) == set(groups)
+    assert len(table) == len(table.row_log()) == len(set(table.row_log()))
+
+
+def test_index_buckets_keep_arrival_order_and_ignore_duplicates() -> None:
+    table = CacheTable("r_hat", RELATION)
+    index = table.index_for((0,))
+    assert index == {}
+    table.add(("a", "x", 1))
+    table.add(("b", "y", 2))
+    table.add(("a", "z", 3))
+    assert not table.add(("a", "x", 1))
+    assert index == {("a",): [("a", "x", 1), ("a", "z", 3)], ("b",): [("b", "y", 2)]}
+    # Over-arity rows are filed (the join runner skips them by arity); a row
+    # shorter than the widest position is not.
+    late = table.index_for((2,))
+    table.add(("a", "x", 1, "extra"))
+    table.add(("a",))
+    assert index[("a",)][-2:] == [("a", "x", 1, "extra"), ("a",)]
+    assert late == {(1,): [("a", "x", 1), ("a", "x", 1, "extra")], (2,): [("b", "y", 2)], (3,): [("a", "z", 3)]}
 
 
 def test_meta_cache_records_accesses_and_counts_hits() -> None:

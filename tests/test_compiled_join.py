@@ -104,6 +104,38 @@ def test_program_matches_the_reference_on_random_conjunctions(seed: int) -> None
         assert JoinProgram(atoms, pivot=pivot).answers(tables.get, head) == expected
 
 
+@pytest.mark.parametrize("seed", range(300))
+def test_a_program_bound_once_stays_current_while_its_tables_grow(seed: int) -> None:
+    # The same conjunctions, the way a run evaluates them: every program is
+    # bound before its tables hold a row and never again — the bound indexes
+    # are maintained by ``CacheTable.add`` — and must agree with the reference
+    # (which snapshots the tables each time) after every round of growth.
+    rng = random.Random(seed)
+    atoms, head, arities = _random_conjunction(rng)
+    tables = {name: _table(name, arity) for name, arity in arities.items() if name != "p4"}
+    full = JoinProgram(atoms).bind(tables.get, head)
+    test = JoinProgram(atoms).bind(tables.get)  # no head: satisfiability only
+    pivots = [JoinProgram(atoms, pivot=index).bind(tables.get, head) for index in range(len(atoms))]
+    marks = [0] * len(atoms)
+    seen: Set[Row] = set()
+    for _ in range(5):
+        for name in rng.sample(sorted(tables), rng.randint(0, len(tables))):
+            tables[name].add_all(_random_rows(rng, arities[name], rng.randint(0, 4)))
+            if rng.random() < 0.2:  # rows of the wrong arity are skipped, not matched
+                tables[name].add_all(_random_rows(rng, arities[name] + 1, 1))
+                tables[name].add_all(_random_rows(rng, max(arities[name] - 1, 0), 1))
+        expected = _reference(atoms, head, tables)
+        assert full.answers() == expected, atoms
+        assert test.satisfiable() == bool(expected), atoms
+        for index, (atom, pivot) in enumerate(zip(atoms, pivots)):
+            assert pivot.answers() == expected
+            table = tables.get(atom.predicate)
+            log = table.row_log() if table is not None else []
+            delta, marks[index] = log[marks[index] :], len(log)
+            seen |= pivot.answers(delta)
+        assert seen == expected, atoms
+
+
 def test_the_empty_conjunction_has_one_solution() -> None:
     program = JoinProgram([])
     assert program.satisfiable({}.get)

@@ -11,6 +11,11 @@ clock (the kernel raises if a completion arrives out of clock order).
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import Set
+
+import pytest
+
 from repro.engine import Engine
 from repro.examples import (
     chain_example,
@@ -19,10 +24,14 @@ from repro.examples import (
     wide_fanout_example,
     zipf_fanout_example,
 )
+from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.plan.bindings import CacheBindingGenerator, DeltaProduct
 from repro.plan.plan import CachePredicate, ProviderSpec
-from repro.sources.cache import CacheDatabase
+from repro.sources.backend import SourceBackend
+from repro.sources.cache import CacheDatabase, CacheTable
+from repro.sources.resilience import BreakerConfig, TransientSourceError
+from repro.sources.wrapper import SourceRegistry
 
 
 class CountingList(list):
@@ -231,6 +240,199 @@ def test_fast_fail_checks_count_the_prefix_tests_performed() -> None:
     assert untested.fast_fail_checks == 0 and eager.fast_fail_checks == 0
     assert kernel["counters"]["fast_fail_checks"] == len(positions) - 1
     assert any("fast-fail" in line and "3 tests" in line for line in tested.describe())
+
+
+# -- what a distillation tick costs: counted, not timed -------------------------
+
+
+@pytest.fixture
+def calls(monkeypatch) -> Counter:
+    """Counts ``fresh_bindings`` (by cache) and ``index_for`` (by table and
+    position group) calls made while the test runs."""
+    counted: Counter = Counter()
+    fresh_bindings, index_for = CacheBindingGenerator.fresh_bindings, CacheTable.index_for
+
+    def counting_fresh_bindings(self):
+        counted["fresh_bindings", self.cache.name] += 1
+        return fresh_bindings(self)
+
+    def counting_index_for(self, positions):
+        counted["index_for", self.name, positions] += 1
+        return index_for(self, positions)
+
+    monkeypatch.setattr(CacheBindingGenerator, "fresh_bindings", counting_fresh_bindings)
+    monkeypatch.setattr(CacheTable, "index_for", counting_index_for)
+    return counted
+
+
+def _total(calls: Counter, kind: str) -> int:
+    return sum(count for key, count in calls.items() if key[0] == kind)
+
+
+@pytest.mark.parametrize("width, fanout", [(6, 5), (36, 28)])
+def test_an_offer_pass_visits_only_caches_a_completion_could_have_enabled(
+    calls: Counter, width: int, fanout: int
+) -> None:
+    example = wide_fanout_example(width, fanout)
+    with Engine(example.schema, example.instance, latency=0.01) as engine:
+        prepared = engine.plan(example.query_text)
+        result = prepared.execute(strategy="distillation")
+    assert result.answers == example.expected_answers
+    plan = prepared.plan
+    caches = [cache for cache in plan.caches.values() if not cache.is_artificial]
+    dependents = plan.compiled.dependents
+    assert {name: sorted(found) for name, found in dependents.items()} == {
+        "seed_hat_1": ["fan_hat_1"],
+        "fan_hat_1": ["collect_hat_1"],
+        "collect_hat_1": [],
+    }
+    # Every cache is looked at once to begin with; after that only a
+    # completion that added a row to a table some provider draws on can
+    # have enabled anything — one tick delivers several, so this is an upper
+    # bound.  ``collect``'s completions (width × fanout of them, one tick
+    # each at the parent: ticks × caches calls) provide to nobody.
+    feeding = sum(
+        1
+        for record in result.access_log
+        if record.rows
+        and any(dependents[cache.name] for cache in caches if cache.relation.name == record.relation)
+    )
+    assert feeding == 1 + width
+    assert result.kernel_profile.offer_passes > width * fanout  # one pass per tick, still
+    assert len(caches) <= _total(calls, "fresh_bindings") <= feeding + len(caches)
+    assert calls["fresh_bindings", "collect_hat_1"] <= 1 + width
+
+
+def test_join_programs_are_bound_once_per_run_not_once_per_answer_check(calls: Counter) -> None:
+    counts = {}
+    for width, fanout in [(4, 3), (36, 28)]:
+        calls.clear()
+        example = wide_fanout_example(width, fanout)
+        with Engine(example.schema, example.instance) as engine:
+            prepared = engine.plan(example.query_text)
+            result = prepared.execute(strategy="distillation")
+        assert result.answers == example.expected_answers
+        profile = result.kernel_profile
+        assert profile.incremental_checks >= width * fanout and profile.full_checks == 1
+        counts[width] = {key: count for key, count in calls.items() if key[0] == "index_for"}
+    # What the run asks its tables for is a property of the query's shape:
+    # 1,045 answer checks or 17, the same probes are resolved the same few
+    # times — once per probing step of each program the run binds (the three
+    # pivots and the final full program, two probing steps each).
+    assert counts[4] == counts[36]
+    compiled = prepared.plan.compiled
+    programs = [compiled.full(), *(compiled.pivot(index) for index in range(3))]
+    probes = [
+        (step.predicate, step.key_positions)
+        for program in programs
+        for step in program.steps
+        if step.key_positions
+    ]
+    assert sum(counts[36].values()) == len(probes) == 8
+    # ... on the distinct (table, positions) pairs those steps probe, each of
+    # which the table registers — and from then on maintains — exactly once.
+    assert {key[1:] for key in counts[36]} == set(probes)
+    assert len(set(probes)) == 4
+
+
+class _FailsReads(SourceBackend):
+    """Answers like ``inner``, except that the reads numbered in ``failing`` fail."""
+
+    kind = "fails-reads"
+
+    def __init__(self, inner: SourceBackend, failing: Set[int]) -> None:
+        self.inner, self.schema, self.failing, self.reads = inner, inner.schema, failing, 0
+
+    def lookup(self, binding):
+        self.reads += 1
+        if self.reads in self.failing:
+            raise TransientSourceError(self.schema.name, binding, "scripted")
+        return self.inner.lookup(binding)
+
+
+def test_a_cache_skipped_for_an_open_breaker_stays_dirty_until_it_half_opens(
+    calls: Counter,
+) -> None:
+    # free → s1 → s2 → s3, one binding each per row.  s1 answers a binding
+    # every 10 ms, each enabling one of s2; s2's third and fourth reads fail
+    # and open its breaker at t = 0.06 for 50 ms.  The bindings s1 delivers
+    # until it drains (t = 0.09) are neither offered nor consumed, and from
+    # then on the only completions are those of the slow s3 — which provides
+    # to nobody, so nothing marks s2's cache again: it must have *stayed*
+    # dirty to be offered its backlog at the first tick after the cool-down.
+    chain = chain_example(length=3, width=8)
+    registry = SourceRegistry(chain.instance, latency=0.01, per_relation_latency={"s3": 0.05})
+    registry.wrapper("s2").backend = _FailsReads(registry.wrapper("s2").backend, {3, 4})
+    with Engine(chain.schema, registry) as engine:
+        result = engine.execute(
+            chain.query_text,
+            strategy="distillation",
+            breaker=BreakerConfig(failure_threshold=2, cooldown=0.05),
+        )
+    assert result.failed_relations == ("s2",) and result.retry_stats.breaker_trips == 1
+    assert result.retry_stats.short_circuited == 0  # held back at the offer, not refused
+    log = [(str(record.access), round(record.simulated_time, 2)) for record in result.access_log]
+    s2 = [entry for entry in log if entry[0].startswith("s2")]
+    # The two failed reads are never logged (nor retried); the four bindings
+    # held back go out together at t = 0.13, when s3's second read completes.
+    assert s2 == [
+        ("s2['v2_0']", 0.03),
+        ("s2['v2_1']", 0.04),
+        ("s2['v2_4']", 0.14),
+        ("s2['v2_5']", 0.15),
+        ("s2['v2_6']", 0.16),
+        ("s2['v2_7']", 0.17),
+    ]
+    assert [entry[0] for entry in log if entry[0].startswith("s1")][-1] == "s1['v1_7']"
+    assert ("s1['v1_7']", 0.09) in log and ("s3['v3_1']", 0.13) in log
+    assert result.answers == {(f"v4_{i}",) for i in (0, 1, 4, 5, 6, 7)}
+    # ... in one pull of s2's generator, not one per tick it was held back.
+    assert calls["fresh_bindings", "s2_hat_1"] <= 6
+
+
+def test_a_held_back_cache_is_offered_once_its_predecessors_drain(calls: Counter) -> None:
+    # free feeds a and b, a feeds c; positions free < a < b < c and b is slow.
+    # With ``respect_ordering`` c waits for b — whose completions provide to
+    # nobody — long after a, the one table c draws on, stopped growing: c must
+    # have stayed dirty to be offered when b drains.
+    schema = Schema.from_signatures(
+        {
+            "free": ("oo", ["X", "W"]),
+            "a": ("io", ["X", "Y"]),
+            "b": ("io", ["W", "V"]),
+            "c": ("io", ["Y", "Z"]),
+        }
+    )
+    instance = DatabaseInstance(schema)
+    for i in range(4):
+        for relation, row in zip("free a b c".split(), ["xw", "xy", "wv", "yz"]):
+            instance.add_tuple(relation, tuple(f"{column}{i}" for column in row))
+    query = "q(Z, V) <- free(X, W), a(X, Y), b(W, V), c(Y, Z)"
+    logs, pulls = {}, {}
+    for respect_ordering in (True, False):
+        calls.clear()
+        registry = SourceRegistry(instance, latency=0.01, per_relation_latency={"b": 0.03})
+        with Engine(schema, registry) as engine:
+            result = engine.execute(
+                query, strategy="distillation", respect_ordering=respect_ordering
+            )
+        assert result.answers == {(f"z{i}", f"v{i}") for i in range(4)}
+        logs[respect_ordering] = [
+            (str(record.access), round(record.simulated_time, 2)) for record in result.access_log
+        ]
+        pulls[respect_ordering] = calls["fresh_bindings", "c_hat_1"]
+    # Holding a cache back changes when its accesses go out, never which.
+    assert sorted(access for access, _ in logs[True]) == sorted(access for access, _ in logs[False])
+    assert [entry for entry in logs[False] if entry[0][0] == "c"] == [
+        ("c['y0']", 0.03), ("c['y1']", 0.04), ("c['y2']", 0.05), ("c['y3']", 0.06)
+    ]  # fmt: skip
+    assert logs[True][-5:] == [
+        ("b['w3']", 0.13), ("c['y0']", 0.14), ("c['y1']", 0.15), ("c['y2']", 0.16), ("c['y3']", 0.17)
+    ]  # fmt: skip
+    # Held back, c is pulled once for everything it missed (and once by the
+    # run's first pass, which looks at every cache); eagerly, once per tick
+    # of a that fed it.
+    assert pulls == {True: 2, False: 5}
 
 
 # -- scale-tier scenario generators ------------------------------------------

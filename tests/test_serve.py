@@ -299,6 +299,10 @@ def test_metrics_after_known_workload() -> None:
     assert metrics["results"]["degraded"] == 0
     assert metrics["latency"]["query"]["count"] == 3
     assert metrics["latency"]["query"]["p99"] >= metrics["latency"]["query"]["p50"] > 0
+    # The collector's counters, per generation, readable from outside.
+    assert [sorted(generation) for generation in metrics["gc"]["generations"]] == [
+        ["collected", "collections", "uncollectable"]
+    ] * 3 and len(metrics["gc"]["count"]) == 3
     # The engine session's observability rides along: kernel counters,
     # meta-cache hit rate, cache-store stats.
     assert metrics["session"]["executions"] == 4
