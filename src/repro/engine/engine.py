@@ -10,10 +10,10 @@ The engine hides the seed's seven subpackages behind four calls::
 Behind the scenes it wires parsing → validation → minimization → constant
 elimination → d-graph → greatest fixpoint → ordering → ⊂-minimal plan, and
 executes plans through the pluggable strategy registry.  The engine also
-owns a *session*: a shared access log and shared per-relation meta-caches,
-so that no access is ever repeated across the queries of one session (the
-paper's "never repeat an access" invariant, lifted from one plan to the
-whole workload).
+owns a *session*: shared per-relation meta-caches, so that no access is
+ever repeated across the queries of one session (the paper's "never repeat
+an access" invariant, lifted from one plan to the whole workload), and the
+counters of what its executions did.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ class EngineSession:
             through :meth:`new_cache_db` reads and feeds these, so an access
             tuple already used by *any* earlier query of the session is
             answered locally instead of hitting the source again.
-        log: cumulative access log over all executions of the session.
+        total_accesses: source accesses of the executions absorbed so far —
+            a count: each run's access log travels on its ``Result`` only.
+            On a fresh store, ``total_accesses == known_accesses`` is the
+            "never repeat an access" invariant.
         executions: number of executions absorbed so far.
         statistics: per-relation runtime statistics mined from the absorbed
             logs (:mod:`repro.engine.statistics`), accumulated across
@@ -88,7 +91,7 @@ class EngineSession:
         self._lock = threading.RLock()
         self.store: CacheStore = store if store is not None else MemoryCacheStore()
         self.meta: Dict[str, MetaCache] = {}
-        self.log = AccessLog()
+        self.total_accesses = 0
         self.executions = 0
         self.statistics = StatisticsCollector()
         self.kernel_profile = KernelProfile()
@@ -110,16 +113,16 @@ class EngineSession:
         default_latency: float = 0.0,
         kernel_profile: Optional[KernelProfile] = None,
     ) -> None:
-        """Fold one execution's access log into the session log.
+        """Count one execution and its accesses; the log itself is not kept.
 
-        When a ``registry`` is given, the log is also folded into the
-        session's per-relation statistics, priced with the wrappers'
-        latencies (``default_latency`` for wrappers that declare none)
-        and stretched by the run's ``retry_stats``.  A ``kernel_profile``
-        is merged into the session's cumulative kernel profile.
+        The log is folded into the session's per-relation statistics, priced
+        with the ``registry``'s latencies when one is given
+        (``default_latency`` for wrappers that declare none) and stretched by
+        the run's ``retry_stats``.  A ``kernel_profile`` is merged into the
+        session's cumulative kernel profile.
         """
         with self._lock:
-            self.log.extend(log)
+            self.total_accesses += log.total_accesses
             self.executions += 1
             if kernel_profile is not None:
                 self.kernel_profile.merge(kernel_profile)
@@ -154,7 +157,7 @@ class EngineSession:
         """
         with self._lock:
             self.meta.clear()
-            self.log = AccessLog()
+            self.total_accesses = 0
             self.executions = 0
             self.statistics.reset()
             self.kernel_profile = KernelProfile()
@@ -162,7 +165,7 @@ class EngineSession:
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            accesses = self.log.total_accesses
+            accesses = self.total_accesses
             hits = sum(meta.hits for meta in self.meta.values())
             served = accesses + hits
             return {
@@ -539,7 +542,7 @@ class Engine:
         return self._workload_report(results, wall, before, peak, max_parallel)
 
     def _workload_before(self) -> Tuple[int, int]:
-        return self.session.log.total_accesses, self.session.meta_hits
+        return self.session.total_accesses, self.session.meta_hits
 
     def _workload_report(
         self,
@@ -550,7 +553,7 @@ class Engine:
         max_parallel: int,
     ) -> WorkloadReport:
         accesses_before, hits_before = before
-        accesses = self.session.log.total_accesses - accesses_before
+        accesses = self.session.total_accesses - accesses_before
         hits = self.session.meta_hits - hits_before
         served = accesses + hits
         store_after = self.session.store.stats()
@@ -597,7 +600,7 @@ class Engine:
 
     # -- session management --------------------------------------------------
     def reset_session(self) -> None:
-        """Forget all shared meta-caches and the cumulative access log.
+        """Forget all shared meta-caches and the session's counters.
 
         Planned shapes stay: they hold no data, only the schema's structure.
         """

@@ -133,9 +133,10 @@ class KernelStrategy(ExecutionStrategy):
         (left None when the kernel produced no outcome: it raised, or the
         consumer stopped early).
 
-        The ``finally`` keeps the session log consistent with whatever
-        really hit the sources, even when the run aborts (access budget
-        exceeded) or a streaming consumer stops early.
+        The ``finally`` keeps the session's access count and statistics
+        consistent with whatever really hit the sources, even when the run
+        aborts (access budget exceeded) or a streaming consumer stops early.
+        The run's log itself goes only to the ``Result``.
         """
         started = time.perf_counter()
         engine = prepared.engine

@@ -252,17 +252,6 @@ class DependencyGraph:
         )
 
     # -- rendering ----------------------------------------------------------------------
-    def summary(self) -> Dict[str, int]:
-        """Size summary used by the synthetic-experiment harness."""
-        return {
-            "sources": len(self._sources),
-            "black_sources": len(self.black_sources()),
-            "white_sources": len(self.white_sources()),
-            "nodes": len(self.nodes()),
-            "arcs": len(self.arcs),
-            "candidate_strong_arcs": len(self.candidate_strong_arcs()),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DependencyGraph({len(self._sources)} sources, {len(self.arcs)} arcs, "

@@ -10,8 +10,9 @@ d-graph: a relation ``r`` of a schema ``R`` is relevant for a CQ ``q`` over
 * ``r`` occurs in the optimized d-graph of ``q``.
 
 This module bundles the whole pipeline (constant elimination → d-graph →
-GFP → optimized d-graph) into a single analysis object that the plan
-generator and the experiment harnesses reuse.
+GFP → optimized d-graph) into a single analysis object: the plan generator
+(:mod:`repro.plan.minimal`) builds it, the plan keeps it, ``explain()``
+reads its arcs and marks.
 """
 
 from __future__ import annotations

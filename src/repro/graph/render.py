@@ -1,8 +1,9 @@
 """Rendering of d-graphs.
 
 The paper shows d-graphs and optimized d-graphs as drawings (Figures 2, 4,
-7–9); this module produces the textual equivalents used by the examples, the
-experiment harnesses and EXPERIMENTS.md:
+7–9); this module produces textual equivalents for a library caller who
+wants to look at one (the engine itself never renders; ``explain()`` lists
+arcs and marks on its own, and ``tests/test_render_datalog.py`` pins these):
 
 * :func:`render_ascii` — a compact, deterministic, line-oriented description
   of the sources and arcs (with marks when a solution is available);

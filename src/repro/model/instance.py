@@ -11,7 +11,9 @@ paper's prototype issues for every access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.exceptions import InstanceError
 from repro.model.domains import AbstractDomain
@@ -19,6 +21,7 @@ from repro.model.schema import RelationSchema, Schema
 
 Value = object
 Tuple_ = Tuple[Value, ...]
+_EMPTY: FrozenSet[Tuple_] = frozenset()
 
 
 class RelationInstance:
@@ -26,13 +29,17 @@ class RelationInstance:
 
     Tuples are plain Python tuples of hashable values; the instance checks
     arity on insertion and maintains an index keyed by the values at the
-    relation's input positions.
+    relation's input positions (a free relation's one key is ``()``).  A
+    lookup freezes its bucket in place and hands out that ``frozenset`` —
+    no copy per access; :meth:`add` thaws the bucket it inserts into, so an
+    answer handed out never changes.  Two threads freezing one bucket at
+    once race harmlessly (equal frozensets, the last one stays).
     """
 
     def __init__(self, schema: RelationSchema, tuples: Iterable[Tuple_] = ()) -> None:
         self.schema = schema
         self._tuples: Set[Tuple_] = set()
-        self._index: Dict[Tuple_, Set[Tuple_]] = {}
+        self._index: Dict[Tuple_, AbstractSet[Tuple_]] = {}
         for row in tuples:
             self.add(row)
 
@@ -49,7 +56,10 @@ class RelationInstance:
             return False
         self._tuples.add(tupled)
         key = self._input_key(tupled)
-        self._index.setdefault(key, set()).add(tupled)
+        bucket = self._index.get(key)
+        if not isinstance(bucket, set):  # absent, or frozen by a lookup
+            bucket = self._index[key] = set(bucket or ())
+        bucket.add(tupled)
         return True
 
     def add_all(self, rows: Iterable[Iterable[Value]]) -> int:
@@ -74,25 +84,16 @@ class RelationInstance:
                 f"access to {self.schema.name!r} must bind {expected} input argument(s), "
                 f"got {len(binding)}"
             )
-        if expected == 0:
-            return frozenset(self._tuples)
-        return frozenset(self._index.get(binding, frozenset()))
-
-    def contains(self, row: Iterable[Value]) -> bool:
-        return tuple(row) in self._tuples
+        bucket = self._index.get(binding)
+        if bucket is None:
+            return _EMPTY
+        if isinstance(bucket, set):
+            bucket = self._index[binding] = frozenset(bucket)
+        return bucket
 
     def values_at(self, position: int) -> Set[Value]:
         """Distinct values occurring at the given argument position."""
         return {row[position] for row in self._tuples}
-
-    def values_of_domain(self, domain_: AbstractDomain) -> Set[Value]:
-        """Distinct values occurring at any position of the given domain."""
-        positions = [i for i, d in enumerate(self.schema.domains) if d == domain_]
-        found: Set[Value] = set()
-        for row in self._tuples:
-            for position in positions:
-                found.add(row[position])
-        return found
 
     # -- container protocol ----------------------------------------------------
     def __iter__(self) -> Iterator[Tuple_]:
@@ -165,13 +166,6 @@ class DatabaseInstance:
 
     def total_tuples(self) -> int:
         return sum(len(relation) for relation in self._relations.values())
-
-    def values_of_domain(self, domain_: AbstractDomain) -> Set[Value]:
-        """All values of the given abstract domain appearing anywhere in the database."""
-        found: Set[Value] = set()
-        for relation in self._relations.values():
-            found.update(relation.values_of_domain(domain_))
-        return found
 
     def as_dict(self) -> Dict[str, FrozenSet[Tuple_]]:
         """Snapshot of the database as ``{relation_name: frozenset_of_tuples}``."""

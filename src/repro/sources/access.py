@@ -38,10 +38,8 @@ class AccessRecord(NamedTuple):
     Attributes:
         access: the access tuple that was sent to the source.
         rows: the tuples returned by the source (full tuples of the relation).
-        sequence_number: position of this access in its *execution's* log
-            (how many accesses that run had logged before it).  A session's
-            cumulative log holds the records of several runs unchanged, so
-            there the numbers restart with every run.
+        sequence_number: position of this access in its execution's log
+            (how many accesses that run had logged before it).
         simulated_time: simulated clock value (seconds) at which the access
             completed, according to the wrapper's latency model.
     """

@@ -78,7 +78,8 @@ class SourceBackend(abc.ABC):
 
 
 class InMemoryBackend(SourceBackend):
-    """Answers from a :class:`RelationInstance`'s input-position hash index."""
+    """Answers from a :class:`RelationInstance`'s input-position hash index
+    (the instance's own frozen rows, not a copy)."""
 
     kind = "memory"
 

@@ -1,21 +1,21 @@
-"""Global access log.
+"""The access log of one execution.
 
 The log records every access performed during the evaluation of a query, in
 order, and offers the per-relation aggregations the engine reports: number
 of accesses and number of extracted (distinct) rows per relation — exactly
 the columns of Figure 6 of the paper — plus the returned-row counts the
-session statistics are built from.
+session statistics are built from.  It travels on the run's
+:class:`~repro.engine.result.Result`; the engine session keeps only its
+length (:attr:`~repro.engine.engine.EngineSession.total_accesses`).
 
 Recording is the hot half — once per source access — so it is an append and
 a set add.  The aggregates are the cold half — read once per execution —
 so they are brought up to date *on demand*, from a watermark into the
-record list.  A log nobody asks (an engine session's cumulative log is read
-for its length only) never builds them.
+record list.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.sources.access import AccessRecord, AccessTuple
@@ -48,20 +48,17 @@ class RelationTotals:
 
 
 class AccessLog:
-    """An ordered record of accesses with per-relation aggregation.
+    """An ordered record of one execution's accesses with per-relation
+    aggregation.
 
-    Mutation is lock-protected: an engine session's cumulative log absorbs
-    per-execution logs from concurrently finishing queries, so
-    :meth:`record` and :meth:`extend` must be safe to call from several
-    threads.  The aggregation views catch up with the records under the
-    same lock, but are meant to be read once the writers have quiesced
-    (per-execution logs have a single writer by design).
+    A log has exactly one writer: the coordinating thread of its run's
+    dispatcher, which is why it takes no lock.  The aggregation views are
+    read once that writer is done (the run has ended or been closed).
     """
 
     def __init__(self) -> None:
         self._records: List[AccessRecord] = []
         self._seen: Set[AccessTuple] = set()
-        self._lock = threading.Lock()
         #: Per-relation aggregates over ``_records[:_aggregated]``, keyed in
         #: order of first access.
         self._totals: Dict[str, RelationTotals] = {}
@@ -69,45 +66,32 @@ class AccessLog:
 
     # -- recording -----------------------------------------------------------
     def record(self, record: AccessRecord) -> None:
-        with self._lock:
-            self._records.append(record)
-            self._seen.add(record.access)
-
-    def extend(self, other: "AccessLog") -> None:
-        """Append every record of ``other``, in order (used to fold
-        per-execution logs into an engine session's cumulative log)."""
-        with self._lock:
-            self._records.extend(other._records)
-            self._seen.update(other._seen)
-
-    def was_accessed(self, access: AccessTuple) -> bool:
-        """True when the exact (relation, binding) access was already made."""
-        return access in self._seen
+        self._records.append(record)
+        self._seen.add(record.access)
 
     # -- aggregation -----------------------------------------------------------
     def totals(self) -> Dict[str, RelationTotals]:
         """Per-relation aggregates of everything recorded so far, keyed in
         order of first access.  The mapping is live — read it, don't keep it."""
-        with self._lock:
-            records = self._records
-            totals = self._totals
-            for index in range(self._aggregated, len(records)):
-                (relation, binding), rows, _, _ = records[index]
-                entry = totals.get(relation)
-                if entry is None:
-                    entry = totals[relation] = RelationTotals()
-                count = len(rows)
-                entry.accesses += 1
-                entry.rows.update(rows)
-                entry.returned += count
-                if not count:
-                    entry.empty += 1
-                elif count > entry.largest:
-                    entry.largest = count
-                accesses, returned = entry.by_arity.get(len(binding), (0, 0))
-                entry.by_arity[len(binding)] = (accesses + 1, returned + count)
-            self._aggregated = len(records)
-            return totals
+        records = self._records
+        totals = self._totals
+        for index in range(self._aggregated, len(records)):
+            (relation, binding), rows, _, _ = records[index]
+            entry = totals.get(relation)
+            if entry is None:
+                entry = totals[relation] = RelationTotals()
+            count = len(rows)
+            entry.accesses += 1
+            entry.rows.update(rows)
+            entry.returned += count
+            if not count:
+                entry.empty += 1
+            elif count > entry.largest:
+                entry.largest = count
+            accesses, returned = entry.by_arity.get(len(binding), (0, 0))
+            entry.by_arity[len(binding)] = (accesses + 1, returned + count)
+        self._aggregated = len(records)
+        return totals
 
     @property
     def total_accesses(self) -> int:

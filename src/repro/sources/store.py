@@ -39,6 +39,9 @@ from repro.exceptions import EngineError
 Row = Tuple[object, ...]
 Binding = Tuple[object, ...]
 
+#: Seconds a SQLite store waits for another connection's lock.
+_BUSY_TIMEOUT = 30.0
+
 
 class CacheStoreError(EngineError):
     """A cache store is misconfigured or incompatible with the engine.
@@ -252,16 +255,32 @@ class SQLiteCacheStore(CacheStore):
         self.counters = StoreCounters()
         self._closed = False
         self._conn = sqlite3.connect(
-            path, timeout=30.0, check_same_thread=False, isolation_level=None
+            path, timeout=_BUSY_TIMEOUT, check_same_thread=False, isolation_level=None
         )
         try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._enter_wal()
             self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA busy_timeout=30000")
             self._create_tables()
         except BaseException:
             self._conn.close()
             raise
+
+    def _enter_wal(self) -> None:
+        """Put the file in WAL mode.  Switching a fresh file takes its
+        exclusive lock without waiting on the busy timeout, so a peer doing
+        the same makes it fail with "database is locked": retry, backing
+        off, for as long as a transaction would wait."""
+        deadline = time.monotonic() + _BUSY_TIMEOUT
+        pause = 0.001
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() + pause > deadline:
+                    raise
+            time.sleep(pause)
+            pause = min(pause * 2, 0.05)
 
     def _create_tables(self) -> None:
         with self._lock:

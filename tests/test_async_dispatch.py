@@ -41,18 +41,17 @@ def test_async_matches_simulated_answers_and_accesses(strategy: str) -> None:
 
     with Engine(example.schema, example.instance) as engine:
         baseline = engine.execute(example.query_text, strategy=strategy)
-        baseline_accesses = engine.session.log.access_set()
 
     with Engine(example.schema, example.instance) as engine:
         result = engine.execute(
             example.query_text, strategy=strategy, concurrency="async"
         )
-        async_accesses = engine.session.log.access_set()
+        assert engine.session.total_accesses == result.total_accesses
 
     assert result.answers == baseline.answers == example.expected_answers
     # The least fixpoint is order-independent: overlapping the accesses on
     # the event loop performs exactly the set the sequential replay did.
-    assert async_accesses == baseline_accesses
+    assert result.access_log.access_set() == baseline.access_log.access_set()
     assert result.total_accesses == baseline.total_accesses
 
 
@@ -148,7 +147,7 @@ def test_async_fast_fail_budget_raises_like_sync() -> None:
                 concurrency="async",
                 max_accesses=1,
             )
-        # The one access that did run is in the session log regardless.
+        # The one access that did run is counted by the session regardless.
         assert engine.session_stats()["total_accesses"] == 1
 
 
@@ -181,7 +180,8 @@ def test_async_faults_with_retries_match_simulated_execution() -> None:
                 concurrency=concurrency,
                 retry=retry,
             )
-            return result.answers, engine.session.log.access_set()
+            assert engine.session.total_accesses == result.total_accesses
+            return result.answers, result.access_log.access_set()
 
     answers, accesses = run("async")
     baseline_answers, baseline_accesses = run("simulated")
@@ -207,7 +207,9 @@ def test_raced_aexecute_many_never_repeats_an_access() -> None:
             assert result.answers == chain.expected_answers
         # Six racing copies of one query still only touch the sources once
         # per distinct access tuple: the claim protocol holds on the loop.
-        assert engine.session.log.total_accesses == reference.total_accesses
+        assert engine.session.total_accesses == reference.total_accesses
+        performed = [record.access for result in results for record in result.access_log]
+        assert sorted(performed) == sorted(reference.access_log.access_set())
 
 
 def test_sync_execute_many_accepts_async_concurrency() -> None:
@@ -329,20 +331,23 @@ def test_engine_over_http_matches_in_memory_execution(fixture_server) -> None:
 
     with Engine(example.schema, example.instance) as engine:
         baseline = engine.execute(example.query_text)
-        baseline_accesses = engine.session.log.access_set()
 
     registry = SourceRegistry(example.instance, backend=server.url)
     with Engine(example.schema, registry) as engine:
         sync_result = engine.execute(example.query_text)
-        sync_accesses = engine.session.log.access_set()
+        assert engine.session.total_accesses == sync_result.total_accesses
 
     registry = SourceRegistry(example.instance, backend=server.url)
     with Engine(example.schema, registry) as engine:
         async_result = engine.execute(example.query_text, concurrency="async")
-        async_accesses = engine.session.log.access_set()
+        assert engine.session.total_accesses == async_result.total_accesses
 
     assert sync_result.answers == async_result.answers == example.expected_answers
-    assert sync_accesses == async_accesses == baseline_accesses
+    assert (
+        sync_result.access_log.access_set()
+        == async_result.access_log.access_set()
+        == baseline.access_log.access_set()
+    )
 
 
 @pytest.mark.parametrize(

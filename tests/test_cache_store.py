@@ -9,6 +9,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -265,24 +266,26 @@ print(json.dumps({"accesses": report.total_accesses}))
 """
 
 
+def _spawn(script: str, *args: str) -> subprocess.Popen:
+    """A Python child running ``script`` against this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
 def test_two_processes_share_one_access_domain(tmp_path) -> None:
     """Two racing processes perform each access exactly once between them."""
     example = star_example(rays=3, width=8)
     with Engine(example.schema, example.instance) as engine:
         solo = engine.execute(example.query_text, strategy="fast_fail")
     path = str(tmp_path / "race.db")
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    children = [
-        subprocess.Popen(
-            [sys.executable, "-c", _RACE_CHILD, path],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        for _ in range(2)
-    ]
+    children = [_spawn(_RACE_CHILD, path) for _ in range(2)]
     totals = []
     for child in children:
         out, err = child.communicate(timeout=120)
@@ -291,6 +294,45 @@ def test_two_processes_share_one_access_domain(tmp_path) -> None:
     # However the two processes interleave, the claim table guarantees the
     # union of their work is the solo run — no access is ever repeated.
     assert sum(totals) == solo.total_accesses
+
+
+_OPEN_CHILD = """
+import sys, time
+from repro.sources.store import SQLiteCacheStore
+
+directory, start, rounds, gap = sys.argv[1], float(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+failed = 0
+for round_ in range(rounds):
+    time.sleep(max(0.0, start + round_ * gap - time.time()))
+    try:
+        SQLiteCacheStore(f"{directory}/open{round_}.db").close()
+    except Exception as error:
+        failed += 1
+        print(f"round {round_}: {error!r}", file=sys.stderr)
+sys.exit(1 if failed else 0)
+"""
+
+
+def test_processes_opening_one_fresh_file_together_all_succeed(tmp_path) -> None:
+    """Four processes open the same fresh store file at the same instant,
+    twenty times over (a new file per round), and every open succeeds.
+
+    Switching a fresh file to WAL does not wait on the busy timeout, so
+    without the store's retry a process that opens the file while a peer
+    switches it fails with "database is locked".
+    """
+    rounds, gap = 20, 0.1
+    # Every child sleeps until the same wall-clock instant per round; the
+    # first one is far enough ahead for the children's imports.
+    start = time.time() + 1.5
+    children = [
+        _spawn(_OPEN_CHILD, str(tmp_path), repr(start), str(rounds), str(gap))
+        for _ in range(4)
+    ]
+    for child in children:
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err.decode()
+    assert len(list(tmp_path.glob("open*.db"))) == rounds
 
 
 # -- reporting ---------------------------------------------------------------

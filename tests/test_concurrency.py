@@ -22,6 +22,11 @@ BACKENDS = ("memory", "sqlite", "callable")
 MIX = ("star", "diamond", "chain")
 
 
+def _performed(results) -> list:
+    """Every access the runs behind ``results`` performed, in run order."""
+    return [record.access for result in results for record in result.access_log]
+
+
 def _engine(workload, backend: str) -> Engine:
     registry = SourceRegistry(
         workload.instance,
@@ -38,20 +43,20 @@ def test_concurrent_queries_match_sequential_execution(backend: str) -> None:
 
     with _engine(workload, backend) as engine:
         sequential = [engine.execute(text) for text in workload.query_texts()]
-        sequential_distinct = engine.session.log.access_set()
-        sequential_total = engine.session.log.total_accesses
+        sequential_total = engine.session.total_accesses
 
     with _engine(workload, backend) as engine:
         concurrent = engine.execute_many(workload.query_texts(), max_parallel=6)
-        concurrent_distinct = engine.session.log.access_set()
-        concurrent_total = engine.session.log.total_accesses
+        concurrent_total = engine.session.total_accesses
 
     for query, seq, conc in zip(workload.queries, sequential, concurrent):
         assert seq.answers == query.expected_answers, query.scenario
         assert conc.answers == query.expected_answers, query.scenario
     # The threads performed exactly the accesses the sequential replay did:
     # nothing extra (claims dedup racing queries) and nothing missing.
-    assert concurrent_distinct == sequential_distinct
+    sequential_distinct = set(_performed(sequential))
+    assert set(_performed(concurrent)) == sequential_distinct
+    assert len(_performed(concurrent)) == concurrent_total
     assert concurrent_total == sequential_total == len(sequential_distinct)
 
 
@@ -62,7 +67,7 @@ def test_execute_many_is_deterministic_across_runs() -> None:
         with _engine(workload, "callable") as engine:
             results = engine.execute_many(workload.query_texts(), max_parallel=4)
             answers = tuple(frozenset(result.answers) for result in results)
-            observed.add((answers, engine.session.log.total_accesses))
+            observed.add((answers, engine.session.total_accesses))
     assert len(observed) == 1
 
 
@@ -78,7 +83,7 @@ def test_same_query_raced_by_many_threads_accesses_sources_once() -> None:
             assert result.answers == chain.expected_answers
         # Eight racing copies of one query still only ever touch the
         # sources once per distinct access tuple.
-        assert engine.session.log.total_accesses == reference_accesses
+        assert engine.session.total_accesses == reference_accesses
         assert sum(r.total_accesses for r in results) == reference_accesses
 
 
@@ -200,13 +205,13 @@ def test_session_retries_recover_accesses_a_failed_query_abandoned() -> None:
             results.append(engine.execute(example.query_text))
             if results[-1].complete:
                 break
-        distinct = engine.session.log.access_set()
-        total = engine.session.log.total_accesses
+        total = engine.session.total_accesses
+    performed = _performed(results)
     assert not results[0].complete
     assert results[-1].complete and 1 < len(results) <= 8
     assert results[-1].answers == example.expected_answers
     # Recovery never repeated an access that had already succeeded.
-    assert total == len(distinct)
+    assert total == len(performed) == len(set(performed))
 
 
 def test_faulty_concurrent_workload_is_deterministic_with_retries() -> None:

@@ -88,9 +88,9 @@ def test_every_door_leads_to_the_same_execution(strategy, concurrency, entry) ->
         assert prepared.last_stream_result is result
     else:
         assert prepared.last_stream_result is None
-    # The session log grew by exactly this run's accesses.
+    # The session counted exactly this run's accesses.
     assert len(result.access_log) == result.total_accesses
-    assert engine.session.log.total_accesses == result.total_accesses
+    assert engine.session.total_accesses == result.total_accesses
     assert engine.session.executions == 1
     assert engine.registry.total_access_count() == result.total_accesses
 
@@ -107,7 +107,7 @@ def test_session_absorbs_what_hit_the_sources_when_the_budget_raises(
     with pytest.raises(ExecutionError, match="access budget"):
         _enter(prepared, entry, strategy=strategy, concurrency=concurrency, max_accesses=2)
     assert engine.session.executions == 1
-    assert engine.session.log.total_accesses == engine.registry.total_access_count() == 2
+    assert engine.session.total_accesses == engine.registry.total_access_count() == 2
 
 
 @pytest.mark.parametrize("concurrency", MODES)
@@ -138,11 +138,11 @@ def test_session_absorbs_what_hit_the_sources_when_the_consumer_stops(
     assert prepared.last_stream_result is None  # no outcome to shape
     session = engine.session
     assert session.executions == 1
-    assert 0 < session.log.total_accesses < len(example.expected_answers) * 4
+    assert 0 < session.total_accesses < len(example.expected_answers) * 4
     if concurrency == "simulated":
         # Every read of the simulation is logged the moment it is made.
-        assert session.log.total_accesses == engine.registry.total_access_count()
-        assert session.log.total_accesses == session.known_accesses
+        assert session.total_accesses == engine.registry.total_access_count()
+        assert session.total_accesses == session.known_accesses
     # The abandoned run left the session usable: a full run completes and
     # performs only the accesses the first one did not.
     result = prepared.execute(strategy="distillation")

@@ -263,8 +263,8 @@ def _three_runs_on_one_session(example: Example, engine: Engine, strategy: str):
             f"{strategy} repeated accesses on a warm session of "
             f"{example.name}: {counts}"
         )
-        accesses = [record.access for record in engine.session.log]
-        assert len(accesses) == len(set(accesses)), (
+        accesses = [record.access for run in runs for record in run.access_log]
+        assert len(accesses) == len(set(accesses)) == engine.session.total_accesses, (
             f"{strategy} logged an access twice in one session on {example.name}"
         )
         assert engine.session.known_accesses == counts[0]
