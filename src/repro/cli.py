@@ -31,7 +31,7 @@ concurrently over one engine session and reports throughput::
 ``serve-fixture`` exposes a scenario's sources as a loopback HTTP JSON
 lookup service (the protocol of :mod:`repro.sources.http`); ``--backend
 http://HOST:PORT`` points any other command at it.  ``--concurrency
-async`` dispatches accesses as asyncio tasks on one event loop — with
+async`` dispatches accesses concurrently on one event loop — with
 ``--max-in-flight`` bounding the window — and works with every strategy.
 
 ``--optimizer cost`` makes the fast-failing strategy choose its access order

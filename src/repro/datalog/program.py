@@ -33,10 +33,6 @@ class Rule:
             names = ", ".join(sorted(variable.name for variable in unsafe))
             raise DatalogError(f"unsafe rule {self}: head variable(s) {names} not in body")
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body and self.head.is_ground()
-
     def predicates(self) -> Set[str]:
         """All predicate names mentioned by the rule."""
         return {self.head.predicate} | {atom.predicate for atom in self.body}
@@ -93,12 +89,6 @@ class DatalogProgram:
             mentioned.update(rule.body_predicates())
         return mentioned - idb
 
-    def rules_defining(self, predicate: str) -> List[Rule]:
-        return [rule for rule in self.rules if rule.head.predicate == predicate]
-
-    def rules_using(self, predicate: str) -> List[Rule]:
-        return [rule for rule in self.rules if predicate in rule.body_predicates()]
-
     def dependency_graph(self) -> Dict[str, Set[str]]:
         """Predicate-level dependency graph: head → body predicates."""
         graph: Dict[str, Set[str]] = {}
@@ -107,19 +97,6 @@ class DatalogProgram:
             for predicate in rule.body_predicates():
                 graph.setdefault(predicate, set())
         return graph
-
-    def is_recursive(self) -> bool:
-        """True when some IDB predicate depends (transitively) on itself."""
-        from repro.util.algorithms import strongly_connected_components
-
-        graph = {key: list(value) for key, value in self.dependency_graph().items()}
-        for component in strongly_connected_components(graph):
-            if len(component) > 1:
-                return True
-            (predicate,) = component
-            if predicate in graph and predicate in graph[predicate]:
-                return True
-        return False
 
     # -- rendering -------------------------------------------------------------
     def __len__(self) -> int:

@@ -380,8 +380,8 @@ class Engine:
         """Plan and execute on the caller's event loop.
 
         Pass ``concurrency="async"`` (per call or in the engine's default
-        options) to overlap the query's source accesses as asyncio tasks;
-        other modes are stepped inline by the kernel's async driver.
+        options) to overlap the query's source accesses on the loop; other
+        modes are stepped inline by the kernel's async driver.
         """
         return await self.plan(query).aexecute(
             strategy=strategy, options=options, **overrides

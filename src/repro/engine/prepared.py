@@ -126,9 +126,10 @@ class PreparedPlan:
     ) -> Result:
         """:meth:`execute` on the caller's event loop.
 
-        With ``concurrency="async"`` the strategy's accesses run as asyncio
-        tasks; the simulated mode is stepped inline by the kernel's async
-        driver, so every strategy/mode combination is awaitable.
+        With ``concurrency="async"`` the strategy's accesses overlap on the
+        loop (a read that suspends runs as an asyncio task); the simulated
+        mode is stepped inline by the kernel's async driver, so every
+        strategy/mode combination is awaitable.
         """
         resolved, opts = self._resolve(strategy, options, overrides, awaited=True)
         try:

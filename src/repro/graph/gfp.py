@@ -151,15 +151,6 @@ class MarkedDependencyGraph:
         """Arcs that are not deleted (i.e. strong or weak)."""
         return frozenset(self.graph.arcs - self.solution.deleted)
 
-    def surviving_arcs_into(self, node: Node) -> FrozenSet[Arc]:
-        return frozenset(arc for arc in self.graph.arcs_into(node) if arc not in self.deleted_arcs)
-
-    def strong_arcs_into(self, node: Node) -> FrozenSet[Arc]:
-        return frozenset(arc for arc in self.graph.arcs_into(node) if arc in self.strong_arcs)
-
-    def weak_arcs_into(self, node: Node) -> FrozenSet[Arc]:
-        return frozenset(arc for arc in self.graph.arcs_into(node) if arc in self.weak_arcs)
-
     def counts(self) -> Dict[str, int]:
         """Arc counts by mark, used by the Figure 10 harness."""
         return {
@@ -217,9 +208,6 @@ class OptimizedDependencyGraph:
     def source(self, source_id: str) -> Source:
         return self._sources[source_id]
 
-    def surviving_nodes_of(self, source_id: str) -> Tuple[Node, ...]:
-        return self._surviving_nodes[source_id]
-
     def black_sources(self) -> List[Source]:
         return [source for source in self.sources if source.is_black]
 
@@ -244,9 +232,6 @@ class OptimizedDependencyGraph:
 
     def arcs_into(self, node: Node) -> FrozenSet[Arc]:
         return frozenset(arc for arc in self.arcs if arc.head == node)
-
-    def arcs_from_source(self, source_id: str) -> FrozenSet[Arc]:
-        return frozenset(arc for arc in self.arcs if arc.tail.source_id == source_id)
 
     def arcs_into_source(self, source_id: str) -> FrozenSet[Arc]:
         return frozenset(arc for arc in self.arcs if arc.head.source_id == source_id)

@@ -89,16 +89,6 @@ class AccessPattern:
             return cls(tuple(AccessMode.from_symbol(symbol) for symbol in pattern))
         return cls(tuple(pattern))
 
-    @classmethod
-    def all_output(cls, arity: int) -> "AccessPattern":
-        """The pattern of a free relation of the given arity."""
-        return cls(tuple(AccessMode.OUTPUT for _ in range(arity)))
-
-    @classmethod
-    def all_input(cls, arity: int) -> "AccessPattern":
-        """The pattern of a relation whose every argument must be bound."""
-        return cls(tuple(AccessMode.INPUT for _ in range(arity)))
-
     # -- inspection --------------------------------------------------------
     @property
     def arity(self) -> int:
@@ -113,12 +103,6 @@ class AccessPattern:
     def mode_at(self, position: int) -> AccessMode:
         """Mode of the argument at the given zero-based position."""
         return self.modes[position]
-
-    def is_input_position(self, position: int) -> bool:
-        return self.modes[position].is_input
-
-    def is_output_position(self, position: int) -> bool:
-        return self.modes[position].is_output
 
     # -- dunder ------------------------------------------------------------
     def __len__(self) -> int:

@@ -228,12 +228,6 @@ class QueryPlan:
     def positions(self) -> List[int]:
         return list(self.compiled.positions)
 
-    def cache_for_source(self, source_id: str) -> CachePredicate:
-        for cache in self.caches.values():
-            if cache.source_id == source_id:
-                return cache
-        raise KeyError(f"no cache for source {source_id!r}")
-
     def accessed_relations(self) -> FrozenSet[str]:
         """Relations the plan may access (relevant, non-artificial)."""
         return frozenset(

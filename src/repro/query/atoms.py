@@ -54,10 +54,6 @@ class Atom:
     def constant_set(self) -> Set[Constant]:
         return set(self.constants())
 
-    def positions_of(self, term: Term) -> List[int]:
-        """Positions at which ``term`` occurs in the atom."""
-        return [i for i, existing in enumerate(self.terms) if existing == term]
-
     def is_ground(self) -> bool:
         """True if the atom contains no variables."""
         return all(isinstance(term, Constant) for term in self.terms)
@@ -70,10 +66,6 @@ class Atom:
             for term in self.terms
         )
         return Atom(self.predicate, new_terms)
-
-    def with_predicate(self, predicate: str) -> "Atom":
-        """Return a copy of the atom with a different predicate name."""
-        return Atom(predicate, self.terms)
 
     # -- validation -----------------------------------------------------------
     def validate_against(self, schema: Schema) -> RelationSchema:

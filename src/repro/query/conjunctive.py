@@ -63,10 +63,6 @@ class ConjunctiveQuery:
     def arity(self) -> int:
         return len(self.head_terms)
 
-    @property
-    def is_boolean(self) -> bool:
-        return self.arity == 0
-
     def head_variables(self) -> List[Variable]:
         return [term for term in self.head_terms if isinstance(term, Variable)]
 
@@ -101,10 +97,6 @@ class ConjunctiveQuery:
     def predicate_set(self) -> Set[str]:
         return set(self.predicates())
 
-    def is_constant_free(self) -> bool:
-        """True if neither the body nor the head mentions a constant."""
-        return not self.constants()
-
     # -- occurrences and joins ---------------------------------------------------
     def occurrences(self) -> Dict[Term, List[Occurrence]]:
         """Map every term to its occurrences ``(atom_index, position)`` in the body."""
@@ -134,14 +126,6 @@ class ConjunctiveQuery:
             for term in self.body[atom_index].terms
             if isinstance(term, Variable) and term in join_vars
         )
-
-    def atoms_joined_at(self, variable: Variable) -> Set[int]:
-        """Indices of the body atoms in which ``variable`` occurs."""
-        return {
-            atom_index
-            for atom_index, atom in enumerate(self.body)
-            if variable in atom.variable_set()
-        }
 
     # -- schema interaction ---------------------------------------------------------
     def validate_against(self, schema: Schema) -> None:
@@ -200,11 +184,6 @@ class ConjunctiveQuery:
     def with_body(self, body: Sequence[Atom]) -> "ConjunctiveQuery":
         """Return a copy with a different body (same head)."""
         return ConjunctiveQuery(self.head_predicate, self.head_terms, tuple(body))
-
-    def rename_apart(self, suffix: str) -> "ConjunctiveQuery":
-        """Rename every variable by appending ``suffix`` (for freshness)."""
-        mapping = {variable: Variable(f"{variable.name}{suffix}") for variable in self.variables()}
-        return self.substitute(mapping)
 
     # -- evaluation ---------------------------------------------------------------------
     def evaluate(self, contents: Mapping[str, Iterable[Tuple[object, ...]]]) -> FrozenSet[Tuple[object, ...]]:

@@ -61,10 +61,3 @@ def minimize_query(query: ConjunctiveQuery) -> ConjunctiveQuery:
                 changed = True
                 break
     return current
-
-
-def minimization_certificate(
-    original: ConjunctiveQuery, minimized: ConjunctiveQuery
-) -> Tuple[bool, int]:
-    """Return ``(equivalent, atoms_removed)`` for reporting purposes."""
-    return is_equivalent_to(original, minimized), len(original.body) - len(minimized.body)

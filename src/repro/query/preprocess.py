@@ -61,10 +61,6 @@ class PreprocessedQuery:
     artificial_relations: Tuple[str, ...]
     variable_for_constant: Dict[Tuple[Constant, AbstractDomain], Variable]
 
-    @property
-    def has_constants(self) -> bool:
-        return bool(self.artificial_relations)
-
     def is_artificial(self, relation_name: str) -> bool:
         return relation_name in set(self.artificial_relations)
 

@@ -19,7 +19,7 @@ This package is that one algorithm, factored once:
   :class:`~repro.runtime.dispatch.SimulatedParallelDispatcher` (the
   deterministic discrete-event simulation on a completion-event heap) and
   :class:`~repro.runtime.dispatch.AsyncDispatcher` (real concurrent
-  accesses against the backends, as asyncio tasks).
+  accesses against the backends on an event loop).
 
 A strategy is a *(policy, dispatcher)* pair over the kernel; the pairing,
 the one place a kernel is constructed and the shaping of its

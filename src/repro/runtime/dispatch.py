@@ -13,11 +13,12 @@ is authoritative for:
   FIFO queue sequentially, wrappers run concurrently, and the clock is a
   heap of ``(finish_time, relation)`` completion events;
 * :class:`AsyncDispatcher` — the production counterpart
-  (``concurrency="async"``, every strategy): accesses really run, each an
-  awaited task on one event loop (bounded by ``max_in_flight``), stamped
-  with the wall clock relative to the start of the run; a read costs what
-  its source costs — HTTP and in-memory backends are awaited inline on the
-  loop, backends that may block run on an executor's threads.
+  (``concurrency="async"``, every strategy): accesses really run on one
+  event loop (bounded by ``max_in_flight``), stamped with the wall clock
+  relative to the start of the run; a read costs what its source costs —
+  one that never suspends (an in-memory probe) completes where it was
+  launched, one that does (a socket, an executor's thread for a backend
+  that may block) becomes a task.
 
 The first two are the ``concurrency="simulated"`` clocks; which one a
 strategy runs on is part of its declaration
@@ -42,11 +43,11 @@ blocking ``lookup``, waits for a claim on the meta-cache's condition
 variable and never sleeps — a simulated clock charges ``attempts × latency
 + backoff`` from the outcome; the async one
 (:meth:`AsyncDispatcher._aresolve`) awaits ``alookup``, really sleeps the
-backoff and polls a contended claim, because a coroutine must never block
-the loop its fulfiller runs on.  The *coordinator* — each dispatcher's
-``step``/``astep``, on the kernel's thread — stamps the outcome with its
-clock, counts and logs the performed accesses and builds the completions.
-All cache mutation stays with the kernel.
+backoff and awaits a contended claim's wake-up, because a coroutine must
+never block the loop its fulfiller runs on.  The *coordinator* — each
+dispatcher's ``step``/``astep``, on the kernel's thread — stamps the
+outcome with its clock, counts and logs the performed accesses and builds
+the completions.  All cache mutation stays with the kernel.
 
 The meta-cache resolves a claim against the session's cache store
 (:mod:`repro.sources.store`): with a persistent store the "recorded" check
@@ -82,6 +83,7 @@ from typing import (
     Awaitable,
     Callable,
     ClassVar,
+    Coroutine,
     Deque,
     Dict,
     Generator,
@@ -609,34 +611,78 @@ class SimulatedParallelDispatcher(Dispatcher):
         )
 
 
+class _Launched:
+    """A task's coroutine for an access that suspended on its first step.
+
+    The task's first step gets back what the access yielded, so the task
+    waits on it as if it had taken that step itself; every later step, and
+    whatever the task throws in — a cancellation before its first step
+    included — goes to the access, so the access protocol always runs its
+    own clean-up.  No frame here keeps what passes through it: an
+    exception's traceback holds the frames it crossed, and one of them
+    holding the exception, or the future that carried it, is a cycle.
+    """
+
+    __slots__ = ("_access", "_pending", "_started")
+
+    def __init__(self, access: Coroutine[object, None, AccessOutcome], pending: object) -> None:
+        self._access, self._pending, self._started = access, pending, False
+
+    def send(self, value: None) -> object:
+        if self._started:
+            return self._access.send(value)
+        self._started = True
+        pending, self._pending = self._pending, None
+        return pending
+
+    def throw(self, *error: object) -> object:
+        if not self._started:
+            self._started = True
+            if self._pending is not None:
+                self._pending.cancel()  # what a task does to the future it waits on
+            self._pending = None
+        try:
+            return self._access.throw(*error)
+        finally:
+            del error
+
+    def close(self) -> None:
+        self._pending = None
+        self._access.close()
+
+    def __await__(self) -> "_Launched":
+        return self
+
+    def __next__(self) -> object:
+        return self.send(None)
+
+
 class AsyncDispatcher(Dispatcher):
-    """Event-loop dispatch: every access is an awaited task on one loop.
+    """Event-loop dispatch: accesses really run, overlapping on one loop.
 
     The dispatcher of real concurrency, for sources reached over real I/O.
-    A backend with a native async read (``alookup``) is awaited inline on
-    the loop thread: the HTTP backend awaits its socket, the in-memory one
-    is a dictionary probe that never waits — neither costs a thread.  Any
-    other backend (SQLite, a slow callable, injected faults, a user
-    subclass) may sleep or lock, so its ``lookup`` runs on an executor
-    this run builds the first time such a backend is actually read, and
-    overlaps there.  The event loop keeps up to ``max_in_flight``
-    individual accesses in flight across all relations — thousands of
-    concurrent remote lookups cost coroutines, not threads.
+    A backend with a native async read (``alookup``) is awaited on the loop
+    thread: the HTTP backend awaits its socket, the in-memory one is a
+    dictionary probe that never waits — neither costs a thread.  Any other
+    backend (SQLite, a slow callable, injected faults, a user subclass) may
+    sleep or lock, so its ``lookup`` runs on an executor this run builds the
+    first time such a backend is actually read, and overlaps there.  Up to
+    ``max_in_flight`` accesses are in flight across all relations.
 
-    Division of labour: each **task** is the async trampoline
-    (:meth:`_aresolve`) over the one access protocol — it claims the
-    binding on the session gate, awaits the backend read under the run's
-    retry loop, really sleeps a backoff (this clock is the wall clock) and
-    records or abandons; the **coordinator** (the kernel's async driver)
-    counts and logs performed accesses on the wall clock, absorbs the rows
-    into the caches, and refunds the budget for gate-served or failed ones.
-    The budget is charged one grant per task at launch, so ``total_granted
-    - refunded`` equals recorded accesses, same as every other dispatcher.
+    Division of labour: :meth:`refill` runs the async trampoline
+    (:meth:`_aresolve`) over the one access protocol on the spot, up to its
+    first real suspension — an access that never suspends (an in-memory
+    read, a gate hit) finishes there and costs no task, one that suspends
+    continues as a task (:class:`_Launched`).  So an in-memory run holds the
+    loop between real suspensions, as ``execute`` holds its thread.  The
+    **coordinator** (the kernel's async driver) counts and logs performed
+    accesses on the wall clock and refunds the budget for gate-served or
+    failed ones; the budget is charged one grant per access at launch, so
+    ``total_granted - refunded`` equals recorded accesses, as everywhere.
 
     Only the async kernel driver (:meth:`~repro.runtime.kernel.
     FixpointKernel.astream`) can run this dispatcher; the sync ``step()``
-    raises.  ``claim_poll`` is how long a coroutine sleeps between
-    non-blocking claim rounds while another claimant is in flight.
+    raises.
     """
 
     wall_clock: ClassVar[bool] = True
@@ -647,20 +693,20 @@ class AsyncDispatcher(Dispatcher):
         log: "AccessLog",
         budget: AccessBudget,
         max_in_flight: int = 64,
-        claim_poll: float = 0.002,
     ) -> None:
         super().__init__(registry, log, budget)
         self.max_in_flight = max(1, max_in_flight)
-        self.claim_poll = claim_poll
         self._backlog: Deque[AccessRequest] = deque()
         self._backlog_load: Dict[str, int] = {}
-        self._tasks: Set["asyncio.Task"] = set()
-        self._task_request: Dict["asyncio.Task", AccessRequest] = {}
+        #: The accesses that suspended, as tasks, with their requests.
+        self._tasks: Dict["asyncio.Task", AccessRequest] = {}
+        #: ``(request, outcome)`` of the accesses that finished at launch.
+        self._ready: List[Tuple[AccessRequest, AccessOutcome]] = []
         self._inflight_load: Dict[str, int] = {}
         #: Pool for backends without a native async read; see :meth:`_pool`.
         self._executor: Optional[ThreadPoolExecutor] = None
         self.now = functools.partial(_seconds_since, time.perf_counter())
-        #: High-water mark of concurrently in-flight access tasks.
+        #: High-water mark of accesses launched and not yet reaped.
         self.peak_in_flight = 0
 
     # ------------------------------------------------------------------------------
@@ -671,8 +717,11 @@ class AsyncDispatcher(Dispatcher):
         )
 
     def refill(self, now: float) -> None:
-        """Launch backlog as tasks up to ``max_in_flight``, within the budget."""
-        if not self._backlog or len(self._tasks) >= self.max_in_flight:
+        """Launch backlog up to ``max_in_flight``, within the budget: an
+        access that finishes here waits for the next :meth:`astep`, one that
+        suspends becomes a task; both are in flight until reaped."""
+        backlog, tasks, ready = self._backlog, self._tasks, self._ready
+        if not backlog or len(tasks) + len(ready) >= self.max_in_flight:
             return
         try:
             loop = asyncio.get_running_loop()
@@ -682,21 +731,25 @@ class AsyncDispatcher(Dispatcher):
                 "async execution APIs (aexecute/astream) or a sync "
                 "concurrency mode"
             ) from None
-        while self._backlog and len(self._tasks) < self.max_in_flight:
+        load = self._inflight_load
+        while backlog and len(tasks) + len(ready) < self.max_in_flight:
             if self.budget.grant(1) < 1:
                 break
-            request = self._backlog.popleft()
-            self._backlog_load[request.relation] -= 1
-            task = loop.create_task(self._aresolve(request))
-            self._tasks.add(task)
-            self._task_request[task] = request
-            self._inflight_load[request.relation] = (
-                self._inflight_load.get(request.relation, 0) + 1
-            )
-        self.peak_in_flight = max(self.peak_in_flight, len(self._tasks))
+            request = backlog.popleft()
+            relation = request.relation
+            self._backlog_load[relation] -= 1
+            load[relation] = load.get(relation, 0) + 1
+            access = self._aresolve(request)
+            try:
+                launched = _Launched(access, access.send(None))
+            except StopIteration as finished:
+                ready.append((request, finished.value))
+            else:
+                tasks[loop.create_task(launched)] = request
+        self.peak_in_flight = max(self.peak_in_flight, len(tasks) + len(ready))
 
     def has_work(self) -> bool:
-        return bool(self._tasks) or bool(self._backlog)
+        return bool(self._tasks or self._ready or self._backlog)
 
     def relation_active(self, relation: str) -> bool:
         return bool(
@@ -710,12 +763,17 @@ class AsyncDispatcher(Dispatcher):
         )
 
     async def astep(self) -> Optional[List[Completion]]:
-        """Await at least one task; count, log and refund at the coordinator.
+        """The accesses that finished at launch, without awaiting anything,
+        else at least one task's; counted, logged and refunded here.
 
-        Called right after a refill, an empty task set with a non-empty
+        Called right after a refill, nothing launched with a non-empty
         backlog can only mean the budget refused to fund the remaining
         work.
         """
+        if self._ready:
+            ready, self._ready = self._ready, []
+            now = self.now()
+            return [self._account(request, outcome, now) for request, outcome in ready]
         if not self._tasks:
             return None if self._backlog else []
         done, _ = await asyncio.wait(self._tasks, return_when=asyncio.FIRST_COMPLETED)
@@ -724,10 +782,12 @@ class AsyncDispatcher(Dispatcher):
 
     def _reap(self, task: "asyncio.Task", now: float) -> Completion:
         """Account for one finished task at the coordinator."""
-        self._tasks.discard(task)
-        request = self._task_request.pop(task)
+        request = self._tasks.pop(task)
+        return self._account(request, task.result(), now)  # programming errors propagate
+
+    def _account(self, request: AccessRequest, outcome: AccessOutcome, now: float) -> Completion:
+        """Account for one finished access at the coordinator."""
         self._inflight_load[request.relation] -= 1
-        outcome = task.result()  # programming errors propagate
         self.sequential_time += outcome.read_seconds
         if outcome.counted:
             self._source(request.relation)[0].record_access(
@@ -747,12 +807,13 @@ class AsyncDispatcher(Dispatcher):
     async def aclose(self) -> None:
         """Cancel what is still in flight and await it out; account for the rest.
 
-        A task that already finished — its access performed and recorded on
-        the meta-cache — but that no ``astep`` has reaped yet is logged like
-        any other: the run's cost is what hit the sources, also when the
+        An access that already finished — performed and recorded on the
+        meta-cache — but that no ``astep`` has reaped yet is logged like any
+        other: the run's cost is what hit the sources, also when the
         consumer stops early.  Only tasks that never delivered an outcome
-        (cancelled here, or dead of a programming error) get their
-        launch-time budget grant back uncounted.
+        (cancelled here — before their first step too — or dead of a
+        programming error) get their launch-time budget grant back
+        uncounted.
         """
         tasks = list(self._tasks)
         for task in tasks:
@@ -760,13 +821,15 @@ class AsyncDispatcher(Dispatcher):
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         now = self.now()
+        ready, self._ready = self._ready, []
+        for request, outcome in ready:
+            self._account(request, outcome, now)
         for task in tasks:
             if task.cancelled() or task.exception() is not None:
                 self.budget.refund(1)
             else:
                 self._reap(task, now)
         self._tasks.clear()
-        self._task_request.clear()
         self._inflight_load.clear()
 
     def close(self) -> None:
@@ -787,16 +850,18 @@ class AsyncDispatcher(Dispatcher):
         return self._executor
 
     async def _aresolve(self, request: AccessRequest) -> AccessOutcome:
-        """The async trampoline: one task's run of the access protocol.
+        """The async trampoline: one run of the access protocol.
 
         Reads are awaited, a backoff is really slept, and a contended claim
-        is polled with short sleeps — the one place a wake-up would replace
-        the poll.  Whatever an await raises — a cancellation (``aclose``
-        mid-run) included — is raised inside the protocol, which abandons
-        an owned claim before letting it through.  The budget grant was
-        taken at launch and is settled by :meth:`_reap`.
+        is awaited until its owner's release wakes it
+        (:meth:`~repro.sources.cache.MetaCache.aclaim`).  Whatever an await
+        raises — a cancellation (``aclose`` mid-run) included — is raised
+        inside the protocol, which abandons an owned claim before letting it
+        through.  The budget grant was taken at launch and is settled by
+        :meth:`_account`.
         """
-        wrapper, meta, _ = self._source(request.relation)
+        relation = request.relation
+        wrapper, meta, _ = self._sources.get(relation) or self._source(relation)
         binding = request.binding
         steps = self._access(request, meta, None)
         try:
@@ -806,10 +871,7 @@ class AsyncDispatcher(Dispatcher):
                     if kind == "read":
                         reply = await wrapper.alookup(binding, self._pool)
                     elif kind == "wait_claim":
-                        status = ClaimStatus.WAIT
-                        while status is ClaimStatus.WAIT:
-                            await asyncio.sleep(self.claim_poll)
-                            status, reply = meta.try_claim(binding)
+                        reply = await meta.aclaim(binding)
                     else:
                         reply = await asyncio.sleep(delay)
                 except BaseException as error:

@@ -164,7 +164,7 @@ class AccessBudget:
 
     Every source access must be granted before it runs (the sequential and
     simulated dispatchers ask right before the read, the async dispatcher
-    when it launches the access's task).  The budget flags ``denied`` only
+    when it launches the access).  The budget flags ``denied`` only
     when a request could not be granted *at all* — a partially filled
     request is not a denial until the remainder is asked for again — which
     is exactly when an execution has work left it may not perform.

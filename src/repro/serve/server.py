@@ -51,12 +51,15 @@ class ServeConfig:
     #: Default strategy for ``POST /query`` (streaming always distills).
     strategy: str = "fast_fail"
     #: Dispatch mode for query execution.  ``async`` overlaps each query's
-    #: source accesses as tasks on the server loop and never blocks it: a
-    #: backend with a native ``alookup`` (memory — the default deployment —
-    #: and HTTP) is awaited inline at no thread's cost, one that may block
-    #: (sqlite, callable) is read on executor threads the loop never joins;
-    #: ``simulated`` is deterministic but steps inline (fine for tests and
-    #: tiny fixtures, wrong for slow sources).
+    #: source accesses on the server loop and never blocks it on a source:
+    #: a backend with a native ``alookup`` (memory — the default deployment
+    #: — and HTTP) is awaited on the loop at no thread's cost, one that may
+    #: block (sqlite, callable) is read on executor threads the loop never
+    #: joins.  Only a read that suspends costs a task; an in-memory query
+    #: runs from one real suspension to the next without yielding the loop,
+    #: as ``execute`` holds its thread.  ``simulated`` is deterministic but
+    #: steps inline (fine for tests and tiny fixtures, wrong for slow
+    #: sources).
     concurrency: str = "async"
     max_in_flight: int = 64
     optimizer: str = "structural"

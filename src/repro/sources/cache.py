@@ -25,6 +25,7 @@ their last visit (delta-driven binding generation, see
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from typing import (
@@ -43,9 +44,14 @@ from repro.sources.store import CacheStore, ClaimStatus, MemoryCacheStore
 
 Row = Tuple[object, ...]
 
-#: Seconds between polls while a blocking claim waits out another
-#: *process*'s claim (a local owner is waited for on a condition variable).
+#: Seconds between polls while a claim waits out another *process*'s claim
+#: (a local owner wakes its waiters; nothing reaches across processes).
 _CLAIM_POLL_INTERVAL = 0.01
+
+
+def _resolve(wake: "asyncio.Future[None]") -> None:
+    if not wake.done():  # a cancelled waiter is gone
+        wake.set_result(None)
 
 
 class CacheTable:
@@ -190,16 +196,18 @@ class MetaCache:
     source.  The first claimant owns the access (and must :meth:`record`
     or :meth:`abandon` it); later claimants are told to wait, re-contend
     once it is fulfilled and read the rows for free (:meth:`claim` is that
-    loop for a caller that may block its thread).  An owner never holds a
-    claim while waiting on another, so claim chains always resolve.
+    loop for a caller that may block its thread, :meth:`aclaim` for a
+    coroutine).  An owner never holds a claim while waiting on another, so
+    claim chains always resolve.
 
     One plain :class:`threading.Lock` guards the in-flight set, the hit
-    counter and the waiter count; the condition variable is built over that
-    same lock and used only to *wait*.  Claimants that block register
-    themselves under the lock before waiting, and whoever releases a
-    marker notifies — under the same lock — only when somebody is
-    registered: an uncontended claim/record pair never leaves C, and a
-    waiter can never miss its wake-up.
+    counter and the waiters; the condition variable is built over that same
+    lock and used only to *wait*.  Claimants register themselves under the
+    lock in the same check that tells them to wait — a thread as a count
+    before it waits on the condition, a coroutine as a future on its loop —
+    and whoever releases a marker wakes them — under the same lock — only
+    when somebody is registered: an uncontended claim/record pair never
+    leaves C, and a waiter can never miss its wake-up.
 
     The binding→rows records themselves live in a
     :class:`~repro.sources.store.CacheStore` (see :mod:`repro.sources.store`),
@@ -221,6 +229,9 @@ class MetaCache:
         self._cond = threading.Condition(self._lock)
         #: Threads blocked in :meth:`claim` right now (counted under the lock).
         self._waiters = 0
+        #: ``binding -> futures`` of the coroutines waiting in :meth:`aclaim`
+        #: for that binding's local owner (registered under the lock).
+        self._wakeups: Dict[Tuple[object, ...], List["asyncio.Future[None]"]] = {}
         #: Accesses answered locally instead of hitting the source (offer
         #: passes and claim hits alike); feeds the session hit-rate stats.
         self.hits = 0
@@ -235,6 +246,8 @@ class MetaCache:
             self._inflight.discard(binding)
             if self._waiters:
                 self._cond.notify_all()
+            if self._wakeups:
+                self._wake(binding)
 
     def lookup(self, binding: Tuple[object, ...]) -> Optional[FrozenSet[Row]]:
         """The recorded rows for a binding, or None — counting a hit."""
@@ -245,7 +258,10 @@ class MetaCache:
             return rows
 
     def try_claim(
-        self, binding: Tuple[object, ...], wait: bool = False
+        self,
+        binding: Tuple[object, ...],
+        wait: bool = False,
+        wake: Optional["asyncio.Future[None]"] = None,
     ) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
         """The claim protocol, written once: one round of it, non-blocking
         unless ``wait``.
@@ -256,16 +272,18 @@ class MetaCache:
         or ``(WAIT, None)`` when another coroutine/thread/process holds the
         claim.  What to do about ``WAIT`` is the caller's: a thread blocks
         (``wait=True``, i.e. :meth:`claim`); a coroutine cannot — that would
-        stall the event loop the fulfilling coroutine runs on — so it
-        sleeps and calls this again.
+        stall the event loop the fulfilling coroutine runs on — so it passes
+        a ``wake`` future of its running loop, awaits it on ``WAIT`` and
+        calls this again (:meth:`aclaim`).
 
         In-process contention is settled under the lock first; the
         surviving owner then contends with other *processes* through the
-        store's claim table (trivially won for the in-memory store).  With
-        ``wait`` a local owner is waited for on the condition — the
-        recorded/in-flight check and the wait happen under its lock, so a
-        fulfilment cannot slip between them — and a remote one is polled;
-        without, either conflict returns ``WAIT`` at once.
+        store's claim table (trivially won for the in-memory store).  A
+        local owner is waited for — on the condition, or by registering
+        ``wake`` for its :meth:`record` / :meth:`abandon` to resolve — under
+        the lock of the recorded/in-flight check, so a fulfilment cannot
+        slip between the two; a remote one is polled (``wake`` resolves
+        after the poll interval).  With neither, ``WAIT`` returns at once.
         """
         binding = tuple(binding)
         with self._lock:
@@ -277,6 +295,9 @@ class MetaCache:
                 if binding not in self._inflight:
                     self._inflight.add(binding)
                     break
+                if wake is not None:
+                    self._wakeups.setdefault(binding, []).append(wake)
+                    return ClaimStatus.WAIT, None
                 if not wait:
                     return ClaimStatus.WAIT, None
                 self._waiters += 1
@@ -303,6 +324,10 @@ class MetaCache:
             self._inflight.discard(binding)
             if self._waiters:
                 self._cond.notify_all()
+            if self._wakeups:
+                self._wake(binding)
+        if status is ClaimStatus.WAIT and wake is not None:
+            wake.get_loop().call_later(_CLAIM_POLL_INTERVAL, _resolve, wake)
         return status, rows
 
     def claim(self, binding: Tuple[object, ...]) -> Optional[FrozenSet[Row]]:
@@ -315,6 +340,18 @@ class MetaCache:
         """
         return self.try_claim(binding, wait=True)[1]
 
+    async def aclaim(self, binding: Tuple[object, ...]) -> Optional[FrozenSet[Row]]:
+        """:meth:`claim` for a coroutine: a contended round awaits a wake-up
+        — the local owner's release, or a remote owner's poll interval —
+        instead of blocking the loop thread, then contends again."""
+        loop = asyncio.get_running_loop()
+        while True:
+            wake = loop.create_future()
+            status, rows = self.try_claim(binding, wake=wake)
+            if status is not ClaimStatus.WAIT:
+                return rows
+            await wake
+
     def abandon(self, binding: Tuple[object, ...]) -> None:
         """Give up an owned claim (the access failed); waiters re-contend."""
         binding = tuple(binding)
@@ -323,6 +360,23 @@ class MetaCache:
             self._inflight.discard(binding)
             if self._waiters:
                 self._cond.notify_all()
+            if self._wakeups:
+                self._wake(binding)
+
+    def _wake(self, binding: Tuple[object, ...]) -> None:
+        """Resolve, on their own loops, the coroutines registered for
+        ``binding`` (called under the lock, from any thread): directly on
+        the running loop, without the self-pipe write of a thread hop."""
+        running = asyncio._get_running_loop()
+        for wake in self._wakeups.pop(binding, ()):
+            loop = wake.get_loop()
+            if loop is running:
+                _resolve(wake)
+                continue
+            try:
+                loop.call_soon_threadsafe(_resolve, wake)
+            except RuntimeError:  # that loop is closed: nobody is left to wake
+                pass
 
     def __len__(self) -> int:
         with self._lock:

@@ -122,11 +122,16 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
 
     Raises ValueError on malformed framing and asyncio.IncompleteReadError
     on truncation — :func:`serve_connection` ends the connection either way.
+    A request body is framed by ``Content-Length`` only: any
+    ``Transfer-Encoding`` is refused, since reading its body as empty would
+    serve the body's bytes as the next request.
     """
     head = await _read_head(reader)
     if head is None:
         return None
     (method, path, *_), headers = head
+    if "transfer-encoding" in headers:
+        raise ValueError("Transfer-Encoding request bodies are not accepted; send Content-Length")
     body = await read_body(reader, headers, limit=MAX_BODY)
     return Request(method.decode("ascii"), path.decode("ascii"), headers, body)
 

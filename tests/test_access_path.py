@@ -11,7 +11,10 @@ by a sync and an async trampoline.  These tests pin
 * that the meta-cache gate neither strands a waiter nor notifies nobody;
 * that the two trampolines resolve a scripted backend identically —
   outcomes, retry accounting, budget, claim/abandon sequence — and that the
-  second copies of the protocol are gone.
+  second copies of the protocol are gone;
+* that the async door costs a task only for an access that really
+  suspends, and that a coroutine waiting on another's claim is woken by its
+  release instead of polling for it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.runtime.kernel import AccessBudget, AccessRequest, Completion, Stream
 from repro.sources.access import AccessRecord, AccessTuple
 from repro.sources.backend import SourceBackend
 from repro.sources.cache import MetaCache
+from repro.sources.fixture_server import FixtureServer
 from repro.sources.log import AccessLog
 from repro.sources.resilience import (
     BreakerConfig,
@@ -43,7 +47,7 @@ from repro.sources.resilience import (
     TransientSourceError,
 )
 from repro.sources.store import ClaimStatus
-from repro.sources.wrapper import SourceWrapper
+from repro.sources.wrapper import SourceRegistry, SourceWrapper
 
 
 # -- (a) what an access may cost ---------------------------------------------------
@@ -306,8 +310,8 @@ class RecordingMeta(MetaCache):
         super().__init__(relation)
         self.events = events
 
-    def try_claim(self, binding, wait=False):
-        status, rows = super().try_claim(binding, wait)
+    def try_claim(self, binding, wait=False, wake=None):
+        status, rows = super().try_claim(binding, wait, wake)
         if status is not ClaimStatus.WAIT:
             self.events.append((self._name, status.value, binding))
         return status, rows
@@ -536,3 +540,176 @@ def test_the_second_copies_are_gone() -> None:
     # One protocol, inherited — not overridden — by every dispatcher.
     for dispatcher_class in (SequentialDispatcher, AsyncDispatcher):
         assert dispatcher_class._access is Dispatcher._access
+    # A contended claim is woken, not polled.
+    assert not hasattr(AsyncDispatcher(Registry({}), AccessLog(), AccessBudget(None)), "claim_poll")
+
+
+# -- (f) a task only for an access that suspends ------------------------------------
+FANOUT = make_scenario("wide-fanout", width=5, fanout=4)
+DOORS = [
+    ("aexecute", "naive"),
+    ("aexecute", "fast_fail"),
+    ("aexecute", "distillation"),
+    ("astream", "distillation"),  # the only strategy that streams
+]
+
+
+@pytest.fixture(scope="module")
+def fixture_url():
+    with FixtureServer(FANOUT.instance) as server:
+        yield server.url
+
+
+async def _tasks_per_run(engine: Engine, door: str, strategy: str) -> Tuple[int, int]:
+    """``(tasks created, accesses performed)`` by one async run on this loop."""
+    loop = asyncio.get_running_loop()
+    created: List[object] = []
+
+    def counting(loop, coro, **kwargs):
+        created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    loop.set_task_factory(counting)
+    try:
+        prepared = engine.plan(FANOUT.query_text)
+        if door == "aexecute":
+            result = await prepared.aexecute(strategy=strategy, concurrency="async")
+        else:
+            async for _ in prepared.astream(strategy=strategy, concurrency="async"):
+                pass
+            result = prepared.last_stream_result
+    finally:
+        loop.set_task_factory(None)
+        engine.close()  # on the loop its pooled HTTP connections belong to
+    assert result.answers == FANOUT.expected_answers
+    return len(created), result.total_accesses
+
+
+@pytest.mark.parametrize("door, strategy", DOORS)
+@pytest.mark.parametrize("source", ["memory", "callable", "http"])
+def test_only_an_access_that_suspends_costs_a_task(source, door, strategy, request) -> None:
+    """An in-memory read never suspends, so it finishes where it was
+    launched: no task per access.  A read on an executor thread or a socket
+    suspends: exactly one task per performed read."""
+    backend = request.getfixturevalue("fixture_url") if source == "http" else source
+    with Engine(FANOUT.schema, SourceRegistry(FANOUT.instance, backend=backend)) as engine:
+        tasks, performed = asyncio.run(_tasks_per_run(engine, door, strategy))
+    assert performed > 20
+    assert tasks == (0 if source == "memory" else performed)
+
+
+# -- (g) a claim waiter is woken -------------------------------------------------------
+class GatedBackend(SourceBackend):
+    """Every read suspends on a future the test resolves (or fails) itself;
+    each read's future is queued on ``gates`` as the read starts."""
+
+    kind = "gated"
+
+    def __init__(self) -> None:
+        self.schema = RelationSchema.build("shared", "io", ["K", "V"])
+        self.reads: List[Tuple[object, ...]] = []
+        self.gates: "asyncio.Queue[asyncio.Future]" = asyncio.Queue()
+
+    def lookup(self, binding):  # pragma: no cover - only the async door reads it
+        raise AssertionError("read through the async door only")
+
+    async def alookup(self, binding):
+        self.reads.append(binding)
+        gate = asyncio.get_running_loop().create_future()
+        self.gates.put_nowait(gate)
+        return await gate
+
+
+def _over(backend: GatedBackend, meta: MetaCache) -> AsyncDispatcher:
+    """An async dispatcher of its own — one execution — over a shared gate."""
+    dispatcher = AsyncDispatcher(
+        Registry({"shared": SourceWrapper(backend)}), AccessLog(), AccessBudget(None)
+    )
+    dispatcher.gate = Gate({"shared": meta})
+    dispatcher.resilience.bind_clock(dispatcher.now, dispatcher.wall_clock)
+    return dispatcher
+
+
+def _race(backend: GatedBackend, meta: MetaCache) -> Tuple[AsyncDispatcher, AsyncDispatcher]:
+    """Two executions launch the same access: the first owns the claim and
+    is reading, the second waits on it."""
+    owner, waiter = _over(backend, meta), _over(backend, meta)
+    for dispatcher in (owner, waiter):
+        dispatcher.submit(AccessRequest("c_shared", "shared", ("k",)))
+        dispatcher.refill(dispatcher.now())
+    return owner, waiter
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> List[float]:
+    """Every ``asyncio.sleep`` anybody starts while the test runs."""
+    started: List[float] = []
+    sleep = asyncio.sleep
+
+    async def counting(delay, result=None):
+        started.append(delay)
+        return await sleep(delay, result)
+
+    monkeypatch.setattr(asyncio, "sleep", counting)
+    return started
+
+
+def test_a_claim_waiter_is_woken_by_the_owners_record(sleeps) -> None:
+    async def play():
+        backend, events = GatedBackend(), []
+        owner, waiter = _race(backend, RecordingMeta(backend.schema, events))
+        (await backend.gates.get()).set_result(ROWS)
+        (read,), (served,) = await asyncio.gather(owner.astep(), waiter.astep())
+        return backend, events, read, served
+
+    backend, events, read, served = asyncio.run(play())
+    assert (read.rows, read.counted) == (ROWS, True)
+    assert (served.rows, served.counted, served.failed) == (ROWS, False, False)
+    assert backend.reads == [("k",)]
+    assert events == [
+        ("shared", "owned", ("k",)), ("shared", "record", ("k",)), ("shared", "served", ("k",))
+    ]  # fmt: skip
+    assert sleeps == []  # woken by the record, not by polling for it
+
+
+def test_a_claim_waiter_is_woken_by_abandon_and_reads_itself(sleeps) -> None:
+    async def play():
+        backend, events = GatedBackend(), []
+        owner, waiter = _race(backend, RecordingMeta(backend.schema, events))
+        (await backend.gates.get()).set_exception(
+            SourceUnavailableError("shared", ("k",), "gone for the owner")
+        )
+        (failed,) = await owner.astep()
+        # The abandon woke the waiter: it now owns the claim and reads.
+        (await asyncio.wait_for(backend.gates.get(), 10)).set_result(ROWS)
+        (read,) = await waiter.astep()
+        return backend, events, failed, read
+
+    backend, events, failed, read = asyncio.run(play())
+    assert (failed.failed, read.counted, read.rows) == (True, True, ROWS)
+    assert backend.reads == [("k",), ("k",)]
+    assert events == [
+        ("shared", "owned", ("k",)), ("shared", "abandon", ("k",)),
+        ("shared", "owned", ("k",)), ("shared", "record", ("k",)),
+    ]  # fmt: skip
+    assert sleeps == []
+
+
+def test_a_coroutine_waiting_on_a_threads_claim_is_woken_across_threads() -> None:
+    """The owner records on another thread: the wake-up crosses to the
+    waiter's loop (``call_soon_threadsafe``), and the waiter is served."""
+    meta = _meta()
+    assert meta.try_claim(("k",))[0] is ClaimStatus.OWNED  # a thread's execution
+
+    async def play():
+        waiting = asyncio.ensure_future(meta.aclaim(("k",)))
+        while not meta._wakeups:
+            await asyncio.sleep(0)
+        owner = threading.Thread(target=meta.record, args=(("k",), ROWS))
+        owner.start()
+        served = await asyncio.wait_for(waiting, 10)
+        owner.join(timeout=10)
+        return served, owner.is_alive()
+
+    assert asyncio.run(play()) == (ROWS, False)
+    assert meta._wakeups == {}

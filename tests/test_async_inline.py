@@ -237,7 +237,8 @@ def test_wrapper_alookup_validates_the_binding_before_any_read() -> None:
 def test_cancelling_a_query_mid_read_never_joins_threads_on_the_loop() -> None:
     example = running_example()
     registry = SourceRegistry(example.instance, backend="callable", real_latency=0.3)
-    baseline_threads = threading.active_count()
+    # A set, not a count: an earlier test's idle workers may still be exiting.
+    baseline_threads = set(threading.enumerate())
 
     async def ticker(gaps):
         last = time.perf_counter()
@@ -275,9 +276,9 @@ def test_cancelling_a_query_mid_read_never_joins_threads_on_the_loop() -> None:
     assert result.complete and result.answers == example.expected_answers
     # The abandoned read finishes in its worker, which then exits.
     deadline = time.monotonic() + 5.0
-    while threading.active_count() > baseline_threads and time.monotonic() < deadline:
+    while set(threading.enumerate()) - baseline_threads and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert threading.active_count() == baseline_threads
+    assert not set(threading.enumerate()) - baseline_threads
 
 
 @pytest.fixture(params=["callable", "memory", "http"])

@@ -24,8 +24,15 @@ import pytest
 from repro import Engine
 from repro.examples import Example, make_scenario
 from repro.exceptions import ExecutionError
+from repro.runtime.dispatch import AsyncDispatcher
+from repro.runtime.kernel import AccessBudget, AccessRequest
+from repro.runtime.policy import Gate
+from repro.sources.backend import CallableBackend, InMemoryBackend
+from repro.sources.cache import CacheDatabase
 from repro.sources.faults import FaultSchedule
+from repro.sources.log import AccessLog
 from repro.sources.resilience import BreakerConfig, RetryPolicy
+from repro.sources.store import ClaimStatus
 from repro.sources.wrapper import SourceRegistry
 
 RUNS = 20
@@ -265,6 +272,51 @@ def test_a_cancelled_async_run_leaves_nothing(strategy: str, loop) -> None:
             loop.run_until_complete(cancel_mid_run(engine))
 
         _assert_nothing_outlives(run, repeat=5)
+
+
+def test_aclose_right_after_a_refill_leaves_no_claim_and_nothing(loop) -> None:
+    """The dispatcher is closed in the same stretch that launched its reads.
+    The in-memory ones finished at launch and are counted; the ones read on
+    an executor thread suspended and are tasks that never took a step —
+    cancelled before their first, each still closes its access, so its
+    claim is abandoned and its grant refunded."""
+    example = make_scenario("wide-fanout", **SCENARIOS["wide-fanout"])
+
+    def slow_fan(relation):
+        if relation.schema.name == "fan":
+            return CallableBackend.from_instance(relation, latency=0.02)
+        return InMemoryBackend(relation)
+
+    registry = SourceRegistry(example.instance, backend=slow_fan)
+    requests = [
+        AccessRequest(f"c_{name}", name, (f"v{index}",))
+        for name in ("fan", "collect")
+        for index in range(4)
+    ]
+
+    def run() -> None:
+        cache_db = CacheDatabase()
+        gate = Gate(True, lambda relation: cache_db.meta_cache(example.schema[relation]))
+        dispatcher = AsyncDispatcher(registry, AccessLog(), AccessBudget(None))
+        dispatcher.gate = gate
+        dispatcher.resilience.bind_clock(dispatcher.now, dispatcher.wall_clock)
+
+        async def close_at_once() -> None:
+            for request in requests:
+                dispatcher.submit(request)
+            dispatcher.refill(dispatcher.now())
+            assert (len(dispatcher._tasks), len(dispatcher._ready)) == (4, 4)
+            await dispatcher.aclose()
+            dispatcher.close()
+
+        loop.run_until_complete(close_at_once())
+        statuses = [gate.meta_for(r.relation).try_claim(r.binding)[0] for r in requests]
+        assert statuses == [ClaimStatus.OWNED] * 4 + [ClaimStatus.SERVED] * 4
+        budget = dispatcher.budget
+        assert budget.total_granted - budget.refunded == dispatcher.log.total_accesses == 4
+        assert not dispatcher.has_work()
+
+    _assert_nothing_outlives(run, repeat=5)
 
 
 def test_an_execute_many_batch_leaves_nothing(scenario: Example) -> None:

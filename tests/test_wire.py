@@ -122,6 +122,52 @@ def test_hostile_framing_is_refused_quietly_and_the_server_keeps_serving(
     assert errors == []
 
 
+async def _responses(address: Tuple[str, int], raw: bytes) -> List[Tuple[int, dict]]:
+    """Every response the server writes after ``raw`` until it closes the
+    connection (a server that keeps it open fails the read's timeout)."""
+    reader, writer = await asyncio.open_connection(*address)
+    answers: List[Tuple[int, dict]] = []
+    try:
+        writer.write(raw)
+        while True:
+            try:
+                status, headers = await asyncio.wait_for(http1.read_response_head(reader), 5)
+                await asyncio.wait_for(http1.read_body(reader, headers), 5)
+            except (ConnectionError, asyncio.IncompleteReadError):
+                return answers
+            answers.append((status, headers))
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize("content_length", [False, True], ids=["chunked", "chunked+length"])
+@pytest.mark.parametrize("kind", SERVERS)
+def test_a_chunked_request_is_answered_once_and_the_connection_closed(
+    kind: str, content_length: bool
+) -> None:
+    """A ``Transfer-Encoding`` body is refused — with a ``Content-Length``
+    beside it too — not read as empty: its bytes must never be served as a
+    second request."""
+    health, post, payload = ROUTES[kind]
+    body = http1.dump_json(payload)
+    chunked = f"{len(body):x}\r\n".encode("ascii") + body + b"\r\n0\r\n\r\n"
+    head = "Transfer-Encoding: chunked"
+    if content_length:
+        head += f"\r\nContent-Length: {len(chunked)}"
+    errors: List[dict] = []
+
+    async def run():
+        async with _serving(kind, errors) as address:
+            answers = await _responses(address, _post(post, head, chunked))
+            healthy = await _send(address, f"GET {health} HTTP/1.1\r\n\r\n".encode())
+            return answers, healthy
+
+    answers, healthy = asyncio.run(run())
+    assert [(status, headers["connection"]) for status, headers in answers] == [(400, "close")]
+    assert healthy is not None and healthy[0] == 200
+    assert errors == []
+
+
 @pytest.mark.parametrize("kind", SERVERS)
 def test_header_block_is_bounded(kind: str) -> None:
     """A client that never sends the blank line is cut off, not buffered."""
