@@ -89,15 +89,6 @@ class DatalogProgram:
             mentioned.update(rule.body_predicates())
         return mentioned - idb
 
-    def dependency_graph(self) -> Dict[str, Set[str]]:
-        """Predicate-level dependency graph: head → body predicates."""
-        graph: Dict[str, Set[str]] = {}
-        for rule in self.rules:
-            graph.setdefault(rule.head.predicate, set()).update(rule.body_predicates())
-            for predicate in rule.body_predicates():
-                graph.setdefault(predicate, set())
-        return graph
-
     # -- rendering -------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.rules)

@@ -126,13 +126,14 @@ class EngineSession:
             self.executions += 1
             if kernel_profile is not None:
                 self.kernel_profile.merge(kernel_profile)
-        self.statistics.observe_log(
-            log,
-            registry=registry,
-            default_latency=default_latency,
-            retry_stats=retry_stats,
-        )
-        with self._lock:
+            # Under the session lock, as every reader of both takes them
+            # (session lock first, then the statistics' own).
+            self.statistics.observe_log(
+                log,
+                registry=registry,
+                default_latency=default_latency,
+                retry_stats=retry_stats,
+            )
             self.statistics.sync_meta_hits(self.meta)
 
     @property

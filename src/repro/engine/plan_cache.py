@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.plan.minimal import MinimalPlanGenerator
@@ -58,23 +58,34 @@ def query_shape(query: ConjunctiveQuery) -> Tuple[ShapeKey, Tuple[Constant, ...]
     constants — which minimization and the per-(constant, domain) artificial
     relations depend on — is part of the key.
     """
-    numbering: Dict[Constant, int] = {}
-
-    def label(term: Term) -> object:
-        if isinstance(term, Constant):
-            return numbering.setdefault(term, len(numbering))
-        return term.name
-
-    body = tuple((atom.predicate, tuple(map(label, atom.terms))) for atom in query.body)
-    head = tuple(map(label, query.head_terms))
-    return (query.head_predicate, head, body), tuple(numbering)
+    # Keyed on the value: two constants are equal exactly when their values are.
+    numbering: Dict[object, int] = {}
+    constants: List[Constant] = []
+    labelled: List[Tuple[object, ...]] = []
+    for terms in [atom.terms for atom in query.body] + [query.head_terms]:
+        labels: List[object] = []
+        for term in terms:
+            if type(term) is Constant:
+                index = numbering.get(term.value)
+                if index is None:
+                    index = numbering[term.value] = len(constants)
+                    constants.append(term)
+                labels.append(index)
+            else:
+                labels.append(term.name)
+        labelled.append(tuple(labels))
+    head = labelled.pop()
+    body = tuple(zip([atom.predicate for atom in query.body], labelled))
+    return (query.head_predicate, head, body), tuple(constants)
 
 
 def _map_terms(query: ConjunctiveQuery, swap: Callable[[Term], Term]) -> ConjunctiveQuery:
-    return ConjunctiveQuery(
+    """``query`` with every term swapped — only ever a constant for a constant,
+    so the result is as valid as ``query`` and is built without re-checking."""
+    return ConjunctiveQuery.trusted(
         query.head_predicate,
         tuple(map(swap, query.head_terms)),
-        tuple(Atom(atom.predicate, tuple(map(swap, atom.terms))) for atom in query.body),
+        tuple([Atom.trusted(atom.predicate, tuple(map(swap, atom.terms))) for atom in query.body]),
     )
 
 
@@ -95,31 +106,38 @@ def bind_plan(
     shared with the template and stays expressed over the shape: artificial
     relations and their variables are named after parameters (``c__1_Title``),
     never after a value.
+
+    The swapped queries are built with the trusted constructors: a parameter
+    is swapped for a constant and nothing else changes, so each stays as
+    valid as the template's checked one.  The copy shares every other field
+    with the template by reference.
     """
     if not constants:
         return template
 
     def bound(term: Term) -> Term:
-        return constants[term.value.index] if isinstance(term, Constant) else term
+        return constants[term.value.index] if type(term) is Constant else term
 
     if template.minimized_query is template.original_query:
         minimized = query
     else:
         minimized = _map_terms(template.minimized_query, bound)
     rewritten = template.rewritten_query
-    if any(isinstance(term, Constant) for term in rewritten.head_terms):
+    if template.compiled.head_constants:
         rewritten = _map_terms(rewritten, bound)
     facts = {}
     for relation_name, rows in template.constant_facts.items():
         ((parameter,),) = rows
         facts[relation_name] = frozenset({(constants[parameter.index].value,)})
-    return replace(
-        template,
+    plan = object.__new__(QueryPlan)
+    plan.__dict__.update(
+        template.__dict__,
         original_query=query,
         minimized_query=minimized,
         constant_facts=facts,
         rewritten_query=rewritten,
     )
+    return plan
 
 
 class PlanCache:

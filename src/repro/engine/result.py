@@ -104,10 +104,6 @@ class Result:
 
     # -- inspection ----------------------------------------------------------
     @property
-    def is_empty(self) -> bool:
-        return not self.answers
-
-    @property
     def budget_exhausted(self) -> bool:
         """True when the access budget cut the run; ``answers`` is then a lower bound."""
         return self.termination is Termination.BUDGET_EXHAUSTED

@@ -187,9 +187,10 @@ class StatisticsCollector:
         :meth:`preload_store_hits`) stay included as a base.
         """
         with self._lock:
+            relations, hit_base = self._relations, self._hit_base
             for relation, cache in meta.items():
-                base = self._hit_base.get(relation, 0)
-                self._stats_locked(relation).meta_hits = base + cache.hits
+                stats = relations.get(relation) or self._stats_locked(relation)
+                stats.meta_hits = hit_base.get(relation, 0) + cache.hits
 
     def get(self, relation: str) -> Optional[RelationStatistics]:
         """The statistics of one relation (None when never observed)."""

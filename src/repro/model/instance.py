@@ -10,13 +10,11 @@ paper's prototype issues for every access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
 )
 
 from repro.exceptions import InstanceError
-from repro.model.domains import AbstractDomain
 from repro.model.schema import RelationSchema, Schema
 
 Value = object
@@ -179,26 +177,3 @@ class DatabaseInstance:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = {name: len(relation) for name, relation in self._relations.items()}
         return f"DatabaseInstance({sizes})"
-
-
-@dataclass(frozen=True)
-class DomainPool:
-    """A named pool of concrete values for an abstract domain.
-
-    Used by the workload generators to draw random values consistently: every
-    attribute with the same abstract domain draws from the same pool, which is
-    what makes joins across relations non-empty.
-    """
-
-    domain: AbstractDomain
-    values: Tuple[Value, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise InstanceError(f"domain pool for {self.domain.name!r} must not be empty")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Value]:
-        return iter(self.values)

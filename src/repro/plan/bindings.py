@@ -122,21 +122,18 @@ class ProviderStream:
     """
 
     def __init__(self, provider: ProviderSpec, cache_db: CacheDatabase) -> None:
-        self._provider = provider
-        self._cache_db = cache_db
+        self._conjunctive = provider.conjunctive and len(provider.origins) > 1
+        #: ``(origin table, position)`` per origin, resolved once per run.
+        self._origins = [(cache_db.cache(name), position) for name, position in provider.origins]
         self.values: List[object] = []
         self._seen: Set[object] = set()
         self._marks = [0] * len(provider.origins)
 
     def pull(self) -> int:
         """Absorb new origin values; return how many values joined the stream."""
-        provider = self._provider
         fresh: List[object] = []
-        if provider.conjunctive and len(provider.origins) > 1:
-            tables = [
-                (self._cache_db.cache(name), position)
-                for name, position in provider.origins
-            ]
+        if self._conjunctive:
+            tables = self._origins
             # A value joins the intersection exactly when its last missing
             # origin receives it, so checking each origin's *new* values
             # against the other origins' full index sets is complete.
@@ -153,8 +150,8 @@ class ProviderStream:
                     self._seen.add(value)
                     fresh.append(value)
         else:
-            for index, (name, position) in enumerate(provider.origins):
-                log = self._cache_db.cache(name).value_log(position)
+            for index, (table, position) in enumerate(self._origins):
+                log = table.value_log(position)
                 for value in log[self._marks[index] :]:
                     if value not in self._seen:
                         self._seen.add(value)
@@ -172,14 +169,19 @@ class CacheBindingGenerator:
     Each :meth:`fresh_bindings` call pulls every provider stream and yields
     exactly the bindings that were not enabled at the previous call.  A
     cache without input arguments yields the empty binding once.
+    ``providers`` are the cache's providers in input-position order (a
+    plan's ``compiled.providers[cache.name]``); their origin tables must
+    exist in ``cache_db``.
     """
 
-    def __init__(self, cache: CachePredicate, cache_db: CacheDatabase) -> None:
+    def __init__(
+        self,
+        cache: CachePredicate,
+        providers: Sequence[ProviderSpec],
+        cache_db: CacheDatabase,
+    ) -> None:
         self.cache = cache
-        self._streams = [
-            ProviderStream(cache.provider_for(position), cache_db)
-            for position in cache.input_positions
-        ]
+        self._streams = [ProviderStream(provider, cache_db) for provider in providers]
         self._product = DeltaProduct([stream.values for stream in self._streams])
         self._nullary_emitted = False
 
@@ -214,18 +216,17 @@ def initialize_plan_caches(
 
     Every plan-driven policy starts the same way: one cache table per cache predicate,
     artificial (constant) caches seeded from the plan's facts at no access
-    cost, and one delta-driven binding generator per non-artificial cache.
+    cost, and one delta-driven binding generator per accessed cache.
     Returns the generators keyed by cache name.
     """
     for cache in plan.caches.values():
-        cache_db.create_cache(cache.name, cache.relation, cache.position)
+        table = cache_db.create_cache(cache.name, cache.relation, cache.position)
         if cache.is_artificial:
-            facts = plan.constant_facts.get(cache.relation.name, frozenset())
-            cache_db.cache(cache.name).add_all(facts)
+            table.add_all(plan.constant_facts.get(cache.relation.name, ()))
+    providers = plan.compiled.providers
     return {
-        cache.name: CacheBindingGenerator(cache, cache_db)
-        for cache in plan.caches.values()
-        if not cache.is_artificial
+        cache.name: CacheBindingGenerator(cache, providers[cache.name], cache_db)
+        for cache in plan.compiled.accessed
     }
 
 

@@ -113,7 +113,7 @@ class MinimalPlanGenerator:
             cache_of_atom=cache_of_atom,
             constant_facts=dict(analysis.preprocessed.constant_facts),
             rewritten_query=rewritten,
-            compiled=CompiledPlan(rewritten.body, caches),
+            compiled=CompiledPlan(rewritten, caches),
             answerable=True,
         )
 

@@ -30,7 +30,7 @@ from repro.query.atoms import Atom
 from repro.query.compiled import JoinProgram
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.preprocess import PreprocessedQuery
-from repro.query.terms import Variable
+from repro.query.terms import Constant, Variable
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,21 @@ class CachePredicate:
 class CompiledPlan:
     """What every execution of a plan *shape* derives from it, derived once.
 
-    The rewritten query's body and the caches' positions do not depend on
-    the query's constants, so one holder — created with the shape's plan and
-    carried by every :func:`~repro.engine.plan_cache.bind_plan` copy —
-    serves every key of a template: the position tables the fast-failing
-    policy walks, and the :class:`~repro.query.compiled.JoinProgram` of
-    every conjunction a run evaluates.  Programs compile on first use.  Two
-    threads may compile the same one; compilation is deterministic and a
-    dict store is atomic, so whichever stores last changes nothing.
+    The rewritten query's body and the caches' positions and providers do
+    not depend on the query's constants, so one holder — created with the
+    shape's plan and carried by every
+    :func:`~repro.engine.plan_cache.bind_plan` copy — serves every key of a
+    template: what each run would otherwise re-derive from the caches (the
+    position tables the fast-failing policy walks, the accessed caches and
+    their providers per input position, the accessed relations), and the
+    :class:`~repro.query.compiled.JoinProgram` of every conjunction a run
+    evaluates.  Programs compile on first use.  Two threads may compile the
+    same one; compilation is deterministic and a dict store is atomic, so
+    whichever stores last changes nothing.
     """
 
-    def __init__(self, body: Tuple[Atom, ...], caches: Dict[str, CachePredicate]) -> None:
-        self._body = body
+    def __init__(self, rewritten: ConjunctiveQuery, caches: Dict[str, CachePredicate]) -> None:
+        self._body = rewritten.body
         self._position_of = {cache.name: cache.position for cache in caches.values()}
         #: Ordering positions of the plan, ascending, and the caches at each.
         self.positions: List[int] = sorted(set(self._position_of.values()))
@@ -128,6 +131,26 @@ class CompiledPlan:
             position: [cache for cache in caches.values() if cache.position == position]
             for position in self.positions
         }
+        #: The caches a run accesses (an artificial one is seeded from the
+        #: plan's facts instead), in declaration order and per position.
+        self.accessed: Tuple[CachePredicate, ...] = tuple(
+            cache for cache in caches.values() if not cache.is_artificial
+        )
+        self.accessed_at: Dict[int, Tuple[CachePredicate, ...]] = {
+            position: tuple(cache for cache in at if not cache.is_artificial)
+            for position, at in self.caches_at.items()
+        }
+        #: Per accessed cache, its providers in input-position order.
+        self.providers: Dict[str, Tuple[ProviderSpec, ...]] = {
+            cache.name: tuple(cache.provider_for(position) for position in cache.input_positions)
+            for cache in self.accessed
+        }
+        #: The accessed relations, each once, in cache declaration order.
+        self.relations: Tuple[str, ...] = tuple(
+            dict.fromkeys(cache.relation.name for cache in self.accessed)
+        )
+        #: Whether the rewritten head copies a constant (rebound per query).
+        self.head_constants = any(isinstance(term, Constant) for term in rewritten.head_terms)
         #: Per cache, the caches one of whose providers draws values from it:
         #: the only ones a row added to it can enable a fresh binding of.
         self.dependents: Dict[str, FrozenSet[str]] = {

@@ -35,6 +35,15 @@ class Atom:
         """Build an atom coercing raw Python values into terms."""
         return cls(predicate, tuple(term_from_object(term) for term in terms))
 
+    @classmethod
+    def trusted(cls, predicate: str, terms: Tuple[Term, ...]) -> "Atom":
+        """An atom from parts already known valid — a non-empty predicate and
+        a tuple of :class:`Variable` / :class:`Constant` — without coercion
+        or checks (a parse-memo hit, a plan bound to a query's constants)."""
+        atom = object.__new__(cls)
+        atom.__dict__.update(predicate=predicate, terms=terms)
+        return atom
+
     # -- inspection ---------------------------------------------------------
     @property
     def arity(self) -> int:

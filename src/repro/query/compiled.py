@@ -70,10 +70,12 @@ class JoinProgram:
     docstring) and the greedy orders the rest.
     """
 
-    __slots__ = ("steps", "_slot_of", "_initial")
+    __slots__ = ("steps", "_slot_of", "_variable_slot", "_initial")
 
     def __init__(self, atoms: Sequence[Atom], pivot: Optional[int] = None) -> None:
         self._slot_of: Dict[Term, int] = {}
+        #: The slot of each variable by name (a ``str`` key hashes in C).
+        self._variable_slot: Dict[str, int] = {}
         #: The slot list a run starts from: constants in place, variables unset.
         self._initial: List[object] = []
         remaining = list(atoms)
@@ -94,7 +96,11 @@ class JoinProgram:
         slot = self._slot_of.get(term)
         if slot is None:
             slot = self._slot_of[term] = len(self._initial)
-            self._initial.append(term.value if isinstance(term, Constant) else None)
+            if isinstance(term, Constant):
+                self._initial.append(term.value)
+            else:
+                self._initial.append(None)
+                self._variable_slot[term.name] = slot
         return slot
 
     def _compile(self, atom: Atom, bound: Set[Variable], scan: bool) -> _Step:
@@ -140,25 +146,32 @@ class JoinProgram:
         if head_terms is not None:
             slots, head = slots.copy(), []
             for term in head_terms:
-                if isinstance(term, Constant):
+                if type(term) is Constant:
                     head.append(len(slots))
                     slots.append(term.value)
                 else:
-                    head.append(self._slot_of[term])
-        sources: Optional[List[object]] = []
+                    head.append(self._variable_slot[term.name])
+        return BoundProgram(self.steps, self._sources(tables), slots, head)
+
+    def _sources(self, tables: TableLookup) -> Optional[List[object]]:
+        """Per step what it reads in ``tables``; None when a table is missing."""
+        sources: List[object] = []
         for step in self.steps:
             table = tables(step.predicate)
             if table is None:  # no such table: the conjunction is empty
-                sources = None
-                break
+                return None
             sources.append(
                 table.index_for(step.key_positions) if step.key_positions else table.row_log()
             )
-        return BoundProgram(self.steps, sources, slots, head)
+        return sources
 
     def satisfiable(self, tables: TableLookup) -> bool:
-        """True when the conjunction has a solution (stops at the first)."""
-        return self.bind(tables).satisfiable()
+        """True when the conjunction has a solution over ``tables`` (stops at
+        the first) — :meth:`BoundProgram.satisfiable` for a program asked once."""
+        sources = self._sources(tables)
+        if sources is None:
+            return False
+        return not self.steps or _search(self.steps, sources, self._initial.copy(), 0, None, None)
 
     def answers(
         self,

@@ -58,6 +58,18 @@ class ConjunctiveQuery:
         """Build a query coercing raw values in the head into terms."""
         return cls(head_predicate, tuple(term_from_object(t) for t in head_terms), tuple(body))
 
+    @classmethod
+    def trusted(
+        cls, head_predicate: str, head_terms: Tuple[Term, ...], body: Tuple[Atom, ...]
+    ) -> "ConjunctiveQuery":
+        """A query from parts that already passed :meth:`__post_init__`'s
+        checks up to constant values — a non-empty body of atoms, head terms
+        that are terms, every head variable in the body — without coercion
+        or checks (see :meth:`Atom.trusted`)."""
+        query = object.__new__(cls)
+        query.__dict__.update(head_predicate=head_predicate, head_terms=head_terms, body=body)
+        return query
+
     # -- basic inspection -----------------------------------------------------
     @property
     def arity(self) -> int:

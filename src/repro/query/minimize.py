@@ -17,20 +17,6 @@ from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.homomorphism import is_equivalent_to
 
 
-def is_minimal(query: ConjunctiveQuery) -> bool:
-    """True when no proper subset of the body yields an equivalent query."""
-    if len(query.body) == 1:
-        return True
-    for index in range(len(query.body)):
-        candidate_body = query.body[:index] + query.body[index + 1:]
-        if not _is_safe_body(query, candidate_body):
-            continue
-        candidate = query.with_body(candidate_body)
-        if is_equivalent_to(candidate, query):
-            return False
-    return True
-
-
 def _is_safe_body(query: ConjunctiveQuery, body: Tuple[Atom, ...]) -> bool:
     """Check that dropping atoms kept every head variable in the body."""
     remaining_variables = set()

@@ -210,17 +210,27 @@ _MEMO_LOCK = threading.Lock()
 
 def _fill(template: _Template, literals: List[str]) -> ConjunctiveQuery:
     """The query of a template under one text's literals (the grammar's
-    own term rules: ``007`` is ``7``, ``1.50`` is ``1.5``, ``'1'`` a string)."""
+    own term rules: ``007`` is ``7``, ``1.50`` is ``1.5``, ``'1'`` a string).
+
+    Built with the *trusted* constructors: a literal always parses to a
+    :class:`Constant`, and :func:`_template_of` stored the template only
+    after the fill of one text equalled the grammar's checked parse of it,
+    so every other fill differs from a valid query in constant values alone.
+    """
     values = [_parse_term(literal) for literal in literals]
-
-    def filled(terms: tuple) -> Tuple[Term, ...]:
-        return tuple([values[term] if type(term) is int else term for term in terms])
-
     head_predicate, head, body = template
-    return ConjunctiveQuery(
+    atoms = []
+    for part in body:
+        if type(part) is not Atom:
+            predicate, terms = part
+            part = Atom.trusted(
+                predicate, tuple([values[t] if type(t) is int else t for t in terms])
+            )
+        atoms.append(part)
+    return ConjunctiveQuery.trusted(
         head_predicate,
-        filled(head),
-        tuple([part if type(part) is Atom else Atom(part[0], filled(part[1])) for part in body]),
+        tuple([values[t] if type(t) is int else t for t in head]),
+        tuple(atoms),
     )
 
 
@@ -277,7 +287,12 @@ def _template_of(
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
-    """Parse a conjunctive query of the form ``q(X) <- r(X, Y), s(Y)``."""
+    """Parse a conjunctive query of the form ``q(X) <- r(X, Y), s(Y)``.
+
+    A memo hit costs a literal split, one dictionary read and the fill: the
+    query and its atoms are built straight from the template, without the
+    term coercion and safety checks the template already passed.
+    """
     if _HOLE in text:
         return _parse_uncached(text)
     parts = _LITERAL_RE.split(text)

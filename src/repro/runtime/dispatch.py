@@ -158,9 +158,8 @@ class Dispatcher(abc.ABC):
         #: What this run's policy lets the dispatcher see of it — values,
         #: never the policy (bound by the kernel right after construction).
         self.gate: Optional["Gate"] = None
-        #: Failure handling for this run's reads; the kernel replaces this
-        #: passthrough default with the configured context and hands it
-        #: :attr:`now`.
+        #: Failure handling for this run's reads; the kernel installs the
+        #: run's configuration on it and hands it :attr:`now`.
         self.resilience = ResilienceContext()
         #: The dispatcher's authoritative clock, read by calling it (breaker
         #: cool-downs and retry pricing run on it).

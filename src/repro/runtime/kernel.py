@@ -47,7 +47,7 @@ from time import perf_counter
 
 from repro.exceptions import ExecutionError
 from repro.runtime.profile import KernelProfile
-from repro.sources.resilience import ResilienceConfig, ResilienceContext, RetryStats
+from repro.sources.resilience import ResilienceConfig, RetryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.dispatch import Dispatcher
@@ -301,19 +301,20 @@ class FixpointKernel:
                 answer checks; ``None`` disables intermediate checks (the
                 query is still evaluated once at the end), which is what
                 the non-streaming strategies use.
-            resilience: retry/timeout/breaker configuration.  A context is
-                created even when ``None`` so that source faults always
-                resolve to failure-flagged partial results instead of
-                killing the run.
+            resilience: retry/timeout/breaker configuration, installed on
+                the dispatcher's own (still unused) context; with ``None``
+                that context still resolves source faults to failure-flagged
+                partial results instead of killing the run.
         """
         self.policy = policy
         self.dispatcher = dispatcher
         self.budget = dispatcher.budget
         self.answer_check_interval = answer_check_interval
         policy.bind_dispatcher(dispatcher)
-        self.resilience = ResilienceContext(resilience)
+        self.resilience = dispatcher.resilience
+        if resilience is not None:
+            self.resilience.config = resilience
         self.resilience.bind_clock(dispatcher.now, wall_clock=dispatcher.wall_clock)
-        self.dispatcher.resilience = self.resilience
         # Intermediate answer checks go through the policy's incremental
         # evaluator when it has one; the final check is always full.
         self.tracker = AnswerTracker(

@@ -36,6 +36,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -275,18 +276,17 @@ class PlanPolicy(SchedulingPolicy):
         )
         #: Per body atom, its table's row log, how much of it the streaming
         #: checks have joined already and — bound at the atom's first delta —
-        #: its pivot program over this run's tables (see :meth:`evaluate_delta`).
-        self._logs = [
-            cache_db.cache(atom.predicate).row_log() for atom in plan.rewritten_query.body
-        ]
-        self._marks = [0] * len(self._logs)
-        self._pivots: List[Optional[BoundProgram]] = [None] * len(self._logs)
+        #: its pivot program over this run's tables (see :meth:`evaluate_delta`;
+        #: set up by its first call: a run that never streams never needs them).
+        self._logs: Optional[List[List[Row]]] = None
+        self._marks: List[int] = []
+        self._pivots: List[Optional[BoundProgram]] = []
         #: Caches a provider origin of which has grown since they were last
         #: offered: the only ones an offer pass can find a fresh binding for.
         self._dirty: Set[str] = set(self.generators)
         self._dependents = plan.compiled.dependents
 
-    def _offer_caches(self, caches: List["CachePredicate"], emit: Emit) -> bool:
+    def _offer_caches(self, caches: Sequence["CachePredicate"], emit: Emit) -> bool:
         """Offer the fresh bindings of the given caches; True when a
         meta-cache hit changed some cache's contents.
 
@@ -351,6 +351,11 @@ class PlanPolicy(SchedulingPolicy):
         superset of the truly new answers (one may be re-derived through
         another pivot) and a subset of :meth:`evaluate`.
         """
+        if self._logs is None:
+            table = self.cache_db.cache
+            self._logs = [table(atom.predicate).row_log() for atom in self.plan.rewritten_query.body]
+            self._marks = [0] * len(self._logs)
+            self._pivots = [None] * len(self._logs)
         out: Set[Row] = set()
         for pivot, log in enumerate(self._logs):
             low, high = self._marks[pivot], len(log)
@@ -373,12 +378,7 @@ class PlanPolicy(SchedulingPolicy):
 
     def plan_relations(self) -> List[str]:
         """Accessed relations of the plan, in cache declaration order."""
-        names: List[str] = []
-        for cache in self.plan.caches.values():
-            if cache.is_artificial or cache.relation.name in names:
-                continue
-            names.append(cache.relation.name)
-        return names
+        return list(self.plan.compiled.relations)
 
 
 class OrderedFastFail(PlanPolicy):
@@ -443,7 +443,7 @@ class OrderedFastFail(PlanPolicy):
         self.fast_fail = fast_fail
         self.fewest_pending_first = fewest_pending_first
         self._positions = plan.compiled.positions
-        self._caches_at = plan.compiled.caches_at
+        self._accessed_at = plan.compiled.accessed_at
         #: The position being populated, and those fully populated before it.
         self._current: Optional[int] = None
         self._populated: FrozenSet[int] = frozenset()
@@ -478,18 +478,11 @@ class OrderedFastFail(PlanPolicy):
     def _pending(self, position: int) -> int:
         """Fresh bindings the caches of ``position`` would be offered now."""
         return sum(
-            self.generators[cache.name].pending()
-            for cache in self._caches_at[position]
-            if not cache.is_artificial
+            self.generators[cache.name].pending() for cache in self._accessed_at[position]
         )
 
     def offer(self, emit: Emit) -> bool:
-        caches = [
-            cache
-            for cache in self._caches_at[self._current]
-            if not cache.is_artificial
-        ]
-        return self._offer_caches(caches, emit)
+        return self._offer_caches(self._accessed_at[self._current], emit)
 
     def evaluate(self) -> FrozenSet[Row]:
         if self.failed_at is not None:
@@ -513,7 +506,7 @@ class OrderedFastFail(PlanPolicy):
         if not program.steps:
             return True
         self.fast_fail_checks += 1
-        return program.bind(self.cache_db.find).satisfiable()
+        return program.satisfiable(self.cache_db.find)
 
 
 class EagerPlan(PlanPolicy):
@@ -551,7 +544,7 @@ class EagerPlan(PlanPolicy):
     ) -> None:
         super().__init__(plan, cache_db)
         self.respect_ordering = respect_ordering
-        self._caches = [cache for cache in plan.caches.values() if not cache.is_artificial]
+        self._caches = plan.compiled.accessed
 
     def offer(self, emit: Emit) -> bool:
         caches = self._caches

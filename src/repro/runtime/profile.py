@@ -48,11 +48,23 @@ class KernelProfile:
 
     __slots__ = _TIMINGS + _COUNTERS + ("runs", "max_batch")
 
+    # Written out field by field, not looped over the name tuples: every run
+    # builds one profile and every absorbed run merges one.
     def __init__(self) -> None:
-        for name in _TIMINGS:
-            setattr(self, name, 0.0)
-        for name in _COUNTERS:
-            setattr(self, name, 0)
+        self.offer_seconds = 0.0
+        self.dispatch_seconds = 0.0
+        self.absorb_seconds = 0.0
+        self.answer_check_seconds = 0.0
+        self.fast_fail_seconds = 0.0
+        self.offer_passes = 0
+        self.dispatch_steps = 0
+        self.completions = 0
+        self.completion_batches = 0
+        self.answer_checks = 0
+        self.incremental_checks = 0
+        self.full_checks = 0
+        self.answers_streamed = 0
+        self.fast_fail_checks = 0
         #: Kernel runs folded into this profile (1 for a single execution).
         self.runs = 1
         #: Largest completion batch absorbed in one dispatcher step.
@@ -61,10 +73,23 @@ class KernelProfile:
     # -- aggregation ---------------------------------------------------------
     def merge(self, other: "KernelProfile") -> None:
         """Fold another run's profile into this one (session aggregation)."""
-        for name in _TIMINGS + _COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.offer_seconds += other.offer_seconds
+        self.dispatch_seconds += other.dispatch_seconds
+        self.absorb_seconds += other.absorb_seconds
+        self.answer_check_seconds += other.answer_check_seconds
+        self.fast_fail_seconds += other.fast_fail_seconds
+        self.offer_passes += other.offer_passes
+        self.dispatch_steps += other.dispatch_steps
+        self.completions += other.completions
+        self.completion_batches += other.completion_batches
+        self.answer_checks += other.answer_checks
+        self.incremental_checks += other.incremental_checks
+        self.full_checks += other.full_checks
+        self.answers_streamed += other.answers_streamed
+        self.fast_fail_checks += other.fast_fail_checks
         self.runs += other.runs
-        self.max_batch = max(self.max_batch, other.max_batch)
+        if other.max_batch > self.max_batch:
+            self.max_batch = other.max_batch
 
     @property
     def total_seconds(self) -> float:

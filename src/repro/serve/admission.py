@@ -11,7 +11,8 @@ first:
    admission-time trade; the overshoot is bounded by the engine's
    per-query ``max_accesses``.
 2. **Tenant token bucket** — sustained request rate ``tenant_rate`` with
-   burst capacity ``tenant_burst``.
+   burst capacity ``tenant_burst``; a request gate 3 refuses gets its token
+   back, so only admitted requests spend the tenant's rate.
 3. **Server concurrency** — at most ``max_concurrent`` queries executing
    at once, globally.
 
@@ -60,6 +61,10 @@ class TokenBucket:
         if self.rate <= 0:
             return None if self.burst >= 1.0 else float("inf")
         return (1.0 - self.tokens) / self.rate
+
+    def refund(self) -> None:
+        """Give back a token taken for a request that did not run."""
+        self.tokens = min(self.burst, self.tokens + 1.0)
 
 
 @dataclass
@@ -146,6 +151,10 @@ class AdmissionController:
             if self.executing >= self.max_concurrent:
                 with tenant.lock:
                     tenant.rejected += 1
+                    # The request never runs, so its rate token is returned:
+                    # only admitted requests count against the tenant's rate.
+                    if tenant.bucket is not None:
+                        tenant.bucket.refund()
                 return Rejection(
                     reason="admission",
                     retry_after=0.05,

@@ -15,8 +15,9 @@ auxiliary structures:
   :mod:`repro.runtime.dispatch`, not here.
 
 Cache tables are *append-only* and indexed for the executors' hot paths:
-they maintain per-position value indexes (set + insertion log), so reading
-the distinct values at an argument position — the operation behind every
+they maintain per-position value indexes (set + insertion log) for the
+positions somebody reads, built on the first ask, so reading the distinct
+values at an argument position — the operation behind every
 domain-provider evaluation — is O(1) instead of a scan over all rows, and
 the logs let the executors consume only the values that appeared since
 their last visit (delta-driven binding generation, see
@@ -29,6 +30,7 @@ import asyncio
 import threading
 import time
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -59,11 +61,14 @@ class CacheTable:
 
     A cache table remembers, besides its tuples, which relation and which
     occurrence of the query it caches, and at which ordering position it must
-    be populated.  It maintains one value index per argument position,
-    updated on insertion: a set of the distinct values seen at that position
-    (for O(1) reads and membership tests) and an append-only log of the same
-    values in arrival order (so executors can read just the values added
-    since a watermark).
+    be populated.  It keeps a value index per argument position that someone
+    reads — a set of the distinct values seen at that position (for O(1)
+    reads and membership tests) and an append-only log of the same values in
+    arrival order (so executors can read just the values added since a
+    watermark).  An index is built from the row log the first time its
+    position is asked for, as :meth:`index_for` builds a hash index, and
+    kept current by :meth:`add` from then on; a position nobody reads — an
+    output no provider draws from — costs an insertion nothing.
     """
 
     def __init__(
@@ -76,56 +81,79 @@ class CacheTable:
         self.relation = relation
         self.position = position
         self._rows: Set[Row] = set()
-        arity = relation.arity
-        self._value_sets: List[Set[object]] = [set() for _ in range(arity)]
-        self._value_logs: List[List[object]] = [[] for _ in range(arity)]
         self._row_log: List[Row] = []
-        # Position-group hash indexes ``{positions: {key: [rows]}}``: built
-        # from the row log when first asked for, kept current by :meth:`add`.
+        # Per tracked position its value set and value log (see the class
+        # docstring), and the position-group hash indexes
+        # ``{positions: {key: [rows]}}``: all built from the row log when
+        # first asked for, kept current by :meth:`add`.
+        self._value_sets: Dict[int, Set[object]] = {}
+        self._value_logs: Dict[int, List[object]] = {}
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple[object, ...], List[Row]]] = {}
 
     # -- mutation -----------------------------------------------------------
     def add(self, row: Row) -> bool:
-        row = tuple(row)
-        if row in self._rows:
-            return False
-        self._rows.add(row)
-        self._row_log.append(row)
-        while len(self._value_sets) < len(row):  # tolerate over-arity rows
-            self._value_sets.append(set())
-            self._value_logs.append([])
-        for position, value in enumerate(row):
-            values = self._value_sets[position]
-            if value not in values:
-                values.add(value)
-                self._value_logs[position].append(value)
-        for positions, index in self._indexes.items():
-            _file(index, positions, row)
-        return True
+        return self.add_all((row,)) == 1
 
     def add_all(self, rows: Iterable[Row]) -> int:
-        return sum(1 for row in rows if self.add(row))
+        """Add rows; returns how many were new.  A row too short for a
+        tracked position is filed under the positions it has (over- and
+        under-arity rows are tolerated)."""
+        added = 0
+        seen, row_log = self._rows, self._row_log
+        value_sets, value_logs, indexes = self._value_sets, self._value_logs, self._indexes
+        for row in rows:
+            row = tuple(row)
+            if row in seen:
+                continue
+            seen.add(row)
+            row_log.append(row)
+            added += 1
+            for position, values in value_sets.items():
+                if position < len(row):
+                    value = row[position]
+                    if value not in values:
+                        values.add(value)
+                        value_logs[position].append(value)
+            for positions, index in indexes.items():
+                _file(index, positions, row)
+        return added
 
     # -- inspection ----------------------------------------------------------
+    def _track(self, position: int) -> None:
+        """Build the value index of ``position`` from the row log."""
+        values: Set[object] = set()
+        log: List[object] = []
+        for row in self._row_log:
+            if position < len(row) and row[position] not in values:
+                values.add(row[position])
+                log.append(row[position])
+        self._value_sets[position] = values
+        self._value_logs[position] = log
+
     def values_at(self, position: int) -> Set[object]:
         """Distinct values at one argument position.
 
-        Returns the live index set in O(1); callers must treat it as
-        read-only (it keeps growing as rows are added).
+        Returns the live index set (built on the first ask); callers must
+        treat it as read-only (it keeps growing as rows are added).
         """
+        if position not in self._value_sets:
+            self._track(position)
         return self._value_sets[position]
 
     def value_log(self, position: int) -> List[object]:
         """Append-only log of the distinct values at one position, in arrival order.
 
-        The returned list is live: new values are appended as rows arrive,
-        and existing entries never move, so ``value_log(p)[mark:]`` is
-        exactly the values that appeared since a caller's watermark ``mark``.
+        The returned list is live (built on the first ask): new values are
+        appended as rows arrive, and existing entries never move, so
+        ``value_log(p)[mark:]`` is exactly the values that appeared since a
+        caller's watermark ``mark``.
         """
+        if position not in self._value_logs:
+            self._track(position)
         return self._value_logs[position]
 
     def value_count(self, position: int) -> int:
-        return len(self._value_logs[position])
+        return len(self.value_log(position))
 
     def row_log(self) -> List[Row]:
         """Append-only log of the distinct rows, in arrival order.
@@ -174,7 +202,10 @@ def _file(
 ) -> None:
     """File ``row`` in a position-group index (a row too short for it is skipped)."""
     try:
-        key = tuple([row[position] for position in positions])
+        if len(positions) == 1:  # the common probe key, without the comprehension
+            key = (row[positions[0]],)
+        else:
+            key = tuple([row[position] for position in positions])
     except IndexError:
         return
     index.setdefault(key, []).append(row)
@@ -410,6 +441,14 @@ class CacheDatabase:
         store: Optional[CacheStore] = None,
     ) -> None:
         self._caches: Dict[str, CacheTable] = {}
+        # The two table lookups are the dictionary's own methods: the run's
+        # hot paths and every join-program binding call them, and a bound
+        # C method costs no Python frame.
+        #: ``name -> `` the cache table (``KeyError`` when there is none).
+        self.cache: Callable[[str], CacheTable] = self._caches.__getitem__
+        #: ``name -> `` the cache table, or None: the ``predicate -> table``
+        #: lookup the compiled join programs run against.
+        self.find: Callable[[str], Optional[CacheTable]] = self._caches.get
         self._meta: Dict[str, MetaCache] = shared_meta if shared_meta is not None else {}
         self._meta_lock = meta_lock if meta_lock is not None else threading.Lock()
         self._store = store
@@ -419,14 +458,6 @@ class CacheDatabase:
         if name not in self._caches:
             self._caches[name] = CacheTable(name, relation, position)
         return self._caches[name]
-
-    def cache(self, name: str) -> CacheTable:
-        return self._caches[name]
-
-    def find(self, name: str) -> Optional[CacheTable]:
-        """The cache table ``name``, or None — the ``predicate -> table``
-        lookup the compiled join programs run against."""
-        return self._caches.get(name)
 
     # -- meta-caches ----------------------------------------------------------------
     def meta_cache(self, relation: RelationSchema) -> MetaCache:

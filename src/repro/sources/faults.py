@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.sources.backend import SourceBackend
@@ -123,9 +123,6 @@ class FaultSchedule:
                 break
         slow = rng.random() < self.slow_rate
         return tuple(faults), slow
-
-    def with_seed(self, seed: int) -> "FaultSchedule":
-        return replace(self, seed=seed)
 
 
 class FlakyBackend(SourceBackend):

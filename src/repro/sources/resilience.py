@@ -250,6 +250,10 @@ class ResilienceConfig:
     breaker: Optional[BreakerConfig] = None
 
 
+#: Retry, timeout and breaker all off (the config is frozen, so shared).
+_NO_RESILIENCE = ResilienceConfig()
+
+
 @dataclass
 class RetryStats:
     """Aggregate resilience accounting of one execution.
@@ -340,7 +344,7 @@ class ResilienceContext:
         clock: Callable[[], float] = lambda: 0.0,
         wall_clock: bool = False,
     ) -> None:
-        self.config = config if config is not None else ResilienceConfig()
+        self.config = config if config is not None else _NO_RESILIENCE
         self.clock = clock
         self.wall_clock = wall_clock
         self.stats = RetryStats()

@@ -2,18 +2,14 @@
 
 from repro.util.algorithms import (
     condensation,
-    count_topological_orders,
     has_unique_topological_order,
-    reachable_from,
     strongly_connected_components,
     topological_sort,
 )
 
 __all__ = [
     "condensation",
-    "count_topological_orders",
     "has_unique_topological_order",
-    "reachable_from",
     "strongly_connected_components",
     "topological_sort",
 ]

@@ -173,61 +173,6 @@ def has_unique_topological_order(graph: Graph) -> bool:
     return True
 
 
-def count_topological_orders(graph: Graph, limit: int = 1000) -> int:
-    """Count the topological orders of a DAG, up to ``limit``.
-
-    The count is capped at ``limit`` to keep the computation cheap; the
-    ordering module only needs to know whether the count is exactly one
-    (∀-minimality) or greater.
-
-    Raises:
-        ValueError: if the graph contains a cycle.
-    """
-    adjacency = _normalize(graph)
-    # Validate acyclicity up front so callers get a consistent error.
-    topological_sort(adjacency)
-    in_degree: Dict[Node, int] = {node: 0 for node in adjacency}
-    for successors in adjacency.values():
-        for successor in successors:
-            in_degree[successor] += 1
-
-    count = 0
-
-    def extend(remaining: Set[Node], degrees: Dict[Node, int]) -> None:
-        nonlocal count
-        if count >= limit:
-            return
-        if not remaining:
-            count += 1
-            return
-        ready = [node for node in remaining if degrees[node] == 0]
-        for node in ready:
-            next_degrees = dict(degrees)
-            for successor in adjacency[node]:
-                next_degrees[successor] -= 1
-            extend(remaining - {node}, next_degrees)
-            if count >= limit:
-                return
-
-    extend(set(adjacency), in_degree)
-    return count
-
-
-def reachable_from(graph: Graph, start_nodes: Iterable[Node]) -> Set[Node]:
-    """Return the set of nodes reachable from ``start_nodes`` (inclusive)."""
-    adjacency = _normalize(graph)
-    seen: Set[Node] = set()
-    frontier: List[Node] = [node for node in start_nodes if node in adjacency]
-    seen.update(frontier)
-    while frontier:
-        node = frontier.pop()
-        for successor in adjacency[node]:
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return seen
-
-
 def edges_on_cycles(graph: Graph, edges: Sequence[Tuple[Node, Node]]) -> Set[Tuple[Node, Node]]:
     """Return the subset of ``edges`` that lie on some directed cycle of ``graph``.
 

@@ -4,7 +4,9 @@ What every access pays between the kernel's offer and its completion is
 written once (:meth:`repro.runtime.dispatch.Dispatcher._access`) and driven
 by a sync and an async trampoline.  These tests pin
 
-* what that path may *cost*, counted in Python-level calls, not on a clock;
+* what that path may *cost*, counted in Python-level calls, not on a clock —
+  and what a warm point query (no access at all) costs around it, to plan
+  and to run;
 * that the record types it builds stay immutable, hashable and ordered;
 * that the access log's on-demand aggregates equal an eager reference after
   any interleaving of writes and reads;
@@ -30,7 +32,8 @@ import pytest
 
 from repro import Engine
 from repro.examples import make_scenario
-from repro.model.schema import RelationSchema
+from repro.model.instance import DatabaseInstance
+from repro.model.schema import RelationSchema, Schema
 from repro.runtime.dispatch import AsyncDispatcher, Dispatcher, SequentialDispatcher
 from repro.runtime.kernel import AccessBudget, AccessRequest, Completion, StreamedAnswer
 from repro.sources.access import AccessRecord, AccessTuple
@@ -81,6 +84,79 @@ def test_python_calls_per_access_inside_sequential_step() -> None:
     assert result.answers == example.expected_answers
     assert result.total_accesses > 1000
     assert calls / result.total_accesses <= 32, calls / result.total_accesses
+
+
+#: A music catalog in the shape of the paper's running example: every
+#: artist has a song, two albums and a label in a city.
+CATALOG = Schema.from_signatures(
+    {
+        "artist": ("ioo", ["Artist", "Nation", "Year"]),
+        "song": ("ioo", ["Song", "Year", "Artist"]),
+        "discography": ("io", ["Artist", "Album"]),
+        "signed": ("io", ["Artist", "Label"]),
+        "label_city": ("io", ["Label", "City"]),
+    }
+)
+
+#: ``name -> (query, Python calls Engine.plan may make, calls
+#: PreparedPlan.execute may make)`` for the query warm: its text parsed, its
+#: shape planned and every binding it needs already in the session
+#: meta-caches, so the run reads no source.  Counted on CPython 3.11 (later
+#: versions inline comprehensions and count fewer): 19 / 215 and 19 / 308,
+#: where planning re-checked the memo's query and every run re-derived its
+#: plan's tables, 82 / 295 and 100 / 432.
+WARM_QUERIES = {
+    "disc": (
+        "q(Al, N) <- song('song_7', Y, A), artist(A, N, Y1), discography(A, Al)",
+        22,
+        225,
+    ),
+    "albumcity": (
+        "q(Al, C) <- song('song_7', Y, A), artist(A, N, Y1), discography(A, Al), "
+        "signed(A, L), label_city(L, C)",
+        22,
+        320,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_QUERIES))
+def test_python_calls_of_a_warm_point_query(name: str) -> None:
+    """What a warm point query costs outside its (empty) source reads:
+    planning is a parse-memo hit, a shape-key lookup and a bind; the run
+    only sets up, replays meta-cache hits through the fixpoint and tears
+    down.  Counted under ``sys.setprofile``, so it reads the same on any host."""
+    rows = {
+        "artist": [(f"artist_{i}", f"nation_{i % 3}", 1950 + i) for i in range(10)],
+        "song": [(f"song_{i}", 1970 + i, f"artist_{i}") for i in range(10)],
+        "discography": [(f"artist_{i}", f"album_{i}{s}") for i in range(10) for s in "ab"],
+        "signed": [(f"artist_{i}", f"label_{i % 4}") for i in range(10)],
+        "label_city": [(f"label_{i}", f"city_{i}") for i in range(4)],
+    }
+    engine = Engine(CATALOG, DatabaseInstance(CATALOG, rows))
+    text, plan_bound, execute_bound = WARM_QUERIES[name]
+    for _ in range(2):
+        engine.execute(text)
+    calls = 0
+
+    def profiler(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        prepared = engine.plan(text)
+    finally:
+        sys.setprofile(None)
+    plan_calls, calls = calls, 0
+    sys.setprofile(profiler)
+    try:
+        result = prepared.execute()
+    finally:
+        sys.setprofile(None)
+    assert result.total_accesses == 0 and len(result.answers) == 2
+    assert plan_calls <= plan_bound and calls <= execute_bound, (plan_calls, calls)
 
 
 # -- (b) the records -----------------------------------------------------------------

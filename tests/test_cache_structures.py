@@ -67,6 +67,35 @@ def test_an_index_registered_at_any_time_equals_the_grouped_row_log(seed: int) -
     assert len(table) == len(table.row_log()) == len(set(table.row_log()))
 
 
+@pytest.mark.parametrize("seed", range(25))
+def test_a_value_index_first_asked_late_equals_one_tracked_from_the_start(seed: int) -> None:
+    """Value sets and logs are built on the first ask and maintained after:
+    a table asked late — after N rows, between rows, over rows of every
+    arity — must hold what a table asked before its first row holds."""
+    rng = random.Random(seed)
+    early, late = CacheTable("r_hat", RELATION), CacheTable("r_hat", RELATION)
+    positions = [0, 1, 2, 3]
+    for position in positions:
+        early.value_log(position)
+    asked: List[int] = []
+    for step in range(12):
+        for _ in range(rng.randint(0, 5)):
+            row = tuple(rng.choice("abcd") for _ in range(rng.choice([3, 3, 3, 1, 2, 4])))
+            assert early.add(row) == late.add(row)
+        if step % 3 == rng.randrange(3) and len(asked) < len(positions):
+            asked.append(rng.choice([p for p in positions if p not in asked]))
+        for position in asked:
+            log = late.value_log(position)
+            assert log == early.value_log(position), (position, step)
+            assert late.values_at(position) == early.values_at(position) == set(log)
+            assert len(set(log)) == len(log)
+            # The same live list every time: it grows in place.
+            assert late.value_log(position) is log
+    for position in positions:
+        assert late.value_log(position) == early.value_log(position)
+        assert late.values_at(position) == early.values_at(position)
+
+
 def test_index_buckets_keep_arrival_order_and_ignore_duplicates() -> None:
     table = CacheTable("r_hat", RELATION)
     index = table.index_for((0,))

@@ -28,6 +28,8 @@ from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.plan.bindings import CacheBindingGenerator, DeltaProduct
 from repro.plan.plan import CachePredicate, ProviderSpec
+from repro.runtime import profile as profile_module
+from repro.runtime.profile import KernelProfile
 from repro.sources.backend import SourceBackend
 from repro.sources.cache import CacheDatabase, CacheTable
 from repro.sources.resilience import BreakerConfig, TransientSourceError
@@ -139,14 +141,15 @@ def _fan_generator() -> tuple:
         ),
     )
     db.create_cache("fan_hat", schema["fan"], position=2)
-    return CacheBindingGenerator(cache, db), db.cache("seed_hat")
+    return CacheBindingGenerator(cache, cache.providers, db), db.cache("seed_hat")
 
 
 def test_binding_generator_reads_only_the_provider_log_delta_at_10k() -> None:
     generator, seed_table = _fan_generator()
 
     # Make the origin's value log a counting backend, then feed 10^4 rows.
-    counting = CountingList(seed_table._value_logs[1])
+    # (A value log exists once somebody has asked for it.)
+    counting = CountingList(seed_table.value_log(1))
     seed_table._value_logs[1] = counting
     seed_table.add_all(("k", f"v{i}") for i in range(10_000))
 
@@ -221,6 +224,22 @@ def test_kernel_profile_phases_cover_the_run() -> None:
     # The session aggregates per-run profiles under stats()["kernel"].
     assert stats["kernel"]["runs"] >= 1
     assert stats["kernel"]["counters"]["completions"] >= result.total_accesses
+
+
+def test_kernel_profile_starts_at_zero_and_merges_every_field() -> None:
+    # ``__init__`` and ``merge`` name the fields one by one; this keeps them
+    # in step with the field list ``to_dict`` and ``__slots__`` are built from.
+    fields = profile_module._TIMINGS + profile_module._COUNTERS
+    run, total = KernelProfile(), KernelProfile()
+    for value, name in enumerate(fields, start=1):
+        assert getattr(total, name) == 0
+        setattr(run, name, value)
+    run.max_batch = 7
+    total.merge(run)
+    total.merge(run)
+    assert [getattr(total, name) for name in fields] == [2 * v for v in range(1, len(fields) + 1)]
+    assert (total.runs, total.max_batch) == (3, 7)
+    assert set(KernelProfile.__slots__) == set(fields) | {"runs", "max_batch"}
 
 
 def test_fast_fail_checks_count_the_prefix_tests_performed() -> None:

@@ -210,6 +210,66 @@ def test_anonymous_names_still_avoid_quoted_text_on_every_call(memo) -> None:
     assert str(parse_query("q(X) <- r(X, _), s('_anon2')")) == "q(X) <- r(X, _anon1), s('_anon2')"
 
 
+def _rekeyed(text: str, literal) -> str:
+    """``text`` with every lifted literal replaced by ``literal(index)``."""
+    numbers = iter(range(1000))
+    return parser._LITERAL_RE.sub(lambda _: literal(next(numbers)), text)
+
+
+def _with_head_constants(text: str) -> str:
+    """``text`` whose head also copies a string and a number constant."""
+    head, _, body = text.partition(")")
+    return f"{head}{', ' if not head.endswith('(') else ''}'tag', 3){body}"
+
+
+def _terms_are_terms(query) -> bool:
+    return all(
+        type(term) in (Variable, Constant)
+        for terms in (query.head_terms, *(atom.terms for atom in query.body))
+        for term in terms
+    )
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_memo_hits_build_the_grammars_query_over_the_fuzz_queries(seed, memo, monkeypatch) -> None:
+    """A hit skips the checked constructors (the template vouches for them),
+    so what it builds must be the grammar's query in every respect: ``==``,
+    ``str`` and the type of every term — for the fuzz seeds' queries keyed
+    by a constant (in place of their most-joined non-head variable, so it
+    repeats), with their literals re-keyed (distinct, all one repeated
+    literal, a string where a number was), with and without constants in
+    the head."""
+    from behaviour_fingerprint import generate_case
+
+    grammar = parser._parse_uncached
+    calls = _grammar_calls(monkeypatch)
+    query = grammar(generate_case(seed)[0].query_text)
+    occurrences = [term for atom in query.body for term in atom.terms]
+    keyed = max(
+        (term for term in occurrences if term not in query.head_terms),
+        key=occurrences.count,
+    )
+    base = str(query.substitute({keyed: Constant("k")}))
+    for text in (base, _with_head_constants(base)):
+        variants = [
+            text,
+            _rekeyed(text, lambda i: f"'k{i}'"),
+            _rekeyed(text, lambda i: "'same'"),
+            _rekeyed(text, lambda i: str(40 + i)),
+            _rekeyed(text, lambda i: "7" if i % 2 else "'7'"),
+        ]
+        del calls[:]
+        for variant in variants:
+            cached, reference = parse_query(variant), grammar(variant)
+            assert cached == reference, variant
+            assert str(cached) == str(reference), variant
+            assert _terms_are_terms(cached), variant
+            assert cached.head_terms == reference.head_terms, variant
+        assert calls.count(text) == 1  # the first text filled the memo...
+        assert not set(variants[1:]) & set(calls)  # ...and every other one hit it
+    assert len(memo) == 2
+
+
 def test_the_memo_is_bounded(memo) -> None:
     for index in range(PARSE_MEMO_ENTRIES + 40):
         parse_query(f"q(X{index}) <- r(X{index}, 'k')")

@@ -486,3 +486,34 @@ def test_latency_histogram_quantiles_are_monotone() -> None:
     assert payload["count"] == 6
     assert payload["p50"] <= payload["p95"] <= payload["p99"] <= payload["max_seconds"]
     assert payload["max_seconds"] == pytest.approx(1.5)
+
+
+def test_a_request_refused_for_concurrency_keeps_its_rate_token() -> None:
+    # One request runs, a second is refused for want of a slot: it never ran,
+    # so it must not have spent the tenant's rate.  With the clock frozen the
+    # bucket never refills, so the third request is admitted only if the
+    # second one's token came back.
+    controller = AdmissionController(
+        max_concurrent=1, tenant_rate=1.0, tenant_burst=2.0, clock=lambda: 0.0
+    )
+    assert controller.admit("t") is None
+    rejection = controller.admit("t")
+    assert rejection is not None and rejection.reason == "admission"
+    controller.release("t")
+    assert controller.admit("t") is None
+    controller.release("t")
+    rejection = controller.admit("t")
+    assert rejection is not None and rejection.reason == "rate_limit"
+
+
+def test_latency_quantiles_resolve_sub_millisecond_requests() -> None:
+    # A warm point query is served in a few hundred microseconds: a histogram
+    # whose first bucket was 1 ms reported p50 = p95 = 1 ms for this mix.
+    histogram = LatencyHistogram()
+    for _ in range(95):
+        histogram.observe(0.0003)
+    for _ in range(5):
+        histogram.observe(0.004)
+    payload = histogram.to_dict()
+    assert payload["p50"] <= 0.0005
+    assert payload["p50"] < payload["p99"] <= payload["max_seconds"] == pytest.approx(0.004)
