@@ -72,7 +72,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine import Engine, available_strategies
 from repro.engine.strategy import CONCURRENCY_MODES, OPTIMIZERS
-from repro.examples import SCENARIOS, make_scenario, mixed_workload, running_example
+from repro.examples import (
+    SCENARIOS,
+    MixedWorkload,
+    make_scenario,
+    mixed_workload,
+    running_example,
+)
 from repro.exceptions import ReproError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
@@ -249,22 +255,24 @@ def _resilience_overrides(args: argparse.Namespace) -> Dict[str, object]:
     return overrides
 
 
-def _build_engine(args: argparse.Namespace) -> Tuple[Engine, str]:
-    """Resolve the engine and the query text from the parsed arguments."""
+def _select_source(args: argparse.Namespace) -> Tuple[Schema, DatabaseInstance, Optional[str]]:
+    """The ``(schema, instance, default_query)`` that ``--example``,
+    ``--scenario`` or ``--workload`` selects."""
     if args.example:
         example = running_example()
-        schema, instance, default_query = example.schema, example.instance, example.query_text
     elif args.scenario:
         name, params = parse_scenario_spec(args.scenario)
         example = make_scenario(name, **params)
-        schema, instance, default_query = example.schema, example.instance, example.query_text
     elif args.workload:
-        schema, instance, default_query = load_workload(args.workload)
+        return load_workload(args.workload)
     else:
         raise ReproError("one of --example, --scenario NAME or --workload FILE is required")
-    query = args.query or default_query
-    if not query:
-        raise ReproError("no query given (positionally or via the workload's 'query' field)")
+    return example.schema, example.instance, example.query_text
+
+
+def _registry(args: argparse.Namespace, instance: DatabaseInstance) -> SourceRegistry:
+    """The sources over ``instance`` as ``--backend``, the latencies and
+    ``--fail`` (where the command has it) ask for."""
     registry = SourceRegistry(
         instance,
         latency=args.latency,
@@ -273,10 +281,20 @@ def _build_engine(args: argparse.Namespace) -> Tuple[Engine, str]:
     )
     if getattr(args, "fail", None):
         registry.inject_faults(parse_fail_spec(args.fail))
-    return Engine(schema, registry, cache=args.cache_store), query
+    return registry
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
+def _build_engine(args: argparse.Namespace) -> Tuple[Engine, str]:
+    """Resolve the engine and the query text from the parsed arguments."""
+    schema, instance, default_query = _select_source(args)
+    query = args.query or default_query
+    if not query:
+        raise ReproError("no query given (positionally or via the workload's 'query' field)")
+    return Engine(schema, _registry(args, instance), cache=args.cache_store), query
+
+
+def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--backend`` and the two latencies :func:`_registry` reads."""
     parser.add_argument(
         "--backend",
         metavar="KIND|URL",
@@ -286,6 +304,16 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
             "http(s)://HOST:PORT JSON lookup service (see serve-fixture); "
             "default: memory"
         ),
+    )
+    parser.add_argument(
+        "--backend-latency",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="real injected latency per lookup for the callable backend",
+    )
+    parser.add_argument(
+        "--latency", type=float, default=0.0, help="simulated per-access latency (seconds)"
     )
 
 
@@ -305,17 +333,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
             "parameters after ':', e.g. star:rays=4,width=10"
         ),
     )
-    _add_backend_argument(parser)
-    parser.add_argument(
-        "--backend-latency",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="real injected latency per lookup for the callable backend",
-    )
-    parser.add_argument(
-        "--latency", type=float, default=0.0, help="simulated per-access latency (seconds)"
-    )
+    _add_source_arguments(parser)
     _add_cache_arguments(parser)
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
@@ -404,19 +422,25 @@ def _command_run(args: argparse.Namespace) -> int:
         return 0
 
 
+def _mixed_workload(args: argparse.Namespace) -> MixedWorkload:
+    """The deterministic stream ``--mix``/``--repeat`` name: `workload`
+    replays it, `serve` queries its sources and `loadtest` knows every
+    query's fault-free answers from it without asking the server."""
+    mix = tuple(filter(None, (name.strip() for name in args.mix.split(","))))
+    return mixed_workload(mix, repeat=args.repeat)
+
+
+def _workload_engine(args: argparse.Namespace) -> Tuple[MixedWorkload, Engine]:
+    """The mixed workload and an engine over its sources (`workload`, `serve`)."""
+    workload = _mixed_workload(args)
+    registry = _registry(args, workload.instance)
+    return workload, Engine(workload.schema, registry, cache=args.cache_store)
+
+
 def _command_workload(args: argparse.Namespace) -> int:
     """Replay a mixed multi-scenario query stream concurrently."""
-    mix = tuple(filter(None, (name.strip() for name in args.mix.split(","))))
-    workload = mixed_workload(mix, repeat=args.repeat)
-    registry = SourceRegistry(
-        workload.instance,
-        latency=args.latency,
-        backend=args.backend,
-        real_latency=args.backend_latency,
-    )
-    if args.fail:
-        registry.inject_faults(parse_fail_spec(args.fail))
-    with Engine(workload.schema, registry, cache=args.cache_store) as engine:
+    workload, engine = _workload_engine(args)
+    with engine:
         report = engine.run_workload(
             workload.query_texts(),
             strategy=args.strategy,
@@ -500,31 +524,10 @@ def _command_workload(args: argparse.Namespace) -> int:
         return 0
 
 
-def _serve_workload_registry(args: argparse.Namespace):
-    """The (workload, registry) pair `serve` exposes and `loadtest` verifies.
-
-    Both commands build the same deterministic :func:`mixed_workload` from
-    ``--mix``/``--repeat``, so the load generator knows every query's
-    fault-free answers without talking to the server out of band.
-    """
-    mix = tuple(filter(None, (name.strip() for name in args.mix.split(","))))
-    workload = mixed_workload(mix, repeat=args.repeat)
-    registry = SourceRegistry(
-        workload.instance,
-        latency=args.latency,
-        backend=args.backend,
-        real_latency=args.backend_latency,
-    )
-    if getattr(args, "fail", None):
-        registry.inject_faults(parse_fail_spec(args.fail))
-    return workload, registry
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     """Serve queries over one shared engine session until SIGTERM."""
     from repro.serve import ServeConfig, serve_forever
 
-    workload, registry = _serve_workload_registry(args)
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -539,7 +542,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         drain_timeout=args.drain_timeout,
         execute_overrides=_resilience_overrides(args),
     )
-    with Engine(workload.schema, registry, cache=args.cache_store) as engine:
+    _, engine = _workload_engine(args)
+    with engine:
         try:
             asyncio.run(serve_forever(engine, config))
         except KeyboardInterrupt:
@@ -551,8 +555,7 @@ def _command_loadtest(args: argparse.Namespace) -> int:
     """Open-loop load generation against a live `repro serve` process."""
     from repro.serve import LoadTestConfig, run_loadtest
 
-    mix = tuple(filter(None, (name.strip() for name in args.mix.split(","))))
-    workload = mixed_workload(mix, repeat=args.repeat)
+    workload = _mixed_workload(args)
     rate, duration = args.rate, args.duration
     if args.smoke:
         # CI preset: short and gentle, then gate hard on health.
@@ -600,15 +603,7 @@ def _command_loadtest(args: argparse.Namespace) -> int:
 
 def _command_serve_fixture(args: argparse.Namespace) -> int:
     """Serve a scenario/workload's sources over the HTTP lookup protocol."""
-    if args.example:
-        instance = running_example().instance
-    elif args.scenario:
-        name, params = parse_scenario_spec(args.scenario)
-        instance = make_scenario(name, **params).instance
-    elif args.workload:
-        _, instance, _ = load_workload(args.workload)
-    else:
-        raise ReproError("one of --example, --scenario NAME or --workload FILE is required")
+    _, instance, _ = _select_source(args)
     from repro.sources.fixture_server import serve_forever
 
     try:
@@ -728,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
             "structural (default) or cost (fewest pending bindings first)"
         ),
     )
-    _add_backend_argument(workload_parser)
+    _add_source_arguments(workload_parser)
     workload_parser.add_argument(
         "--concurrency",
         choices=CONCURRENCY_MODES,
@@ -744,16 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="bound on simultaneously in-flight accesses per query with --concurrency async",
-    )
-    workload_parser.add_argument(
-        "--backend-latency",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="real injected latency per lookup for the callable backend",
-    )
-    workload_parser.add_argument(
-        "--latency", type=float, default=0.0, help="simulated per-access latency (seconds)"
     )
     _add_resilience_arguments(workload_parser)
     _add_cache_arguments(workload_parser)
@@ -859,17 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="how long shutdown waits for in-flight queries (default: 5)",
     )
-    _add_backend_argument(serve_front_parser)
-    serve_front_parser.add_argument(
-        "--backend-latency",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="real injected latency per lookup for the callable backend",
-    )
-    serve_front_parser.add_argument(
-        "--latency", type=float, default=0.0, help="simulated per-access latency (seconds)"
-    )
+    _add_source_arguments(serve_front_parser)
     _add_resilience_arguments(serve_front_parser)
     _add_cache_arguments(serve_front_parser)
     serve_front_parser.set_defaults(handler=_command_serve)

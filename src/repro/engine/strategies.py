@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, AsyncIterator, ClassVar, Dict, Iterator, List,
 from repro.engine.result import Result, SourceBreakdown, Termination
 from repro.engine.strategy import ExecuteOptions, ExecutionStrategy, register_strategy
 from repro.runtime.dispatch import (
+    DEFAULT_LATENCY,
     AsyncDispatcher,
     Dispatcher,
     SequentialDispatcher,
@@ -95,8 +96,9 @@ class KernelStrategy(ExecutionStrategy):
     #: ``ExecuteOptions.share_session_cache``).
     consults_session_caches: ClassVar[bool] = True
     #: Price wrappers that declare no latency at
-    #: ``ExecuteOptions.default_latency`` (on the simulated clock, in the
-    #: per-source breakdown and in the session statistics) instead of zero.
+    #: :data:`~repro.runtime.dispatch.DEFAULT_LATENCY` (on the simulated clock,
+    #: in the per-source breakdown and in the session statistics) instead of
+    #: zero.
     charges_default_latency: ClassVar[bool] = False
 
     # -- the declaration -------------------------------------------------------
@@ -141,7 +143,7 @@ class KernelStrategy(ExecutionStrategy):
         started = time.perf_counter()
         engine = prepared.engine
         registry = engine.registry
-        default_latency = options.default_latency if self.charges_default_latency else 0.0
+        default_latency = DEFAULT_LATENCY if self.charges_default_latency else 0.0
         log = AccessLog()
         cache_db = None
         if self.consults_session_caches:
@@ -309,7 +311,7 @@ class DistillationStrategy(KernelStrategy):
     charges_default_latency = True
 
     def policy(self, prepared, options, cache_db) -> EagerPlan:
-        return EagerPlan(prepared.plan, cache_db, respect_ordering=options.respect_ordering)
+        return EagerPlan(prepared.plan, cache_db)
 
     def simulated_dispatcher(
         self, policy: PlanPolicy, default_latency, *wiring

@@ -55,13 +55,9 @@ class ExecuteOptions:
             meta-caches, so accesses are never repeated *across* the queries
             of a session either.
         max_accesses: optional safety bound on the number of accesses.
-        default_latency: simulated per-access latency for wrappers that do
-            not declare one (distillation strategy).
         answer_check_interval: how many completed accesses between
             incremental answer checks (distillation strategy); 1 gives the
             finest streaming granularity.
-        respect_ordering: dispatch accesses position by position instead of
-            eagerly (distillation strategy).
         concurrency: ``"simulated"`` (default) prices accesses on a
             deterministic simulated clock — back to back for ``naive`` and
             ``fast_fail``, the discrete-event simulation of parallel
@@ -102,9 +98,7 @@ class ExecuteOptions:
     fast_fail: bool = True
     share_session_cache: bool = True
     max_accesses: Optional[int] = None
-    default_latency: float = 0.01
     answer_check_interval: int = 1
-    respect_ordering: bool = False
     concurrency: str = "simulated"
     max_in_flight: int = 64
     retry: Optional[RetryPolicy] = None

@@ -14,7 +14,7 @@ constant-elimination step turns into an artificial free relation.
 
 Besides the running example, this module is the scenario-generator library:
 parameterized d-graph topologies (``chain``, ``wide-fanout``, ``star``,
-``diamond``, ``skewed-fanout``, ``cycle``) that the benchmarks and the CLI
+``diamond``, ``skewed-fanout``, ``cycle``) that the tests and the CLI
 use to exercise every backend × strategy combination on qualitatively
 different dependency shapes.  Every generator returns an :class:`Example`
 carrying its expected answers, so any execution over it doubles as a
@@ -86,15 +86,15 @@ def running_example() -> Example:
 
 
 def chain_example(length: int = 3, width: int = 4) -> Example:
-    """A synthetic chain ``free -> s1 -> s2 -> ...`` used by tests and benchmarks.
+    """A synthetic chain ``free -> s1 -> s2 -> ...`` used by tests and the CLI.
 
     ``free^oo(D0, D1)`` seeds values; each ``s_k^ioo(D_k, D_{k+1}, Aux)``
     consumes the previous stage's output.  The query joins the whole chain.
     ``width`` controls how many distinct values flow through each stage.
     Every stage also has a ``junk_k^io(D_k, Aux)`` relation that does not
     occur in the query: the naive strategy accesses it with every value of
-    ``D_k`` while the plan-based strategies prune it as irrelevant, which is
-    what the benchmark measures.
+    ``D_k`` while the plan-based strategies prune it as irrelevant: the
+    access-count gap the paper's optimization is about.
     """
     if length < 1:
         raise ValueError("chain_example needs length >= 1")
@@ -330,7 +330,7 @@ def zipf_fanout_example(
     values per seed key follows a deterministic zipf law — the first key
     expands into a large fraction of all ``fan_rows`` rows while the tail
     keys expand into a handful.  At ``fan_rows=3500`` the instance holds
-    over 10⁴ tuples, which is what the benchmark's ``--scale`` section runs.
+    over 10⁴ tuples, which is what the slow scale test runs.
     The skew stresses exactly what uniform fanout cannot: one wrapper's
     queue and one cache's delta stream dwarf all the others.
     """
@@ -643,78 +643,6 @@ def mixed_workload(
         schema=schema,
         instance=instance,
         queries=queries,
-    )
-
-
-@dataclass(frozen=True)
-class UCQWorkload:
-    """A union of conjunctive queries over one shared schema and instance.
-
-    The engine evaluates conjunctive queries; a UCQ runs as one engine
-    session executing every branch and unioning the answer sets.  Because
-    all branches share the session's meta-caches, the accesses common to
-    several branches (here: the whole ``seed``/``fan`` prefix) are performed
-    exactly once for the whole union — the session-level "never repeat an
-    access" invariant applied across the branches of one query.
-
-    Attributes:
-        name: workload identifier (carries the size parameters).
-        schema / instance: the shared database.
-        branch_queries: one conjunctive query text per UCQ branch.
-        expected_union: the union of the branches' expected answers.
-    """
-
-    name: str
-    schema: Schema
-    instance: DatabaseInstance
-    branch_queries: Tuple[str, ...]
-    expected_union: FrozenSet[Tuple[object, ...]]
-
-
-def ucq_fanout_workload(
-    keys: int = 20, fan_rows: int = 400, branches: int = 3, exponent: float = 1.1
-) -> UCQWorkload:
-    """A UCQ over a zipf-skewed fanout: one shared prefix, many collect tails.
-
-    ``seed^oo`` and ``fan^ioo`` form the shared prefix (fanouts zipf-skewed
-    as in :func:`zipf_fanout_example`); each branch ``b`` has its own
-    ``collect{b}^ioo`` tail, and the UCQ is the union of the per-branch
-    three-atom chains.  Branch answer sets are disjoint by construction, so
-    ``expected_union`` has ``branches * fan_rows``-ish rows and any
-    duplicate suppression bug shows up as a count mismatch.
-    """
-    if branches < 1:
-        raise ReproError("ucq_fanout_workload needs branches >= 1")
-    if keys < 1 or fan_rows < keys:
-        raise ReproError("ucq_fanout_workload needs keys >= 1 and fan_rows >= keys")
-    signatures: Dict[str, Tuple[str, list]] = {
-        "seed": ("oo", ["D1", "Aux"]),
-        "fan": ("ioo", ["D1", "D2", "Aux"]),
-    }
-    for b in range(1, branches + 1):
-        signatures[f"collect{b}"] = ("ioo", ["D2", f"D3_{b}", "Aux"])
-    schema = Schema.from_signatures(signatures)
-    fanouts = _zipf_fanouts(keys, fan_rows, exponent)
-    instance = DatabaseInstance(schema)
-    expected = set()
-    for i, fanout in enumerate(fanouts):
-        instance.add_tuple("seed", (f"u{i}", f"sa{i}"))
-        for j in range(fanout):
-            mid = f"m{i}_{j}"
-            instance.add_tuple("fan", (f"u{i}", mid, f"fa{i}_{j}"))
-            for b in range(1, branches + 1):
-                instance.add_tuple(f"collect{b}", (mid, f"z{b}_{i}_{j}", f"ca{b}_{i}_{j}"))
-                expected.add((f"z{b}_{i}_{j}",))
-    queries = tuple(
-        f"q(X3) <- seed(X1, A0), fan(X1, X2, A1), collect{b}(X2, X3, A2)"
-        for b in range(1, branches + 1)
-    )
-    return UCQWorkload(
-        name=f"ucq-fanout-{keys}x{fan_rows}u{branches}",
-        schema=schema,
-        instance=instance,
-        branch_queries=queries,
-        expected_union=frozenset(expected),
     )
 
 

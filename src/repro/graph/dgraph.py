@@ -6,7 +6,9 @@ The d-graph ``G^R_q`` of a constant-free conjunctive query ``q`` over a schema
 * every atom of ``q`` contributes a *source* of **black** nodes, one node per
   argument of the corresponding relation;
 * every relation of ``R`` not occurring in ``q`` contributes a *source* of
-  **white** nodes, again one per argument;
+  **white** nodes, again one per argument — unless it is not queryable:
+  a relation no database instance lets us access can never contribute a
+  value, so it is irrelevant by definition and stays out of the graph;
 * every node carries two labels: the access mode (``i``/``o``) and the
   abstract domain of the corresponding argument;
 * there is an arc from node ``u`` to node ``v`` whenever (i) ``u`` and ``v``
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import QueryError
+from repro.graph.queryability import queryable_relations
 from repro.model.access import AccessMode
 from repro.model.domains import AbstractDomain
 from repro.model.schema import RelationSchema, Schema
@@ -299,10 +302,13 @@ def build_dependency_graph(preprocessed: PreprocessedQuery) -> DependencyGraph:
             )
         )
 
-    # White sources: one per schema relation not occurring in the query.
+    # White sources: one per queryable schema relation not occurring in the
+    # query (the artificial relations of the constants are free, so they
+    # seed the obtainable domains exactly as the constants do).
     query_predicates = query.predicate_set()
+    queryable = queryable_relations(query, schema)
     for relation in schema:
-        if relation.name in query_predicates:
+        if relation.name in query_predicates or relation.name not in queryable:
             continue
         source_id = _source_id_for(relation.name, None)
         nodes = tuple(

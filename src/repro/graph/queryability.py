@@ -16,49 +16,49 @@ returns the empty answer immediately for non-answerable ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.model.domains import AbstractDomain
 from repro.model.schema import Schema
 from repro.query.conjunctive import ConjunctiveQuery
 
 
-def obtainable_domains(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[AbstractDomain]:
-    """Fixpoint of the abstract domains for which at least one value is obtainable.
+def _fixpoint(
+    query: ConjunctiveQuery, schema: Schema
+) -> Tuple[FrozenSet[AbstractDomain], FrozenSet[str]]:
+    """The obtainable domains and the queryable relations, computed together.
 
     The computation starts from the domains of the constants occurring in the
     query and repeatedly adds the output domains of every relation whose
     input domains are already obtainable (free relations seed the fixpoint
-    immediately).
+    immediately); a relation is queryable once it has been added.
     """
     available: Set[AbstractDomain] = set()
     for domains in query.constant_domains(schema).values():
         available.update(domains)
+    queryable: List[str] = []
+    waiting = list(schema)
+    while True:
+        blocked = []
+        for relation in waiting:
+            if available.issuperset(relation.input_domains):
+                available.update(relation.output_domains)
+                queryable.append(relation.name)
+            else:
+                blocked.append(relation)
+        if len(blocked) == len(waiting):
+            return frozenset(available), frozenset(queryable)
+        waiting = blocked
 
-    changed = True
-    while changed:
-        changed = False
-        for relation in schema:
-            if all(domain_ in available for domain_ in relation.input_domains):
-                for domain_ in relation.output_domains:
-                    if domain_ not in available:
-                        available.add(domain_)
-                        changed = True
-    return frozenset(available)
 
-
-def _queryable_given(available: FrozenSet[AbstractDomain], schema: Schema) -> FrozenSet[str]:
-    """Relations whose every input domain is among the obtainable ones."""
-    return frozenset(
-        relation.name
-        for relation in schema
-        if all(domain_ in available for domain_ in relation.input_domains)
-    )
+def obtainable_domains(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[AbstractDomain]:
+    """Fixpoint of the abstract domains for which at least one value is obtainable."""
+    return _fixpoint(query, schema)[0]
 
 
 def queryable_relations(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[str]:
     """Names of the relations of ``schema`` that are queryable w.r.t. ``query``."""
-    return _queryable_given(obtainable_domains(query, schema), schema)
+    return _fixpoint(query, schema)[1]
 
 
 def non_queryable_relations(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[str]:
@@ -97,8 +97,7 @@ def analyze_queryability(query: ConjunctiveQuery, schema: Schema) -> Queryabilit
 
     The schema fixpoint is computed once; both relation sets derive from it.
     """
-    domains = obtainable_domains(query, schema)
-    queryable = _queryable_given(domains, schema)
+    domains, queryable = _fixpoint(query, schema)
     non_queryable = frozenset(
         relation.name for relation in schema if relation.name not in queryable
     )

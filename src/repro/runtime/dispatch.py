@@ -111,6 +111,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: tuples stay in the dispatcher's backlog until a slot frees up.
 WRAPPER_QUEUE_CAPACITY = 64
 
+#: Simulated latency of one access at a wrapper that declares none, charged
+#: by the strategies that price their run on the parallel-wrapper model.
+DEFAULT_LATENCY = 0.01
+
 
 #: The effect the access protocol yields when another claimant holds the
 #: binding: the trampoline waits the way its world allows and answers with
@@ -206,11 +210,6 @@ class Dispatcher(abc.ABC):
     @abc.abstractmethod
     def total_time(self) -> float:
         """The dispatcher's clock at the end of the run."""
-
-    def relation_active(self, relation: str) -> bool:
-        """True while the relation has queued or in-flight work (used by
-        ``respect_ordering`` gating)."""
-        return False
 
     def close(self) -> None:
         """Release execution resources (executor threads); idempotent."""
@@ -403,7 +402,7 @@ class SimulatedParallelDispatcher(Dispatcher):
         log: "AccessLog",
         budget: AccessBudget,
         relations: Iterable[str],
-        default_latency: float = 0.01,
+        default_latency: float = DEFAULT_LATENCY,
     ) -> None:
         super().__init__(registry, log, budget)
         self.default_latency = default_latency
@@ -490,13 +489,6 @@ class SimulatedParallelDispatcher(Dispatcher):
 
     def has_work(self) -> bool:
         return self._outstanding > 0
-
-    def relation_active(self, relation: str) -> bool:
-        state = self._wrappers.get(relation)
-        return bool(
-            (state is not None and (state.queue or state.pending is not None))
-            or self._pending.get(relation)
-        )
 
     def step(self) -> Optional[List[Completion]]:
         """Deliver every completion of the next simulated-time tick.
@@ -696,12 +688,10 @@ class AsyncDispatcher(Dispatcher):
         super().__init__(registry, log, budget)
         self.max_in_flight = max(1, max_in_flight)
         self._backlog: Deque[AccessRequest] = deque()
-        self._backlog_load: Dict[str, int] = {}
         #: The accesses that suspended, as tasks, with their requests.
         self._tasks: Dict["asyncio.Task", AccessRequest] = {}
         #: ``(request, outcome)`` of the accesses that finished at launch.
         self._ready: List[Tuple[AccessRequest, AccessOutcome]] = []
-        self._inflight_load: Dict[str, int] = {}
         #: Pool for backends without a native async read; see :meth:`_pool`.
         self._executor: Optional[ThreadPoolExecutor] = None
         self.now = functools.partial(_seconds_since, time.perf_counter())
@@ -711,9 +701,6 @@ class AsyncDispatcher(Dispatcher):
     # ------------------------------------------------------------------------------
     def submit(self, request: AccessRequest) -> None:
         self._backlog.append(request)
-        self._backlog_load[request.relation] = (
-            self._backlog_load.get(request.relation, 0) + 1
-        )
 
     def refill(self, now: float) -> None:
         """Launch backlog up to ``max_in_flight``, within the budget: an
@@ -730,14 +717,10 @@ class AsyncDispatcher(Dispatcher):
                 "async execution APIs (aexecute/astream) or a sync "
                 "concurrency mode"
             ) from None
-        load = self._inflight_load
         while backlog and len(tasks) + len(ready) < self.max_in_flight:
             if self.budget.grant(1) < 1:
                 break
             request = backlog.popleft()
-            relation = request.relation
-            self._backlog_load[relation] -= 1
-            load[relation] = load.get(relation, 0) + 1
             access = self._aresolve(request)
             try:
                 launched = _Launched(access, access.send(None))
@@ -749,11 +732,6 @@ class AsyncDispatcher(Dispatcher):
 
     def has_work(self) -> bool:
         return bool(self._tasks or self._ready or self._backlog)
-
-    def relation_active(self, relation: str) -> bool:
-        return bool(
-            self._backlog_load.get(relation, 0) or self._inflight_load.get(relation, 0)
-        )
 
     def step(self) -> Optional[List[Completion]]:
         raise ExecutionError(
@@ -786,7 +764,6 @@ class AsyncDispatcher(Dispatcher):
 
     def _account(self, request: AccessRequest, outcome: AccessOutcome, now: float) -> Completion:
         """Account for one finished access at the coordinator."""
-        self._inflight_load[request.relation] -= 1
         self.sequential_time += outcome.read_seconds
         if outcome.counted:
             self._source(request.relation)[0].record_access(
@@ -829,7 +806,6 @@ class AsyncDispatcher(Dispatcher):
             else:
                 self._reap(task, now)
         self._tasks.clear()
-        self._inflight_load.clear()
 
     def close(self) -> None:
         """Let go of the pool without joining it: this runs on the loop

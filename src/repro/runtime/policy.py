@@ -529,34 +529,15 @@ class EagerPlan(PlanPolicy):
     prototype described in the paper.  When the access budget runs dry,
     dispatching stops and the answers already derived are kept.
 
-    With ``respect_ordering``, accesses for a cache are only offered once
-    every cache of a strictly smaller ordering position has drained; the
-    default offers as eagerly as possible, like the prototype.
+    Every cache is offered as eagerly as possible, like the prototype: the
+    ordering positions constrain the fast-failing strategy only.
     """
 
     budget_action = "stop"
 
-    def __init__(
-        self,
-        plan: "QueryPlan",
-        cache_db: "CacheDatabase",
-        respect_ordering: bool = False,
-    ) -> None:
+    def __init__(self, plan: "QueryPlan", cache_db: "CacheDatabase") -> None:
         super().__init__(plan, cache_db)
-        self.respect_ordering = respect_ordering
         self._caches = plan.compiled.accessed
 
     def offer(self, emit: Emit) -> bool:
-        caches = self._caches
-        if self.respect_ordering:
-            caches = [cache for cache in caches if not self._held_back(cache)]
-        return self._offer_caches(caches, emit)
-
-    def _held_back(self, cache: "CachePredicate") -> bool:
-        """With ``respect_ordering``, a cache's accesses are only offered
-        once every cache of a strictly smaller position has drained."""
-        return any(
-            other.position < cache.position
-            and self.dispatcher.relation_active(other.relation.name)
-            for other in self._caches
-        )
+        return self._offer_caches(self._caches, emit)

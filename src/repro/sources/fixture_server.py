@@ -6,7 +6,7 @@ module for the two routes).  The server is a route table over
 :func:`repro.util.http1.serve_connection` — the connection loop, framing
 and hostile-input handling of the query server — on a single ``asyncio``
 event loop, so it sustains hundreds of concurrent in-flight lookups: what
-the async dispatcher's high in-flight benchmark needs from a fixture.
+the async dispatcher's 512-access window test needs from a fixture.
 
 Two entry points:
 

@@ -110,6 +110,34 @@ def test_async_dispatcher_reports_genuine_overlap() -> None:
     assert result.raw.peak_in_flight <= 16
 
 
+def test_async_dispatcher_fills_a_512_access_window_over_http() -> None:
+    # 600 spoke bindings, each answered by the loopback server after 2 ms:
+    # the dispatcher launches every one its window allows before the first
+    # comes back.  ``peak_in_flight`` is a count, so it reads the same on
+    # any host.  The engine closes on the loop that opened its connections.
+    example = star_example(rays=4, width=150)
+    with Engine(example.schema, example.instance) as engine:
+        baseline = engine.execute(
+            example.query_text, strategy="distillation", share_session_cache=False
+        )
+
+    async def over_http(url: str):
+        with Engine(example.schema, SourceRegistry(example.instance, backend=url)) as engine:
+            return await engine.aexecute(
+                example.query_text,
+                strategy="distillation",
+                share_session_cache=False,
+                concurrency="async",
+                max_in_flight=512,
+            )
+
+    with FixtureServer(example.instance, latency=0.002) as server:
+        result = asyncio.run(over_http(server.url))
+    assert result.answers == example.expected_answers
+    assert result.total_accesses == baseline.total_accesses == 601
+    assert result.raw.peak_in_flight == 512
+
+
 # -- budgets and failures under the async dispatcher ------------------------
 
 

@@ -67,7 +67,8 @@ def test_execute_many_is_deterministic_across_runs() -> None:
         with _engine(workload, "callable") as engine:
             results = engine.execute_many(workload.query_texts(), max_parallel=4)
             answers = tuple(frozenset(result.answers) for result in results)
-            observed.add((answers, engine.session.total_accesses))
+            session = engine.session
+            observed.add((answers, session.total_accesses, session.meta_hits))
     assert len(observed) == 1
 
 
@@ -122,7 +123,7 @@ def test_workload_report_counts_hits_and_peak() -> None:
     # The repeated queries are answered entirely from the session caches.
     assert report.meta_hits >= report.total_accesses
     assert 0.0 < report.hit_rate < 1.0
-    assert report.peak_in_flight >= 1
+    assert report.peak_in_flight > 1  # four queries, four workers, slow sources
     assert report.qps > 0
     payload = report.to_dict()
     assert payload["queries"] == 4

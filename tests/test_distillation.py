@@ -92,35 +92,6 @@ def test_budget_larger_than_needed_is_not_flagged() -> None:
     assert result.answers == chain.expected_answers
 
 
-def test_respect_ordering_dispatches_position_by_position() -> None:
-    chain = chain_example(length=3, width=5)
-    engine = Engine(chain.schema, chain.instance, latency=0.01)
-    ordered = engine.execute(
-        chain.query_text,
-        strategy="distillation",
-        share_session_cache=False,
-        respect_ordering=True,
-    )
-    assert ordered.answers == chain.expected_answers
-
-    # With respect_ordering, the access log is grouped by chain stage: no
-    # access of a later stage may precede one of an earlier stage.
-    stage_of = {"free": 0, "s1": 1, "s2": 2, "s3": 3}
-    stages = [stage_of[record.access.relation] for record in ordered.access_log]
-    assert stages == sorted(stages)
-
-    # Eager dispatch interleaves stages but reaches the same answers with
-    # the same number of accesses.
-    engine = Engine(chain.schema, chain.instance, latency=0.01)
-    eager = engine.execute(
-        chain.query_text, strategy="distillation", share_session_cache=False
-    )
-    assert eager.answers == ordered.answers
-    assert eager.total_accesses == ordered.total_accesses
-    eager_stages = [stage_of[record.access.relation] for record in eager.access_log]
-    assert eager_stages != sorted(eager_stages)
-
-
 def test_meta_cache_shared_across_queries_for_distillation() -> None:
     chain = chain_example(length=3, width=4)
     engine = Engine(chain.schema, chain.instance, latency=0.01)

@@ -244,20 +244,18 @@ def test_sync_entries_refuse_a_running_loop_without_leaking_a_coroutine() -> Non
     assert errors[0].query is prepared.query and errors[1].query is prepared.query
 
 
-def test_execute_options_has_twelve_fields() -> None:
+def test_execute_options_has_ten_fields() -> None:
     # The option count is part of the design: a knob nobody sets is a
-    # constant (see WRAPPER_QUEUE_CAPACITY), and the thread-pool knobs went
-    # with the thread pool.
+    # constant (see WRAPPER_QUEUE_CAPACITY and DEFAULT_LATENCY), and the
+    # thread-pool knobs went with the thread pool.
     assert sorted(field.name for field in dataclasses.fields(ExecuteOptions)) == [
         "answer_check_interval",
         "breaker",
         "concurrency",
-        "default_latency",
         "fast_fail",
         "max_accesses",
         "max_in_flight",
         "optimizer",
-        "respect_ordering",
         "retry",
         "share_session_cache",
         "timeout",

@@ -183,7 +183,7 @@ def test_session_log_absorbed_even_on_aborted_run(engine, example) -> None:
 
 
 def test_distillation_per_source_latency_matches_makespan(engine, example) -> None:
-    result = engine.execute(example.query_text, strategy="distillation", default_latency=0.01)
+    result = engine.execute(example.query_text, strategy="distillation")
     per_source_total = sum(b.simulated_latency for b in result.per_source)
     assert per_source_total == pytest.approx(result.raw.sequential_time)
     assert result.simulated_latency <= per_source_total

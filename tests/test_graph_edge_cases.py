@@ -3,12 +3,18 @@
 Degenerate shapes the mainline scenario tests never hit: empty constraint
 systems, plans with a single source, cyclic d-graphs (sources sharing a
 position), branching d-graphs (no unique ordering, hence no ∀-minimal
-plan), and queries blocked by non-queryable relations.
+plan), and queries blocked by non-queryable relations — or merely next to
+one, which a plan must leave out.
 """
 
 from __future__ import annotations
 
-from repro.examples import make_scenario
+import pytest
+
+# The fuzz suite's case generator, shared with the fingerprint tool.
+from behaviour_fingerprint import SEEDS, generate_case
+
+from repro.examples import SCENARIOS, make_scenario
 from repro.graph import analyze_relevance, compute_ordering
 from repro.graph.ordering import OrderingConstraints, SourceOrdering, ordering_constraints
 from repro.graph.queryability import (
@@ -20,6 +26,7 @@ from repro.graph.queryability import (
 )
 from repro.model.domains import AbstractDomain
 from repro.model.schema import Schema
+from repro.plan.minimal import MinimalPlanGenerator
 from repro.query import parse_query
 
 
@@ -180,3 +187,51 @@ def test_query_touching_a_non_queryable_relation_is_unanswerable() -> None:
     report = analyze_queryability(query, schema)
     assert not report.answerable
     assert len(report.offending_atoms) == 1
+
+
+def _assert_plan_leaves_out_the_non_queryable(schema: Schema, query_text: str) -> None:
+    query = parse_query(query_text)
+    plan = MinimalPlanGenerator(schema).generate(query)
+    assert not plan.relevant_relations & non_queryable_relations(query, schema)
+    # Every provider predicate the program reads is one of its rule heads.
+    program = plan.to_datalog()
+    providers = {
+        predicate
+        for rule in program
+        for predicate in rule.body_predicates()
+        if predicate.startswith("s_")
+    }
+    assert providers <= program.idb_predicates(), providers - program.idb_predicates()
+
+
+def test_a_plan_leaves_out_a_relation_it_can_never_access() -> None:
+    # Nothing yields a B, so s can never be accessed; it used to stay in the
+    # d-graph as a white source, get a cache and feed u through a provider
+    # ``s_s_hat_0`` that no rule defines.
+    schema = Schema.from_signatures(
+        {
+            "r": ("i", ["A"]),
+            "t": ("o", ["C"]),
+            "u": ("io", ["C", "A"]),
+            "s": ("io", ["B", "C"]),
+        }
+    )
+    query = parse_query("q(X) <- r(X)")
+    assert non_queryable_relations(query, schema) == frozenset({"s"})
+    plan = MinimalPlanGenerator(schema).generate(query)
+    assert plan.relevant_relations == frozenset({"r", "t", "u"})
+    assert "s" in plan.irrelevant_relations
+    assert "s_s_hat_0" not in str(plan.to_datalog())
+    _assert_plan_leaves_out_the_non_queryable(schema, "q(X) <- r(X)")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_no_scenario_plan_keeps_a_non_queryable_relation(name: str) -> None:
+    example = make_scenario(name)
+    _assert_plan_leaves_out_the_non_queryable(example.schema, example.query_text)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_no_fuzz_case_plan_keeps_a_non_queryable_relation(seed: int) -> None:
+    example, _ = generate_case(seed)
+    _assert_plan_leaves_out_the_non_queryable(example.schema, example.query_text)

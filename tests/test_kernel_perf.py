@@ -20,11 +20,9 @@ from repro.engine import Engine
 from repro.examples import (
     chain_example,
     deep_cycle_example,
-    ucq_fanout_workload,
     wide_fanout_example,
     zipf_fanout_example,
 )
-from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.plan.bindings import CacheBindingGenerator, DeltaProduct
 from repro.plan.plan import CachePredicate, ProviderSpec
@@ -34,6 +32,7 @@ from repro.sources.backend import SourceBackend
 from repro.sources.cache import CacheDatabase, CacheTable
 from repro.sources.resilience import BreakerConfig, TransientSourceError
 from repro.sources.wrapper import SourceRegistry
+from support.ucq import ucq_fanout_workload
 
 
 class CountingList(list):
@@ -409,77 +408,43 @@ def test_a_cache_skipped_for_an_open_breaker_stays_dirty_until_it_half_opens(
     assert calls["fresh_bindings", "s2_hat_1"] <= 6
 
 
-def test_a_held_back_cache_is_offered_once_its_predecessors_drain(calls: Counter) -> None:
-    # free feeds a and b, a feeds c; positions free < a < b < c and b is slow.
-    # With ``respect_ordering`` c waits for b — whose completions provide to
-    # nobody — long after a, the one table c draws on, stopped growing: c must
-    # have stayed dirty to be offered when b drains.
-    schema = Schema.from_signatures(
-        {
-            "free": ("oo", ["X", "W"]),
-            "a": ("io", ["X", "Y"]),
-            "b": ("io", ["W", "V"]),
-            "c": ("io", ["Y", "Z"]),
-        }
-    )
-    instance = DatabaseInstance(schema)
-    for i in range(4):
-        for relation, row in zip("free a b c".split(), ["xw", "xy", "wv", "yz"]):
-            instance.add_tuple(relation, tuple(f"{column}{i}" for column in row))
-    query = "q(Z, V) <- free(X, W), a(X, Y), b(W, V), c(Y, Z)"
-    logs, pulls = {}, {}
-    for respect_ordering in (True, False):
-        calls.clear()
-        registry = SourceRegistry(instance, latency=0.01, per_relation_latency={"b": 0.03})
-        with Engine(schema, registry) as engine:
-            result = engine.execute(
-                query, strategy="distillation", respect_ordering=respect_ordering
-            )
-        assert result.answers == {(f"z{i}", f"v{i}") for i in range(4)}
-        logs[respect_ordering] = [
-            (str(record.access), round(record.simulated_time, 2)) for record in result.access_log
-        ]
-        pulls[respect_ordering] = calls["fresh_bindings", "c_hat_1"]
-    # Holding a cache back changes when its accesses go out, never which.
-    assert sorted(access for access, _ in logs[True]) == sorted(access for access, _ in logs[False])
-    assert [entry for entry in logs[False] if entry[0][0] == "c"] == [
-        ("c['y0']", 0.03), ("c['y1']", 0.04), ("c['y2']", 0.05), ("c['y3']", 0.06)
-    ]  # fmt: skip
-    assert logs[True][-5:] == [
-        ("b['w3']", 0.13), ("c['y0']", 0.14), ("c['y1']", 0.15), ("c['y2']", 0.16), ("c['y3']", 0.17)
-    ]  # fmt: skip
-    # Held back, c is pulled once for everything it missed (and once by the
-    # run's first pass, which looks at every cache); eagerly, once per tick
-    # of a that fed it.
-    assert pulls == {True: 2, False: 5}
+# -- scale-tier scenario generators -------------------------------------------
+# Each runs at a size that keeps tier-1 quick and, marked ``slow``, at the
+# 10^4-tuple scale tier (``pytest -m slow``).
+
+STRATEGIES = ("naive", "fast_fail", "distillation")
 
 
-# -- scale-tier scenario generators ------------------------------------------
-
-
-def test_zipf_fanout_example_answers_match_across_strategies() -> None:
-    example = zipf_fanout_example(keys=10, fan_rows=120)
-    for strategy in ("naive", "fast_fail", "distillation"):
+@pytest.mark.parametrize(
+    "keys, fan_rows", [(10, 120), pytest.param(100, 3500, marks=pytest.mark.slow)]
+)
+def test_zipf_fanout_example_answers_match_across_strategies(keys: int, fan_rows: int) -> None:
+    example = zipf_fanout_example(keys=keys, fan_rows=fan_rows)
+    for strategy in STRATEGIES:
         with Engine(example.schema, example.instance) as engine:
             result = engine.execute(example.query_text, strategy=strategy)
         assert result.answers == example.expected_answers, strategy
 
 
-def test_deep_cycle_minimal_plan_skips_the_ring() -> None:
-    example = deep_cycle_example(size=200, seeds=2, hops=3)
-    with Engine(example.schema, example.instance) as engine:
-        minimal = engine.execute(example.query_text, strategy="fast_fail")
-    with Engine(example.schema, example.instance) as engine:
-        naive = engine.execute(example.query_text, strategy="naive")
-    assert minimal.answers == naive.answers == example.expected_answers
+@pytest.mark.parametrize("size", [200, pytest.param(10_000, marks=pytest.mark.slow)])
+def test_deep_cycle_minimal_plan_skips_the_ring(size: int) -> None:
+    example = deep_cycle_example(size=size, seeds=2, hops=3)
+    results = {}
+    for strategy in STRATEGIES:
+        with Engine(example.schema, example.instance) as engine:
+            results[strategy] = engine.execute(example.query_text, strategy=strategy)
+        assert results[strategy].answers == example.expected_answers, strategy
     # The GFP proves the ring feedback unnecessary: the minimal plan walks
     # seeds + hops accesses while the naive baseline pumps the whole ring.
-    assert minimal.total_accesses <= 2 + 2 * 3
-    assert naive.total_accesses > example.instance.total_tuples() // 2
+    assert results["fast_fail"].total_accesses <= 2 + 2 * 3
+    assert results["naive"].total_accesses > example.instance.total_tuples() // 2
 
 
-def test_ucq_workload_union_and_shared_prefix() -> None:
-    ucq = ucq_fanout_workload(keys=5, fan_rows=40, branches=2)
+@pytest.mark.parametrize(
+    "keys, fan_rows, branches", [(5, 40, 2), pytest.param(50, 2000, 4, marks=pytest.mark.slow)]
+)
+def test_ucq_workload_union_and_shared_prefix(keys: int, fan_rows: int, branches: int) -> None:
+    ucq = ucq_fanout_workload(keys=keys, fan_rows=fan_rows, branches=branches)
     with Engine(ucq.schema, ucq.instance) as engine:
         union: set = set()
         per_branch = []

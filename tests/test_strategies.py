@@ -87,7 +87,7 @@ def test_randomized_instances_agree(seed: int) -> None:
 
 def test_distillation_reports_latency_and_speedup(chain) -> None:
     engine = Engine(chain.schema, chain.instance)
-    result = engine.execute(chain.query_text, strategy="distillation", default_latency=0.01)
+    result = engine.execute(chain.query_text, strategy="distillation")
     assert result.answers == chain.expected_answers
     assert result.simulated_latency > 0
     assert result.time_to_first_answer is not None
