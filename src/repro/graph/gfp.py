@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.graph.dgraph import Arc, DependencyGraph, Node, Source
 
@@ -183,19 +183,11 @@ class OptimizedDependencyGraph:
         self.graph = marked.graph
         self.arcs: FrozenSet[Arc] = marked.surviving_arcs
         touched_nodes = {arc.tail for arc in self.arcs} | {arc.head for arc in self.arcs}
-        surviving_sources: List[Source] = []
-        surviving_nodes: Dict[str, Tuple[Node, ...]] = {}
-        for source in self.graph.sources:
-            if source.is_black:
-                nodes = source.nodes
-            else:
-                nodes = tuple(node for node in source.nodes if node in touched_nodes)
-                if not nodes:
-                    continue
-            surviving_sources.append(source)
-            surviving_nodes[source.source_id] = nodes
-        self._sources: Dict[str, Source] = {s.source_id: s for s in surviving_sources}
-        self._surviving_nodes = surviving_nodes
+        self._sources: Dict[str, Source] = {
+            source.source_id: source
+            for source in self.graph.sources
+            if source.is_black or any(node in touched_nodes for node in source.nodes)
+        }
 
     # -- sources -------------------------------------------------------------------
     @property

@@ -162,20 +162,12 @@ class CompiledPlan:
             for origin in caches
         }
         self._everywhere = frozenset(self.positions)
-        self._pivots: Dict[int, JoinProgram] = {}
         self._prefixes: Dict[FrozenSet[int], JoinProgram] = {}
 
     def full(self) -> JoinProgram:
         """The program of the whole body — every position populated: the
         query's answers."""
         return self.prefix(self._everywhere)
-
-    def pivot(self, atom_index: int) -> JoinProgram:
-        """The whole body with one atom scanned first (streaming checks)."""
-        program = self._pivots.get(atom_index)
-        if program is None:
-            program = self._pivots[atom_index] = JoinProgram(self._body, pivot=atom_index)
-        return program
 
     def prefix(self, populated: FrozenSet[int]) -> JoinProgram:
         """The atoms whose caches sit at the ``populated`` positions — the

@@ -64,15 +64,3 @@ def analyze_connection_query(query: ConjunctiveQuery, schema: Schema) -> Connect
 def is_connection_query(query: ConjunctiveQuery, schema: Schema) -> bool:
     """True when ``query`` is a connection query in the sense of [4]."""
     return analyze_connection_query(query, schema).is_connection
-
-
-def connection_query_fraction(
-    queries_and_schemas: List[Tuple[ConjunctiveQuery, Schema]]
-) -> float:
-    """Fraction of the given queries that are connection queries."""
-    if not queries_and_schemas:
-        return 0.0
-    hits = sum(
-        1 for query, schema in queries_and_schemas if is_connection_query(query, schema)
-    )
-    return hits / len(queries_and_schemas)

@@ -14,13 +14,12 @@ one mutable slot list assigned in place while backtracking over the
 tables' persistent hash indexes — no snapshot of the tables, no
 re-sorting, no per-row substitution objects.
 
-A program compiled with a *pivot* scans that atom first, and the caller
-may hand in the rows to scan (``first_rows``).  This is the semi-naive step
-of the streaming answer checks: an answer that became derivable since the
-previous check uses at least one row that arrived since then, so running
-every atom's pivot program over that atom's new rows — against the other
-atoms' full tables — finds every new answer.  One whose rows span several
-deltas is found once per such pivot; the caller's dedup absorbs that.
+A streaming run asks, after nearly every completion, which answers became
+derivable since its previous check: it runs its program *incrementally*
+(:class:`IncrementalJoin`), keeping the partial solutions built so far and
+joining only the rows the tables appended since — the semi-naive split,
+each step's new rows in turn the pivot — so each partial solution is built
+once over the run and a check costs what it adds.
 
 A program holds no per-run state, so concurrent runs share it safely.  A
 run *binds* the programs it uses to its own tables once
@@ -64,15 +63,11 @@ class _Step(NamedTuple):
 
 
 class JoinProgram:
-    """The conjunction of ``atoms``, compiled to a fixed join order over slots.
-
-    With ``pivot``, ``atoms[pivot]`` is scanned first (see the module
-    docstring) and the greedy orders the rest.
-    """
+    """The conjunction of ``atoms``, compiled to a fixed join order over slots."""
 
     __slots__ = ("steps", "_slot_of", "_variable_slot", "_initial")
 
-    def __init__(self, atoms: Sequence[Atom], pivot: Optional[int] = None) -> None:
+    def __init__(self, atoms: Sequence[Atom]) -> None:
         self._slot_of: Dict[Term, int] = {}
         #: The slot of each variable by name (a ``str`` key hashes in C).
         self._variable_slot: Dict[str, int] = {}
@@ -81,15 +76,13 @@ class JoinProgram:
         remaining = list(atoms)
         bound: Set[Variable] = set()
         steps: List[_Step] = []
-        if pivot is not None:
-            steps.append(self._compile(remaining.pop(pivot), bound, scan=True))
         while remaining:
             remaining.sort(
                 key=lambda atom: -sum(
                     isinstance(term, Constant) or term in bound for term in atom.terms
                 )
             )
-            steps.append(self._compile(remaining.pop(0), bound, scan=False))
+            steps.append(self._compile(remaining.pop(0), bound))
         self.steps: Tuple[_Step, ...] = tuple(steps)
 
     def _slot(self, term: Term) -> int:
@@ -103,11 +96,8 @@ class JoinProgram:
                 self._variable_slot[term.name] = slot
         return slot
 
-    def _compile(self, atom: Atom, bound: Set[Variable], scan: bool) -> _Step:
-        """Compile ``atom`` given the variables ``bound`` before it (updated).
-
-        A scanned step probes nothing: its ground positions become checks.
-        """
+    def _compile(self, atom: Atom, bound: Set[Variable]) -> _Step:
+        """Compile ``atom`` given the variables ``bound`` before it (updated)."""
         keys: List[_At] = []
         binds: List[_At] = []
         checks: List[_At] = []
@@ -115,7 +105,7 @@ class JoinProgram:
         for position, term in enumerate(atom.terms):
             at = (position, self._slot(term))
             if isinstance(term, Constant) or term in bound:
-                (checks if scan else keys).append(at)
+                keys.append(at)
             elif term in fresh:
                 checks.append(at)
             else:
@@ -136,8 +126,8 @@ class JoinProgram:
         self, tables: TableLookup, head_terms: Optional[Sequence[Term]] = None
     ) -> "BoundProgram":
         """Resolve the program against one run's tables, once: per step the
-        index dictionary (for a scan, the row log) it reads.  Both grow in
-        place, so the bound program stays current for the tables' life.
+        index dictionary (with no probe key, the row log) it reads.  Both grow
+        in place, so the bound program stays current for the tables' life.
         ``head_terms`` is what :meth:`BoundProgram.answers` projects on
         (constants are copied); without it only ``satisfiable`` is asked.
         """
@@ -173,14 +163,17 @@ class JoinProgram:
             return False
         return not self.steps or _search(self.steps, sources, self._initial.copy(), 0, None, None)
 
-    def answers(
-        self,
-        tables: TableLookup,
-        head_terms: Sequence[Term],
-        first_rows: Optional[Sequence[Row]] = None,
-    ) -> Set[Row]:
+    def answers(self, tables: TableLookup, head_terms: Sequence[Term]) -> Set[Row]:
         """Every solution projected on ``head_terms``; see :class:`BoundProgram`."""
-        return self.bind(tables, head_terms).answers(first_rows)
+        return self.bind(tables, head_terms).answers()
+
+    def incremental(self, tables: TableLookup, head_terms: Sequence[Term]) -> "IncrementalJoin":
+        """The program bound to ``tables`` as an :class:`IncrementalJoin`."""
+        bound = self.bind(tables, head_terms)
+        logs = None
+        if bound.sources is not None:
+            logs = [tables(step.predicate).row_log() for step in self.steps]
+        return IncrementalJoin(bound, logs)
 
 
 class BoundProgram(NamedTuple):
@@ -202,24 +195,86 @@ class BoundProgram(NamedTuple):
             self.steps, self.sources, self.initial.copy(), 0, None, None
         )
 
-    def answers(self, first_rows: Optional[Sequence[Row]] = None) -> Set[Row]:
-        """Every solution projected on the head terms the program was bound with.
-
-        ``first_rows`` replaces the first step's table scan; the program must
-        have been compiled with a pivot.
-        """
+    def answers(self) -> Set[Row]:
+        """Every solution projected on the head terms the program was bound with."""
         steps, sources, initial, head = self
-        if first_rows is not None and steps and steps[0].key_positions:
-            raise ValueError("first_rows needs a program compiled with a pivot")
         if sources is None:
             return set()
         if not steps:  # the empty conjunction has exactly one (empty) solution
             return {tuple([initial[slot] for slot in head])}
-        if first_rows is not None:
-            sources = [first_rows, *sources[1:]]
         out: Set[Row] = set()
         _search(steps, sources, initial.copy(), 0, head, out)
         return out
+
+
+class IncrementalJoin:
+    """A :class:`BoundProgram` run semi-naively over its tables' row logs.
+
+    ``levels[k]`` holds the partial solutions of steps ``0 … k−1`` built so
+    far, grouped on step ``k``'s probe key.  :meth:`delta` walks the steps
+    in join order: the old partials of a level join the step's new rows, the
+    partials just built at the level before join all its rows and then join
+    the level.  A partial is thus built by the call that reads the last of
+    its rows, and only then (``partials`` counts them, complete ones too).
+    The empty partial — the initial slot list — is new at the first call.
+    ``logs`` are the steps' row logs (None when a table does not exist),
+    ``marks`` how much of each the previous calls have joined.
+    """
+
+    __slots__ = ("program", "logs", "marks", "levels", "partials", "_seed")
+
+    def __init__(self, program: BoundProgram, logs: Optional[List[List[Row]]]) -> None:
+        self.program = program
+        self.logs = logs
+        self.marks = [0] * len(program.steps)
+        self.levels: List[Dict[Row, List[List[object]]]] = [{} for _ in program.steps]
+        self.partials = 0
+        self._seed = [program.initial]
+
+    def delta(self) -> Set[Row]:
+        """The answers of the solutions that use a row added since the
+        previous call (the first call: every answer).  The union of all calls
+        is :meth:`BoundProgram.answers`; two solutions found by different
+        calls may project on the same answer."""
+        (steps, sources, _, head), logs, marks = self.program, self.logs, self.marks
+        if logs is None:
+            return set()
+        fresh, self._seed = self._seed, []  # the partials built at the level before
+        for depth, (_, arity, key_positions, key_slots, binds, checks) in enumerate(steps):
+            log, low = logs[depth], marks[depth]
+            high = marks[depth] = len(log)
+            if low == high and not fresh:
+                continue  # no new row here, no new partial to extend
+            level = self.levels[depth]
+            single = len(key_slots) == 1  # the common probe, without the comprehension
+            pairs = []
+            for row in log[low:high]:  # old partials x new rows
+                if len(row) == arity:
+                    if single:
+                        key = (row[key_positions[0]],)
+                    else:
+                        key = tuple([row[position] for position in key_positions])
+                    for partial in level.get(key, ()):
+                        pairs.append((partial, row))
+            source = sources[depth]
+            for partial in fresh:  # new partials x every row; then they join the level
+                key = (partial[key_slots[0]],) if single else tuple([partial[s] for s in key_slots])
+                level.setdefault(key, []).append(partial)
+                for row in source.get(key, ()) if key_slots else source:
+                    if len(row) == arity:
+                        pairs.append((partial, row))
+            fresh = []
+            for partial, row in pairs:
+                slots = partial.copy()
+                for position, slot in binds:
+                    slots[slot] = row[position]
+                for position, slot in checks:
+                    if row[position] != slots[slot]:
+                        break
+                else:
+                    fresh.append(slots)
+            self.partials += len(fresh)
+        return {tuple([slots[slot] for slot in head]) for slots in fresh}
 
 
 def _search(

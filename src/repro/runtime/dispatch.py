@@ -431,34 +431,44 @@ class SimulatedParallelDispatcher(Dispatcher):
         #: Wrappers whose queue head the budget denied (stall memo, so the
         #: drained-heap check does not scan every wrapper per step).
         self._stalled: Set[str] = set()
+        #: ``(relation, binding) ->`` submitted more than once (by two caches
+        #: over one relation): only then can it be recorded between its offer
+        #: and its schedule.
+        self._repeated: Dict[Tuple[str, Tuple[object, ...]], bool] = {}
 
     def submit(self, request: AccessRequest) -> None:
         self._pending[request.relation].append(request)
         self._dirty.add(request.relation)
         self._outstanding += 1
+        access = request[1:]
+        self._repeated[access] = access in self._repeated
 
     def refill(self, now: float) -> None:
         """Move backlog into free queue slots and schedule idle wrappers.
 
-        A queue head whose binding is already recorded on the meta-cache
-        (e.g. the same access enabled by two cache occurrences, the first
-        of which has completed) is resolved here, *before* a completion
-        event is scheduled for it: a served hit costs no wrapper time, so
-        it must never occupy a latency slot of the simulation.
+        A queue head whose binding is already recorded on the meta-cache is
+        served here, *before* an event is scheduled for it: a hit costs no
+        wrapper time.  The offer pass probed every binding it submitted, so
+        only a head submitted twice (by two caches over one relation, the
+        first copy completed since) or a stalled one (a concurrent execution
+        may record it) is probed again; another execution recording any
+        other head serves it at its event, like a claim served there.
 
-        Only wrappers marked dirty (new submissions, or an event delivered
-        since their last refill) are processed; iteration stays in wrapper
-        registration order so the delivery order of meta-hit completions —
-        and everything downstream of it — is reproducible run to run.
+        Only dirty wrappers (new submissions, or an event delivered since
+        their last refill) are processed, in registration order, so the
+        delivery order of served hits is reproducible run to run.
         """
-        if now > self.now.time:
-            self.now.time = now
-        if not self._dirty:
+        clock = self.now
+        if now > clock.time:
+            clock.time = now
+        dirty = self._dirty
+        if not dirty:
             return
+        probe = self.gate is not None and self.gate.dedup_accesses
         for name, state in self._wrappers.items():
-            if name not in self._dirty:
+            if name not in dirty:
                 continue
-            self._dirty.discard(name)
+            dirty.discard(name)
             backlog = self._pending[name]
             queue = state.queue
             while True:
@@ -468,10 +478,11 @@ class SimulatedParallelDispatcher(Dispatcher):
                     break
                 # Non-claiming gate probe: the rows when the head's binding
                 # is already recorded (counted as a hit).
-                meta = None
-                if self.gate is not None and self.gate.dedup_accesses:
-                    meta = self._source(name)[1]
-                rows = meta.lookup(queue[0].binding) if meta is not None else None
+                rows = None
+                if probe and (state.stalled or self._repeated[queue[0][1:]]):
+                    meta = (self._sources.get(name) or self._source(name))[1]
+                    if meta is not None:
+                        rows = meta.lookup(queue[0].binding)
                 if rows is None:
                     # A stalled wrapper's head stays queued but is never
                     # re-scheduled: the budget that denied it cannot grow.
@@ -479,7 +490,7 @@ class SimulatedParallelDispatcher(Dispatcher):
                     # yet record the head's binding, which the probe above
                     # then serves for free.
                     if state.stalled:
-                        self._dirty.add(name)
+                        dirty.add(name)
                     else:
                         start = max(state.busy_until, now)
                         state.scheduled = True
@@ -506,13 +517,9 @@ class SimulatedParallelDispatcher(Dispatcher):
             self._outstanding -= len(ready)
             return ready
         if not self._events:
-            # Nothing in flight.  If a wrapper stalled on the budget, the
-            # work the kernel still sees is exactly the work the budget
-            # refuses to fund — report the stall (the kernel only calls
-            # step() while has_work(), so remaining work is guaranteed).
-            if self._stalled:
-                return None
-            return []
+            # Nothing in flight: with a wrapper stalled, the work left (the
+            # kernel only steps while there is some) is what the budget refuses.
+            return None if self._stalled else []
         completions: List[Completion] = []
         events = self._events
         finish = events[0][0]
@@ -541,14 +548,10 @@ class SimulatedParallelDispatcher(Dispatcher):
             request = state.queue[0]
             outcome = self._resolve(request, wrapper, meta)
             if outcome is None:
-                # The budget denied this wrapper's head.  Other events may
-                # still be in the heap — notably retry-stretched pending
-                # completions whose accesses were already performed, charged
-                # and recorded on the meta-cache; they must be delivered (in
-                # clock order), not dropped with the run's answers and
-                # budget accounting short.  The denied head stalls (it can
-                # never be funded again); the stall is only reported once
-                # the heap has drained.
+                # The budget denied this wrapper's head: it stalls (it can
+                # never be funded again), reported once the heap has drained
+                # — the events still in it (retry-stretched accesses already
+                # performed and recorded, notably) are delivered first.
                 state.stalled = True
                 self._stalled.add(relation)
                 continue

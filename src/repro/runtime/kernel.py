@@ -113,12 +113,12 @@ class AnswerTracker:
     (the event-heap clock in simulation, the wall clock under async
     dispatch, the cumulative latency sum in sequential runs).
 
-    Intermediate checks use the policy's *incremental* evaluator when it
-    offers one (:meth:`~repro.runtime.policy.PlanPolicy.evaluate_delta`):
-    the semi-naive pass touches only the cache rows added since the last
-    check, which is what keeps frequent streaming checks from dominating
-    the run.  The final check always performs one full evaluation, so the
-    reported answer set never depends on the incremental path.
+    A streaming run checks through the policy's *incremental* evaluator
+    (:meth:`~repro.runtime.policy.PlanPolicy.evaluate_delta`), every check
+    its last one included: each returns the answers that the rows added
+    since the previous check made derivable, so a check costs what it adds
+    and the union of the checks is the answer set.  A run that does not
+    stream has no ``evaluate_delta`` and checks once, in full, at the end.
     """
 
     def __init__(
@@ -128,21 +128,17 @@ class AnswerTracker:
     ) -> None:
         self._evaluate = evaluate
         self._evaluate_delta = evaluate_delta
-        self.answers: Set[Row] = set()
+        #: Every answer so far, with the time it was first derived.
         self.answer_times: Dict[Row, float] = {}
         self.first_answer_time: Optional[float] = None
         self.incremental_checks = 0
         self.full_checks = 0
 
     def check(self, now: float) -> List[StreamedAnswer]:
-        """Intermediate check: new derivable rows since the last one, timestamped."""
+        """The rows derivable now and not before, timestamped ``now``."""
         if self._evaluate_delta is not None:
             self.incremental_checks += 1
             return self._register(self._evaluate_delta(), now)
-        return self.final(now)
-
-    def final(self, now: float) -> List[StreamedAnswer]:
-        """Full evaluation of the query; return the newly derived rows."""
         self.full_checks += 1
         return self._register(self._evaluate(), now)
 
@@ -153,8 +149,7 @@ class AnswerTracker:
             if row not in answer_times:
                 answer_times[row] = now
                 fresh.append(StreamedAnswer(row, now))
-        self.answers.update(current)
-        if self.first_answer_time is None and self.answers:
+        if fresh and self.first_answer_time is None:
             self.first_answer_time = now
         return fresh
 
@@ -298,9 +293,8 @@ class FixpointKernel:
                 accesses are recorded in, and the run's
                 :class:`AccessBudget` (the ``max_accesses`` bound).
             answer_check_interval: completed accesses between incremental
-                answer checks; ``None`` disables intermediate checks (the
-                query is still evaluated once at the end), which is what
-                the non-streaming strategies use.
+                answer checks; with ``None`` (the non-streaming strategies)
+                the query is evaluated once, in full, at the end.
             resilience: retry/timeout/breaker configuration, installed on
                 the dispatcher's own (still unused) context; with ``None``
                 that context still resolves source faults to failure-flagged
@@ -315,10 +309,10 @@ class FixpointKernel:
         if resilience is not None:
             self.resilience.config = resilience
         self.resilience.bind_clock(dispatcher.now, wall_clock=dispatcher.wall_clock)
-        # Intermediate answer checks go through the policy's incremental
-        # evaluator when it has one; the final check is always full.
+        # A streaming run checks incrementally to the end, any other in full once.
         self.tracker = AnswerTracker(
-            policy.evaluate, getattr(policy, "evaluate_delta", None)
+            policy.evaluate,
+            None if answer_check_interval is None else getattr(policy, "evaluate_delta", None),
         )
         #: Per-phase timings/counters of this run (always on; see
         #: :mod:`repro.runtime.profile`).
@@ -332,12 +326,9 @@ class FixpointKernel:
     # ------------------------------------------------------------------------------
     def run(self) -> KernelOutcome:
         """Run to completion, discarding the incremental answer stream."""
-        generator = self.stream()
-        while True:
-            try:
-                next(generator)
-            except StopIteration as stop:
-                return stop.value
+        for _ in self.stream():
+            pass
+        return self.last_outcome
 
     def stream(self) -> Iterator[StreamedAnswer]:
         """Run the fixpoint loop, yielding answers as they become derivable.
@@ -356,12 +347,9 @@ class FixpointKernel:
                     outcome = stop.value
                     break
                 if kind == "step":
-                    started = perf_counter()
                     reply = self.dispatcher.step()
-                    self.profile.dispatch_seconds += perf_counter() - started
-                    self.profile.dispatch_steps += 1
                 else:
-                    yield payload
+                    yield from payload
                     reply = None
         finally:
             self.dispatcher.close()
@@ -397,12 +385,10 @@ class FixpointKernel:
                     self.last_outcome = stop.value
                     break
                 if kind == "step":
-                    started = perf_counter()
                     reply = await astep() if astep is not None else self.dispatcher.step()
-                    self.profile.dispatch_seconds += perf_counter() - started
-                    self.profile.dispatch_steps += 1
                 else:
-                    yield payload
+                    for answer in payload:
+                        yield answer
                     reply = None
         finally:
             aclose = getattr(self.dispatcher, "aclose", None)
@@ -416,9 +402,9 @@ class FixpointKernel:
 
         A plain generator that yields ``("step", None)`` when it needs the
         driver to advance the dispatcher (the driver must ``send`` the
-        step's completion batch back in) and ``("answer", streamed)`` for
-        each incremental answer; the :class:`KernelOutcome` is the
-        generator's return value.  Keeping offer/absorb/budget/phase logic
+        step's completion batch back in) and ``("answers", batch)`` with each
+        check's new :class:`StreamedAnswer` list; the :class:`KernelOutcome`
+        is the generator's return value.  Keeping offer/absorb/budget/phase logic
         in one generator is what guarantees the sync and async drivers
         execute byte-identical fixpoint semantics.
         """
@@ -426,22 +412,30 @@ class FixpointKernel:
         budget_exhausted = False
         gate_served = 0
         profile = self.profile
+        dispatcher, absorb = self.dispatcher, self.policy.absorb
+        interval = self.answer_check_interval
 
-        started = perf_counter()
+        # One clock read per phase boundary closes a phase and opens the next;
+        # only the consumer's time between streamed answers is left out.
+        mark = perf_counter()
         more_phases = self.policy.begin()
-        profile.fast_fail_seconds += perf_counter() - started
+        now = perf_counter()
+        profile.fast_fail_seconds += now - mark
+        mark = now
         while more_phases and not budget_exhausted:
             while True:
-                started = perf_counter()
                 self._offer_fixpoint()
-                profile.offer_seconds += perf_counter() - started
-                started = perf_counter()
-                self.dispatcher.refill(self.clock)
-                has_work = self.dispatcher.has_work()
-                profile.dispatch_seconds += perf_counter() - started
-                if not has_work:
+                now = perf_counter()
+                profile.offer_seconds += now - mark
+                mark = now
+                dispatcher.refill(self.clock)
+                if not dispatcher.has_work():
                     break
                 batch = yield ("step", None)
+                profile.dispatch_steps += 1
+                now = perf_counter()
+                profile.dispatch_seconds += now - mark
+                mark = now
                 if batch is None:
                     # The dispatcher has work it may not perform: the access
                     # budget ran dry.  Sequential strategies raise; the
@@ -452,50 +446,69 @@ class FixpointKernel:
                     break
                 if not batch:
                     continue
-                started = perf_counter()
                 batch_had_rows = False
+                clock = self.clock
                 for completion in batch:
-                    self._absorb(completion)
-                    completed_since_check += 1
-                    if not completion.counted and not completion.failed:
+                    _, rows, finish, counted, failed = completion
+                    if finish < clock - 1e-12:
+                        raise AssertionError(
+                            f"simulated clock would move backwards ({finish:.6f} < "
+                            f"{clock:.6f}); the dispatcher violated monotonicity"
+                        )
+                    if finish > clock:
+                        clock = finish
+                    if failed:  # no rows; only the clock advances
+                        continue
+                    if not counted:
                         gate_served += 1
-                    if completion.rows:
+                    if rows:
                         batch_had_rows = True
-                profile.absorb_seconds += perf_counter() - started
-                profile.completions += len(batch)
+                        absorb(completion)
+                self.clock = clock
+                size = len(batch)
+                completed_since_check += size
+                profile.completions += size
                 profile.completion_batches += 1
-                if len(batch) > profile.max_batch:
-                    profile.max_batch = len(batch)
+                if size > profile.max_batch:
+                    profile.max_batch = size
+                now = perf_counter()
+                profile.absorb_seconds += now - mark
+                mark = now
                 if (
-                    self.answer_check_interval is not None
+                    interval is not None
                     and batch_had_rows
-                    and completed_since_check >= self.answer_check_interval
+                    and completed_since_check >= interval
                 ):
                     completed_since_check = 0
-                    started = perf_counter()
-                    streamed_batch = self.tracker.check(self.clock)
-                    profile.answer_check_seconds += perf_counter() - started
-                    for streamed in streamed_batch:
-                        profile.answers_streamed += 1
-                        yield ("answer", streamed)
+                    streamed_batch = self.tracker.check(clock)
+                    now = perf_counter()
+                    profile.answer_check_seconds += now - mark
+                    mark = now
+                    if streamed_batch:
+                        profile.answers_streamed += len(streamed_batch)
+                        yield ("answers", streamed_batch)
+                        mark = perf_counter()
+            now = perf_counter()
+            profile.dispatch_seconds += now - mark
+            mark = now
             if not budget_exhausted:
-                started = perf_counter()
                 more_phases = self.policy.advance()
-                profile.fast_fail_seconds += perf_counter() - started
+                now = perf_counter()
+                profile.fast_fail_seconds += now - mark
+                mark = now
 
-        total_time = self.dispatcher.total_time()
-        started = perf_counter()
-        streamed_batch = self.tracker.final(total_time)
-        profile.answer_check_seconds += perf_counter() - started
-        for streamed in streamed_batch:
-            profile.answers_streamed += 1
-            yield ("answer", streamed)
+        total_time = dispatcher.total_time()
+        streamed_batch = self.tracker.check(total_time)
+        profile.answer_check_seconds += perf_counter() - mark
+        if streamed_batch:
+            profile.answers_streamed += len(streamed_batch)
+            yield ("answers", streamed_batch)
         profile.answer_checks = self.tracker.incremental_checks + self.tracker.full_checks
         profile.incremental_checks = self.tracker.incremental_checks
         profile.full_checks = self.tracker.full_checks
         profile.fast_fail_checks = self.policy.fast_fail_checks
         return KernelOutcome(
-            answers=frozenset(self.tracker.answers),
+            answers=frozenset(self.tracker.answer_times),
             answer_times=self.tracker.answer_times,
             first_answer_time=self.tracker.first_answer_time,
             total_time=total_time,
@@ -522,17 +535,3 @@ class FixpointKernel:
         while offer(submit):
             passes += 1
         self.profile.offer_passes += passes
-
-    def _absorb(self, completion: Completion) -> None:
-        """Fold one completion into the policy state, enforcing the clock."""
-        if completion.finish_time < self.clock - 1e-12:
-            raise AssertionError(
-                f"simulated clock would move backwards "
-                f"({completion.finish_time:.6f} < {self.clock:.6f}); "
-                "the dispatcher violated monotonicity"
-            )
-        self.clock = max(self.clock, completion.finish_time)
-        if completion.failed:
-            # A failed access contributes no rows; only the clock advances.
-            return
-        self.policy.absorb(completion)

@@ -42,7 +42,7 @@ from typing import (
 )
 
 from repro.plan.bindings import CacheBindingGenerator, DeltaProduct, initialize_plan_caches
-from repro.query.compiled import BoundProgram
+from repro.query.compiled import IncrementalJoin
 from repro.runtime.dispatch import Dispatcher
 from repro.runtime.kernel import AccessRequest, Completion
 
@@ -184,10 +184,6 @@ class EagerAllRelations(SchedulingPolicy):
         self.query = query
         self.cache: Dict[str, Set[Row]] = {relation.name: set() for relation in schema}
         self.pool = _ValuePool()
-        #: Delta passes that enumerated at least one fresh binding (the
-        #: kernel offers after every completion, so this counts extraction
-        #: bursts rather than the seed's coarse outer rounds).
-        self.rounds = 0
         self._free_accessed: Set[str] = set()
         # One delta product per relation over the logs of its input
         # domains: each pass enumerates only the bindings not produced
@@ -205,7 +201,6 @@ class EagerAllRelations(SchedulingPolicy):
                 self.pool.add(domain_, constant.value)
 
     def offer(self, emit: Emit) -> bool:
-        emitted = False
         excluded = self.dispatcher.resilience.excluded
         for relation in self.schema:
             if excluded(relation.name):
@@ -213,10 +208,7 @@ class EagerAllRelations(SchedulingPolicy):
                 # unconsumed so a half-open recovery can resume it.
                 continue
             for binding in self._fresh_bindings(relation):
-                emitted = True
                 emit(AccessRequest(relation.name, relation.name, binding))
-        if emitted:
-            self.rounds += 1
         return False  # nothing is ever served locally
 
     def _fresh_bindings(self, relation: "RelationSchema"):
@@ -274,13 +266,9 @@ class PlanPolicy(SchedulingPolicy):
         self.generators: Dict[str, CacheBindingGenerator] = initialize_plan_caches(
             plan, cache_db
         )
-        #: Per body atom, its table's row log, how much of it the streaming
-        #: checks have joined already and — bound at the atom's first delta —
-        #: its pivot program over this run's tables (see :meth:`evaluate_delta`;
-        #: set up by its first call: a run that never streams never needs them).
-        self._logs: Optional[List[List[Row]]] = None
-        self._marks: List[int] = []
-        self._pivots: List[Optional[BoundProgram]] = []
+        #: The body joined incrementally over this run's tables, bound by the
+        #: first :meth:`evaluate_delta` (a run that never streams needs none).
+        self._join: Optional[IncrementalJoin] = None
         #: Caches a provider origin of which has grown since they were last
         #: offered: the only ones an offer pass can find a fresh binding for.
         self._dirty: Set[str] = set(self.generators)
@@ -341,34 +329,19 @@ class PlanPolicy(SchedulingPolicy):
         )
 
     def evaluate_delta(self) -> Set[Row]:
-        """Answers derivable now that use a row added since the previous call.
-
-        The semi-naive step over the cache tables' append-only row logs:
-        each atom whose table grew has its pivot program run over just the
-        new rows, so a call costs time proportional to them and the answers
-        they enable — this is what the kernel's intermediate (streaming)
-        answer checks run instead of a full re-evaluation.  The result is a
-        superset of the truly new answers (one may be re-derived through
-        another pivot) and a subset of :meth:`evaluate`.
+        """Answers derivable now that use a row added since the previous call
+        (the first call: every answer so far) — what the streaming checks run
+        instead of :meth:`evaluate`, whose answers the calls add up to.  One
+        :class:`~repro.query.compiled.IncrementalJoin` of the rewritten body
+        per run builds each partial solution once: a call costs what it adds.
         """
-        if self._logs is None:
-            table = self.cache_db.cache
-            self._logs = [table(atom.predicate).row_log() for atom in self.plan.rewritten_query.body]
-            self._marks = [0] * len(self._logs)
-            self._pivots = [None] * len(self._logs)
-        out: Set[Row] = set()
-        for pivot, log in enumerate(self._logs):
-            low, high = self._marks[pivot], len(log)
-            if low < high:
-                self._marks[pivot] = high
-                program = self._pivots[pivot]
-                if program is None:
-                    plan = self.plan
-                    program = self._pivots[pivot] = plan.compiled.pivot(pivot).bind(
-                        self.cache_db.find, plan.rewritten_query.head_terms
-                    )
-                out |= program.answers(log[low:high])
-        return out
+        join = self._join
+        if join is None:
+            plan = self.plan
+            join = self._join = plan.compiled.full().incremental(
+                self.cache_db.find, plan.rewritten_query.head_terms
+            )
+        return join.delta()
 
     def gate(self) -> Gate:
         cache_db, schema = self.cache_db, self.plan.schema

@@ -168,10 +168,8 @@ class SourceRegistry:
         backend: BackendLike = "memory",
         real_latency: float = 0.0,
     ) -> None:
-        self.database = database
         self.schema: Schema = database.schema
         self.default_latency = latency
-        self.backend_kind = backend if isinstance(backend, str) else "custom"
         self._wrappers: Dict[str, SourceWrapper] = {}
         for relation in database:
             relation_latency = latency

@@ -7,7 +7,10 @@ with it.  The differential cases here are drawn at random rather than from
 the scenario family, so they reach what no planned query does: a variable
 repeated inside one atom, body constants, atoms sharing no variable,
 nullary atoms, a predicate with no table, empty tables and rows of the
-wrong arity.
+wrong arity.  A stream runs the same programs incrementally
+(:class:`~repro.query.compiled.IncrementalJoin`): the union of its deltas
+is held to the reference after every round of rows, and it must build each
+partial solution exactly once.
 """
 
 from __future__ import annotations
@@ -79,6 +82,24 @@ def _reference(
     }
 
 
+def _partials_of_a_search(program: JoinProgram, tables: Dict[str, CacheTable]) -> int:
+    """How many partial solutions a backtracking search in ``program``'s join
+    order passes through: the solutions of each prefix of its steps, per the
+    reference evaluator (none when a table is missing: the program does not
+    search).  Each step's atom is read back from its slots."""
+    if any(step.predicate not in tables for step in program.steps):
+        return 0
+    term_of = {slot: term for term, slot in program._slot_of.items()}
+    contents = {name: list(table.row_log()) for name, table in tables.items()}
+    atoms: List[Atom] = []
+    total = 0
+    for step in program.steps:
+        placed = [*zip(step.key_positions, step.key_slots), *step.binds, *step.checks]
+        atoms.append(Atom(step.predicate, tuple(term_of[slot] for _, slot in sorted(placed))))
+        total += sum(1 for _ in evaluate_conjunction(atoms, contents))
+    return total
+
+
 # -- (a) random conjunctions over random tables -----------------------------------
 @pytest.mark.parametrize("seed", range(300))
 def test_program_matches_the_reference_on_random_conjunctions(seed: int) -> None:
@@ -99,9 +120,11 @@ def test_program_matches_the_reference_on_random_conjunctions(seed: int) -> None
     program = JoinProgram(atoms)
     assert program.answers(tables.get, head) == expected, atoms
     assert program.satisfiable(tables.get) == bool(expected), atoms
-    # A pivot only moves one atom to the front; the solutions are the same.
-    for pivot in range(len(atoms)):
-        assert JoinProgram(atoms, pivot=pivot).answers(tables.get, head) == expected
+    # Joined incrementally in one go, the same solutions, each partial once.
+    join = program.incremental(tables.get, head)
+    assert join.delta() == expected, atoms
+    assert join.partials == _partials_of_a_search(program, tables), atoms
+    assert join.delta() == set()
 
 
 @pytest.mark.parametrize("seed", range(300))
@@ -113,10 +136,10 @@ def test_a_program_bound_once_stays_current_while_its_tables_grow(seed: int) -> 
     rng = random.Random(seed)
     atoms, head, arities = _random_conjunction(rng)
     tables = {name: _table(name, arity) for name, arity in arities.items() if name != "p4"}
-    full = JoinProgram(atoms).bind(tables.get, head)
-    test = JoinProgram(atoms).bind(tables.get)  # no head: satisfiability only
-    pivots = [JoinProgram(atoms, pivot=index).bind(tables.get, head) for index in range(len(atoms))]
-    marks = [0] * len(atoms)
+    program = JoinProgram(atoms)
+    full = program.bind(tables.get, head)
+    test = program.bind(tables.get)  # no head: satisfiability only
+    join = program.incremental(tables.get, head)
     seen: Set[Row] = set()
     for _ in range(5):
         for name in rng.sample(sorted(tables), rng.randint(0, len(tables))):
@@ -127,49 +150,70 @@ def test_a_program_bound_once_stays_current_while_its_tables_grow(seed: int) -> 
         expected = _reference(atoms, head, tables)
         assert full.answers() == expected, atoms
         assert test.satisfiable() == bool(expected), atoms
-        for index, (atom, pivot) in enumerate(zip(atoms, pivots)):
-            assert pivot.answers() == expected
-            table = tables.get(atom.predicate)
-            log = table.row_log() if table is not None else []
-            delta, marks[index] = log[marks[index] :], len(log)
-            seen |= pivot.answers(delta)
+        # The union of the deltas is the answer set after every round, and
+        # the join has built exactly the partials a search from scratch
+        # passes through now: none twice, however the rows were split.
+        seen |= join.delta()
         assert seen == expected, atoms
+        assert join.partials == _partials_of_a_search(program, tables), atoms
 
 
 def test_the_empty_conjunction_has_one_solution() -> None:
     program = JoinProgram([])
     assert program.satisfiable({}.get)
     assert program.answers({}.get, (Constant("tag"),)) == {("tag",)}
+    join = program.incremental({}.get, (Constant("tag"),))
+    assert join.delta() == {("tag",)} and join.delta() == set()
 
 
-def test_first_rows_need_a_pivot() -> None:
-    program = JoinProgram([Atom("r", (Constant(1), Variable("X")))])
-    with pytest.raises(ValueError):
-        program.answers({}.get, (), first_rows=[(1, 2)])
+def test_a_join_over_one_predicate_read_twice_builds_each_partial_once() -> None:
+    # r(X, Y), r(Y, Z): every row arrives for both steps, one row per call,
+    # in a random order, alongside rows of the wrong arity.
+    x, y, z = (Variable(name) for name in "XYZ")
+    atoms = [Atom("r", (x, y)), Atom("r", (y, z))]
+    rows = [(a, b) for a in range(4) for b in range(4) if a != b] + [(0,), (1, 2, 3)]
+    random.Random(7).shuffle(rows)
+    tables = {"r": _table("r", 2)}
+    program = JoinProgram(atoms)
+    join = program.incremental(tables.get, (x, z))
+    seen: Set[Row] = set()
+    for row in rows:
+        tables["r"].add(row)
+        seen |= join.delta()
+        assert seen == _reference(atoms, (x, z), tables)
+    assert join.partials == _partials_of_a_search(program, tables) == 12 + 12 * 3
+
+
+def test_a_join_over_a_missing_table_stays_empty() -> None:
+    atoms = [Atom("r", (Variable("X"),)), Atom("absent", (Variable("X"),))]
+    tables = {"r": _table("r", 1)}
+    join = JoinProgram(atoms).incremental(tables.get, (Variable("X"),))
+    tables["r"].add_all([(1,), (2,)])
+    assert join.delta() == set() and join.partials == 0
 
 
 # -- (b) the semi-naive contract ------------------------------------------------------
 @pytest.mark.parametrize("seed", range(60))
 def test_pivot_runs_over_the_deltas_add_up_to_the_full_answers(seed: int) -> None:
+    # The semi-naive contract of ``IncrementalJoin.delta``: in each call every
+    # step's new rows are the pivot once — joined with the partials built
+    # before the call — so each call finds only answers of the current
+    # tables, and the calls together find all of them.
     rng = random.Random(f"delta/{seed}")
     atoms, head, arities = _random_conjunction(rng)
     tables = {name: _table(name, arity) for name, arity in arities.items() if name != "p4"}
-    pivots = [JoinProgram(atoms, pivot=index) for index in range(len(atoms))]
-    marks = [0] * len(atoms)
+    join = JoinProgram(atoms).incremental(tables.get, head)
     seen: Set[Row] = set()
     for _ in range(6):
         for name in rng.sample(sorted(tables), rng.randint(1, len(tables))):
             tables[name].add_all(_random_rows(rng, arities[name], rng.randint(0, 3)))
-        for index, atom in enumerate(atoms):
-            table = tables.get(atom.predicate)
-            log = table.row_log() if table is not None else []
-            delta, marks[index] = log[marks[index] :], len(log)
-            found = pivots[index].answers(tables.get, head, first_rows=delta)
-            assert found <= _reference(atoms, head, tables)
-            seen |= found
+        found = join.delta()
+        assert found <= _reference(atoms, head, tables)
+        seen |= found
         assert seen == _reference(atoms, head, tables), atoms
-    # The first step reads the delta and nothing else: no new row, no answer.
-    assert all(not pivot.answers(tables.get, head, first_rows=[]) for pivot in pivots)
+    # No new row, no new partial: the last call reads nothing and finds nothing.
+    partials = join.partials
+    assert join.delta() == set() and join.partials == partials
 
 
 def test_policy_deltas_add_up_to_the_full_evaluation(chain) -> None:

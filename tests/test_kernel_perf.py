@@ -321,36 +321,58 @@ def test_an_offer_pass_visits_only_caches_a_completion_could_have_enabled(
     assert calls["fresh_bindings", "collect_hat_1"] <= 1 + width
 
 
-def test_join_programs_are_bound_once_per_run_not_once_per_answer_check(calls: Counter) -> None:
-    counts = {}
+def test_a_streamed_run_joins_each_row_once_and_never_evaluates_in_full(
+    calls: Counter, monkeypatch
+) -> None:
+    # A distillation run checks for answers after every completion, or, with
+    # a large interval, once at the end.  Either way it runs one incremental
+    # join: no full evaluation, and the table probes and index builds are
+    # those of building each partial solution once — the same however many
+    # checks split the rows.
+    class CountingIndex(dict):
+        def get(self, key, default=None):
+            calls["probe",] += 1
+            return super().get(key, default)
+
+    index_for = CacheTable.index_for
+
+    def counting_index_for(self, positions):
+        index = index_for(self, positions)
+        if type(index) is dict:
+            index = self._indexes[positions] = CountingIndex(index)
+        return index
+
+    monkeypatch.setattr(CacheTable, "index_for", counting_index_for)
     for width, fanout in [(4, 3), (36, 28)]:
-        calls.clear()
         example = wide_fanout_example(width, fanout)
-        with Engine(example.schema, example.instance) as engine:
-            prepared = engine.plan(example.query_text)
-            result = prepared.execute(strategy="distillation")
-        assert result.answers == example.expected_answers
-        profile = result.kernel_profile
-        assert profile.incremental_checks >= width * fanout and profile.full_checks == 1
-        counts[width] = {key: count for key, count in calls.items() if key[0] == "index_for"}
-    # What the run asks its tables for is a property of the query's shape:
-    # 1,045 answer checks or 17, the same probes are resolved the same few
-    # times — once per probing step of each program the run binds (the three
-    # pivots and the final full program, two probing steps each).
-    assert counts[4] == counts[36]
-    compiled = prepared.plan.compiled
-    programs = [compiled.full(), *(compiled.pivot(index) for index in range(3))]
-    probes = [
-        (step.predicate, step.key_positions)
-        for program in programs
-        for step in program.steps
-        if step.key_positions
-    ]
-    assert sum(counts[36].values()) == len(probes) == 8
-    # ... on the distinct (table, positions) pairs those steps probe, each of
-    # which the table registers — and from then on maintains — exactly once.
-    assert {key[1:] for key in counts[36]} == set(probes)
-    assert len(set(probes)) == 4
+        counts = {}
+        for interval in (1, 10**6):
+            calls.clear()
+            with Engine(example.schema, example.instance) as engine:
+                prepared = engine.plan(example.query_text)
+                result = prepared.execute(strategy="distillation", answer_check_interval=interval)
+            assert result.answers == example.expected_answers
+            profile = result.kernel_profile
+            assert profile.full_checks == 0
+            if interval == 1:
+                assert profile.incremental_checks >= width * fanout
+            else:
+                assert profile.incremental_checks == 1
+            counts[interval] = Counter(
+                {key: count for key, count in calls.items() if key[0] in ("index_for", "probe")}
+            )
+        assert counts[1] == counts[10**6]
+        # One index per probing step of the one program the run binds, built
+        # once; a probe per partial solution that a next step extends.
+        program = prepared.plan.compiled.full()
+        probing = [
+            (step.predicate, step.key_positions) for step in program.steps if step.key_positions
+        ]
+        assert len(probing) == 2
+        assert {key[1:]: count for key, count in counts[1].items() if key[0] == "index_for"} == {
+            step: 1 for step in probing
+        }
+        assert counts[1]["probe",] == width + width * fanout
 
 
 class _FailsReads(SourceBackend):

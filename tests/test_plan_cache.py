@@ -216,8 +216,8 @@ def test_second_query_of_a_shape_compiles_and_parses_nothing(example, monkeypatc
     with Engine(example.schema, example.instance) as engine:
         first = _every_door(engine, example.query_text)
         assert set(first) == {example.expected_answers}
-        # Full body, fast-fail prefixes, a pivot per body atom; the text and
-        # (to derive its template) its marked skeleton.
+        # Full body (a stream joins it incrementally) and fast-fail prefixes;
+        # the text and (to derive its template) its marked skeleton.
         assert len(compiled) >= 3 and parsed[0] == example.query_text and len(parsed) == 2
         del compiled[:], parsed[:]
         engine.reset_session()
