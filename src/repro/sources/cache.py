@@ -231,14 +231,18 @@ class MetaCache:
     coroutine).  An owner never holds a claim while waiting on another, so
     claim chains always resolve.
 
-    One plain :class:`threading.Lock` guards the in-flight set, the hit
-    counter and the waiters; the condition variable is built over that same
-    lock and used only to *wait*.  Claimants register themselves under the
-    lock in the same check that tells them to wait — a thread as a count
-    before it waits on the condition, a coroutine as a future on its loop —
-    and whoever releases a marker wakes them — under the same lock — only
-    when somebody is registered: an uncontended claim/record pair never
-    leaves C, and a waiter can never miss its wake-up.
+    One plain :class:`threading.Lock`, taken once by an offer probe, a
+    claim and a record each, guards the in-flight set, the hit counter and
+    the waiters, and orders a claim against the record that fulfils it:
+    :meth:`record` writes the store before it clears the in-flight marker,
+    so a claimant reads the rows or the marker, never neither (a memory
+    store needs no lock of its own).  The condition variable is built over
+    that lock and used only to *wait*.  Claimants register themselves under
+    the lock in the same check that tells them to wait — a thread as a
+    count, a coroutine as a future on its loop — and whoever releases a
+    marker wakes them, under the same lock, only when somebody is
+    registered: an uncontended claim/record pair never leaves C, and a
+    waiter can never miss its wake-up.
 
     The binding→rows records themselves live in a
     :class:`~repro.sources.store.CacheStore` (see :mod:`repro.sources.store`),
@@ -254,6 +258,8 @@ class MetaCache:
         self, relation: RelationSchema, store: Optional[CacheStore] = None
     ) -> None:
         self._store = store if store is not None else MemoryCacheStore()
+        #: Only a persistent store's claim table spans processes.
+        self._persistent = self._store.persistent
         self._name = relation.name
         self._inflight: Set[Tuple[object, ...]] = set()
         self._lock = threading.Lock()
@@ -309,7 +315,7 @@ class MetaCache:
 
         In-process contention is settled under the lock first; the
         surviving owner then contends with other *processes* through the
-        store's claim table (trivially won for the in-memory store).  A
+        store's claim table (a store that is not persistent is not asked).  A
         local owner is waited for — on the condition, or by registering
         ``wake`` for its :meth:`record` / :meth:`abandon` to resolve — under
         the lock of the recorded/in-flight check, so a fulfilment cannot
@@ -336,6 +342,8 @@ class MetaCache:
                     self._cond.wait()
                 finally:
                     self._waiters -= 1
+        if not self._persistent:
+            return ClaimStatus.OWNED, None
         # This caller owns the access in-process; win it across processes
         # too.  The store is asked outside the lock so local record() and
         # abandon() calls for other bindings are never blocked.

@@ -8,10 +8,10 @@ session statistics are built from.  It travels on the run's
 :class:`~repro.engine.result.Result`; the engine session keeps only its
 length (:attr:`~repro.engine.engine.EngineSession.total_accesses`).
 
-Recording is the hot half — once per source access — so it is an append and
-a set add.  The aggregates are the cold half — read once per execution —
-so they are brought up to date *on demand*, from a watermark into the
-record list.
+Recording is the hot half — once per source access — so it appends one
+plain tuple.  Reading is the cold half: the aggregates are brought up to
+date *on demand*, from a watermark into the entries, and the record views
+are built when iterated.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 from repro.sources.access import AccessRecord, AccessTuple
 
 Row = Tuple[object, ...]
+Binding = Tuple[object, ...]
+Entry = Tuple[str, Binding, FrozenSet[Row], float]
 
 
 class RelationTotals:
@@ -52,31 +54,33 @@ class AccessLog:
     aggregation.
 
     A log has exactly one writer: the coordinating thread of its run's
-    dispatcher, which is why it takes no lock.  The aggregation views are
-    read once that writer is done (the run has ended or been closed).
+    dispatcher, which is why it takes no lock.  Its readers run once that
+    writer is done (the run has ended or been closed).
     """
 
     def __init__(self) -> None:
-        self._records: List[AccessRecord] = []
-        self._seen: Set[AccessTuple] = set()
-        #: Per-relation aggregates over ``_records[:_aggregated]``, keyed in
+        #: ``(relation, binding, rows, simulated_time)`` per access, in order.
+        self._entries: List[Entry] = []
+        #: Per-relation aggregates over ``_entries[:_aggregated]``, keyed in
         #: order of first access.
         self._totals: Dict[str, RelationTotals] = {}
         self._aggregated = 0
 
     # -- recording -----------------------------------------------------------
-    def record(self, record: AccessRecord) -> None:
-        self._records.append(record)
-        self._seen.add(record.access)
+    def record(
+        self, relation: str, binding: Binding, rows: FrozenSet[Row], simulated_time: float
+    ) -> None:
+        """Log one performed access, completed at ``simulated_time``."""
+        self._entries.append((relation, binding, rows, simulated_time))
 
     # -- aggregation -----------------------------------------------------------
     def totals(self) -> Dict[str, RelationTotals]:
         """Per-relation aggregates of everything recorded so far, keyed in
         order of first access.  The mapping is live — read it, don't keep it."""
-        records = self._records
+        entries = self._entries
         totals = self._totals
-        for index in range(self._aggregated, len(records)):
-            (relation, binding), rows, _, _ = records[index]
+        for index in range(self._aggregated, len(entries)):
+            relation, binding, rows, _ = entries[index]
             entry = totals.get(relation)
             if entry is None:
                 entry = totals[relation] = RelationTotals()
@@ -90,12 +94,12 @@ class AccessLog:
                 entry.largest = count
             accesses, returned = entry.by_arity.get(len(binding), (0, 0))
             entry.by_arity[len(binding)] = (accesses + 1, returned + count)
-        self._aggregated = len(records)
+        self._aggregated = len(entries)
         return totals
 
     @property
     def total_accesses(self) -> int:
-        return len(self._records)
+        return len(self._entries)
 
     def accesses_of(self, relation: str) -> int:
         """Number of accesses made to the given relation."""
@@ -117,7 +121,7 @@ class AccessLog:
 
     def access_set(self) -> FrozenSet[AccessTuple]:
         """The set ``Acc(D, Π)`` of the paper: all distinct accesses made."""
-        return frozenset(self._seen)
+        return frozenset(AccessTuple(name, binding) for name, binding, _, _ in self._entries)
 
     def per_relation_summary(self) -> Dict[str, Tuple[int, int]]:
         """``{relation: (accesses, distinct_rows)}`` for every accessed relation."""
@@ -128,10 +132,11 @@ class AccessLog:
 
     # -- container protocol -------------------------------------------------------
     def __iter__(self) -> Iterator[AccessRecord]:
-        return iter(self._records)
+        for sequence, (relation, binding, rows, simulated_time) in enumerate(self._entries):
+            yield AccessRecord(AccessTuple(relation, binding), rows, sequence, simulated_time)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AccessLog({self.total_accesses} accesses over {len(self.totals())} relations)"

@@ -336,6 +336,11 @@ class ResilienceContext:
     ``clock`` is bound by the kernel to the dispatcher's authoritative
     clock; ``wall_clock`` says that clock is the real one, so reads are
     timed for the run's sequential-cost accounting even without a timeout.
+
+    A context takes no lock: like the run's
+    :class:`~repro.sources.log.AccessLog`, it has one writer, the run's
+    coordinating thread (the sync trampoline's caller, or the loop thread of
+    the async one — executor threads only run a blocking ``lookup``).
     """
 
     def __init__(
@@ -348,7 +353,6 @@ class ResilienceContext:
         self.clock = clock
         self.wall_clock = wall_clock
         self.stats = RetryStats()
-        self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         #: Relations that permanently failed at least one access this run.
         self.failed_relations: Set[str] = set()
@@ -360,29 +364,12 @@ class ResilienceContext:
         self.clock = clock
         self.wall_clock = wall_clock
 
-    def breaker_for(self, relation: str) -> Optional[CircuitBreaker]:
-        if self.config.breaker is None:
-            return None
-        with self._lock:
-            breaker = self._breakers.get(relation)
-            if breaker is None:
-                breaker = CircuitBreaker(self.config.breaker, self.clock)
-                self._breakers[relation] = breaker
-            return breaker
-
-    def breakers(self) -> Dict[str, CircuitBreaker]:
-        with self._lock:
-            return dict(self._breakers)
-
     # -- offer-side exclusion --------------------------------------------------
     def excluded(self, relation: str) -> bool:
         """True while the relation must not be offered: its breaker is open
         (cool-down pending) or the source is known permanently down.
 
-        Lock-free like :meth:`perform`'s own reads of the same two
-        structures: the GIL makes them safe, and a stale answer merely
-        offers (or holds back) one pass's bindings of a relation whose
-        breaker another thread is tripping this instant.
+        Read by the thread that writes both, so never stale.
         """
         if self._dead and relation in self._dead:
             return True
@@ -407,23 +394,23 @@ class ResilienceContext:
         propagates unchanged.
 
         The hot path (healthy source, closed breaker) is engineered for
-        near-zero overhead: dead-set and breaker reads are lock-free (the
-        GIL makes them safe; a stale read is the standard benign breaker
-        race), stats are flushed under one lock acquisition per access,
-        and reads are only timed when someone consumes the timing (a
-        configured timeout, or a wall-clock dispatcher's sequential
-        accounting).
+        near-zero overhead: it takes no lock (the context has one writer),
+        flushes its stats once per access, and times reads only when
+        someone consumes the timing (a configured timeout, or a wall-clock
+        dispatcher's sequential accounting).
         """
         config = self.config
         breaker: Optional[CircuitBreaker] = None
         if config.breaker is not None:
-            breaker = self._breakers.get(relation) or self.breaker_for(relation)
+            breaker = self._breakers.get(relation)
+            if breaker is None:
+                breaker = self._breakers[relation] = CircuitBreaker(config.breaker, self.clock)
         dead = bool(self._dead) and relation in self._dead
+        stats = self.stats
         if dead or (breaker is not None and not breaker.try_acquire()):
-            with self._lock:
-                self.stats.short_circuited += 1
-                self.stats.failures += 1
-                self.failed_relations.add(relation)
+            stats.short_circuited += 1
+            stats.failures += 1
+            self.failed_relations.add(relation)
             return AccessOutcome(frozenset(), False, failed=True)
 
         retry = config.retry
@@ -448,11 +435,8 @@ class ResilienceContext:
             if fault is None:
                 if breaker is not None:
                     breaker.record_success()
-                with self._lock:
-                    self.stats.attempts += attempts
-                    self.stats.retries += attempts - 1
-                    self.stats.backoff_seconds += backoff
-                return AccessOutcome(rows, True, False, attempts, backoff, seconds)
+                outcome = AccessOutcome(rows, True, False, attempts, backoff, seconds)
+                break
 
             # One attempt failed: classify, feed the breaker, decide on retry.
             tripped = False
@@ -460,40 +444,38 @@ class ResilienceContext:
                 before = breaker.trips
                 breaker.record_failure()
                 tripped = breaker.trips > before
-            with self._lock:
-                if isinstance(fault, SourceTimeoutError):
-                    self.stats.timeouts += 1
-                elif isinstance(fault, TransientSourceError):
-                    self.stats.transient_faults += 1
-                if tripped:
-                    self.stats.breaker_trips += 1
-                if not fault.retryable:
-                    self._dead.add(relation)
+            if isinstance(fault, SourceTimeoutError):
+                stats.timeouts += 1
+            elif isinstance(fault, TransientSourceError):
+                stats.transient_faults += 1
+            if tripped:
+                stats.breaker_trips += 1
+            if not fault.retryable:
+                self._dead.add(relation)
             if fault.retryable and not tripped and attempts < max_attempts:
                 delay = retry.delay_before(attempts) if retry is not None else 0.0
                 backoff += delay
                 if delay > 0:
                     yield ("sleep", delay)
                 continue
-            with self._lock:
-                self.stats.attempts += attempts
-                self.stats.retries += attempts - 1
-                self.stats.backoff_seconds += backoff
-                self.stats.failures += 1
-                self.failed_relations.add(relation)
+            stats.failures += 1
+            self.failed_relations.add(relation)
             # The fault's traceback holds this frame (and, frame by frame, the
             # whole run): let go of it, or the two keep each other alive.
             del fault
-            return AccessOutcome(frozenset(), False, True, attempts, backoff)
+            outcome = AccessOutcome(frozenset(), False, True, attempts, backoff)
+            break
+        stats.attempts += attempts
+        stats.retries += attempts - 1
+        stats.backoff_seconds += backoff
+        return outcome
 
     # -- bookkeeping hooks used by dispatchers ----------------------------------
     def note_refund(self, count: int = 1) -> None:
-        with self._lock:
-            self.stats.refunded += count
+        self.stats.refunded += count
 
     def snapshot_failed_relations(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self.failed_relations))
+        return tuple(sorted(self.failed_relations))
 
 
 #: Shared default used by CLI/benchmarks when faults are injected without an

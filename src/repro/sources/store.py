@@ -30,9 +30,11 @@ import threading
 import time
 import uuid
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
+from threading import get_ident
+from typing import Callable, DefaultDict, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.exceptions import EngineError
 
@@ -68,13 +70,13 @@ class CacheStore(ABC):
     """Record and claim storage shared by all executions of an engine session.
 
     Every method takes the relation's name and the access's binding (a
-    tuple) and must be safe to call concurrently; the store serializes
-    internally.
+    tuple) and must be safe to call concurrently.
     """
 
     #: Store flavour, e.g. ``"memory"`` or ``"sqlite"``.
     kind: str = "abstract"
-    #: Whether records survive the process (drives warm-start stats wiring).
+    #: Whether records survive (and are shared across) processes; the
+    #: meta-cache asks only a persistent store's :meth:`claim`.
     persistent: bool = False
 
     @abstractmethod
@@ -123,7 +125,7 @@ class CacheStore(ABC):
 
 @dataclass
 class StoreCounters:
-    """Per-process activity counters shared by both store implementations."""
+    """Per-process activity counters of the SQLite store (kept under its lock)."""
 
     binding_hits: int = 0
     accesses_recorded: int = 0
@@ -131,56 +133,57 @@ class StoreCounters:
 
 
 class MemoryCacheStore(CacheStore):
-    """The in-process store: one plain dictionary per relation, one lock."""
+    """The in-process store: one plain dictionary per relation, no lock.
+
+    ``get`` and ``put`` are one or two dictionary operations, atomic under
+    the GIL; the :class:`~repro.sources.cache.MetaCache` lock orders a claim
+    against its record.  Each thread counts in its own slot, so sessions
+    sharing the store lose no count, and :meth:`stats` sums C-level copies.
+    """
 
     kind = "memory"
     persistent = False
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._records: Dict[str, Dict[Binding, FrozenSet[Row]]] = {}
-        self.counters = StoreCounters()
+        #: ``thread id -> `` store hits / records counted on that thread.
+        self._hits: DefaultDict[int, int] = defaultdict(int)
+        self._recorded: DefaultDict[int, int] = defaultdict(int)
 
     def get(self, relation: str, binding: Binding) -> Optional[FrozenSet[Row]]:
-        with self._lock:
-            records = self._records.get(relation)
-            rows = records.get(binding) if records is not None else None
-            if rows is not None:
-                self.counters.binding_hits += 1
-            return rows
+        records = self._records.get(relation)
+        rows = records.get(binding) if records is not None else None
+        if rows is not None:
+            self._hits[get_ident()] += 1
+        return rows
 
     def put(self, relation: str, binding: Binding, rows: FrozenSet[Row]) -> None:
-        with self._lock:
-            self._records.setdefault(relation, {})[binding] = rows
-            self.counters.accesses_recorded += 1
+        self._records.setdefault(relation, {})[binding] = rows
+        self._recorded[get_ident()] += 1
 
     def claim(
         self, relation: str, binding: Binding
     ) -> Tuple[ClaimStatus, Optional[FrozenSet[Row]]]:
-        # Intra-process contention is resolved by the MetaCache's condition
-        # variable before the store is consulted, and a memory store is never
-        # shared across processes: the caller always owns the access.
-        return ClaimStatus.OWNED, None
+        return ClaimStatus.OWNED, None  # never shared across processes
 
     def release(self, relation: str, binding: Binding) -> None:
         pass  # nothing persisted for an unrecorded claim
 
     def count(self, relation: str) -> int:
-        with self._lock:
-            return len(self._records.get(relation, ()))
+        return len(self._records.get(relation, ()))
 
     def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "kind": self.kind,
-                "persistent": self.persistent,
-                "binding_entries": sum(map(len, self._records.values())),
-                **asdict(self.counters),
-            }
+        return {
+            "kind": self.kind,
+            "persistent": self.persistent,
+            "binding_entries": sum(map(len, list(self._records.values()))),
+            "binding_hits": sum(list(self._hits.values())),
+            "accesses_recorded": sum(list(self._recorded.values())),
+            "claim_takeovers": 0,
+        }
 
     def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
+        self._records.clear()
 
 
 def _encode_value_list(values: Tuple[object, ...], what: str) -> str:

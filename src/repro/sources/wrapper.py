@@ -10,9 +10,8 @@ Where the rows actually come from is the business of the wrapper's
 :class:`~repro.sources.backend.SourceBackend`: the in-memory instance of the
 seed, a SQLite table answering indexed selections, or an arbitrary callable
 (the hook for remote sources).  The wrapper itself only does the
-bookkeeping the optimization is about — counting accesses, validating
-bindings, and recording :class:`~repro.sources.access.AccessRecord` entries
-— in two steps the dispatchers drive: :meth:`SourceWrapper.lookup` /
+bookkeeping the optimization is about — counting, validating and logging
+accesses — in two steps the dispatchers drive: :meth:`SourceWrapper.lookup` /
 :meth:`~SourceWrapper.alookup` read one binding, and
 :meth:`~SourceWrapper.record_access` counts and logs it once the access
 protocol (claim, budget, retries) says it was performed.
@@ -47,7 +46,7 @@ from typing import TYPE_CHECKING
 from repro.exceptions import AccessError
 from repro.model.instance import DatabaseInstance, RelationInstance
 from repro.model.schema import RelationSchema, Schema
-from repro.sources.access import AccessRecord, AccessTuple, validate_binding
+from repro.sources.access import validate_binding
 from repro.sources.backend import BackendLike, SourceBackend, as_backend, build_backend
 from repro.sources.log import AccessLog
 
@@ -75,6 +74,7 @@ class SourceWrapper:
         self.access_count = 0
         # Concurrent engine sessions count accesses through one wrapper.
         self._count_lock = threading.Lock()
+        self._relation = self.backend.schema.name
 
     @property
     def schema(self) -> RelationSchema:
@@ -121,29 +121,21 @@ class SourceWrapper:
 
     # -- counted accesses -----------------------------------------------------
     def record_access(
-        self,
-        binding: Binding,
-        rows: FrozenSet[Row],
-        log: Optional[AccessLog] = None,
-        simulated_time: float = 0.0,
+        self, binding: Binding, rows: FrozenSet[Row], log: AccessLog, simulated_time: float
     ) -> None:
-        """Count one performed access and, when a log is supplied, record it.
+        """Count one performed access and log it on its run's ``log``.
 
         ``simulated_time`` is the executor's authoritative clock at the
         access's completion — the event-heap clock for the distillation
         scheduler, the cumulative latency sum for the sequential strategies.
+
+        The count is under the wrapper's lock (every session sharing the
+        registry bumps it); the log, one run's, has one writer and takes
+        the plain values.
         """
         with self._count_lock:
             self.access_count += 1
-        if log is not None:
-            log.record(
-                AccessRecord(
-                    AccessTuple(self.backend.schema.name, tuple(binding)),
-                    rows,
-                    log.total_accesses,
-                    simulated_time,
-                )
-            )
+        log.record(self._relation, binding, rows, simulated_time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SourceWrapper({self.name!r}, backend={self.backend.kind!r})"

@@ -22,6 +22,13 @@ code with the engine — no plan, no cache, no join program, not even the
 query parser — so it can vouch for what the engine's incremental paths
 compute.
 
+:func:`planned_accesses` is *oracle B*: the accesses of the plan's own
+Datalog view (``prepared.to_datalog()``), evaluated bottom-up over the full
+instance by :mod:`repro.datalog.evaluation` — no kernel, no dispatcher, no
+meta-cache.  Each cache rule ``r_hat(V…) <- r(V…), s_…(V_p)…`` accesses
+``r`` with every binding its ``s_*`` input extensions allow.
+:func:`access_violations` holds five runs of the engine to it (see there).
+
 Nothing here imports the engine at module level, so a tool that chooses
 which checkout of the engine to import (``tests/behaviour_fingerprint.py``)
 can use the generator too.
@@ -169,9 +176,94 @@ def _solutions(
             yield from _solutions(rest, rows, extended)
 
 
-def obtainable_answers(case: GeneratedCase) -> Set[Row]:
-    """Oracle A: the query over every row the access limitations let one retrieve."""
+def answers_over(case: GeneratedCase, rows: Dict[str, Set[Row]]) -> Set[Row]:
+    """The query of ``case`` evaluated over ``rows`` (``relation -> rows``)."""
+    rows = {name: rows.get(name, set()) for name in case.signatures}
     return {
         tuple(solution[t.name] if isinstance(t, Var) else t for t in case.head)
-        for solution in _solutions(case.body, extract(case), {})
+        for solution in _solutions(case.body, rows, {})
     }
+
+
+def obtainable_answers(case: GeneratedCase) -> Set[Row]:
+    """Oracle A: the query over every row the access limitations let one retrieve."""
+    return answers_over(case, extract(case))
+
+
+# -- oracle B --------------------------------------------------------------------
+Access = Tuple[str, Row]
+
+
+def planned_accesses(case: GeneratedCase, program) -> Set[Access]:
+    """Oracle B: the ``(relation, binding)`` accesses of a plan's Datalog
+    view over the full instance of ``case``."""
+    from repro.datalog.evaluation import evaluate_program
+
+    extensions = evaluate_program(program, edb=case.rows)
+    accesses: Set[Access] = set()
+    for rule in program.rules:
+        source, providers = rule.body[0], rule.body[1:]
+        if source.predicate not in case.signatures:
+            continue  # the query, a provider, or an artificial constant
+        modes = case.signatures[source.predicate][0]
+        choices = []
+        for position, mode in enumerate(modes):
+            if mode == "i":
+                feeding = [
+                    {row[0] for row in extensions[atom.predicate]}
+                    for atom in providers
+                    if atom.terms[0] == source.terms[position]
+                ]
+                assert feeding, f"{rule}: input position {position} has no provider"
+                choices.append(sorted(set.intersection(*feeding)))
+        accesses.update((source.predicate, b) for b in itertools.product(*choices))
+    return accesses
+
+
+def access_violations(case: GeneratedCase) -> List[str]:
+    """What five fault-free runs of an answerable ``case`` break of the
+    access invariants, each run on a fresh session (nothing: ``[]``).
+
+    Against oracle B's set ``B``: ``fast_fail`` with ``fast_fail=False``
+    and ``distillation`` access exactly ``B``; ``fast_fail`` (structural or
+    ``optimizer="cost"``) a subset of it; ``naive`` a superset.  No run logs
+    an access twice, and every run's answers are the query over the rows
+    its own ``access_log`` holds.
+    """
+    from repro import Engine
+
+    schema, instance = case.database()
+    runs = {
+        "fast_fail(fast_fail=False)": ("fast_fail", {"fast_fail": False}),
+        "distillation": ("distillation", {}),
+        "fast_fail": ("fast_fail", {}),
+        "fast_fail(optimizer='cost')": ("fast_fail", {"optimizer": "cost"}),
+        "naive": ("naive", {}),
+    }
+    wrong: List[str] = []
+    with Engine(schema, instance) as engine:
+        prepared = engine.plan(case.text)
+        planned = planned_accesses(case, prepared.to_datalog())
+        sets: Dict[str, Set[Access]] = {}
+        for name, (strategy, overrides) in runs.items():
+            engine.reset_session()
+            result = prepared.execute(strategy=strategy, **overrides)
+            logged: List[Access] = []
+            rows: Dict[str, Set[Row]] = {}
+            for record in result.access_log:
+                logged.append((record.access.relation, record.access.binding))
+                rows.setdefault(record.access.relation, set()).update(record.rows)
+            sets[name] = set(logged)
+            if len(logged) != len(sets[name]):
+                wrong.append(f"{name} logged an access twice")
+            if result.answers != answers_over(case, rows):
+                wrong.append(f"{name}: answers {sorted(result.answers)} are not its log's")
+    for name in ("fast_fail(fast_fail=False)", "distillation"):
+        if sets[name] != planned:
+            wrong.append(f"{name} accessed {sorted(sets[name] ^ planned)} unlike oracle B")
+    for name in ("fast_fail", "fast_fail(optimizer='cost')"):
+        if not sets[name] <= planned:
+            wrong.append(f"{name} accessed {sorted(sets[name] - planned)} beyond oracle B")
+    if not planned <= sets["naive"]:
+        wrong.append(f"naive skipped {sorted(planned - sets['naive'])} of oracle B")
+    return [f"{case.text}: {line}" for line in wrong]

@@ -21,24 +21,21 @@ from repro.engine.statistics import StatisticsCollector
 from repro.examples import make_scenario, running_example
 from repro.exceptions import StrategyError
 from repro.graph.ordering import ordering_constraints
-from repro.sources.access import AccessRecord, AccessTuple
 from repro.sources.log import AccessLog
 from repro.sources.resilience import RetryStats
 from repro.sources.wrapper import SourceRegistry
 
 
-def _record(relation: str, binding: tuple, rows: int, sequence: int) -> AccessRecord:
-    return AccessRecord(
-        access=AccessTuple(relation=relation, binding=binding),
-        rows=frozenset((f"{relation}-row-{sequence}-{i}",) for i in range(rows)),
-        sequence_number=sequence,
-    )
+def _record(relation: str, binding: tuple, rows: int, sequence: int) -> tuple:
+    """The arguments of one ``AccessLog.record`` call (at simulated time 0)."""
+    rows_returned = frozenset((f"{relation}-row-{sequence}-{i}",) for i in range(rows))
+    return relation, binding, rows_returned, 0.0
 
 
-def _log(*records: AccessRecord) -> AccessLog:
+def _log(*records: tuple) -> AccessLog:
     log = AccessLog()
     for record in records:
-        log.record(record)
+        log.record(*record)
     return log
 
 
