@@ -2,25 +2,17 @@
 
 Query plans in the paper are expressed as Datalog programs (Section IV) and
 evaluated under the usual least-fixpoint semantics, augmented with the
-fast-failing execution strategy.  This package provides the plain substrate:
-
-* :class:`~repro.datalog.program.Rule` and
-  :class:`~repro.datalog.program.DatalogProgram` — positive Datalog rules and
-  programs with facts;
-* :func:`~repro.datalog.evaluation.evaluate_program` — bottom-up semi-naive
-  evaluation over in-memory relations;
-* :class:`~repro.datalog.evaluation.EdbCallback` — a hook through which rule
-  bodies can pull tuples from external sources (used by the access-aware
-  executors to intercept source accesses).
+fast-failing execution strategy.  This package provides the program
+representation — :class:`~repro.datalog.program.Rule` and
+:class:`~repro.datalog.program.DatalogProgram`, positive Datalog rules and
+programs with facts — that ``PreparedPlan.to_datalog()`` returns.  The
+engine never evaluates one: it runs the plan's compiled join programs.  A
+bottom-up evaluator of these programs is a reference the tests keep.
 """
 
 from repro.datalog.program import DatalogProgram, Rule
-from repro.datalog.evaluation import EdbCallback, evaluate_program, evaluate_rule_once
 
 __all__ = [
     "DatalogProgram",
-    "EdbCallback",
     "Rule",
-    "evaluate_program",
-    "evaluate_rule_once",
 ]

@@ -5,15 +5,16 @@ Section IV:
 
 * :class:`~repro.graph.dgraph.DependencyGraph` — the d-graph of a
   constant-free query over a schema with access limitations;
-* :mod:`~repro.graph.dpath` — d-paths and free-reachability of input nodes;
 * :mod:`~repro.graph.queryability` — queryable relations and answerability;
 * :mod:`~repro.graph.gfp` — the greatest-fixpoint algorithm of Figure 3, the
   marked d-graph and the optimized d-graph;
 * :mod:`~repro.graph.relevance` — relevant relations;
 * :mod:`~repro.graph.ordering` — the ordering of the sources of an optimized
-  d-graph, positions and the ∀-minimality condition;
-* :mod:`~repro.graph.render` — ASCII and DOT rendering of (optimized)
-  d-graphs, used to reproduce Figures 2, 4 and 7–9.
+  d-graph, positions and the ∀-minimality condition.
+
+``explain()`` lists a plan's arcs and marks itself; the d-paths and the
+free-reachability invariant the GFP solution keeps are checked by the
+tests, which hold their own reference of them.
 """
 
 from repro.graph.dgraph import Arc, DependencyGraph, Node, Source, build_dependency_graph

@@ -6,19 +6,19 @@ The package provides:
   :class:`~repro.query.terms.Constant`) and atoms;
 * :class:`~repro.query.conjunctive.ConjunctiveQuery`;
 * a small textual parser (:func:`~repro.query.parser.parse_query`);
-* homomorphisms, containment and Chandra–Merlin minimization;
+* Chandra–Merlin containment and minimization;
 * the constant-elimination preprocessing step of Section III of the paper;
-* the connection-query classifier used in the related-work comparison.
+* the compiled join programs (:mod:`repro.query.compiled`), the one way
+  the engine evaluates a conjunction — over a run's cache tables, over
+  plain relation contents, over a query's canonical database.  The tests
+  hold them to a reference evaluator of their own.
 """
 
 from repro.query.atoms import Atom
-from repro.query.classify import is_connection_query
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.homomorphism import find_homomorphism, is_contained_in, is_equivalent_to
-from repro.query.minimize import minimize_query
+from repro.query.minimize import is_contained_in, is_equivalent_to, minimize_query
 from repro.query.parser import parse_atom, parse_query
 from repro.query.preprocess import PreprocessedQuery, eliminate_constants
-from repro.query.substitution import Substitution
 from repro.query.terms import Constant, Term, Variable
 
 __all__ = [
@@ -26,12 +26,9 @@ __all__ = [
     "ConjunctiveQuery",
     "Constant",
     "PreprocessedQuery",
-    "Substitution",
     "Term",
     "Variable",
     "eliminate_constants",
-    "find_homomorphism",
-    "is_connection_query",
     "is_contained_in",
     "is_equivalent_to",
     "minimize_query",

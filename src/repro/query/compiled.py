@@ -1,12 +1,16 @@
 """Join programs: a conjunction compiled once, then only run.
 
-A plan-driven execution evaluates the same few conjunctions over its cache
-tables again and again — the answer checks, the fast-failing tests between
-phases, the streaming checks — and the rewritten query's body is the same
-for every query of a shape.  A :class:`JoinProgram` therefore fixes, once,
-everything that does not depend on the rows: the bound-first join order
-(the greedy of :func:`~repro.query.evaluate.evaluate_conjunction`: most
-ground terms first, ties by the order so far), an integer *slot* per
+This is the one way the engine evaluates a conjunction.  A plan-driven
+execution evaluates the same few conjunctions over its cache tables again
+and again — the answer checks, the fast-failing tests between phases, the
+streaming checks — and the rewritten query's body is the same for every
+query of a shape.  The naive baseline's final answer check runs a program
+over plain relation contents (:func:`evaluate`, over :class:`RowTable`),
+and minimization's Chandra–Merlin containment test runs one over a
+query's canonical database (:mod:`repro.query.minimize`).  A
+:class:`JoinProgram` therefore fixes, once, everything that does not
+depend on the rows: a bound-first join order (greedily, the atom with the
+most ground terms next, ties by the order so far), an integer *slot* per
 variable and per constant, and per atom the positions to probe on, the
 slots that form the probe key, the positions that bind a slot and those
 that must agree with one (a variable repeated inside the atom).  A run is
@@ -24,14 +28,25 @@ once over the run and a check costs what it adds.
 A program holds no per-run state, so concurrent runs share it safely.  A
 run *binds* the programs it uses to its own tables once
 (:meth:`JoinProgram.bind`: per step the live index dictionary or row log)
-and after that only runs them (:class:`BoundProgram`).
-:func:`~repro.query.evaluate.evaluate_conjunction` stays the reference
-semantics the programs are tested against; nothing here calls it.
+and after that only runs them (:class:`BoundProgram`).  The reference
+semantics the programs are tested against lives with the tests and shares
+no code with them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.query.atoms import Atom
 from repro.query.terms import Constant, Term, Variable
@@ -43,7 +58,8 @@ _At = Tuple[int, int]
 
 #: ``predicate -> table`` (None: no such table, i.e. empty).  A table offers
 #: ``index_for(positions)`` — a ``{key: rows}`` grouping it keeps up to date
-#: in place — and ``row_log()``; :class:`~repro.sources.cache.CacheTable` does.
+#: in place — and ``row_log()``; :class:`~repro.sources.cache.CacheTable`
+#: and :class:`RowTable` do.
 TableLookup = Callable[[str], Optional[object]]
 
 
@@ -275,6 +291,43 @@ class IncrementalJoin:
                     fresh.append(slots)
             self.partials += len(fresh)
         return {tuple([slots[slot] for slot in head]) for slots in fresh}
+
+
+class RowTable:
+    """Fixed rows as a table a program reads: the rows in order, and per
+    probed position group a ``{key: rows}`` index built at its first request
+    (a :class:`~repro.sources.cache.CacheTable` grows; these rows do not).
+    A row too short for a group is left out of its index; a program skips
+    rows of the wrong arity anyway."""
+
+    __slots__ = ("_rows", "_indexes")
+
+    def __init__(self, rows: Iterable[Sequence[object]]) -> None:
+        self._rows: List[Row] = [tuple(row) for row in rows]
+        self._indexes: Dict[Tuple[int, ...], Dict[Row, List[Row]]] = {}
+
+    def row_log(self) -> List[Row]:
+        return self._rows
+
+    def index_for(self, positions: Tuple[int, ...]) -> Dict[Row, List[Row]]:
+        index = self._indexes.get(positions)
+        if index is None:
+            index = self._indexes[positions] = {}
+            width = max(positions) + 1
+            for row in self._rows:
+                if len(row) >= width:
+                    index.setdefault(tuple([row[p] for p in positions]), []).append(row)
+        return index
+
+
+def evaluate(
+    atoms: Sequence[Atom], head_terms: Sequence[Term], contents: Mapping[str, Iterable[Row]]
+) -> Set[Row]:
+    """The conjunction of ``atoms`` over explicit relation contents (a
+    relation missing from ``contents`` is empty), projected on
+    ``head_terms``: one program, compiled and run once."""
+    tables = {atom.predicate: RowTable(contents.get(atom.predicate, ())) for atom in atoms}
+    return JoinProgram(atoms).answers(tables.get, head_terms)
 
 
 def _search(

@@ -9,6 +9,7 @@ from repro.exceptions import QueryError
 from repro.model.domains import AbstractDomain
 from repro.model.schema import Schema
 from repro.query.atoms import Atom, atoms_constants, atoms_variables
+from repro.query.compiled import evaluate
 from repro.query.terms import Constant, Term, Variable, term_from_object
 
 #: An occurrence of a term in the body: (atom index, argument position).
@@ -202,22 +203,10 @@ class ConjunctiveQuery:
         """Evaluate the query over explicit relation contents (no access limits).
 
         ``contents`` maps predicate names to iterables of tuples.  This is the
-        classical CQ semantics used to answer the query over the cache
-        database once extraction is over.
+        classical CQ semantics the naive baseline answers with once its
+        extraction is over, run by the engine's one join program.
         """
-        from repro.query.evaluate import evaluate_conjunction
-
-        answers: Set[Tuple[object, ...]] = set()
-        for substitution in evaluate_conjunction(self.body, contents):
-            row = []
-            for term in self.head_terms:
-                value = substitution.apply(term)
-                if isinstance(value, Constant):
-                    row.append(value.value)
-                else:  # pragma: no cover - guarded by the safety check in __post_init__
-                    raise QueryError(f"head term {term} is unbound after body evaluation")
-            answers.add(tuple(row))
-        return frozenset(answers)
+        return frozenset(evaluate(self.body, self.head_terms, contents))
 
     # -- rendering ------------------------------------------------------------------------
     def head_string(self) -> str:

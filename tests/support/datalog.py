@@ -1,11 +1,13 @@
-"""Bottom-up evaluation of positive Datalog programs.
+"""Bottom-up evaluation of positive Datalog programs, as a test reference.
 
 The evaluator implements the standard semi-naive strategy: at every round,
 each rule is evaluated requiring at least one body atom to match a tuple that
 is new since the previous round, until no rule derives anything new.  EDB
 predicates can be served either from explicit facts or through an
-:class:`EdbCallback`, which is how the access-aware plan executors intercept
-accesses to the underlying sources.
+:class:`EdbCallback`.  It evaluates a plan's Datalog view
+(``PreparedPlan.to_datalog()``) for oracle B (:mod:`support.generated`);
+rule bodies go through the reference evaluator (:mod:`support.evaluate`),
+so the oracle shares no evaluator with the engine.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.datalog.program import DatalogProgram, Rule
 from repro.query.atoms import Atom
-from repro.query.evaluate import evaluate_conjunction
-from repro.query.substitution import Substitution
 from repro.query.terms import Constant
+from support.evaluate import evaluate_conjunction
+from support.substitution import Substitution
 
 Row = Tuple[object, ...]
 Extension = Dict[str, Set[Row]]

@@ -16,7 +16,9 @@ In a *marked* d-graph, an input node ``v`` is *free-reachable* when either
 
 Whenever the query is constant-free, a relation keeps its queryability only
 if all of its input nodes are free-reachable; the GFP solution preserves this
-invariant, which is checked by the property-based tests.
+invariant.  :func:`all_black_inputs_free_reachable` is the tests' GFP check
+on generated cases (``tests/test_generated_oracle.py``); the engine itself
+never walks d-paths.
 """
 
 from __future__ import annotations
@@ -101,8 +103,7 @@ def d_paths_from_free_sources(
     A d-path is returned as the tuple of its arcs.  Only paths that never
     revisit a source are enumerated (cyclic continuations are cut), and the
     enumeration stops after ``max_paths`` paths to stay cheap on dense graphs.
-    The function is used by tests and by the rendering helpers, not by the
-    optimizer itself.
+    The function is used by tests, not by the optimizer itself.
     """
     usable = set(arcs if arcs is not None else graph.arcs)
     arcs_by_tail_source: Dict[str, List[Arc]] = {}

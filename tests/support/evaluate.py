@@ -2,14 +2,13 @@
 
 This is the textbook join-by-backtracking evaluation of a conjunctive query
 body against in-memory relations: the *reference semantics* of a
-conjunction.  It answers the naive baseline's query
-(:class:`~repro.runtime.policy.EagerAllRelations`), evaluates rule bodies
-for the Datalog oracle (:mod:`repro.datalog.evaluation`), and is what the
-compiled join programs (:mod:`repro.query.compiled`) are tested against.
-No plan-driven execution calls it — those run the shape's compiled programs
-— and it deliberately shares no code with them.  Atoms are matched left to
-right after a greedy reordering that prefers atoms with more bound terms (a
-simple bound-first join order that keeps intermediate results small).
+conjunction.  The engine evaluates every conjunction with its compiled join
+programs (:mod:`repro.query.compiled`); this module is what they are tested
+against, and it evaluates rule bodies for oracle B's Datalog evaluator
+(:mod:`support.datalog`).  It deliberately shares no code with the engine's
+evaluator.  Atoms are matched left to right after a greedy reordering that
+prefers atoms with more bound terms (a simple bound-first join order that
+keeps intermediate results small).
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.query.atoms import Atom
-from repro.query.substitution import Substitution
 from repro.query.terms import Constant, Variable
+from support.substitution import Substitution
 
 RelationContents = Mapping[str, Iterable[Tuple[object, ...]]]
 

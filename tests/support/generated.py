@@ -24,8 +24,8 @@ compute.
 
 :func:`planned_accesses` is *oracle B*: the accesses of the plan's own
 Datalog view (``prepared.to_datalog()``), evaluated bottom-up over the full
-instance by :mod:`repro.datalog.evaluation` — no kernel, no dispatcher, no
-meta-cache.  Each cache rule ``r_hat(V…) <- r(V…), s_…(V_p)…`` accesses
+instance by :mod:`support.datalog` — no kernel, no dispatcher, no
+meta-cache, and not the engine's join programs.  Each cache rule ``r_hat(V…) <- r(V…), s_…(V_p)…`` accesses
 ``r`` with every binding its ``s_*`` input extensions allow.
 :func:`access_violations` holds five runs of the engine to it (see there).
 
@@ -197,7 +197,7 @@ Access = Tuple[str, Row]
 def planned_accesses(case: GeneratedCase, program) -> Set[Access]:
     """Oracle B: the ``(relation, binding)`` accesses of a plan's Datalog
     view over the full instance of ``case``."""
-    from repro.datalog.evaluation import evaluate_program
+    from support.datalog import evaluate_program
 
     extensions = evaluate_program(program, edb=case.rows)
     accesses: Set[Access] = set()

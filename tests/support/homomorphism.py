@@ -6,6 +6,10 @@ homomorphism from ``q2`` to ``q1``, i.e. a mapping of the terms of ``q2`` to
 the terms of ``q1`` that is the identity on constants, maps the head of
 ``q2`` onto the head of ``q1`` and maps every body atom of ``q2`` onto some
 body atom of ``q1``.
+
+This is the reference search the engine's containment test
+(:mod:`repro.query.minimize`, one join program over a canonical database)
+is held to: a backtracking over atom mappings that shares no code with it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from typing import Optional, Sequence
 
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.substitution import Substitution
 from repro.query.terms import Constant, Term
+from support.substitution import Substitution
 
 
 def _unify_terms(

@@ -1,4 +1,8 @@
-"""Substitutions: finite mappings from variables to terms."""
+"""Substitutions: finite mappings from variables to terms.
+
+The bindings of the reference evaluator (:mod:`support.evaluate`) and of
+the reference homomorphism search (:mod:`support.homomorphism`).
+"""
 
 from __future__ import annotations
 

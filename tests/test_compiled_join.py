@@ -1,9 +1,11 @@
 """Compiled join programs against the reference evaluator.
 
-Every plan-driven execution evaluates conjunctions through
-:class:`~repro.query.compiled.JoinProgram`; the reference semantics is
-:func:`~repro.query.evaluate.evaluate_conjunction`, which shares no code
-with it.  The differential cases here are drawn at random rather than from
+The engine evaluates every conjunction through
+:class:`~repro.query.compiled.JoinProgram` — a plan-driven run over its
+cache tables, the naive baseline's ``ConjunctiveQuery.evaluate`` over plain
+relation contents; the reference semantics is
+:func:`support.evaluate.evaluate_conjunction`, which shares no code with
+it.  The differential cases here are drawn at random rather than from
 the scenario family, so they reach what no planned query does: a variable
 repeated inside one atom, body constants, atoms sharing no variable,
 nullary atoms, a predicate with no table, empty tables and rows of the
@@ -28,10 +30,11 @@ from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.query.atoms import Atom
 from repro.query.compiled import JoinProgram
-from repro.query.evaluate import evaluate_conjunction
+from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.terms import Constant, Term, Variable
 from repro.runtime.policy import EagerPlan
 from repro.sources.cache import CacheDatabase, CacheTable
+from support.evaluate import evaluate_conjunction
 
 Row = Tuple[object, ...]
 
@@ -120,6 +123,9 @@ def test_program_matches_the_reference_on_random_conjunctions(seed: int) -> None
     program = JoinProgram(atoms)
     assert program.answers(tables.get, head) == expected, atoms
     assert program.satisfiable(tables.get) == bool(expected), atoms
+    # The naive baseline's check: the same conjunction over plain contents.
+    contents = {name: list(table.row_log()) for name, table in tables.items()}
+    assert ConjunctiveQuery("q", head, tuple(atoms)).evaluate(contents) == expected, atoms
     # Joined incrementally in one go, the same solutions, each partial once.
     join = program.incremental(tables.get, head)
     assert join.delta() == expected, atoms

@@ -9,7 +9,10 @@ with the engine.  On every case:
   answers;
 * a distillation stream — simulated and async — returns them too: the rows
   it streams are exactly its result's answers, none streamed twice;
-* a query the engine refuses as unanswerable has no obtainable answer.
+* a query the engine refuses as unanswerable has no obtainable answer;
+* on an answerable one, the GFP solution keeps every input node of every
+  black source free-reachable (:mod:`support.dpath`), the invariant the
+  marked d-graph of the minimized query must hold (Section III).
 
 A fixed subset of seeds runs in tier-1; all 5,000 run under ``-m slow``.
 """
@@ -19,10 +22,13 @@ from __future__ import annotations
 from typing import List
 
 import pytest
+from support.dpath import all_black_inputs_free_reachable
 from support.generated import generate, obtainable_answers
 
 from repro import Engine
 from repro.exceptions import UnanswerableQueryError
+from repro.graph import analyze_relevance
+from repro.query import minimize_query, parse_query
 
 STRATEGIES = ("naive", "fast_fail", "distillation")
 
@@ -38,6 +44,9 @@ def _disagreements(seed: int) -> List[str]:
             prepared = engine.plan(case.text)
         except UnanswerableQueryError:
             return [] if not expected else [f"{case.text}: refused, oracle {sorted(expected)}"]
+        marked = analyze_relevance(minimize_query(parse_query(case.text)), schema).marked
+        if not all_black_inputs_free_reachable(marked):
+            wrong.append(f"{case.text}: a black input node is not free-reachable")
         for strategy in STRATEGIES:
             engine.reset_session()
             answers = prepared.execute(strategy=strategy).answers

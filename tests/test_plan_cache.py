@@ -10,7 +10,7 @@ the same on a hit and on a miss, whichever constants filled the entry.
 A shape also carries what its executions share (``plan.compiled``: the
 compiled join programs) and the parser memoizes text skeletons, so the
 second query of a template compiles nothing and parses nothing — and no
-plan-driven run evaluates through the reference interpreter.
+run, naive's included, evaluates through the tests' reference evaluator.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import support.evaluate
+import support.homomorphism
 from test_fuzz_equivalence import CI_SEEDS, STRATEGIES, _registry, generate_case
 
 import repro.plan.plan
-import repro.query.evaluate
 import repro.query.parser
 from repro import Engine
 from repro.engine.plan_cache import PLAN_CACHE_ENTRIES, query_shape
@@ -227,20 +228,20 @@ def test_second_query_of_a_shape_compiles_and_parses_nothing(example, monkeypatc
 
 
 def test_no_plan_driven_run_calls_the_reference_evaluator(engine, example, monkeypatch) -> None:
+    # The engine evaluates every conjunction with its join programs: with
+    # the test-side references patched to raise, every strategy runs through
+    # execute and stream — naive's final answer check included — and so does
+    # a cold plan whose minimization drops an atom.
     def forbidden(*args, **kwargs):
-        raise AssertionError("evaluate_conjunction called on the hot path")
+        raise AssertionError("a test reference evaluator called by the engine")
 
-    monkeypatch.setattr(repro.query.evaluate, "evaluate_conjunction", forbidden)
-    for optimizer in ("structural", "cost"):
-        for strategy in ("fast_fail", "distillation"):
-            result = engine.execute(example.query_text, strategy=strategy, optimizer=optimizer)
-            assert result.answers == example.expected_answers
-            engine.reset_session()
-    streamed = engine.stream(example.query_text, strategy="distillation")
-    assert {answer.row for answer in streamed} == example.expected_answers
-    # The naive baseline is the reference interpreter's caller: the patch bites.
-    with pytest.raises(AssertionError, match="hot path"):
-        engine.execute(example.query_text, strategy="naive")
+    monkeypatch.setattr(support.evaluate, "evaluate_conjunction", forbidden)
+    monkeypatch.setattr(support.homomorphism, "find_homomorphism", forbidden)
+    assert set(_every_door(engine, example.query_text)) == {example.expected_answers}
+    redundant = engine.plan(REDUNDANT.format(k="volare"))
+    assert len(redundant.plan.minimized_query.body) == 2
+    for strategy in STRATEGIES:
+        assert redundant.execute(strategy=strategy).answers == example.expected_answers
 
 
 # -- (d) failed plans are never cached -----------------------------------------

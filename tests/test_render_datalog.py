@@ -1,11 +1,12 @@
-"""Rendering, d-path reachability and bottom-up Datalog evaluation.
+"""The test references for d-paths and the Datalog view of plans.
 
-These modules back ``explain()``-style introspection and the Datalog view
-of plans (Section IV); the tests pin their contracts: deterministic ASCII /
-DOT output, the free-reachability invariant on marked d-graphs, simple
-d-path enumeration, and the semi-naive fixpoint of
-:func:`repro.datalog.evaluation.evaluate_program` agreeing with the
-engine's answers.
+:mod:`support.dpath` (d-paths, free-reachability of input nodes) and
+:mod:`support.datalog` (bottom-up semi-naive evaluation of a plan's Datalog
+view, Section IV) are references the other suites check the engine
+against; these tests pin their own contracts: the free-reachability
+invariant on a marked d-graph, simple d-path enumeration, and the fixpoint
+of :func:`support.datalog.evaluate_program` agreeing with the engine's
+answers.
 """
 
 from __future__ import annotations
@@ -13,74 +14,26 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine
-from repro.datalog.evaluation import evaluate_program, evaluate_rule_once
 from repro.datalog.program import DatalogProgram, Rule
-from repro.examples import cyclic_example, running_example, star_example
+from repro.examples import cyclic_example, running_example
 from repro.graph import analyze_relevance
-from repro.graph.dpath import (
+from repro.query import parse_query
+from repro.query.atoms import Atom
+from repro.query.terms import Constant, Variable
+from support.datalog import evaluate_program, evaluate_rule_once
+from support.dpath import (
     all_black_inputs_free_reachable,
     d_paths_from_free_sources,
     free_reachable_nodes,
     reaches_black_node,
     unreachable_black_inputs,
 )
-from repro.graph.render import describe_optimization, render_ascii, render_dot
-from repro.query import parse_query
-from repro.query.atoms import Atom
-from repro.query.terms import Constant, Variable
 
 
 @pytest.fixture()
 def analysis():
     example = running_example()
     return analyze_relevance(parse_query(example.query_text), example.schema)
-
-
-# -- rendering -------------------------------------------------------------------
-def test_render_ascii_lists_sources_and_marked_arcs(analysis) -> None:
-    text = render_ascii(analysis.marked, title="running example")
-    assert text.splitlines()[0] == "running example"
-    assert "sources:" in text and "arcs:" in text
-    # Deleted arcs (everything touching irrelevant r3) render as -x>.
-    assert "-x>" in text
-    # Rendering is deterministic: same input, same text.
-    assert text == render_ascii(analysis.marked, title="running example")
-
-
-def test_render_ascii_works_on_all_three_graph_kinds(analysis) -> None:
-    plain = render_ascii(analysis.graph)
-    marked = render_ascii(analysis.marked)
-    optimized = render_ascii(analysis.optimized)
-    # The plain graph has no marks; the optimized one dropped r3 entirely.
-    assert "[deleted]" not in plain
-    assert "r3" in plain and "r3" not in optimized
-    assert marked.count("\n") >= optimized.count("\n")
-
-
-def test_render_ascii_on_an_arcless_graph() -> None:
-    example = star_example(rays=1, width=1)
-    analysis = analyze_relevance(parse_query("q(A) <- noise(X, A)"), example.schema)
-    # noise^io alone has no surviving providers: arcs may be empty and the
-    # renderer must still emit the placeholder instead of crashing.
-    text = render_ascii(analysis.optimized)
-    assert "arcs:" in text
-
-
-def test_render_dot_emits_valid_clusters_and_edge_styles(analysis) -> None:
-    dot = render_dot(analysis.marked, name="running")
-    assert dot.startswith("digraph running {") and dot.rstrip().endswith("}")
-    assert "subgraph cluster_0 {" in dot
-    # Deleted arcs are dashed grey; strong arcs use the doubled colour list.
-    assert "[style=dashed, color=grey]" in dot
-    assert dot == render_dot(analysis.marked, name="running")
-
-
-def test_describe_optimization_counts_removed_sources(analysis) -> None:
-    summary = describe_optimization(analysis.graph, analysis.optimized)
-    assert summary["sources_before"] > summary["sources_after"]
-    assert any(name.startswith("r3") for name in summary["removed_sources"])
-    assert summary["arcs_before"] >= summary["arcs_after"]
-    assert summary["strong_arcs"] + summary["weak_arcs"] == summary["arcs_after"]
 
 
 # -- d-paths and free-reachability ------------------------------------------------
