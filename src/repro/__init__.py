@@ -22,7 +22,6 @@ from repro.engine import (
     Result,
     SourceBreakdown,
     Termination,
-    WorkloadReport,
     available_strategies,
     register_strategy,
     resolve_strategy,
@@ -42,8 +41,6 @@ from repro.sources.backend import (
     SQLiteBackend,
     build_backend,
 )
-from repro.sources.faults import FaultSchedule, FlakyBackend
-from repro.sources.fixture_server import FixtureServer
 from repro.sources.http import HTTPBackend
 from repro.sources.resilience import (
     BreakerConfig,
@@ -53,14 +50,7 @@ from repro.sources.resilience import (
     RetryStats,
 )
 from repro.sources.wrapper import SourceRegistry
-from repro.serve import (
-    LoadTestConfig,
-    LoadTestReport,
-    QueryServer,
-    ServeConfig,
-    ServeHandle,
-    run_loadtest,
-)
+from repro.serve import QueryServer, ServeConfig, ServeHandle
 
 __version__ = "0.2.0"
 
@@ -76,13 +66,8 @@ __all__ = [
     "ExecuteOptions",
     "ExecutionStrategy",
     "Explanation",
-    "FaultSchedule",
-    "FixtureServer",
-    "FlakyBackend",
     "HTTPBackend",
     "InMemoryBackend",
-    "LoadTestConfig",
-    "LoadTestReport",
     "PreparedPlan",
     "QueryServer",
     "RelationSchema",
@@ -100,13 +85,11 @@ __all__ = [
     "SourceRegistry",
     "StreamedAnswer",
     "Termination",
-    "WorkloadReport",
     "available_strategies",
     "build_backend",
     "parse_query",
     "register_strategy",
     "resolve_strategy",
-    "run_loadtest",
     "unregister_strategy",
     "__version__",
 ]

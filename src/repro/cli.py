@@ -5,8 +5,8 @@ schema and data come from a JSON workload file (``--workload``), the
 built-in paper example (``--example``), or a generated scenario topology
 (``--scenario``); ``--backend`` picks where accesses are answered from and
 ``--concurrency async`` really overlaps them on an event loop.  ``workload``
-replays a mixed multi-scenario query stream
-concurrently over one engine session and reports throughput::
+replays a mixed multi-scenario query stream concurrently over one engine
+session and reports its accesses and meta-cache hit rate::
 
     python -m repro plan --example
     python -m repro run --example --strategy fast_fail
@@ -422,17 +422,11 @@ def _command_run(args: argparse.Namespace) -> int:
         return 0
 
 
-def _mixed_workload(args: argparse.Namespace) -> MixedWorkload:
-    """The deterministic stream ``--mix``/``--repeat`` name: `workload`
-    replays it, `serve` queries its sources and `loadtest` knows every
-    query's fault-free answers from it without asking the server."""
-    mix = tuple(filter(None, (name.strip() for name in args.mix.split(","))))
-    return mixed_workload(mix, repeat=args.repeat)
-
-
 def _workload_engine(args: argparse.Namespace) -> Tuple[MixedWorkload, Engine]:
-    """The mixed workload and an engine over its sources (`workload`, `serve`)."""
-    workload = _mixed_workload(args)
+    """The deterministic stream ``--mix``/``--repeat`` name and an engine
+    over its sources: `workload` replays the stream, `serve` queries them."""
+    mix = tuple(filter(None, (name.strip() for name in args.mix.split(","))))
+    workload = mixed_workload(mix, repeat=args.repeat)
     registry = _registry(args, workload.instance)
     return workload, Engine(workload.schema, registry, cache=args.cache_store)
 
@@ -441,7 +435,7 @@ def _command_workload(args: argparse.Namespace) -> int:
     """Replay a mixed multi-scenario query stream concurrently."""
     workload, engine = _workload_engine(args)
     with engine:
-        report = engine.run_workload(
+        results = engine.execute_many(
             workload.query_texts(),
             strategy=args.strategy,
             max_parallel=args.max_parallel,
@@ -450,40 +444,58 @@ def _command_workload(args: argparse.Namespace) -> int:
             max_in_flight=args.max_in_flight,
             **_resilience_overrides(args),
         )
+        # A fresh engine: its session's counters are the stream's.
+        stats = engine.session_stats()
         # The completeness contract under test: a result claiming complete
         # must equal the scenario's fault-free answers; an incomplete one
         # (source failure / budget) is honest about being a lower bound.
         mismatches = [
             query.scenario
-            for query, result in zip(workload.queries, report.results)
+            for query, result in zip(workload.queries, results)
             if result.complete and result.answers != query.expected_answers
         ]
-        incomplete = sum(1 for result in report.results if not result.complete)
+        incomplete = sum(1 for result in results if not result.complete)
+        store = stats["cache_store"]
+        cache = {
+            "store": store["kind"],
+            "persistent": store["persistent"],
+            "binding_hits": stats["meta_hits"],
+            "binding_hit_rate": round(stats["hit_rate"], 4),
+            "binding_entries": store["binding_entries"],
+        }
         if args.json:
-            payload = report.to_dict()
-            payload["workload"] = workload.name
-            payload["strategy"] = args.strategy
-            payload["backend"] = args.backend
-            payload["verified"] = not mismatches
-            payload["incomplete_results"] = incomplete
-            payload["per_query"] = [
-                {
-                    "scenario": query.scenario,
-                    "answers": len(result.answers),
-                    "accesses": result.total_accesses,
-                    "complete": result.complete,
-                    "failed_relations": list(result.failed_relations),
-                }
-                for query, result in zip(workload.queries, report.results)
-            ]
+            payload = {
+                "queries": len(results),
+                "total_accesses": stats["total_accesses"],
+                "meta_hits": stats["meta_hits"],
+                "hit_rate": round(stats["hit_rate"], 4),
+                "max_parallel": args.max_parallel,
+                "relations": stats["relations"],
+                "cache": cache,
+                "workload": workload.name,
+                "strategy": args.strategy,
+                "backend": args.backend,
+                "verified": not mismatches,
+                "incomplete_results": incomplete,
+                "per_query": [
+                    {
+                        "scenario": query.scenario,
+                        "answers": len(result.answers),
+                        "accesses": result.total_accesses,
+                        "complete": result.complete,
+                        "failed_relations": list(result.failed_relations),
+                    }
+                    for query, result in zip(workload.queries, results)
+                ],
+            }
             print(json.dumps(payload, indent=2))
         else:
             print(
-                f"{len(report.results)} queries over {workload.name} "
+                f"{len(results)} queries over {workload.name} "
                 f"(strategy {args.strategy}, backend {args.backend}, "
                 f"max_parallel {args.max_parallel})"
             )
-            for query, result in zip(workload.queries, report.results):
+            for query, result in zip(workload.queries, results):
                 flag = "" if result.complete else "  (incomplete)"
                 print(
                     f"  {query.scenario:>14}: {len(result.answers):>4} answers, "
@@ -494,29 +506,25 @@ def _command_workload(args: argparse.Namespace) -> int:
                 verdict += f" ({incomplete} incomplete under injected faults)"
             print(f"answers verified: {verdict}")
             print(
-                f"wall {report.wall_seconds:.3f}s  qps {report.qps:.1f}  "
-                f"accesses {report.total_accesses}  meta hits {report.meta_hits} "
-                f"(hit rate {report.hit_rate:.1%})  "
-                f"peak in flight {report.peak_in_flight}"
+                f"accesses {stats['total_accesses']}  meta hits {stats['meta_hits']} "
+                f"(hit rate {stats['hit_rate']:.1%})"
             )
-            cache = report.cache_stats
-            if cache:
-                print(
-                    f"cache store {cache['store']}"
-                    f"{' (persistent)' if cache['persistent'] else ''}: "
-                    f"binding hit rate {cache['binding_hit_rate']:.1%}, "
-                    f"{cache['binding_entries']} records"
-                )
-            if report.relation_stats:
+            print(
+                f"cache store {cache['store']}"
+                f"{' (persistent)' if cache['persistent'] else ''}: "
+                f"binding hit rate {cache['binding_hit_rate']:.1%}, "
+                f"{cache['binding_entries']} records"
+            )
+            if stats["relations"]:
                 print("per-relation statistics:")
-                for relation, stats in report.relation_stats.items():
+                for relation, summary in stats["relations"].items():
                     print(
-                        f"  {relation:>14}: {stats['accesses']:>4} accesses, "
-                        f"{stats['rows']:>5} rows "
-                        f"(fanout {stats['rows_per_access']}, "
-                        f"empty rate {stats['empty_rate']}, "
-                        f"avg latency {stats['avg_latency']}, "
-                        f"meta hits {stats['meta_hits']})"
+                        f"  {relation:>14}: {summary['accesses']:>4} accesses, "
+                        f"{summary['rows']:>5} rows "
+                        f"(fanout {summary['rows_per_access']}, "
+                        f"empty rate {summary['empty_rate']}, "
+                        f"avg latency {summary['avg_latency']}, "
+                        f"meta hits {summary['meta_hits']})"
                     )
         if mismatches:
             print("error: some queries returned unexpected answers", file=sys.stderr)
@@ -548,56 +556,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             asyncio.run(serve_forever(engine, config))
         except KeyboardInterrupt:
             pass
-    return 0
-
-
-def _command_loadtest(args: argparse.Namespace) -> int:
-    """Open-loop load generation against a live `repro serve` process."""
-    from repro.serve import LoadTestConfig, run_loadtest
-
-    workload = _mixed_workload(args)
-    rate, duration = args.rate, args.duration
-    if args.smoke:
-        # CI preset: short and gentle, then gate hard on health.
-        rate = min(rate, 20.0)
-        duration = min(duration, 3.0)
-    config = LoadTestConfig(
-        url=args.url,
-        rate=rate,
-        duration=duration,
-        stream_fraction=args.stream_fraction,
-        tenants=args.tenants,
-        strategy=args.strategy,
-        timeout=args.timeout,
-    )
-    report = run_loadtest(config, workload)
-    if args.json:
-        payload = report.to_dict()
-        payload["workload"] = workload.name
-        payload["url"] = args.url
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"open-loop load test of {args.url} over {workload.name}")
-        print(report.describe())
-    if report.mismatches:
-        print("error: complete results with wrong answers", file=sys.stderr)
-        return 1
-    if args.smoke:
-        # The CI gate: a healthy server under gentle load serves zero 5xx
-        # (degraded-but-honest 200s are fine) and keeps p99 under budget.
-        if report.errors:
-            print(
-                f"error: smoke gate failed: {report.errors} 5xx/transport errors",
-                file=sys.stderr,
-            )
-            return 1
-        if report.latency["p99"] > args.p99_budget:
-            print(
-                f"error: smoke gate failed: p99 {report.latency['p99']:.3f}s "
-                f"exceeds budget {args.p99_budget:.3f}s",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 
@@ -685,7 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     workload_parser = subparsers.add_parser(
         "workload",
-        help="replay a mixed scenario query stream concurrently and report throughput",
+        help=(
+            "replay a mixed scenario query stream concurrently and report its "
+            "accesses and meta-cache hit rate"
+        ),
     )
     workload_parser.add_argument(
         "--mix",
@@ -848,89 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resilience_arguments(serve_front_parser)
     _add_cache_arguments(serve_front_parser)
     serve_front_parser.set_defaults(handler=_command_serve)
-
-    loadtest_parser = subparsers.add_parser(
-        "loadtest",
-        help=(
-            "open-loop load generator against a live `repro serve` URL; "
-            "reports p50/p95/p99 latency, goodput and degraded/error rates"
-        ),
-    )
-    loadtest_parser.add_argument(
-        "--url", required=True, metavar="URL", help="server base URL (http://HOST:PORT)"
-    )
-    loadtest_parser.add_argument(
-        "--mix",
-        default="star,diamond,chain",
-        metavar="NAMES",
-        help="scenario mix — must match the server's --mix (default: star,diamond,chain)",
-    )
-    loadtest_parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="rounds of each scenario's query in the stream (default: 1)",
-    )
-    loadtest_parser.add_argument(
-        "--rate",
-        type=float,
-        default=20.0,
-        metavar="QPS",
-        help="open-loop arrival rate in requests/s (default: 20)",
-    )
-    loadtest_parser.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="seconds of arrivals (default: 5)",
-    )
-    loadtest_parser.add_argument(
-        "--stream-fraction",
-        type=float,
-        default=0.25,
-        metavar="F",
-        help="fraction of requests sent to /query/stream (default: 0.25)",
-    )
-    loadtest_parser.add_argument(
-        "--tenants",
-        type=int,
-        default=1,
-        metavar="N",
-        help="round-robin requests over N X-Tenant headers t0..tN-1 (default: 1)",
-    )
-    loadtest_parser.add_argument(
-        "--strategy",
-        "-s",
-        default=None,
-        help="strategy to request per query (default: the server's default)",
-    )
-    loadtest_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="per-request client timeout (default: 30)",
-    )
-    loadtest_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=(
-            "CI preset: cap rate/duration, then exit 1 on any 5xx/transport "
-            "error or p99 above --p99-budget"
-        ),
-    )
-    loadtest_parser.add_argument(
-        "--p99-budget",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="p99 latency gate used with --smoke (default: 2.0)",
-    )
-    loadtest_parser.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    loadtest_parser.set_defaults(handler=_command_loadtest)
 
     serve_parser = subparsers.add_parser(
         "serve-fixture",

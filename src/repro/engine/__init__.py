@@ -21,7 +21,7 @@ This package is *the* supported API surface of the library::
   the ``explain()`` pipeline.
 """
 
-from repro.engine.engine import Engine, EngineSession, WorkloadReport
+from repro.engine.engine import Engine, EngineSession
 from repro.engine.explain import Explanation, build_explanation
 from repro.engine.prepared import PreparedPlan
 from repro.engine.result import Result, SourceBreakdown, Termination
@@ -54,7 +54,6 @@ __all__ = [
     "Result",
     "SourceBreakdown",
     "Termination",
-    "WorkloadReport",
     "available_strategies",
     "build_explanation",
     "register_strategy",

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import AsyncIterator, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import AsyncIterator, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.engine.explain import Explanation
 from repro.engine.plan_cache import PlanCache
@@ -74,8 +72,8 @@ class EngineSession:
         statistics: per-relation runtime statistics mined from the absorbed
             logs (:mod:`repro.engine.statistics`), accumulated across
             queries.  Observability only — ``stats()["relations"]``, the
-            server's ``/metrics``, ``WorkloadReport.relation_stats`` —
-            nothing plans with them.
+            server's ``/metrics``, ``python -m repro workload`` — nothing
+            plans with them.
         store: the :class:`~repro.sources.store.CacheStore` holding the
             meta-caches' records and claims.  The default is an in-memory
             store; a persistent store makes the session warm-start from
@@ -179,57 +177,6 @@ class EngineSession:
                 "cache_store": self.store.stats(),
                 "kernel": self.kernel_profile.to_dict(),
             }
-
-
-@dataclass
-class WorkloadReport:
-    """Aggregate outcome of one multi-query workload run.
-
-    Attributes:
-        results: one :class:`~repro.engine.result.Result` per input query,
-            in input order.
-        wall_seconds: wall-clock duration of the whole run.
-        qps: queries completed per wall-clock second.
-        total_accesses: source accesses performed across all queries.
-        meta_hits: accesses answered by the session meta-caches during the
-            run (both offer-time hits and claims served by a concurrent
-            query's access).
-        hit_rate: ``meta_hits / (meta_hits + total_accesses)``.
-        peak_in_flight: largest number of queries that were genuinely
-            executing at the same moment.
-        max_parallel: the concurrency bound the run was asked for.
-        relation_stats: the session's per-relation statistics after the run
-            (rows per access, fanout by binding arity, empty rate, average
-            latency, meta hits).
-        cache_stats: cache-store accounting of the run — store kind and
-            persistence, meta-cache hits and hit rate during the run, and
-            the number of recorded accesses after it.
-    """
-
-    results: List[Result]
-    wall_seconds: float
-    qps: float
-    total_accesses: int
-    meta_hits: int
-    hit_rate: float
-    peak_in_flight: int
-    max_parallel: int
-    relation_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    cache_stats: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "queries": len(self.results),
-            "wall_seconds": round(self.wall_seconds, 6),
-            "qps": round(self.qps, 3),
-            "total_accesses": self.total_accesses,
-            "meta_hits": self.meta_hits,
-            "hit_rate": round(self.hit_rate, 4),
-            "peak_in_flight": self.peak_in_flight,
-            "max_parallel": self.max_parallel,
-            "relations": self.relation_stats,
-            "cache": self.cache_stats,
-        }
 
 
 class Engine:
@@ -418,40 +365,18 @@ class Engine:
         needed by several queries is performed exactly once — a query that
         would repeat an in-flight access waits for it and reads the rows
         for free.  Answers and the session's total access count are
-        therefore deterministic regardless of thread interleaving.
+        therefore deterministic regardless of thread interleaving.  With
+        ``concurrency="async"`` the queries overlap as coroutines on one
+        private event loop instead (see :meth:`aexecute_many`).
 
-        Returns one result per query, in input order.
-        """
-        return self.run_workload(
-            queries,
-            strategy=strategy,
-            max_parallel=max_parallel,
-            options=options,
-            **overrides,
-        ).results
-
-    def run_workload(
-        self,
-        queries: Sequence[Union[str, ConjunctiveQuery]],
-        strategy: StrategyLike = "fast_fail",
-        max_parallel: int = 4,
-        options: Optional[ExecuteOptions] = None,
-        **overrides: object,
-    ) -> WorkloadReport:
-        """Like :meth:`execute_many`, with throughput accounting.
-
-        Besides the per-query results, reports wall time, queries per
-        second, the session meta-cache hit rate over the run, and the peak
-        number of queries that were executing simultaneously.
+        Returns one result per query, in input order; what the batch cost
+        is in :meth:`session_stats`.
         """
         effective = options if options is not None else self.default_options
         if overrides.get("concurrency", effective.concurrency) == "async":
-            # The whole workload on one private event loop: queries overlap
-            # as coroutines instead of threads (await arun_workload() to
-            # run it on an existing loop).
             with private_event_loop() as complete:
                 return complete(
-                    self.arun_workload(
+                    self.aexecute_many(
                         queries,
                         strategy=strategy,
                         max_parallel=max_parallel,
@@ -460,30 +385,14 @@ class Engine:
                     )
                 )
         prepared = [self.plan(query) for query in queries]
-        gauge_lock = threading.Lock()
-        in_flight = 0
-        peak = 0
 
         def run_one(plan: PreparedPlan) -> Result:
-            nonlocal in_flight, peak
-            with gauge_lock:
-                in_flight += 1
-                peak = max(peak, in_flight)
-            try:
-                return plan.execute(strategy=strategy, options=options, **overrides)
-            finally:
-                with gauge_lock:
-                    in_flight -= 1
+            return plan.execute(strategy=strategy, options=options, **overrides)
 
-        before = self._workload_before()
-        started = time.perf_counter()
         if max_parallel <= 1 or len(prepared) <= 1:
-            results = [run_one(plan) for plan in prepared]
-        else:
-            with ThreadPoolExecutor(max_workers=max_parallel) as pool:
-                results = list(pool.map(run_one, prepared))
-        wall = time.perf_counter() - started
-        return self._workload_report(results, wall, before, peak, max_parallel)
+            return [run_one(plan) for plan in prepared]
+        with ThreadPoolExecutor(max_workers=max_parallel) as pool:
+            return list(pool.map(run_one, prepared))
 
     async def aexecute_many(
         self,
@@ -500,83 +409,14 @@ class Engine:
         meta-caches, so the never-repeat-an-access invariant holds across
         the raced queries exactly as in the threaded path.
         """
-        report = await self.arun_workload(
-            queries,
-            strategy=strategy,
-            max_parallel=max_parallel,
-            options=options,
-            **overrides,
-        )
-        return report.results
-
-    async def arun_workload(
-        self,
-        queries: Sequence[Union[str, ConjunctiveQuery]],
-        strategy: StrategyLike = "fast_fail",
-        max_parallel: int = 4,
-        options: Optional[ExecuteOptions] = None,
-        **overrides: object,
-    ) -> WorkloadReport:
-        """:meth:`run_workload` on the caller's event loop (see
-        :meth:`aexecute_many` for the concurrency model)."""
         prepared = [self.plan(query) for query in queries]
         semaphore = asyncio.Semaphore(max(1, max_parallel))
-        in_flight = 0
-        peak = 0
 
         async def run_one(plan: PreparedPlan) -> Result:
-            nonlocal in_flight, peak
             async with semaphore:
-                in_flight += 1
-                peak = max(peak, in_flight)
-                try:
-                    return await plan.aexecute(
-                        strategy=strategy, options=options, **overrides
-                    )
-                finally:
-                    in_flight -= 1
+                return await plan.aexecute(strategy=strategy, options=options, **overrides)
 
-        before = self._workload_before()
-        started = time.perf_counter()
-        results = list(await asyncio.gather(*(run_one(plan) for plan in prepared)))
-        wall = time.perf_counter() - started
-        return self._workload_report(results, wall, before, peak, max_parallel)
-
-    def _workload_before(self) -> Tuple[int, int]:
-        return self.session.total_accesses, self.session.meta_hits
-
-    def _workload_report(
-        self,
-        results: List[Result],
-        wall: float,
-        before: Tuple[int, int],
-        peak: int,
-        max_parallel: int,
-    ) -> WorkloadReport:
-        accesses_before, hits_before = before
-        accesses = self.session.total_accesses - accesses_before
-        hits = self.session.meta_hits - hits_before
-        served = accesses + hits
-        store_after = self.session.store.stats()
-        cache_stats: Dict[str, object] = {
-            "store": store_after["kind"],
-            "persistent": store_after["persistent"],
-            "binding_hits": hits,
-            "binding_hit_rate": round((hits / served) if served else 0.0, 4),
-            "binding_entries": store_after["binding_entries"],
-        }
-        return WorkloadReport(
-            results=results,
-            wall_seconds=wall,
-            qps=(len(results) / wall) if wall > 0 else float("inf"),
-            total_accesses=accesses,
-            meta_hits=hits,
-            hit_rate=(hits / served) if served else 0.0,
-            peak_in_flight=peak,
-            max_parallel=max_parallel,
-            relation_stats=self.session.statistics.per_relation_summary(),
-            cache_stats=cache_stats,
-        )
+        return list(await asyncio.gather(*(run_one(plan) for plan in prepared)))
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

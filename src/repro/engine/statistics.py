@@ -14,7 +14,7 @@ meta-hit counts, and retry-stretched per-access latency — and lives on the
 :class:`~repro.engine.engine.EngineSession`, so the statistics accumulate
 across the queries of a session.  They are *read* by
 ``session.stats()["relations"]``, the server's ``/metrics`` and
-``WorkloadReport.relation_stats``; nothing in the engine plans with them
+``python -m repro workload``; nothing in the engine plans with them
 (``optimizer="cost"`` decides with the exact pending-binding counts of the
 run itself, see :class:`repro.runtime.policy.OrderedFastFail`).
 """

@@ -886,7 +886,7 @@ def private_event_loop() -> Iterator[Callable[[Awaitable[object]], object]]:
     """The one sync-over-async bridge: a private loop for a sync caller.
 
     Only ``concurrency="async"`` reached through a sync entry point
-    (``execute``/``stream``/``run_workload``) comes here; the default sync
+    (``execute``/``stream``/``execute_many``) comes here; the default sync
     path never touches an event loop.  The caller steps the loop itself —
     what is yielded runs one awaitable to completion on it — which is what
     lets a sync ``stream()`` hand out answers one at a time.  Refused inside
@@ -899,9 +899,9 @@ def private_event_loop() -> Iterator[Callable[[Awaitable[object]], object]]:
         pass
     else:
         raise ExecutionError(
-            "execute()/stream()/run_workload() cannot run inside a running "
+            "execute()/stream()/execute_many() cannot run inside a running "
             "event loop with concurrency='async'; await aexecute()/astream()/"
-            "arun_workload() instead"
+            "aexecute_many() instead"
         )
     loop = asyncio.new_event_loop()
     try:

@@ -11,27 +11,19 @@
                                   {"query": "q(X) <- w0_r(X, Y)"})
         )
 
-``python -m repro serve`` runs it as a process; ``python -m repro
-loadtest`` drives it with an open-loop generator.  See
+``python -m repro serve`` runs it as a process; the one load harness is
+the end-to-end benchmark (``benchmarks/e2e/``), outside the package.  See
 :mod:`repro.serve.server` for the endpoint contract and
 :mod:`repro.serve.admission` for the admission gates.
 """
 
 from repro.serve.admission import AdmissionController, Rejection, TokenBucket
-from repro.serve.loadtest import (
-    LoadTestConfig,
-    LoadTestReport,
-    arun_loadtest,
-    run_loadtest,
-)
 from repro.serve.metrics import LatencyHistogram, ServerMetrics, SourceHealthBoard
 from repro.serve.server import QueryServer, ServeConfig, ServeHandle, serve_forever
 
 __all__ = [
     "AdmissionController",
     "LatencyHistogram",
-    "LoadTestConfig",
-    "LoadTestReport",
     "QueryServer",
     "Rejection",
     "ServeConfig",
@@ -39,7 +31,5 @@ __all__ = [
     "ServerMetrics",
     "SourceHealthBoard",
     "TokenBucket",
-    "arun_loadtest",
-    "run_loadtest",
     "serve_forever",
 ]

@@ -4,10 +4,9 @@ The framing itself — request parse, response / chunk / stream-head
 framing, canonical JSON — is :mod:`repro.util.http1`, shared with the
 fixture lookup server and the HTTP source backend; the names the server,
 the benchmarks and the tests use are re-exported here.  What this module
-adds is the client that the open-loop load generator
-(:mod:`repro.serve.loadtest`) and the tests drive the service with:
-:func:`request_json` for the JSON endpoints and :func:`stream_lines` for
-the chunked ndjson stream.
+adds is the client the tests drive the service with: :func:`request_json`
+for the JSON endpoints and :func:`stream_lines` for the chunked ndjson
+stream.
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ async def _exchange(
 ) -> AsyncIterator[Tuple[int, AsyncIterator[bytes]]]:
     """Open a connection, send one request, read the response head.
 
-    Yields ``(status, body pieces)``; the connection closes on exit.  A
-    fresh connection per call keeps the open-loop load generator honest —
-    no pipelining head-of-line effects.
+    Yields ``(status, body pieces)``; the connection closes on exit.
     """
     _, host, port, base = http1.split_url(url)
     reader, writer = await asyncio.wait_for(asyncio.open_connection(host, port), timeout)

@@ -15,6 +15,10 @@ This package models the data-extraction half of Figure 5 of the paper:
   performed during an execution;
 * :class:`~repro.sources.cache.CacheDatabase` — the cache tables (one per
   plan cache predicate) and the per-relation meta-caches.
+
+Fault injection (:mod:`repro.sources.faults`) and the loopback lookup
+server (:mod:`repro.sources.fixture_server`) are test tooling: they are
+imported from their own modules, never by ``import repro``.
 """
 
 from repro.sources.access import AccessRecord, AccessTuple
@@ -27,7 +31,6 @@ from repro.sources.backend import (
     build_backend,
 )
 from repro.sources.cache import CacheDatabase, CacheTable, MetaCache
-from repro.sources.faults import FaultSchedule, FlakyBackend, make_flaky
 from repro.sources.log import AccessLog
 from repro.sources.resilience import (
     BreakerConfig,
@@ -57,8 +60,6 @@ __all__ = [
     "CallableBackend",
     "CircuitBreaker",
     "CircuitOpenError",
-    "FaultSchedule",
-    "FlakyBackend",
     "InMemoryBackend",
     "MetaCache",
     "ResilienceConfig",
@@ -74,5 +75,4 @@ __all__ = [
     "SourceWrapper",
     "TransientSourceError",
     "build_backend",
-    "make_flaky",
 ]

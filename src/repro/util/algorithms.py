@@ -1,7 +1,7 @@
 """Graph algorithms used by the d-graph machinery.
 
 The library deliberately implements its own strongly-connected-component,
-condensation and topological-sort routines instead of depending on an
+condensation and topological-order routines instead of depending on an
 external graph package: the graphs involved (d-graphs and their source-level
 projections) are tiny, and keeping the algorithms local makes the plan
 generator fully self-contained.
@@ -111,35 +111,6 @@ def condensation(
             if source_component is not target_component:
                 dag[source_component].add(target_component)
     return components, dag
-
-
-def topological_sort(graph: Graph) -> List[Node]:
-    """Return a topological order of a DAG using Kahn's algorithm.
-
-    Ties are broken by the order in which nodes first appear in the graph
-    mapping, which makes the result deterministic for a given input.
-
-    Raises:
-        ValueError: if the graph contains a cycle.
-    """
-    adjacency = _normalize(graph)
-    in_degree: Dict[Node, int] = {node: 0 for node in adjacency}
-    for successors in adjacency.values():
-        for successor in successors:
-            in_degree[successor] += 1
-    # Preserve insertion order for determinism.
-    ready = [node for node in adjacency if in_degree[node] == 0]
-    order: List[Node] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for successor in adjacency[node]:
-            in_degree[successor] -= 1
-            if in_degree[successor] == 0:
-                ready.append(successor)
-    if len(order) != len(adjacency):
-        raise ValueError("graph contains a cycle; topological sort is undefined")
-    return order
 
 
 def has_unique_topological_order(graph: Graph) -> bool:

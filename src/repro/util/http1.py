@@ -6,7 +6,7 @@ line, headers, ``Content-Length``, JSON bodies, chunked ndjson for streams
 (:mod:`repro.serve.server`) and the fixture lookup server
 (:mod:`repro.sources.fixture_server`) are route tables over
 :func:`serve_connection`; :class:`~repro.sources.http.HTTPBackend`'s async
-path and the load generator's client (:mod:`repro.serve.protocol`) send
+path and the query service's client (:mod:`repro.serve.protocol`) send
 :func:`request_bytes` and read with :func:`read_response_head`; both
 in-process server handles are a :class:`BackgroundServer`.  So a framing
 rule — what is malformed, how large a request may be, what ``Connection``

@@ -180,7 +180,8 @@ def fault_entries() -> Iterator[Tuple[str, object]]:
     """The fuzz cases under seeded transient faults and timeouts, retried,
     on the simulated clocks — where ``attempts x latency + backoff`` is
     deterministic, so the timed payload and the ordered log both count."""
-    from repro import Engine, FaultSchedule, RetryPolicy
+    from repro import Engine, RetryPolicy
+    from repro.sources.faults import FaultSchedule
     from repro.sources.wrapper import SourceRegistry
 
     for seed in SEEDS:

@@ -258,11 +258,12 @@ from repro.examples import star_example
 
 example = star_example(rays=3, width=8)
 with Engine(example.schema, example.instance, cache="sqlite:" + sys.argv[1]) as engine:
-    report = engine.run_workload(
+    (result,) = engine.execute_many(
         [example.query_text], strategy="fast_fail", max_parallel=2
     )
-assert report.results[0].answers == example.expected_answers
-print(json.dumps({"accesses": report.total_accesses}))
+    accesses = engine.session_stats()["total_accesses"]
+assert result.answers == example.expected_answers
+print(json.dumps({"accesses": accesses}))
 """
 
 
@@ -338,21 +339,39 @@ def test_processes_opening_one_fresh_file_together_all_succeed(tmp_path) -> None
 # -- reporting ---------------------------------------------------------------
 
 
-def test_workload_report_carries_cache_tier_stats(tmp_path) -> None:
+def test_session_stats_carry_cache_tier_stats(tmp_path) -> None:
     workload = mixed_workload(("star", "diamond"), repeat=2)
     with Engine(
         workload.schema, workload.instance, cache=f"sqlite:{tmp_path / 'w.db'}"
     ) as engine:
-        report = engine.run_workload(workload.query_texts(), strategy="fast_fail")
-    cache = report.cache_stats
-    assert set(cache) == {
-        "store", "persistent", "binding_hits", "binding_hit_rate", "binding_entries"
-    }
-    assert cache["store"] == "sqlite" and cache["persistent"]
-    assert cache["binding_hits"] == report.meta_hits > 0
-    assert cache["binding_hit_rate"] == round(report.hit_rate, 4)
-    assert cache["binding_entries"] == report.total_accesses > 0
-    assert report.to_dict()["cache"] == cache
+        engine.execute_many(workload.query_texts(), strategy="fast_fail")
+        stats = engine.session_stats()
+    store = stats["cache_store"]
+    assert store["kind"] == "sqlite" and store["persistent"]
+    assert stats["meta_hits"] > 0
+    assert 0.0 < stats["hit_rate"] < 1.0
+    assert store["binding_entries"] == stats["total_accesses"] > 0
+
+
+def test_workload_json_reports_the_cache_store(tmp_path, capsys) -> None:
+    from repro.cli import main
+
+    path = f"sqlite:{tmp_path / 'w.db'}"
+    argv = ["workload", "--mix", "star,diamond", "--cache-store", path, "--json"]
+    assert main(argv) == 0
+    cold = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    warm = json.loads(capsys.readouterr().out)
+    for payload in (cold, warm):
+        assert set(payload["cache"]) == {
+            "store", "persistent", "binding_hits", "binding_hit_rate", "binding_entries"
+        }
+        assert payload["cache"]["store"] == "sqlite" and payload["cache"]["persistent"]
+        assert payload["cache"]["binding_hits"] == payload["meta_hits"] > 0
+        assert payload["cache"]["binding_hit_rate"] == payload["hit_rate"]
+    assert cold["total_accesses"] == cold["cache"]["binding_entries"] > 0
+    assert warm["total_accesses"] == 0
+    assert warm["cache"]["binding_entries"] == cold["cache"]["binding_entries"]
 
 
 def test_cli_cache_store_flags(tmp_path, capsys) -> None:

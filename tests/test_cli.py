@@ -162,7 +162,7 @@ def test_workload_subcommand_replays_mixed_stream(capsys) -> None:
     assert main(["workload", "--mix", "star,chain", "--repeat", "2", "--max-parallel", "4"]) == 0
     output = capsys.readouterr().out
     assert "answers verified: ok" in output
-    assert "qps" in output and "hit rate" in output
+    assert "meta hits" in output and "hit rate" in output
 
 
 def test_workload_subcommand_json(capsys) -> None:

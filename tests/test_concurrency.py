@@ -6,12 +6,14 @@ an access, thanks to the session meta-caches' claim protocol.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro import Engine
 from repro.examples import chain_example, mixed_workload, star_example
 from repro.model.schema import RelationSchema
+from repro.sources.backend import CallableBackend
 from repro.sources.cache import MetaCache
 from repro.sources.faults import FaultSchedule
 from repro.sources.resilience import RetryPolicy
@@ -114,20 +116,47 @@ def test_raw_threads_share_one_engine_safely() -> None:
         assert engine.session_stats()["executions"] == len(workload.queries)
 
 
-def test_workload_report_counts_hits_and_peak() -> None:
+class _OverlapGauge:
+    """Backends whose lookups count how many run at the same moment."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._now = 0
+        self.peak = 0
+
+    def backend(self, instance) -> CallableBackend:
+        def lookup(binding):
+            with self._lock:
+                self._now += 1
+                self.peak = max(self.peak, self._now)
+            try:
+                time.sleep(0.002)  # a slow source keeps the queries in flight
+                return instance.lookup(binding)
+            finally:
+                with self._lock:
+                    self._now -= 1
+
+        return CallableBackend(instance.schema, lookup)
+
+
+def test_execute_many_overlaps_queries_and_counts_hits_in_session_stats() -> None:
     workload = mixed_workload(("star", "chain"), repeat=2)
-    with _engine(workload, "callable") as engine:
-        report = engine.run_workload(workload.query_texts(), max_parallel=4)
-    assert len(report.results) == 4
-    assert report.total_accesses > 0
+    gauge = _OverlapGauge()
+    registry = SourceRegistry(workload.instance, backend=gauge.backend)
+    with Engine(workload.schema, registry) as engine:
+        results = engine.execute_many(workload.query_texts(), max_parallel=4)
+        stats = engine.session_stats()
+    assert [result.answers for result in results] == [
+        query.expected_answers for query in workload.queries
+    ]
+    # Each query dispatches its own accesses one at a time (simulated
+    # concurrency), so two lookups at once are two queries at once.
+    assert gauge.peak > 1
+    assert stats["executions"] == 4
+    assert stats["total_accesses"] == sum(result.total_accesses for result in results) > 0
     # The repeated queries are answered entirely from the session caches.
-    assert report.meta_hits >= report.total_accesses
-    assert 0.0 < report.hit_rate < 1.0
-    assert report.peak_in_flight > 1  # four queries, four workers, slow sources
-    assert report.qps > 0
-    payload = report.to_dict()
-    assert payload["queries"] == 4
-    assert payload["max_parallel"] == 4
+    assert stats["meta_hits"] >= stats["total_accesses"]
+    assert 0.0 < stats["hit_rate"] < 1.0
 
 
 def test_dying_claimant_does_not_deadlock_waiters() -> None:

@@ -208,7 +208,7 @@ def test_unknown_optimizer_is_one_error_everywhere(strategy, entry) -> None:
 
 
 def test_sync_entries_refuse_a_running_loop_without_leaking_a_coroutine() -> None:
-    # Regression: execute() and run_workload() used to call asyncio.run()
+    # Regression: execute() and execute_many() used to call asyncio.run()
     # here — a bare RuntimeError plus a never-awaited coroutine.  All three
     # sync doors now cross one bridge, which refuses before any coroutine
     # exists; warnings are errors so a leak cannot come back.
@@ -221,7 +221,6 @@ def test_sync_entries_refuse_a_running_loop_without_leaking_a_coroutine() -> Non
         for call in (
             lambda: prepared.execute(concurrency="async"),
             lambda: list(prepared.stream(concurrency="async")),
-            lambda: engine.run_workload([example.query_text], concurrency="async"),
             lambda: engine.execute_many([example.query_text] * 2, concurrency="async"),
         ):
             with pytest.raises(ExecutionError) as raised:
@@ -239,7 +238,7 @@ def test_sync_entries_refuse_a_running_loop_without_leaking_a_coroutine() -> Non
     assert result.answers == example.expected_answers
     for error in errors:
         assert "running event loop" in str(error)
-        assert "aexecute()/astream()/arun_workload()" in str(error)
+        assert "aexecute()/astream()/aexecute_many()" in str(error)
     # execute/stream carry the query context of every engine error.
     assert errors[0].query is prepared.query and errors[1].query is prepared.query
 

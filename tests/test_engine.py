@@ -4,8 +4,14 @@ and the strategy registry extension point.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import (
     Engine,
     ExecuteOptions,
@@ -187,3 +193,28 @@ def test_distillation_per_source_latency_matches_makespan(engine, example) -> No
     per_source_total = sum(b.simulated_latency for b in result.per_source)
     assert per_source_total == pytest.approx(result.raw.sequential_time)
     assert result.simulated_latency <= per_source_total
+
+
+#: What ``import repro`` must not load: scenario generators, fault injection,
+#: the fixture lookup server, the deleted load generator and the CLI.
+TEST_RIG_MODULES = (
+    "repro.examples",
+    "repro.serve.loadtest",
+    "repro.sources.faults",
+    "repro.sources.fixture_server",
+    "repro.cli",
+)
+
+
+def test_import_repro_loads_the_engine_and_no_test_rig() -> None:
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys, repro\n"
+        f"print(sorted(name for name in {TEST_RIG_MODULES!r} if name in sys.modules))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout.strip()
+    assert loaded == "[]"

@@ -309,12 +309,11 @@ def test_session_statistics_warm_up_the_estimates() -> None:
         assert stats["relations"][source.relation]["accesses"] == 2 * source.accesses
 
 
-def test_workload_report_carries_relation_statistics() -> None:
+def test_execute_many_feeds_the_relation_statistics() -> None:
     example = make_scenario("star", rays=2, width=3)
     with Engine(example.schema, example.instance) as engine:
-        report = engine.run_workload([example.query_text] * 3, max_parallel=2)
-    assert report.relation_stats
-    payload = report.to_dict()
-    assert payload["relations"] == report.relation_stats
-    for summary in report.relation_stats.values():
+        results = engine.execute_many([example.query_text] * 3, max_parallel=2)
+        relations = engine.session_stats()["relations"]
+    assert set(relations) == {b.relation for b in results[0].per_source}
+    for summary in relations.values():
         assert summary["accesses"] >= 1

@@ -2,7 +2,8 @@
 
 The server runs in-process on a background thread (:class:`ServeHandle`),
 exactly as the benchmarks drive it; requests go over real loopback
-sockets through the same client helpers the load generator uses.  Covered
+sockets through the client helpers of :mod:`repro.serve.protocol`; one
+test starts ``python -m repro serve`` as a process.  Covered
 here: endpoint semantics, streamed-answer ordering against ``stream()``,
 admission-control 429s, per-tenant rate limits and budget isolation,
 ``/metrics`` content after a known workload, byte-stable (golden) response
@@ -13,24 +14,28 @@ contract on a shared SQLite cache store.
 from __future__ import annotations
 
 import asyncio
+import os
+import select
+import signal
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import Engine
 from repro.examples import make_scenario, mixed_workload, running_example
 from repro.exceptions import ReproError
 from repro.serve import (
     AdmissionController,
     LatencyHistogram,
-    LoadTestConfig,
     ServeConfig,
     ServeHandle,
     TokenBucket,
-    run_loadtest,
 )
 from repro.serve import protocol
 from repro.sources.fixture_server import FixtureServer
@@ -408,32 +413,57 @@ def test_store_close_releases_only_own_claims(tmp_path: Path) -> None:
     )
 
 
-# -- load generator ----------------------------------------------------------
-def test_loadtest_against_in_process_server() -> None:
-    workload = mixed_workload(("star", "chain"), repeat=1)
-    registry = SourceRegistry(workload.instance)
-    engine = Engine(workload.schema, registry)
+# -- the mix, served -----------------------------------------------------------
+def _answers(items) -> frozenset:
+    """The answer set of a ``/query`` body or of a ``/query/stream``'s lines."""
+    if isinstance(items, dict):
+        return frozenset(tuple(row) for row in items["answers"])
+    return frozenset(tuple(item["row"]) for item in items[1:] if "row" in item)
+
+
+def _summary(items) -> dict:
+    (summary,) = [item["summary"] for item in items[1:] if "summary" in item]
+    return summary
+
+
+def _serve_all(url: str, texts) -> list:
+    """Every text through ``/query`` and ``/query/stream``, all at once:
+    ``[(query body, stream lines)]`` per text, each a ``(status, ...)``."""
+
+    async def stream(text: str, tenant: str) -> list:
+        return [
+            item
+            async for item in protocol.stream_lines(
+                url, "/query/stream", {"query": text}, {"X-Tenant": tenant}
+            )
+        ]
+
+    async def run() -> list:
+        calls = []
+        for index, text in enumerate(texts):
+            tenant = f"t{index % 2}"
+            calls.append(
+                protocol.request_json(url, "POST", "/query", {"query": text}, {"X-Tenant": tenant})
+            )
+            calls.append(stream(text, tenant))
+        replies = await asyncio.gather(*calls)
+        return list(zip(replies[::2], replies[1::2]))
+
+    return asyncio.run(run())
+
+
+def test_served_mix_answers_equal_the_expected_answers() -> None:
+    workload = mixed_workload(("star", "chain"), repeat=2)
+    engine = Engine(workload.schema, SourceRegistry(workload.instance))
     with ServeHandle(engine, ServeConfig(max_concurrent=16)) as handle:
-        report = run_loadtest(
-            LoadTestConfig(
-                url=handle.url, rate=25.0, duration=1.2, stream_fraction=0.25
-            ),
-            workload,
-        )
-    assert report.requests == 30
-    assert report.errors == 0
-    assert report.mismatches == 0
-    assert report.degraded == 0
-    assert report.good == report.requests
-    assert report.goodput > 0
-    assert report.latency["p99"] >= report.latency["p50"] > 0
-    assert any(sample.streamed for sample in report.samples)
-    payload = report.to_dict()
-    assert payload["statuses"] == {"200": 30}
-    assert report.describe()
+        replies = _serve_all(handle.url, workload.query_texts())
+    for query, ((status, body), lines) in zip(workload.queries, replies):
+        assert status == 200 and lines[0] == 200, query.scenario
+        assert body["complete"] is True and _summary(lines)["complete"] is True
+        assert _answers(body) == _answers(lines) == query.expected_answers
 
 
-def test_loadtest_observes_degradation_under_faults() -> None:
+def test_source_faults_degrade_served_queries_to_honest_200s() -> None:
     workload = mixed_workload(("star",), repeat=1)
     registry = SourceRegistry(workload.instance)
     registry.inject_faults(FaultSchedule(seed=5, transient_rate=0.8, timeout_rate=0.4))
@@ -442,13 +472,71 @@ def test_loadtest_observes_degradation_under_faults() -> None:
         engine,
         ServeConfig(execute_overrides={"share_session_cache": False}),
     ) as handle:
-        report = run_loadtest(
-            LoadTestConfig(url=handle.url, rate=15.0, duration=1.0), workload
-        )
-    assert report.errors == 0, "source failures must degrade, never 5xx"
-    assert report.mismatches == 0
-    assert report.degraded > 0
-    assert report.degraded_rate > 0
+        replies = _serve_all(handle.url, workload.query_texts() * 4)
+    (expected,) = {query.expected_answers for query in workload.queries}
+    degraded = 0
+    for (status, body), lines in replies:
+        assert status == 200 and lines[0] == 200, "source failures must degrade, never 5xx"
+        for complete, answers in (
+            (body["complete"], _answers(body)),
+            (_summary(lines)["complete"], _answers(lines)),
+        ):
+            # A complete result is right; an incomplete one a lower bound.
+            assert answers == expected if complete else answers <= expected
+            degraded += not complete
+    assert degraded > 0
+
+
+#: The p99 budget the CI load-test smoke held the served mix to, per request.
+LIVE_SERVER_BUDGET_S = 2.0
+
+
+def test_live_server_process_serves_the_mix_and_drains_on_sigterm() -> None:
+    """``python -m repro serve --mix star,chain --port 0`` as a process.
+
+    The URL is its first stdout line; every query of the mix answers 200
+    with the mix's expected answers through ``/query`` and
+    ``/query/stream``, each within the budget; ``SIGTERM`` drains the
+    server to exit 0.
+    """
+    workload = mixed_workload(("star", "chain"), repeat=1)
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--mix", "star,chain", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        ready, _, _ = select.select([server.stdout], [], [], 60.0)
+        assert ready, "the server printed no URL within 60 s"
+        url = server.stdout.readline().strip()
+        assert url.startswith("http://"), server.stderr.read()
+        for query in workload.queries:
+            payload = {"query": query.text}
+            started = time.perf_counter()
+            status, body = _request(url, "POST", "/query", payload)
+            served = time.perf_counter() - started
+            assert status == 200 and body["complete"] is True, (query.scenario, body)
+            assert _answers(body) == query.expected_answers, query.scenario
+            assert served < LIVE_SERVER_BUDGET_S, (query.scenario, served)
+            started = time.perf_counter()
+            lines = _stream(url, payload)
+            streamed = time.perf_counter() - started
+            assert lines[0] == 200 and _summary(lines)["complete"] is True, query.scenario
+            assert _answers(lines) == query.expected_answers, query.scenario
+            assert streamed < LIVE_SERVER_BUDGET_S, (query.scenario, streamed)
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0, server.stderr.read()
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+        server.stderr.close()
 
 
 # -- unit corners ------------------------------------------------------------
