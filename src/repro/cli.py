@@ -516,15 +516,12 @@ def _command_workload(args: argparse.Namespace) -> int:
                 f"{cache['binding_entries']} records"
             )
             if stats["relations"]:
-                print("per-relation statistics:")
+                print("per relation:")
                 for relation, summary in stats["relations"].items():
                     print(
                         f"  {relation:>14}: {summary['accesses']:>4} accesses, "
-                        f"{summary['rows']:>5} rows "
-                        f"(fanout {summary['rows_per_access']}, "
-                        f"empty rate {summary['empty_rate']}, "
-                        f"avg latency {summary['avg_latency']}, "
-                        f"meta hits {summary['meta_hits']})"
+                        f"{summary['meta_hits']:>4} meta hits, "
+                        f"{summary['known']:>4} known"
                     )
         if mismatches:
             print("error: some queries returned unexpected answers", file=sys.stderr)

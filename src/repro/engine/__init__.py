@@ -9,7 +9,7 @@ This package is *the* supported API surface of the library::
     print(prepared.explain())
 
 * :class:`~repro.engine.engine.Engine` — parsing, planning, execution and
-  the cross-query session (shared meta-caches + access log);
+  the cross-query session (shared meta-caches + access counters);
 * :class:`~repro.engine.prepared.PreparedPlan` — ``execute()``,
   ``stream()`` and ``explain()`` on one planned query;
 * :class:`~repro.engine.result.Result` — the normalized outcome shared by

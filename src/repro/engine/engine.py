@@ -27,7 +27,6 @@ from repro.engine.explain import Explanation
 from repro.engine.plan_cache import PlanCache
 from repro.engine.prepared import PreparedPlan
 from repro.engine.result import Result
-from repro.engine.statistics import StatisticsCollector
 from repro.engine.strategy import ExecuteOptions, StrategyLike
 from repro.exceptions import EngineError, ReproError
 from repro.model.instance import DatabaseInstance
@@ -69,11 +68,6 @@ class EngineSession:
             On a fresh store, ``total_accesses == known_accesses`` is the
             "never repeat an access" invariant.
         executions: number of executions absorbed so far.
-        statistics: per-relation runtime statistics mined from the absorbed
-            logs (:mod:`repro.engine.statistics`), accumulated across
-            queries.  Observability only — ``stats()["relations"]``, the
-            server's ``/metrics``, ``python -m repro workload`` — nothing
-            plans with them.
         store: the :class:`~repro.sources.store.CacheStore` holding the
             meta-caches' records and claims.  The default is an in-memory
             store; a persistent store makes the session warm-start from
@@ -91,10 +85,17 @@ class EngineSession:
         self.meta: Dict[str, MetaCache] = {}
         self.total_accesses = 0
         self.executions = 0
-        self.statistics = StatisticsCollector()
+        #: ``total_accesses`` split per relation; with the meta-caches' own
+        #: ``hits`` and sizes it makes ``stats()["relations"]``.
+        self._relation_accesses: Dict[str, int] = {}
         self.kernel_profile = KernelProfile()
-        if self.store.persistent:
-            self.statistics.preload_store_hits(self.store.persisted_hit_counters())
+        #: Meta-cache hits a persistent store accumulated in earlier
+        #: processes: the base this process's live counters add to.
+        self._hit_base: Dict[str, int] = {
+            relation: hits
+            for relation, hits in self.store.persisted_hit_counters().items()
+            if hits
+        }
 
     def new_cache_db(self) -> CacheDatabase:
         """A fresh cache database whose meta-caches are the session's."""
@@ -104,35 +105,20 @@ class EngineSession:
             )
 
     def absorb(
-        self,
-        log: AccessLog,
-        registry: Optional[SourceRegistry] = None,
-        retry_stats: Optional[object] = None,
-        default_latency: float = 0.0,
-        kernel_profile: Optional[KernelProfile] = None,
+        self, log: AccessLog, kernel_profile: Optional[KernelProfile] = None
     ) -> None:
-        """Count one execution and its accesses; the log itself is not kept.
-
-        The log is folded into the session's per-relation statistics, priced
-        with the ``registry``'s latencies when one is given
-        (``default_latency`` for wrappers that declare none) and stretched by
-        the run's ``retry_stats``.  A ``kernel_profile`` is merged into the
-        session's cumulative kernel profile.
-        """
+        """Count one execution and its accesses, in total and per relation;
+        the log itself is not kept.  A ``kernel_profile`` is merged into the
+        session's cumulative kernel profile."""
+        totals = log.totals()
         with self._lock:
             self.total_accesses += log.total_accesses
             self.executions += 1
+            counts = self._relation_accesses
+            for relation, entry in totals.items():
+                counts[relation] = counts.get(relation, 0) + entry.accesses
             if kernel_profile is not None:
                 self.kernel_profile.merge(kernel_profile)
-            # Under the session lock, as every reader of both takes them
-            # (session lock first, then the statistics' own).
-            self.statistics.observe_log(
-                log,
-                registry=registry,
-                default_latency=default_latency,
-                retry_stats=retry_stats,
-            )
-            self.statistics.sync_meta_hits(self.meta)
 
     @property
     def known_accesses(self) -> int:
@@ -158,9 +144,25 @@ class EngineSession:
             self.meta.clear()
             self.total_accesses = 0
             self.executions = 0
-            self.statistics.reset()
+            self._relation_accesses.clear()
+            self._hit_base.clear()
             self.kernel_profile = KernelProfile()
             self.store.clear()
+
+    def _relations(self) -> Dict[str, Dict[str, int]]:
+        """``{relation: {"accesses", "meta_hits", "known"}}`` for every
+        relation absorbed, meta-cached or with persisted hits; caller holds
+        the lock."""
+        counts, meta, base = self._relation_accesses, self.meta, self._hit_base
+        relations = {}
+        for relation in sorted({*counts, *meta, *base}):
+            cache = meta.get(relation)
+            relations[relation] = {
+                "accesses": counts.get(relation, 0),
+                "meta_hits": base.get(relation, 0) + (cache.hits if cache is not None else 0),
+                "known": len(cache) if cache is not None else 0,
+            }
+        return relations
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
@@ -173,7 +175,7 @@ class EngineSession:
                 "known_accesses": sum(len(meta) for meta in self.meta.values()),
                 "meta_hits": hits,
                 "hit_rate": (hits / served) if served else 0.0,
-                "relations": self.statistics.per_relation_summary(),
+                "relations": self._relations(),
                 "cache_store": self.store.stats(),
                 "kernel": self.kernel_profile.to_dict(),
             }

@@ -96,9 +96,8 @@ class KernelStrategy(ExecutionStrategy):
     #: ``ExecuteOptions.share_session_cache``).
     consults_session_caches: ClassVar[bool] = True
     #: Price wrappers that declare no latency at
-    #: :data:`~repro.runtime.dispatch.DEFAULT_LATENCY` (on the simulated clock,
-    #: in the per-source breakdown and in the session statistics) instead of
-    #: zero.
+    #: :data:`~repro.runtime.dispatch.DEFAULT_LATENCY` (on the simulated clock
+    #: and in the per-source breakdown) instead of zero.
     charges_default_latency: ClassVar[bool] = False
 
     # -- the declaration -------------------------------------------------------
@@ -135,9 +134,9 @@ class KernelStrategy(ExecutionStrategy):
         (left None when the kernel produced no outcome: it raised, or the
         consumer stopped early).
 
-        The ``finally`` keeps the session's access count and statistics
-        consistent with whatever really hit the sources, even when the run
-        aborts (access budget exceeded) or a streaming consumer stops early.
+        The ``finally`` keeps the session's access counts consistent with
+        whatever really hit the sources, even when the run aborts (access
+        budget exceeded) or a streaming consumer stops early.
         The run's log itself goes only to the ``Result``.
         """
         started = time.perf_counter()
@@ -173,13 +172,7 @@ class KernelStrategy(ExecutionStrategy):
             yield run
         finally:
             outcome = kernel.last_outcome
-            engine.session.absorb(
-                log,
-                registry=registry,
-                retry_stats=outcome.retry_stats if outcome is not None else None,
-                default_latency=default_latency,
-                kernel_profile=outcome.profile if outcome is not None else None,
-            )
+            engine.session.absorb(log, outcome.profile if outcome is not None else None)
             if outcome is not None:
                 prepared.last_kernel_profile = outcome.profile
                 elapsed = time.perf_counter() - started

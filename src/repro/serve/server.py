@@ -365,8 +365,8 @@ class QueryServer:
 async def serve_forever(engine: Engine, config: Optional[ServeConfig] = None) -> None:
     """Run a :class:`QueryServer` until SIGTERM/SIGINT, then drain and exit.
 
-    Prints the bound URL on stdout (flushed) so wrappers — CI, the load
-    generator, tests — can scrape it, mirroring ``serve-fixture``.
+    Prints the bound URL on stdout (flushed) so wrappers — CI, benchmark
+    drivers, tests — can scrape it, mirroring ``serve-fixture``.
     """
     server = QueryServer(engine, config)
     await server.start()

@@ -3,10 +3,10 @@
 The log records every access performed during the evaluation of a query, in
 order, and offers the per-relation aggregations the engine reports: number
 of accesses and number of extracted (distinct) rows per relation — exactly
-the columns of Figure 6 of the paper — plus the returned-row counts the
-session statistics are built from.  It travels on the run's
+the columns of Figure 6 of the paper.  It travels on the run's
 :class:`~repro.engine.result.Result`; the engine session keeps only its
-length (:attr:`~repro.engine.engine.EngineSession.total_accesses`).
+access counts (:attr:`~repro.engine.engine.EngineSession.total_accesses`,
+in total and per relation).
 
 Recording is the hot half — once per source access — so it appends one
 plain tuple.  Reading is the cold half: the aggregates are brought up to
@@ -31,22 +31,13 @@ class RelationTotals:
     Attributes:
         accesses: accesses made to the relation.
         rows: the distinct rows they extracted (their union).
-        returned: rows returned, summed per access (a row two accesses both
-            returned counts twice).
-        empty: accesses that returned no rows.
-        largest: the largest single-access result.
-        by_arity: ``{bound-position count: (accesses, returned)}``.
     """
 
-    __slots__ = ("accesses", "rows", "returned", "empty", "largest", "by_arity")
+    __slots__ = ("accesses", "rows")
 
     def __init__(self) -> None:
         self.accesses = 0
         self.rows: Set[Row] = set()
-        self.returned = 0
-        self.empty = 0
-        self.largest = 0
-        self.by_arity: Dict[int, Tuple[int, int]] = {}
 
 
 class AccessLog:
@@ -80,20 +71,12 @@ class AccessLog:
         entries = self._entries
         totals = self._totals
         for index in range(self._aggregated, len(entries)):
-            relation, binding, rows, _ = entries[index]
+            relation, _, rows, _ = entries[index]
             entry = totals.get(relation)
             if entry is None:
                 entry = totals[relation] = RelationTotals()
-            count = len(rows)
             entry.accesses += 1
             entry.rows.update(rows)
-            entry.returned += count
-            if not count:
-                entry.empty += 1
-            elif count > entry.largest:
-                entry.largest = count
-            accesses, returned = entry.by_arity.get(len(binding), (0, 0))
-            entry.by_arity[len(binding)] = (accesses + 1, returned + count)
         self._aggregated = len(entries)
         return totals
 

@@ -141,11 +141,14 @@ def test_sqlite_hit_counters_survive_restart(tmp_path) -> None:
     finally:
         store.close()
     assert persisted and sum(persisted.values()) > 0
-    # A restarted engine preloads those counters into its statistics, so
-    # cost-based decisions see the store's full history, not just this run.
+    # A restarted engine adds its live hits to those counters, so the
+    # per-relation report covers the store's full history, not just this run.
     with _sqlite_engine(example, path) as engine:
         engine.execute(example.query_text, strategy="fast_fail")
-        merged = engine.session.statistics.per_relation_summary()
+        merged = engine.session_stats()["relations"]
+        # A reset erases the store, and with it the inherited base.
+        engine.reset_session()
+        assert engine.session_stats()["relations"] == {}
     assert sum(row["meta_hits"] for row in merged.values()) > sum(persisted.values())
 
 

@@ -5,8 +5,8 @@ same answers as the structural order, the same accesses wherever the answer
 is non-empty, strictly fewer on ``empty-branch`` (where a cheap empty branch
 sits next to an expensive one) whatever the relations are called, and the
 order taken is always a topological linearization of the ordering
-constraints.  Plus the per-relation statistics of the engine session
-(:mod:`repro.engine.statistics`), which are observability, not planner
+constraints.  Plus the per-relation access counts of the engine session
+(``session_stats()["relations"]``), which are observability, not planner
 input.
 """
 
@@ -17,98 +17,9 @@ import asyncio
 import pytest
 
 from repro import Engine
-from repro.engine.statistics import StatisticsCollector
 from repro.examples import make_scenario, running_example
 from repro.exceptions import StrategyError
 from repro.graph.ordering import ordering_constraints
-from repro.sources.log import AccessLog
-from repro.sources.resilience import RetryStats
-from repro.sources.wrapper import SourceRegistry
-
-
-def _record(relation: str, binding: tuple, rows: int, sequence: int) -> tuple:
-    """The arguments of one ``AccessLog.record`` call (at simulated time 0)."""
-    rows_returned = frozenset((f"{relation}-row-{sequence}-{i}",) for i in range(rows))
-    return relation, binding, rows_returned, 0.0
-
-
-def _log(*records: tuple) -> AccessLog:
-    log = AccessLog()
-    for record in records:
-        log.record(*record)
-    return log
-
-
-class _FakeMetaCache:
-    def __init__(self, hits: int) -> None:
-        self.hits = hits
-
-
-# -- StatisticsCollector --------------------------------------------------------
-
-
-def test_collector_aggregates_per_relation() -> None:
-    collector = StatisticsCollector()
-    collector.observe_log(
-        _log(
-            _record("r", ("a",), rows=3, sequence=0),
-            _record("r", ("b",), rows=0, sequence=1),
-            _record("s", (), rows=5, sequence=2),
-        ),
-        default_latency=0.01,
-    )
-    r = collector.get("r")
-    assert r is not None
-    assert (r.accesses, r.rows, r.empty_accesses, r.max_rows) == (2, 3, 1, 3)
-    assert r.rows_per_access == pytest.approx(1.5)
-    assert r.empty_rate == pytest.approx(0.5)
-    assert r.avg_latency == pytest.approx(0.01)
-    # Bound accesses and free accesses are bucketed by binding arity.
-    assert r.fanout(bound_arity=1) == pytest.approx(1.5)
-    s = collector.get("s")
-    assert s is not None and s.fanout_by_arity == {0: (1, 5)}
-    assert collector.observations == 1
-    assert collector.get("unseen") is None
-
-
-def test_collector_stretches_latency_by_retry_factor() -> None:
-    collector = StatisticsCollector()
-    collector.observe_log(
-        _log(_record("r", ("a",), rows=1, sequence=0)),
-        default_latency=0.01,
-        retry_stats=RetryStats(attempts=3, retries=2),
-    )
-    # 1 counted access, 3 attempts: the access is priced 3x its latency.
-    assert collector.get("r").latency == pytest.approx(0.03)
-
-
-def test_collector_uses_registry_latency() -> None:
-    example = running_example()
-    registry = SourceRegistry(example.instance, per_relation_latency={"r1": 0.05})
-    collector = StatisticsCollector()
-    collector.observe_log(
-        _log(
-            _record("r1", ("a",), rows=1, sequence=0),
-            _record("r2", ("volare",), rows=1, sequence=1),
-        ),
-        registry=registry,
-        default_latency=0.001,
-    )
-    assert collector.get("r1").avg_latency == pytest.approx(0.05)
-    assert collector.get("r2").avg_latency == pytest.approx(0.001)
-
-
-def test_collector_meta_hits_and_reset() -> None:
-    collector = StatisticsCollector()
-    collector.observe_log(_log(_record("r", ("a",), rows=1, sequence=0)))
-    collector.sync_meta_hits({"r": _FakeMetaCache(hits=7)})
-    summary = collector.per_relation_summary()
-    assert summary["r"]["meta_hits"] == 7
-    assert summary["r"]["accesses"] == 1
-    collector.reset()
-    assert collector.get("r") is None
-    assert collector.observations == 0
-    assert collector.per_relation_summary() == {}
 
 
 # -- the order taken ------------------------------------------------------------
@@ -293,15 +204,15 @@ def test_eager_strategies_ignore_the_optimizer(name: str, strategy: str) -> None
 
 
 def test_session_statistics_warm_up_the_estimates() -> None:
-    # The statistics half of the former cost-model test (name kept): the
-    # session accumulates per-relation figures across runs; nothing reads
-    # them back to plan.
+    # The counting half of the former cost-model test (name kept): the
+    # session accumulates per-relation access counts across runs; nothing
+    # reads them back to plan.
     example = make_scenario("chain", length=3, width=3)
     with Engine(example.schema, example.instance) as engine:
         first = engine.execute(example.query_text, optimizer="cost")
-        statistics = engine.session.statistics
+        relations = engine.session_stats()["relations"]
         for source in first.per_source:
-            assert statistics.get(source.relation).accesses == source.accesses
+            assert relations[source.relation]["accesses"] == source.accesses
         engine.execute(example.query_text, optimizer="cost", share_session_cache=False)
         stats = engine.session.stats()
     assert set(stats["relations"]) == {b.relation for b in first.per_source}
@@ -313,7 +224,9 @@ def test_execute_many_feeds_the_relation_statistics() -> None:
     example = make_scenario("star", rays=2, width=3)
     with Engine(example.schema, example.instance) as engine:
         results = engine.execute_many([example.query_text] * 3, max_parallel=2)
-        relations = engine.session_stats()["relations"]
+        stats = engine.session_stats()
+    relations = stats["relations"]
     assert set(relations) == {b.relation for b in results[0].per_source}
     for summary in relations.values():
-        assert summary["accesses"] >= 1
+        assert summary["accesses"] == summary["known"] >= 1
+    assert sum(summary["meta_hits"] for summary in relations.values()) == stats["meta_hits"]
