@@ -110,7 +110,7 @@ def load_workload(path: str) -> Tuple[Schema, DatabaseInstance, Optional[str]]:
             ) from None
     instance = DatabaseInstance(schema)
     for name, rows in (payload.get("tuples") or {}).items():
-        instance.add_tuples(name, [tuple(row) for row in rows])
+        instance.add_tuples(name, rows)
     query = payload.get("query")
     return schema, instance, query
 
@@ -469,6 +469,7 @@ def _command_workload(args: argparse.Namespace) -> int:
                 "total_accesses": stats["total_accesses"],
                 "meta_hits": stats["meta_hits"],
                 "hit_rate": round(stats["hit_rate"], 4),
+                "persisted_meta_hits": stats["persisted_meta_hits"],
                 "max_parallel": args.max_parallel,
                 "relations": stats["relations"],
                 "cache": cache,
@@ -520,7 +521,8 @@ def _command_workload(args: argparse.Namespace) -> int:
                 for relation, summary in stats["relations"].items():
                     print(
                         f"  {relation:>14}: {summary['accesses']:>4} accesses, "
-                        f"{summary['meta_hits']:>4} meta hits, "
+                        f"{summary['meta_hits']:>4} meta hits "
+                        f"(+{summary['persisted_meta_hits']} persisted), "
                         f"{summary['known']:>4} known"
                     )
         if mismatches:

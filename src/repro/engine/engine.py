@@ -90,7 +90,7 @@ class EngineSession:
         self._relation_accesses: Dict[str, int] = {}
         self.kernel_profile = KernelProfile()
         #: Meta-cache hits a persistent store accumulated in earlier
-        #: processes: the base this process's live counters add to.
+        #: processes, reported apart from this process's live ``hits``.
         self._hit_base: Dict[str, int] = {
             relation: hits
             for relation, hits in self.store.persisted_hit_counters().items()
@@ -150,16 +150,17 @@ class EngineSession:
             self.store.clear()
 
     def _relations(self) -> Dict[str, Dict[str, int]]:
-        """``{relation: {"accesses", "meta_hits", "known"}}`` for every
-        relation absorbed, meta-cached or with persisted hits; caller holds
-        the lock."""
+        """``{relation: {"accesses", "meta_hits", "persisted_meta_hits",
+        "known"}}`` for every relation absorbed, meta-cached or with
+        persisted hits; caller holds the lock."""
         counts, meta, base = self._relation_accesses, self.meta, self._hit_base
         relations = {}
         for relation in sorted({*counts, *meta, *base}):
             cache = meta.get(relation)
             relations[relation] = {
                 "accesses": counts.get(relation, 0),
-                "meta_hits": base.get(relation, 0) + (cache.hits if cache is not None else 0),
+                "meta_hits": cache.hits if cache is not None else 0,
+                "persisted_meta_hits": base.get(relation, 0),
                 "known": len(cache) if cache is not None else 0,
             }
         return relations
@@ -175,6 +176,7 @@ class EngineSession:
                 "known_accesses": sum(len(meta) for meta in self.meta.values()),
                 "meta_hits": hits,
                 "hit_rate": (hits / served) if served else 0.0,
+                "persisted_meta_hits": sum(self._hit_base.values()),
                 "relations": self._relations(),
                 "cache_store": self.store.stats(),
                 "kernel": self.kernel_profile.to_dict(),

@@ -10,9 +10,8 @@ paper's prototype issues for every access.
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
-)
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import InstanceError
 from repro.model.schema import RelationSchema, Schema
@@ -25,73 +24,73 @@ _EMPTY: FrozenSet[Tuple_] = frozenset()
 class RelationInstance:
     """The extension of a single relation.
 
-    Tuples are plain Python tuples of hashable values; the instance checks
-    arity on insertion and maintains an index keyed by the values at the
-    relation's input positions (a free relation's one key is ``()``).  A
-    lookup freezes its bucket in place and hands out that ``frozenset`` —
-    no copy per access; :meth:`add` thaws the bucket it inserts into, so an
-    answer handed out never changes.  Two threads freezing one bucket at
-    once race harmlessly (equal frozensets, the last one stays).
+    Tuples are plain Python tuples of hashable values, arity-checked on
+    insertion and indexed by their input values: the bare value for a
+    one-input relation, a tuple for several, ``()`` for a free one.  A key's
+    bucket is its row while it has one, a list once it has more, and a
+    ``frozenset`` from its first :meth:`lookup` on, so an unread key costs
+    one dict slot, not a set.  A lookup freezes the bucket in place and hands
+    out that object (no copy per access); an add thaws only its own bucket,
+    so an answer handed out never changes.  Two threads freezing one bucket
+    race harmlessly (equal frozensets, the last one stays).
     """
 
     def __init__(self, schema: RelationSchema, tuples: Iterable[Tuple_] = ()) -> None:
         self.schema = schema
         self._tuples: Set[Tuple_] = set()
-        self._index: Dict[Tuple_, AbstractSet[Tuple_]] = {}
-        for row in tuples:
-            self.add(row)
+        self._index: Dict[object, object] = {}  # key -> row | [rows] | frozenset
+        positions = schema.input_positions
+        self._width = len(positions)
+        # A free relation's one key is ``row[0:0] == ()``, still a C call.
+        self._key = itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+        self.add_all(tuples)
 
     # -- mutation -----------------------------------------------------------
     def add(self, row: Iterable[Value]) -> bool:
         """Add a tuple; returns True if it was not already present."""
-        tupled = tuple(row)
-        if len(tupled) != self.schema.arity:
-            raise InstanceError(
-                f"tuple {tupled!r} has arity {len(tupled)} but relation "
-                f"{self.schema.name!r} has arity {self.schema.arity}"
-            )
-        if tupled in self._tuples:
-            return False
-        self._tuples.add(tupled)
-        key = self._input_key(tupled)
-        bucket = self._index.get(key)
-        if not isinstance(bucket, set):  # absent, or frozen by a lookup
-            bucket = self._index[key] = set(bucket or ())
-        bucket.add(tupled)
-        return True
+        return self.add_all((row,)) == 1
 
     def add_all(self, rows: Iterable[Iterable[Value]]) -> int:
-        """Add many tuples; returns how many were new."""
-        return sum(1 for row in rows if self.add(row))
+        """Add many tuples; returns how many were new.  A wrong-arity row
+        raises :class:`InstanceError`, keeping the rows added before it."""
+        arity, key_of = self.schema.arity, self._key
+        tuples, index = self._tuples, self._index
+        added = len(tuples)
+        for row in rows:
+            row = tuple(row)
+            if len(row) != arity:
+                raise InstanceError(
+                    f"tuple {row!r} has arity {len(row)} but relation "
+                    f"{self.schema.name!r} has arity {arity}"
+                )
+            if row in tuples:
+                continue
+            tuples.add(row)
+            key = key_of(row)
+            bucket = index.setdefault(key, row)
+            if type(bucket) is list:
+                bucket.append(row)
+            elif bucket is not row:  # one row so far, or frozen by a lookup: thaw a copy
+                index[key] = [bucket, row] if type(bucket) is tuple else [*bucket, row]
+        return len(tuples) - added
 
     # -- lookup --------------------------------------------------------------
-    def _input_key(self, row: Tuple_) -> Tuple_:
-        return tuple(row[position] for position in self.schema.input_positions)
-
     def lookup(self, binding: Tuple_) -> FrozenSet[Tuple_]:
-        """Return the tuples whose input arguments equal ``binding``.
-
-        ``binding`` must supply exactly one value per input position, in the
-        order of the input positions.  For a free relation the binding is the
-        empty tuple and the whole extension is returned.
-        """
+        """The tuples whose input arguments equal ``binding``: one value per
+        input position, in their order; ``()`` reads a free relation whole."""
         binding = tuple(binding)
-        expected = len(self.schema.input_positions)
-        if len(binding) != expected:
+        if len(binding) != self._width:
             raise InstanceError(
-                f"access to {self.schema.name!r} must bind {expected} input argument(s), "
+                f"access to {self.schema.name!r} must bind {self._width} input argument(s), "
                 f"got {len(binding)}"
             )
-        bucket = self._index.get(binding)
+        key = binding[0] if self._width == 1 else binding
+        bucket = self._index.get(key)
         if bucket is None:
             return _EMPTY
-        if isinstance(bucket, set):
-            bucket = self._index[binding] = frozenset(bucket)
+        if type(bucket) is not frozenset:
+            bucket = self._index[key] = frozenset((bucket,) if type(bucket) is tuple else bucket)
         return bucket
-
-    def values_at(self, position: int) -> Set[Value]:
-        """Distinct values occurring at the given argument position."""
-        return {row[position] for row in self._tuples}
 
     # -- container protocol ----------------------------------------------------
     def __iter__(self) -> Iterator[Tuple_]:

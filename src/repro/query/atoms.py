@@ -63,10 +63,6 @@ class Atom:
     def constant_set(self) -> Set[Constant]:
         return set(self.constants())
 
-    def is_ground(self) -> bool:
-        """True if the atom contains no variables."""
-        return all(isinstance(term, Constant) for term in self.terms)
-
     # -- transformation ------------------------------------------------------
     def substitute(self, mapping: Mapping[Variable, Term]) -> "Atom":
         """Apply a substitution to the atom's variables."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -141,15 +142,17 @@ def test_sqlite_hit_counters_survive_restart(tmp_path) -> None:
     finally:
         store.close()
     assert persisted and sum(persisted.values()) > 0
-    # A restarted engine adds its live hits to those counters, so the
-    # per-relation report covers the store's full history, not just this run.
+    # A restarted engine reports those counters apart from its live hits, so
+    # ``meta_hits + persisted_meta_hits`` covers the store's full history.
     with _sqlite_engine(example, path) as engine:
         engine.execute(example.query_text, strategy="fast_fail")
         merged = engine.session_stats()["relations"]
         # A reset erases the store, and with it the inherited base.
         engine.reset_session()
         assert engine.session_stats()["relations"] == {}
-    assert sum(row["meta_hits"] for row in merged.values()) > sum(persisted.values())
+    assert {name: row["persisted_meta_hits"] for name, row in merged.items()} == persisted
+    history = sum(row["meta_hits"] + row["persisted_meta_hits"] for row in merged.values())
+    assert history > sum(persisted.values())
 
 
 def test_sqlite_fingerprint_mismatch_raises(tmp_path) -> None:
@@ -375,6 +378,33 @@ def test_workload_json_reports_the_cache_store(tmp_path, capsys) -> None:
     assert cold["total_accesses"] == cold["cache"]["binding_entries"] > 0
     assert warm["total_accesses"] == 0
     assert warm["cache"]["binding_entries"] == cold["cache"]["binding_entries"]
+
+
+def test_per_relation_hits_sum_to_the_totals_across_restarts(tmp_path, capsys) -> None:
+    """Three processes' worth of runs on one store: each run's per-relation
+    ``meta_hits`` sum to its own total, and its ``persisted_meta_hits`` to
+    the hits every earlier run made."""
+    from repro.cli import main
+
+    path = f"sqlite:{tmp_path / 'w.db'}"
+    argv = ["workload", "--mix", "star,diamond", "--repeat", "2", "--cache-store", path]
+    earlier = 0
+    for _ in range(3):
+        assert main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        relations = payload["relations"].values()
+        assert sum(row["meta_hits"] for row in relations) == payload["meta_hits"] > 0
+        assert sum(row["persisted_meta_hits"] for row in relations) == earlier
+        assert payload["persisted_meta_hits"] == earlier
+        earlier += payload["meta_hits"]
+    # The text report: the per-relation lines print both counts, and each
+    # column sums to what the run and its predecessors made.
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    total = int(re.search(r"meta hits (\d+) ", text).group(1))
+    lines = re.findall(r"(\d+) meta hits \(\+(\d+) persisted\)", text)
+    assert sum(int(live) for live, _ in lines) == total > 0
+    assert sum(int(base) for _, base in lines) == earlier
 
 
 def test_cli_cache_store_flags(tmp_path, capsys) -> None:
